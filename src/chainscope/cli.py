@@ -32,19 +32,24 @@ from .configio import (
 )
 from .errors import ChainscopeError, ConfigError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
+from .ingest import ingest_scenario
 from .model import events_from_jsonl, events_to_jsonl
 from .pipeline import (
-    GATE_EXPECTED,
     RunParams,
     build_manifest,
+    reconstruct,
+    resolve_expected,
     run_scenario,
     sweep_scenario,
+    write_ingest_artifacts,
+    write_reconstruct_artifacts,
     write_run_artifacts,
     write_sweep_artifacts,
+    write_tag_artifacts,
 )
 from .sanitize import PseudonymMap, sanitize_dataset, salt_reference
 from .synth import generate_scenario, write_scenario
-from .tagging import ExpectedStepSet, load_rules, parse_step, tag_run, decision_to_dict
+from .tagging import ExpectedStepSet, decisions_from_jsonl, load_rules, parse_step, tag_run
 
 
 class UsageError(Exception):
@@ -161,14 +166,11 @@ def _load_rules_file(path: Optional[Path]):
 def _cmd_ingest(args: argparse.Namespace) -> int:
     adapters = load_adapters(args.adapters)
     aliases = load_aliases(args.aliases)
-    from .ingest import ingest_scenario
-
-    result = ingest_scenario(args.scenario_dir, adapters, aliases, sources=_split_csv(args.sources))
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "events.jsonl").write_text(events_to_jsonl(result.merged()), encoding="utf-8")
-    (args.out / "ingest_report.json").write_text(
-        json.dumps(result.report(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    _expected, scenario_id = resolve_expected(args.scenario_dir)
+    result = ingest_scenario(
+        args.scenario_dir, adapters, aliases, scenario_id=scenario_id, sources=_split_csv(args.sources)
     )
+    write_ingest_artifacts(result, result.merged(), args.out)
     print(f"ingested {result.report()['total_records']} events -> {args.out}")
     return 0
 
@@ -178,83 +180,18 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     rules = _load_rules_file(args.rules)
     events = events_from_jsonl(args.events.read_text(encoding="utf-8"))
     expected = _expected_from_args(args)
-    gate = None
-    if args.gate:
-        if args.gate == GATE_EXPECTED:
-            if expected is None:
-                raise ConfigError("--gate expected requires --expected-steps")
-            gate = expected.steps
-        else:
-            gate = frozenset(parse_step(s) for s in _split_csv(args.gate) or [])
+    gate = RunParams(gate=args.gate).resolve_gate(expected)
     decisions, diag = tag_run(events, rules, gate=gate, aliases=aliases, expected=expected.steps if expected else None)
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "decisions.jsonl").write_text(
-        "".join(json.dumps(decision_to_dict(d), sort_keys=True) + "\n" for d in decisions), encoding="utf-8"
-    )
-    (args.out / "run_diag.json").write_text(
-        json.dumps(
-            {
-                "flags": diag.flags(),
-                "ambiguity_fraction": diag.ambiguity_fraction,
-                "matched_events": diag.matched_events,
-                "multi_match_events": diag.multi_match_events,
-                "step_counts": dict(diag.step_counts),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    write_tag_artifacts(decisions, diag, args.out)
     print(f"tagged {diag.matched_events} matched events -> {args.out}")
     return 0
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    from .graph import build_event_graph, chain_ambiguity, chain_to_dict, extract_chains, graph_to_dict
-    from .tagging import Candidate, Diagnostic, StepTag, TagDecision
-
     events = events_from_jsonl(args.events.read_text(encoding="utf-8"))
-    decisions = []
-    for line in args.decisions.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        decisions.append(
-            TagDecision(
-                event_id=doc["event_id"],
-                candidates=tuple(
-                    Candidate(step=StepTag(c["step"]), rule_id=c["rule_id"], priority=c["priority"])
-                    for c in doc.get("candidates", [])
-                ),
-                chosen=StepTag(doc["chosen"]) if doc.get("chosen") else None,
-                diagnostics=tuple(
-                    Diagnostic(kind=d["kind"], rule_id=d.get("rule_id")) for d in doc.get("diagnostics", [])
-                ),
-            )
-        )
-    params = _params_from_args(args)
-    graph = build_event_graph(events, decisions, window_ms=params.window_ms)
-    chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms)
-    ambiguity = chain_ambiguity(chains, k=params.top_k)
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "graph.json").write_text(json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (args.out / "chains.json").write_text(
-        json.dumps([chain_to_dict(c) for c in chains], indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (args.out / "ambiguity.json").write_text(
-        json.dumps(
-            {
-                "top2_margin": None if ambiguity.top2_margin == float("inf") else ambiguity.top2_margin,
-                "entropy_topk": ambiguity.entropy_topk,
-                "k": ambiguity.k,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    decisions = decisions_from_jsonl(args.decisions.read_text(encoding="utf-8"))
+    graph, chains, ambiguity = reconstruct(events, decisions, _params_from_args(args))
+    write_reconstruct_artifacts(graph, chains, ambiguity, args.out)
     print(f"extracted {len(chains)} chain(s) -> {args.out}")
     return 0
 

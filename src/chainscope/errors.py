@@ -38,3 +38,7 @@ class ScenarioError(ChainscopeError):
 
 class SanitizeError(ChainscopeError):
     """Pseudonymization policy violation or unknown category."""
+
+
+class EventIdError(ChainscopeError):
+    """Event ids repeat, or tag decisions do not line up one-to-one with events."""

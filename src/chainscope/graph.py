@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .errors import EventIdError
 from .model import NormalizedEvent
 from .tagging import StepTag, TagDecision
 
@@ -153,10 +154,26 @@ def build_event_graph(
     Only events whose decision chose a step become nodes. An edge (a, b)
     exists iff 0 <= ts_b - ts_a <= window_ms, (a, b) are distinct and
     forward-ordered under (ts, event_id), and a join criterion holds.
+    Event ids must be unique and every decision must name a distinct
+    event of the table; otherwise EventIdError names the first offender.
     """
     if window_ms <= 0:
         raise ValueError("window_ms must be positive")
-    chosen: Dict[str, StepTag] = {d.event_id: d.chosen for d in decisions if d.chosen is not None}
+    event_ids: Set[str] = set()
+    for event in events:
+        if event.event_id in event_ids:
+            raise EventIdError(f"duplicate event id {event.event_id!r}")
+        event_ids.add(event.event_id)
+    chosen: Dict[str, StepTag] = {}
+    decided: Set[str] = set()
+    for decision in decisions:
+        if decision.event_id not in event_ids:
+            raise EventIdError(f"decision for unknown event id {decision.event_id!r}")
+        if decision.event_id in decided:
+            raise EventIdError(f"repeated decision for event id {decision.event_id!r}")
+        decided.add(decision.event_id)
+        if decision.chosen is not None:
+            chosen[decision.event_id] = decision.chosen
     nodes = sorted(
         (_node_from_event(e, chosen[e.event_id]) for e in events if e.event_id in chosen),
         key=lambda n: (n.ts, n.event_id),
@@ -336,6 +353,14 @@ def chain_ambiguity(chains: Sequence[Chain], k: int = DEFAULT_TOP_K) -> ChainAmb
     weights = [s / total for s in top]
     entropy = -sum(w * math.log(w) for w in weights if w > 0) / math.log(m)
     return ChainAmbiguity(top2_margin=margin, entropy_topk=entropy, k=m)
+
+
+def ambiguity_to_dict(ambiguity: ChainAmbiguity) -> Dict:
+    return {
+        "top2_margin": None if ambiguity.top2_margin == TOP2_MARGIN_SENTINEL else ambiguity.top2_margin,
+        "entropy_topk": ambiguity.entropy_topk,
+        "k": ambiguity.k,
+    }
 
 
 def chain_to_dict(chain: Chain) -> Dict:

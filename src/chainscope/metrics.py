@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigError
-from .graph import Chain, DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS, build_event_graph, extract_chains
-from .ingest import merge_scenario
-from .model import EMPTY_ALIASES, FieldAliasMap, NormalizedEvent
-from .tagging import ExpectedStepSet, RuleSet, StepTag, TagDecision, tag_run
+from .graph import Chain
+from .model import NormalizedEvent
+from .tagging import ExpectedStepSet, StepTag, TagDecision
 
 CATEGORY_SINGLE = "single"
 CATEGORY_COMBO = "combo"
@@ -224,46 +223,6 @@ class SweepRow:
     budget: BudgetConfig
     metrics: Optional[RunMetrics]
     error: Optional[str] = None
-
-
-def budget_sweep(
-    events_by_source: Mapping[str, Sequence[NormalizedEvent]],
-    rules: RuleSet,
-    expected: ExpectedStepSet,
-    budgets: Sequence[BudgetConfig],
-    aliases: FieldAliasMap = EMPTY_ALIASES,
-    gate: Optional[Sequence[StepTag]] = None,
-    window_ms: int = DEFAULT_WINDOW_MS,
-    gap_ms: int = DEFAULT_GAP_MS,
-    top_k: int = DEFAULT_TOP_K,
-    strict: bool = True,
-) -> List[SweepRow]:
-    """Rerun the identical pipeline under each source budget.
-
-    Parsers, rules, and reconstruction parameters are fixed across
-    budgets; only the available source set varies. With strict=False an
-    invalid budget produces an error row instead of aborting the sweep.
-    """
-    available = set(events_by_source)
-    rows: List[SweepRow] = []
-    for budget in budgets:
-        unknown = budget.sources - available
-        if unknown:
-            message = f"budget {budget.name!r} references unavailable source(s): {sorted(unknown)}"
-            if strict:
-                raise ConfigError(message)
-            rows.append(SweepRow(budget=budget, metrics=None, error=message))
-            continue
-        tables = [list(events_by_source[s]) for s in sorted(budget.sources)]
-        merged = merge_scenario(tables)
-        decisions, _diag = tag_run(merged, rules, gate=gate, aliases=aliases, expected=expected.steps)
-        event_graph = build_event_graph(merged, decisions, window_ms=window_ms)
-        chains = extract_chains(event_graph, top_k=top_k, gap_threshold_ms=gap_ms)
-        metrics = compute_run_metrics(
-            decisions, chains, expected, merged, sources=sorted(budget.sources)
-        )
-        rows.append(SweepRow(budget=budget, metrics=metrics))
-    return rows
 
 
 def best_rows_by_category(rows: Sequence[SweepRow]) -> Dict[str, SweepRow]:

@@ -1,10 +1,12 @@
 """End-to-end pipeline orchestration and run artifact IO.
 
 One run = ingest -> tag -> graph -> chains -> metrics/evidence, with every
-parameter fixed up front. Artifacts are deterministic functions of the
-inputs: JSON documents are dumped with sorted keys and no generation
-timestamps, so re-running with the same manifest reproduces them
-byte-identically.
+parameter fixed up front. ``evaluate``, each budget of a sweep and the
+ingest/tag/reconstruct stage commands all go through the functions here,
+and every artifact has exactly one writer in this module. Artifacts are
+deterministic functions of the inputs: JSON documents are dumped with
+sorted keys and no generation timestamps, so re-running with the same
+manifest reproduces them byte-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, EventIdError
 from .graph import (
     Chain,
     ChainAmbiguity,
@@ -24,13 +26,14 @@ from .graph import (
     DEFAULT_TOP_K,
     DEFAULT_WINDOW_MS,
     EventGraph,
+    ambiguity_to_dict,
     build_event_graph,
     chain_ambiguity,
     chain_to_dict,
     extract_chains,
     graph_to_dict,
 )
-from .ingest import IngestResult, SourceAdapterSpec, ingest_scenario
+from .ingest import IngestResult, SourceAdapterSpec, ingest_scenario, merge_scenario
 from .metrics import (
     AggregateMetrics,
     BudgetConfig,
@@ -39,20 +42,20 @@ from .metrics import (
     aggregate,
     aggregate_to_dict,
     best_rows_by_category,
-    budget_sweep,
+    compute_run_metrics,
     run_metrics_to_dict,
 )
-from .model import FieldAliasMap, NormalizedEvent, events_to_jsonl
+from .model import EMPTY_ALIASES, FieldAliasMap, NormalizedEvent, events_to_jsonl
 from .report import EvidencePackage, build_evidence_package, evidence_to_dict, render_budget_table
-from .synth import GroundTruth, load_ground_truth
+from .synth import load_ground_truth
 from .tagging import (
     ExpectedStepSet,
     RuleSet,
     RunDiagnostics,
-    StepTag,
     TagDecision,
-    decision_to_dict,
+    decisions_to_jsonl,
     parse_step,
+    run_diag_to_dict,
     tag_run,
 )
 
@@ -77,6 +80,39 @@ class RunParams:
         return frozenset(parse_step(part) for part in self.gate.split(",") if part.strip())
 
 
+def resolve_expected(
+    scenario_dir: Path, expected: Optional[ExpectedStepSet] = None
+) -> Tuple[Optional[ExpectedStepSet], str]:
+    """Expected steps and scenario id for one scenario directory.
+
+    Expected steps are the explicit argument, else those of a
+    ground_truth.json next to the raw files. The scenario id is the
+    expected set's, else the directory name.
+    """
+    path = Path(scenario_dir) / "ground_truth.json"
+    if expected is None and path.exists():
+        expected = load_ground_truth(path).expected
+    return expected, expected.scenario_id if expected else Path(scenario_dir).name
+
+
+def reconstruct(
+    events: Sequence[NormalizedEvent], decisions: Sequence[TagDecision], params: RunParams
+) -> Tuple[EventGraph, List[Chain], ChainAmbiguity]:
+    """Event graph, ranked candidate chains and their ambiguity.
+
+    Requires exactly one decision per event; build_event_graph rejects
+    duplicate ids and unknown or repeated decisions, and a count mismatch
+    left after that means some event has no decision.
+    """
+    graph = build_event_graph(events, decisions, window_ms=params.window_ms)
+    if len(decisions) != len(events):
+        decided = {d.event_id for d in decisions}
+        missing = next(e.event_id for e in events if e.event_id not in decided)
+        raise EventIdError(f"no decision for event id {missing!r}")
+    chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms)
+    return graph, chains, chain_ambiguity(chains, k=params.top_k)
+
+
 @dataclass
 class RunResult:
     scenario_id: str
@@ -93,13 +129,6 @@ class RunResult:
     evidence: EvidencePackage
 
 
-def _find_ground_truth(scenario_dir: Path) -> Optional[GroundTruth]:
-    path = Path(scenario_dir) / "ground_truth.json"
-    if path.exists():
-        return load_ground_truth(path)
-    return None
-
-
 def run_scenario(
     scenario_dir: Path,
     adapters: Sequence[SourceAdapterSpec],
@@ -107,36 +136,29 @@ def run_scenario(
     rules: RuleSet,
     params: RunParams = RunParams(),
     expected: Optional[ExpectedStepSet] = None,
-    ground_truth: Optional[GroundTruth] = None,
 ) -> RunResult:
     """Run the full pipeline over one scenario directory.
 
-    Expected steps come from (in order): the explicit argument, the given
-    ground truth, or a ground_truth.json next to the raw files. Without
-    any of these the run still produces decisions, chains, and evidence,
-    just no precision/recall metrics.
+    Expected steps are resolved by resolve_expected. Without them the run
+    still produces decisions, chains, and evidence, just no
+    precision/recall metrics.
     """
-    scenario_dir = Path(scenario_dir)
-    if ground_truth is None:
-        ground_truth = _find_ground_truth(scenario_dir)
-    if expected is None and ground_truth is not None:
-        expected = ground_truth.expected
-    scenario_id = expected.scenario_id if expected else scenario_dir.name
-
+    expected, scenario_id = resolve_expected(scenario_dir, expected)
     ingest_result = ingest_scenario(
         scenario_dir, adapters, aliases, scenario_id=scenario_id, sources=params.sources
     )
     events = ingest_result.merged()
-    gate = params.resolve_gate(expected)
     decisions, run_diag = tag_run(
-        events, rules, gate=gate, aliases=aliases, expected=expected.steps if expected else None
+        events,
+        rules,
+        gate=params.resolve_gate(expected),
+        aliases=aliases,
+        expected=expected.steps if expected else None,
     )
-    graph = build_event_graph(events, decisions, window_ms=params.window_ms)
-    chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms)
-    ambiguity = chain_ambiguity(chains, k=params.top_k)
+    graph, chains, ambiguity = reconstruct(events, decisions, params)
     metrics = None
     if expected is not None:
-        metrics = compute_metrics_for_run(decisions, chains, expected, events, params)
+        metrics = compute_run_metrics(decisions, chains, expected, events, sources=params.sources)
     evidence = build_evidence_package(
         chains, decisions, events, expected=tuple(expected.steps) if expected else None, scenario_id=scenario_id
     )
@@ -154,23 +176,6 @@ def run_scenario(
         metrics=metrics,
         evidence=evidence,
     )
-
-
-def compute_metrics_for_run(
-    decisions: Sequence[TagDecision],
-    chains: Sequence[Chain],
-    expected: ExpectedStepSet,
-    events: Sequence[NormalizedEvent],
-    params: RunParams,
-) -> RunMetrics:
-    from .metrics import compute_run_metrics
-
-    sources = sorted(params.sources) if params.sources else sorted({e.source for e in events})
-    return compute_run_metrics(decisions, chains, expected, events, sources=sources)
-
-
-def _dump_json(data: Any, path: Path) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _digest_file(path: Path) -> str:
@@ -203,54 +208,85 @@ def build_manifest(
     return manifest
 
 
+def _write(out_dir: Path, name: str, payload: Any) -> Path:
+    """Write text as is and anything else as sorted, indented JSON."""
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(payload, encoding="utf-8")
+    return path
+
+
+def write_ingest_artifacts(ingest: IngestResult, events: Sequence[NormalizedEvent], out_dir: Path) -> List[Path]:
+    return [
+        _write(out_dir, "events.jsonl", events_to_jsonl(events)),
+        _write(out_dir, "ingest_report.json", ingest.report()),
+    ]
+
+
+def write_tag_artifacts(decisions: Sequence[TagDecision], run_diag: RunDiagnostics, out_dir: Path) -> List[Path]:
+    return [
+        _write(out_dir, "decisions.jsonl", decisions_to_jsonl(decisions)),
+        _write(out_dir, "run_diag.json", run_diag_to_dict(run_diag)),
+    ]
+
+
+def write_reconstruct_artifacts(
+    graph: EventGraph, chains: Sequence[Chain], ambiguity: ChainAmbiguity, out_dir: Path
+) -> List[Path]:
+    return [
+        _write(out_dir, "graph.json", graph_to_dict(graph)),
+        _write(out_dir, "chains.json", [chain_to_dict(c) for c in chains]),
+        _write(out_dir, "ambiguity.json", ambiguity_to_dict(ambiguity)),
+    ]
+
+
 def write_run_artifacts(result: RunResult, out_dir: Path, manifest: Optional[Mapping[str, Any]] = None) -> List[Path]:
     """Write the full artifact set for one run; returns written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-
-    def emit(name: str, payload: Any) -> None:
-        path = out_dir / name
-        if name.endswith(".jsonl"):
-            path.write_text(payload, encoding="utf-8")
-        else:
-            _dump_json(payload, path)
-        written.append(path)
-
-    emit("events.jsonl", events_to_jsonl(result.events))
-    emit("ingest_report.json", result.ingest.report())
-    emit(
-        "decisions.jsonl",
-        "".join(json.dumps(decision_to_dict(d), sort_keys=True) + "\n" for d in result.decisions),
-    )
-    emit(
-        "run_diag.json",
-        {
-            "flags": result.run_diag.flags(),
-            "no_steps_observed": result.run_diag.no_steps_observed,
-            "missing_steps": [s.value for s in result.run_diag.missing_steps],
-            "ambiguity_fraction": result.run_diag.ambiguity_fraction,
-            "matched_events": result.run_diag.matched_events,
-            "multi_match_events": result.run_diag.multi_match_events,
-            "step_counts": dict(result.run_diag.step_counts),
-        },
-    )
-    emit("graph.json", graph_to_dict(result.graph))
-    emit("chains.json", [chain_to_dict(c) for c in result.chains])
-    emit(
-        "ambiguity.json",
-        {
-            "top2_margin": None if result.ambiguity.top2_margin == float("inf") else result.ambiguity.top2_margin,
-            "entropy_topk": result.ambiguity.entropy_topk,
-            "k": result.ambiguity.k,
-        },
-    )
+    written = [
+        *write_ingest_artifacts(result.ingest, result.events, out_dir),
+        *write_tag_artifacts(result.decisions, result.run_diag, out_dir),
+        *write_reconstruct_artifacts(result.graph, result.chains, result.ambiguity, out_dir),
+    ]
     if result.metrics is not None:
-        emit("metrics.json", run_metrics_to_dict(result.metrics))
-    emit("evidence.json", evidence_to_dict(result.evidence))
+        written.append(_write(out_dir, "metrics.json", run_metrics_to_dict(result.metrics)))
+    written.append(_write(out_dir, "evidence.json", evidence_to_dict(result.evidence)))
     if manifest is not None:
-        emit("manifest.json", dict(manifest))
+        written.append(_write(out_dir, "manifest.json", dict(manifest)))
     return written
+
+
+def budget_sweep(
+    events_by_source: Mapping[str, Sequence[NormalizedEvent]],
+    rules: RuleSet,
+    expected: ExpectedStepSet,
+    budgets: Sequence[BudgetConfig],
+    aliases: FieldAliasMap = EMPTY_ALIASES,
+    params: RunParams = RunParams(),
+) -> List[SweepRow]:
+    """Rerun the identical pipeline under each source budget.
+
+    Parsers, rules, and reconstruction parameters are fixed across
+    budgets; only the available source set varies. A budget naming an
+    unavailable source becomes an error row and the sweep goes on.
+    """
+    available = set(events_by_source)
+    gate = params.resolve_gate(expected)
+    rows: List[SweepRow] = []
+    for budget in budgets:
+        unknown = budget.sources - available
+        if unknown:
+            message = f"budget {budget.name!r} references unavailable source(s): {sorted(unknown)}"
+            rows.append(SweepRow(budget=budget, metrics=None, error=message))
+            continue
+        sources = sorted(budget.sources)
+        merged = merge_scenario([events_by_source[s] for s in sources])
+        decisions, _diag = tag_run(merged, rules, gate=gate, aliases=aliases, expected=expected.steps)
+        _graph, chains, _ambiguity = reconstruct(merged, decisions, params)
+        metrics = compute_run_metrics(decisions, chains, expected, merged, sources=sources)
+        rows.append(SweepRow(budget=budget, metrics=metrics))
+    return rows
 
 
 @dataclass
@@ -272,29 +308,11 @@ def sweep_scenario(
     expected: Optional[ExpectedStepSet] = None,
 ) -> SweepResult:
     """Run the identical pipeline once per source budget on one scenario."""
-    scenario_dir = Path(scenario_dir)
-    ground_truth = _find_ground_truth(scenario_dir)
-    if expected is None and ground_truth is not None:
-        expected = ground_truth.expected
+    expected, scenario_id = resolve_expected(scenario_dir, expected)
     if expected is None:
         raise ConfigError("sweep requires ground truth or an explicit expected step set")
-    scenario_id = expected.scenario_id
-
     ingest_result = ingest_scenario(scenario_dir, adapters, aliases, scenario_id=scenario_id)
-    gate = params.resolve_gate(expected)
-    gate_steps = tuple(sorted(gate, key=lambda s: s.value)) if gate else None
-    rows = budget_sweep(
-        {src: list(events) for src, events in ingest_result.events_by_source.items()},
-        rules,
-        expected,
-        budgets,
-        aliases=aliases,
-        gate=gate_steps,
-        window_ms=params.window_ms,
-        gap_ms=params.gap_ms,
-        top_k=params.top_k,
-        strict=False,
-    )
+    rows = budget_sweep(ingest_result.events_by_source, rules, expected, budgets, aliases=aliases, params=params)
     best = best_rows_by_category(rows)
     aggregates = {
         category: aggregate({scenario_id: (row.metrics, expected.e_s)}) for category, row in best.items()
@@ -306,9 +324,6 @@ def sweep_scenario(
 
 
 def write_sweep_artifacts(result: SweepResult, out_dir: Path, manifest: Optional[Mapping[str, Any]] = None) -> List[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
     rows_doc = []
     for row in result.rows:
         entry: Dict[str, Any] = {
@@ -322,16 +337,15 @@ def write_sweep_artifacts(result: SweepResult, out_dir: Path, manifest: Optional
             entry["metrics"] = run_metrics_to_dict(row.metrics)
             entry["best_in_category"] = result.best_by_category.get(row.budget.category) is row
         rows_doc.append(entry)
-    _dump_json({"scenario_id": result.scenario_id, "rows": rows_doc}, out_dir / "sweep_rows.json")
-    written.append(out_dir / "sweep_rows.json")
-    _dump_json(
-        {category: aggregate_to_dict(agg) for category, agg in sorted(result.aggregates.items())},
-        out_dir / "sweep_aggregates.json",
-    )
-    written.append(out_dir / "sweep_aggregates.json")
-    (out_dir / "budget_table.txt").write_text(result.table, encoding="utf-8")
-    written.append(out_dir / "budget_table.txt")
+    written = [
+        _write(out_dir, "sweep_rows.json", {"scenario_id": result.scenario_id, "rows": rows_doc}),
+        _write(
+            out_dir,
+            "sweep_aggregates.json",
+            {category: aggregate_to_dict(agg) for category, agg in sorted(result.aggregates.items())},
+        ),
+        _write(out_dir, "budget_table.txt", result.table),
+    ]
     if manifest is not None:
-        _dump_json(dict(manifest), out_dir / "manifest.json")
-        written.append(out_dir / "manifest.json")
+        written.append(_write(out_dir, "manifest.json", dict(manifest)))
     return written

@@ -14,13 +14,14 @@ rule_id, so permuting rule order never changes a chosen tag.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
 
-from .errors import ConfigError, RuleError
+from .errors import ConfigError, ParseError, RuleError
 from .model import (
     CANONICAL_FIELDS,
     EMPTY_ALIASES,
@@ -426,6 +427,47 @@ def decision_to_dict(decision: TagDecision) -> Dict[str, Any]:
         ],
         "chosen": decision.chosen.value if decision.chosen else None,
         "diagnostics": [
-            {"kind": d.kind, **({"rule_id": d.rule_id} if d.rule_id else {})} for d in decision.diagnostics
+            {"kind": d.kind, **({"rule_id": d.rule_id} if d.rule_id is not None else {})}
+            for d in decision.diagnostics
         ],
+    }
+
+
+def decision_from_dict(doc: Mapping[str, Any]) -> TagDecision:
+    return TagDecision(
+        event_id=doc["event_id"],
+        candidates=tuple(
+            Candidate(step=StepTag(c["step"]), rule_id=c["rule_id"], priority=c["priority"]) for c in doc["candidates"]
+        ),
+        chosen=StepTag(doc["chosen"]) if doc["chosen"] is not None else None,
+        diagnostics=tuple(Diagnostic(kind=d["kind"], rule_id=d.get("rule_id")) for d in doc["diagnostics"]),
+    )
+
+
+def decisions_to_jsonl(decisions: Iterable[TagDecision]) -> str:
+    return "".join(json.dumps(decision_to_dict(d), sort_keys=True) + "\n" for d in decisions)
+
+
+def decisions_from_jsonl(text: str) -> List[TagDecision]:
+    """Parse decisions.jsonl; a malformed line raises ParseError naming its line number."""
+    decisions = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            decisions.append(decision_from_dict(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"decisions line {lineno}: {type(exc).__name__}: {exc}", offending=line)
+    return decisions
+
+
+def run_diag_to_dict(diag: RunDiagnostics) -> Dict[str, Any]:
+    return {
+        "flags": diag.flags(),
+        "no_steps_observed": diag.no_steps_observed,
+        "missing_steps": [s.value for s in diag.missing_steps],
+        "ambiguity_fraction": diag.ambiguity_fraction,
+        "matched_events": diag.matched_events,
+        "multi_match_events": diag.multi_match_events,
+        "step_counts": dict(diag.step_counts),
     }

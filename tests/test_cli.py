@@ -2,6 +2,10 @@ import json
 import pytest
 
 from chainscope.cli import main
+from chainscope.model import events_to_jsonl
+from chainscope.synth import load_ground_truth
+from chainscope.tagging import StepTag, TagDecision, decisions_to_jsonl
+from conftest import make_event
 
 
 @pytest.fixture()
@@ -140,6 +144,7 @@ class TestStageCommands:
         from importlib.resources import files
 
         rules_path = files("chainscope").joinpath("config").joinpath("rules.yml")
+        expected = load_ground_truth(scenario_dir / "ground_truth.json").expected
         assert (
             main(
                 [
@@ -148,6 +153,10 @@ class TestStageCommands:
                     str(stage1 / "events.jsonl"),
                     "--rules",
                     str(rules_path),
+                    "--gate",
+                    "expected",
+                    "--expected-steps",
+                    ",".join(sorted(s.value for s in expected.steps)),
                     "--out",
                     str(stage2),
                 ]
@@ -173,6 +182,38 @@ class TestStageCommands:
         )
         chains = json.loads((stage3 / "chains.json").read_text())
         assert chains[0]["steps"] == ["OUTBOUND_CONN", "INSTALL", "DOWNLOAD"]
+
+        # the stage commands write the same bytes as evaluate
+        run = tmp_path / "run"
+        assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--gate", "expected", "--out", str(run)]) == 0
+        stages = {
+            "events.jsonl": stage1,
+            "ingest_report.json": stage1,
+            "decisions.jsonl": stage2,
+            "run_diag.json": stage2,
+            "graph.json": stage3,
+            "chains.json": stage3,
+            "ambiguity.json": stage3,
+        }
+        for name, stage in stages.items():
+            assert (stage / name).read_bytes() == (run / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "decided, offender",
+        [(("a", "c"), "unknown event id 'c'"), (("a", "a"), "repeated decision for event id 'a'"), (("a",), "no decision for event id 'b'")],
+    )
+    def test_reconstruct_rejects_decisions_not_matching_events(self, tmp_path, capsys, decided, offender):
+        events_path = tmp_path / "events.jsonl"
+        events_path.write_text(events_to_jsonl([make_event(event_id="a", ts=1_000), make_event(event_id="b", ts=2_000)]))
+        decisions_path = tmp_path / "decisions.jsonl"
+        decisions_path.write_text(
+            decisions_to_jsonl(TagDecision(event_id=e, candidates=(), chosen=StepTag.INSTALL, diagnostics=()) for e in decided)
+        )
+        out = tmp_path / "out"
+        code = main(["reconstruct", "--events", str(events_path), "--decisions", str(decisions_path), "--out", str(out)])
+        assert code == 2
+        assert offender in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:

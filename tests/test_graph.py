@@ -1,5 +1,6 @@
 import pytest
 
+from chainscope.errors import EventIdError
 from chainscope.graph import (
     DEFAULT_WINDOW_MS,
     TOP2_MARGIN_SENTINEL,
@@ -56,6 +57,16 @@ class TestBuildEventGraph:
         decisions = [tag(a, StepTag.OUTBOUND_CONN), tag(b, StepTag.EXFIL)]
         graph = build_event_graph([a, b], decisions, window_ms=DEFAULT_WINDOW_MS)
         assert [e.join_reason for e in graph.edges] == ["network_consistent"]
+
+    def test_duplicate_event_id_is_rejected(self):
+        # unchecked, the second x overwrote the first: nodes [x:AUTH, x:AUTH],
+        # a self-loop x->x, and no chain containing INSTALL
+        x1 = make_event(event_id="x", ts=1_000)
+        x2 = make_event(event_id="x", ts=2_000)
+        y = make_event(event_id="y", ts=3_000)
+        decisions = [tag(x1, StepTag.INSTALL), tag(x2, StepTag.AUTH), tag(y, StepTag.EXFIL)]
+        with pytest.raises(EventIdError, match="duplicate event id 'x'"):
+            build_event_graph([x1, x2, y], decisions, window_ms=DEFAULT_WINDOW_MS)
 
     def test_process_lineage_join(self):
         a = make_event(event_id="a", ts=0, host=None, pid=100)

@@ -6,11 +6,11 @@ from chainscope.metrics import (
     BudgetConfig,
     aggregate,
     best_rows_by_category,
-    budget_sweep,
     categorize_budget,
     compute_run_metrics,
     select_best_run,
 )
+from chainscope.pipeline import RunParams, budget_sweep
 from chainscope.synth import generate_scenario
 from chainscope.tagging import ExpectedStepSet, StepTag, TagDecision, load_rules
 from conftest import make_event
@@ -248,9 +248,7 @@ class TestBudgetSweep:
         expected = expected_set({I}, scenario="test")
         bad = categorize_budget(["nope"])
         good = categorize_budget(["syslog"])
-        with pytest.raises(ConfigError):
-            budget_sweep(self.tables(), RULES, expected, [bad, good], strict=True)
-        rows = budget_sweep(self.tables(), RULES, expected, [bad, good], strict=False)
+        rows = budget_sweep(self.tables(), RULES, expected, [bad, good])
         assert rows[0].error and rows[0].metrics is None
         assert rows[1].metrics is not None
 
@@ -282,7 +280,7 @@ class TestBudgetSweep:
             expected,
             budgets,
             aliases=aliases,
-            gate=tuple(expected.steps),
+            params=RunParams(gate="expected"),
         )
         assert rows[0].metrics.step_r == pytest.approx(0.5)
         assert rows[1].metrics.step_r == pytest.approx(0.75)

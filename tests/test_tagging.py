@@ -2,8 +2,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainscope.errors import RuleError
+from chainscope.errors import ParseError, RuleError
 from chainscope.model import FieldAliasMap
 from chainscope.tagging import (
     FIRED,
@@ -13,9 +15,14 @@ from chainscope.tagging import (
     NO_MATCH,
     PREFILTER_UNUSABLE,
     SOURCE_SKIPPED,
+    Candidate,
+    Diagnostic,
     RuleSet,
     StepRule,
     StepTag,
+    TagDecision,
+    decisions_from_jsonl,
+    decisions_to_jsonl,
     evaluate_rule,
     expected_from_techniques,
     load_rules,
@@ -293,3 +300,34 @@ class TestExpectedSteps:
     def test_unknown_techniques_ignored(self, technique_map):
         expected = expected_from_techniques("s", ["T1105", "T9999"], technique_map)
         assert expected.steps == frozenset({StepTag.DOWNLOAD})
+
+
+STEPS = st.sampled_from(list(StepTag))
+# a few fixed priorities make ties between candidates common
+PRIORITIES = st.sampled_from([0.0, 5.0, 10.0]) | st.floats(allow_nan=False, allow_infinity=False)
+DECISIONS = st.builds(
+    TagDecision,
+    event_id=st.text(),
+    candidates=st.lists(st.builds(Candidate, step=STEPS, rule_id=st.text(), priority=PRIORITIES), max_size=4).map(tuple),
+    chosen=st.none() | STEPS,
+    diagnostics=st.lists(
+        st.builds(
+            Diagnostic,
+            kind=st.sampled_from([MISSING_FIELD, PREFILTER_UNUSABLE, MULTI_MATCH]),
+            rule_id=st.none() | st.text(),
+        ),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+class TestDecisionsJsonl:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(DECISIONS, max_size=5))
+    def test_round_trip(self, decisions):
+        assert decisions_from_jsonl(decisions_to_jsonl(decisions)) == decisions
+
+    def test_malformed_line_names_its_number(self):
+        text = decisions_to_jsonl([TagDecision(event_id="a", candidates=(), chosen=None, diagnostics=())])
+        with pytest.raises(ParseError, match="line 2"):
+            decisions_from_jsonl(text + '{"event_id": "b", "chosen": "NOT_A_STEP"}\n')
