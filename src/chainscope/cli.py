@@ -33,7 +33,7 @@ from .configio import (
 from .errors import ChainscopeError, ConfigError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from .ingest import ingest_scenario
-from .model import events_from_jsonl, events_to_jsonl
+from .model import events_from_jsonl, events_to_jsonl, write_json
 from .pipeline import (
     RunParams,
     build_manifest,
@@ -155,7 +155,8 @@ def _expected_from_args(args: argparse.Namespace) -> Optional[ExpectedStepSet]:
     if not steps:
         return None
     scenario = getattr(args, "scenario_dir", None)
-    scenario_id = Path(scenario).name if scenario else "cli"
+    # the scenario id comes from ground truth when there is one, as without the flag
+    scenario_id = resolve_expected(scenario)[1] if scenario else "cli"
     return ExpectedStepSet(scenario_id=scenario_id, steps=frozenset(parse_step(s) for s in steps))
 
 
@@ -314,9 +315,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     args.out.write_text(events_to_jsonl(merged), encoding="utf-8")
     for category, mapping in pmap.to_dict().items():
         payload = {"category": category, "salt_ref": pmap.salt_ref, "mappings": mapping}
-        (mappings_dir / f"{category}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(mappings_dir / f"{category}.json", payload)
     print(
         f"sanitized {sum(len(v) for v in sanitized.values())} events; "
         f"replacements={dict(sanitize_report.replacements)} -> {args.out}"
@@ -334,9 +333,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         text = table_path.read_text(encoding="utf-8") if table_path.exists() else ""
         doc = json.loads(sweep_rows.read_text(encoding="utf-8"))
         out.write_text(text, encoding="utf-8")
-        out.with_suffix(out.suffix + ".json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(out.with_suffix(out.suffix + ".json"), doc)
         print(f"sweep report -> {out}")
         return 0
     metrics_path = indir / "metrics.json"
@@ -368,7 +365,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for missing in evidence_doc.get("missing_steps", []):
             lines.append(f"[{missing['step']}] {missing['diagnostic']}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out.with_suffix(out.suffix + ".json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out.with_suffix(out.suffix + ".json"), doc)
     print(f"report -> {out}")
     return 0
 

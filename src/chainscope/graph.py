@@ -6,6 +6,16 @@ join key (host, user, process lineage, or consistent network endpoints).
 Edges always point forward under the (ts, event_id) order, so the graph
 is a DAG and nodes in that order are already topologically sorted.
 
+build_event_graph does not test every pair inside the window. It files
+each node in keyed buckets -- host, user, pid, ppid, destination endpoint
+and unordered endpoint pair -- and takes a node's candidate partners from
+the buckets a later partner must share with it, cut to the window by
+bisection. A same-host candidate is always a shared_host edge; any other
+candidate goes through join_reason, whose fixed priority decides the
+reason. Every accepted pair shares at least one of these keys, so the
+edge set and its (source, target) position order equal those of a full
+scan of the window.
+
 Chains are path projections: walk any forward path, record each step tag
 at its first occurrence, and you get an ordered step sequence. Distinct
 paths often project to the same sequence, so sequences are deduplicated
@@ -15,17 +25,22 @@ in (ts, event_id) node order. These rules are shared verbatim by the
 brute-force enumeration oracle in the synth module; extract_chains
 reaches the same result with a dynamic program over (node,
 projected-sequence) states, which stays polynomial because there are at
-most 325 distinct sequences over the five-step alphabet. The
-back-to-front tie-break matters for throughput: two candidate paths for
-one state almost always arrive through different predecessors, so the
-comparison resolves in one step instead of materializing whole paths.
+most 325 distinct sequences over the five-step alphabet. Sequences are
+coded as ints, and a table built once maps (sequence, step) to the
+extended sequence, so a DP state is the int node * 326 + sequence and a
+path is a chain of such parent ints. The back-to-front tie-break matters
+for throughput: two candidate paths for one state almost always arrive
+through different predecessors, so the comparison resolves without
+walking whole paths.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import EventIdError
 from .model import NormalizedEvent
@@ -154,8 +169,9 @@ def build_event_graph(
     Only events whose decision chose a step become nodes. An edge (a, b)
     exists iff 0 <= ts_b - ts_a <= window_ms, (a, b) are distinct and
     forward-ordered under (ts, event_id), and a join criterion holds.
-    Event ids must be unique and every decision must name a distinct
-    event of the table; otherwise EventIdError names the first offender.
+    Edges are ordered by (a, b) node position. Event ids must be unique
+    and every decision must name a distinct event of the table; otherwise
+    EventIdError names the first offender.
     """
     if window_ms <= 0:
         raise ValueError("window_ms must be positive")
@@ -178,19 +194,79 @@ def build_event_graph(
         (_node_from_event(e, chosen[e.event_id]) for e in events if e.event_id in chosen),
         key=lambda n: (n.ts, n.event_id),
     )
+    ids = [node.event_id for node in nodes]
+    ts = [node.ts for node in nodes]
+    buckets, partners = _candidate_buckets(nodes, ts)
     edges: List[Edge] = []
-    n = len(nodes)
-    for i in range(n):
-        a = nodes[i]
-        for j in range(i + 1, n):
-            b = nodes[j]
-            gap = b.ts - a.ts
-            if gap > window_ms:
-                break
-            reason = join_reason(a, b)
-            if reason is not None:
-                edges.append(Edge(src=a.event_id, dst=b.event_id, join_reason=reason, gap_ms=gap))
+    for i, a in enumerate(nodes):
+        limit = ts[i] + window_ms
+        same_host: List[int] = []
+        if a.host is not None:
+            same_host = _later_within(buckets[("host", a.host)], i, limit)
+        others: Set[int] = set()
+        for bucket in partners[i]:
+            others.update(_later_within(bucket, i, limit))
+        others.difference_update(same_host)
+        joined = [(j, JOIN_SHARED_HOST) for j in same_host]
+        if others:
+            joined.extend((j, r) for j in others if (r := join_reason(a, nodes[j])) is not None)
+            joined.sort()
+        src, ts_a = ids[i], ts[i]
+        edges.extend(Edge(src, ids[j], reason, ts[j] - ts_a) for j, reason in joined)
     return EventGraph(nodes=tuple(nodes), edges=tuple(edges), window_ms=window_ms)
+
+
+# A bucket holds the ascending positions, and their timestamps, of the
+# nodes filed under one join key.
+JoinKey = Tuple[str, object]
+Bucket = Tuple[List[int], List[int]]
+
+
+def _join_keys(node: GraphNode) -> Tuple[List[JoinKey], List[JoinKey]]:
+    """Keys the node is filed under, and keys a later partner is filed under.
+
+    Every pair join_reason accepts shares a host, a user, a pid/ppid link,
+    a destination endpoint or an unordered endpoint pair, so the buckets
+    of the second list plus the node's host bucket hold all its edges.
+    """
+    shared: List[JoinKey] = []
+    if node.user is not None:
+        shared.append(("user", node.user))
+    if node.dst_ip is not None and node.dst_port is not None:
+        shared.append(("dst", (node.dst_ip, node.dst_port)))
+    if node.src_ip is not None and node.dst_ip is not None:
+        shared.append(("ends", frozenset(((node.src_ip, node.src_port), (node.dst_ip, node.dst_port)))))
+    filed, wanted = list(shared), shared
+    if node.host is not None:
+        filed.append(("host", node.host))
+    if node.pid is not None:
+        # a later b joins when b.pid == a.pid, b.ppid == a.pid or b.pid == a.ppid
+        filed.append(("pid", node.pid))
+        wanted += [("pid", node.pid), ("ppid", node.pid)]
+        if node.ppid is not None:
+            filed.append(("ppid", node.ppid))
+            wanted.append(("pid", node.ppid))
+    return filed, wanted
+
+
+def _candidate_buckets(
+    nodes: Sequence[GraphNode], ts: Sequence[int]
+) -> Tuple[Dict[JoinKey, Bucket], List[List[Bucket]]]:
+    """Every join key's bucket, and per node the buckets of its later partners."""
+    keys = [_join_keys(node) for node in nodes]
+    members: DefaultDict[JoinKey, List[int]] = defaultdict(list)
+    for i, (filed, _wanted) in enumerate(keys):
+        for key in filed:
+            members[key].append(i)
+    buckets = {key: (positions, [ts[i] for i in positions]) for key, positions in members.items()}
+    return buckets, [[buckets[key] for key in wanted if key in buckets] for _filed, wanted in keys]
+
+
+def _later_within(bucket: Bucket, i: int, limit: int) -> List[int]:
+    """Positions in the bucket after node i whose ts is at most limit."""
+    positions, stamps = bucket
+    lo = bisect_right(positions, i)
+    return positions[lo : bisect_right(stamps, limit, lo)]
 
 
 # --- chain extraction -------------------------------------------------------
@@ -232,6 +308,26 @@ def chain_order_key(chain: Chain, rev_indexes: Tuple[int, ...]) -> Tuple:
     return (-chain.score, chain.span_ms, chain.first_ts, rev_indexes)
 
 
+# Step sequences are coded as ints, 0 being the empty one: _EXTEND[c][k]
+# is the code of sequence k after a node with step code c, which is k
+# itself when the step already occurs in it.
+_STEP_CODES = {step: code for code, step in enumerate(StepTag)}
+
+
+def _sequence_table() -> Tuple[Tuple[int, ...], ...]:
+    sequences: List[Tuple[StepTag, ...]] = [()]
+    for seq in sequences:  # grows while iterating: breadth-first by length
+        sequences.extend(seq + (step,) for step in StepTag if step not in seq)
+    codes = {seq: k for k, seq in enumerate(sequences)}
+    return tuple(
+        tuple(k if step in seq else codes[seq + (step,)] for k, seq in enumerate(sequences)) for step in StepTag
+    )
+
+
+_EXTEND = _sequence_table()
+_NSEQ = len(_EXTEND[0])  # 326: the empty sequence and 325 non-empty ones
+
+
 def extract_chains(
     graph: EventGraph,
     top_k: Optional[int] = DEFAULT_TOP_K,
@@ -256,80 +352,78 @@ def extract_chains(
         preds[index[edge.dst]].append(index[edge.src])
     for plist in preds:
         plist.sort()
+    ts = [node.ts for node in nodes]
 
-    # states[v][seq] = (first_ts, length, parent) with parent = (u, seq_u) | None
-    StateKey = Tuple[int, Tuple[StepTag, ...]]
-    states: List[Dict[Tuple[StepTag, ...], Tuple[int, int, Optional[StateKey]]]] = [{} for _ in range(n)]
+    # states[v][seq] = (first_ts, length, parent); a state is the int
+    # v * _NSEQ + seq, and parent is the predecessor's state or -1
+    states: List[Dict[int, Tuple[int, int, int]]] = []
 
-    def parent_of(key: StateKey) -> Optional[StateKey]:
-        return states[key[0]][key[1]][2]
-
-    def back_less(a: Optional[StateKey], b: Optional[StateKey]) -> bool:
+    def back_less(a: int, b: int) -> bool:
         """Compare two stored paths back-to-front by node index.
 
         Both chains have equal length whenever this is reached, so the
         walk terminates on both sides together.
         """
-        while a is not None and b is not None:
-            if a[0] != b[0]:
-                return a[0] < b[0]
-            a, b = parent_of(a), parent_of(b)
+        while a >= 0 and b >= 0:
+            node_a, seq_a = divmod(a, _NSEQ)
+            node_b, seq_b = divmod(b, _NSEQ)
+            if node_a != node_b:
+                return node_a < node_b
+            a, b = states[node_a][seq_a][2], states[node_b][seq_b][2]
         return False
 
-    def merge(v: int, seq: Tuple[StepTag, ...], entry: Tuple[int, int, Optional[StateKey]]) -> None:
-        incumbent = states[v].get(seq)
-        if incumbent is None:
-            states[v][seq] = entry
-            return
-        # larger first_ts -> smaller span at every extension; then shorter
-        # path; back-to-front order only on a full tie (parents are final
-        # under topo order, and usually differ at the first comparison)
-        if entry[0] != incumbent[0]:
-            if entry[0] > incumbent[0]:
-                states[v][seq] = entry
-            return
-        if entry[1] != incumbent[1]:
-            if entry[1] < incumbent[1]:
-                states[v][seq] = entry
-            return
-        if back_less(entry[2], incumbent[2]):
-            states[v][seq] = entry
-
     for v in range(n):
-        step_v = nodes[v].step
-        merge(v, (step_v,), (nodes[v].ts, 1, None))
+        extend = _EXTEND[_STEP_CODES[nodes[v].step]]
+        here = {extend[0]: (ts[v], 1, -1)}
+        states.append(here)
         for u in preds[v]:
-            for seq_u, entry_u in list(states[u].items()):
-                new_seq = seq_u if step_v in seq_u else seq_u + (step_v,)
-                merge(v, new_seq, (entry_u[0], entry_u[1] + 1, (u, seq_u)))
-
-    def path_indexes(key: StateKey) -> List[int]:
-        out: List[int] = []
-        cursor: Optional[StateKey] = key
-        while cursor is not None:
-            out.append(cursor[0])
-            cursor = parent_of(cursor)
-        out.reverse()
-        return out
+            base = u * _NSEQ
+            for seq_u, (first, length, _parent) in states[u].items():
+                seq = extend[seq_u]
+                length += 1
+                # larger first_ts -> smaller span at every extension; then
+                # shorter path; back-to-front order only on a full tie.
+                # Predecessors come in ascending order, so an incumbent
+                # whose parent is an earlier node (state below base) wins
+                # the tie without a walk.
+                incumbent = here.get(seq)
+                if (
+                    incumbent is None
+                    or first > incumbent[0]
+                    or (
+                        first == incumbent[0]
+                        and (
+                            length < incumbent[1]
+                            or (
+                                length == incumbent[1]
+                                and incumbent[2] >= base
+                                and back_less(base + seq_u, incumbent[2])
+                            )
+                        )
+                    )
+                ):
+                    here[seq] = (first, length, base + seq_u)
 
     # best representative per distinct sequence across all endpoints
-    best: Dict[Tuple[StepTag, ...], Tuple[Tuple[int, int, int], StateKey]] = {}
+    best: Dict[int, Tuple[Tuple[int, int, int], int]] = {}
     for v in range(n):
-        for seq, (first_ts, length, _parent) in states[v].items():
-            span = nodes[v].ts - first_ts
-            key = (span, first_ts, length)
+        base = v * _NSEQ
+        for seq, (first, length, _parent) in states[v].items():
+            key = (ts[v] - first, first, length)
             incumbent = best.get(seq)
-            if incumbent is None or key < incumbent[0]:
-                best[seq] = (key, (v, seq))
-            elif key == incumbent[0]:
-                # ends differ (same end would be the same state), so the
-                # back-to-front comparison resolves on the first step
-                if back_less((v, seq), incumbent[1]):
-                    best[seq] = (key, (v, seq))
+            # on equal keys the ends differ (same end would be the same
+            # state), so the back-to-front comparison resolves on the first step
+            if incumbent is None or key < incumbent[0] or (key == incumbent[0] and back_less(base + seq, incumbent[1])):
+                best[seq] = (key, base + seq)
 
     chains: List[Tuple[Tuple, Chain]] = []
-    for seq, (_key, state_key) in best.items():
-        indexes = path_indexes(state_key)
+    for _key, state in best.values():
+        indexes: List[int] = []
+        while state >= 0:
+            v, seq = divmod(state, _NSEQ)
+            indexes.append(v)
+            state = states[v][seq][2]
+        indexes.reverse()
         chain = build_chain([nodes[i] for i in indexes], gap_threshold_ms)
         chains.append((chain_order_key(chain, tuple(reversed(indexes))), chain))
     chains.sort(key=lambda item: item[0])

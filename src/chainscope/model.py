@@ -16,6 +16,10 @@ import logging
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError, ParseError
@@ -425,10 +429,79 @@ def events_to_jsonl(events: Iterable[NormalizedEvent]) -> str:
 
 
 def events_from_jsonl(text: str) -> List[NormalizedEvent]:
+    """Parse events.jsonl; a malformed line raises ParseError naming its line number."""
     events = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        events.append(event_from_dict(json.loads(line)))
+        try:
+            events.append(event_from_dict(json.loads(line)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"events line {lineno}: {type(exc).__name__}: {exc}", offending=line)
     return events
+
+
+# --- indented JSON documents ----------------------------------------------
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """C-accelerated encoder whose item separator starts a line at ``level``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": "))
+
+
+def _flat_records(items: Sequence[Any]) -> bool:
+    """Whether every item is a non-empty dict of str keys and scalar values."""
+    return (
+        set(map(type, items)) == {dict}
+        and all(items)
+        and set(map(type, chain.from_iterable(items))) == {str}
+        and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values, items))))
+    )
+
+
+def _dumps(obj: Any, level: int) -> str:
+    if type(obj) in _SCALAR_TYPES:
+        return json.dumps(obj)
+    outer, inner, deeper = "  " * level, "  " * (level + 1), "  " * (level + 2)
+    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        if _SCALAR_TYPES.issuperset(map(type, obj.values())):
+            flat = _flat_encoder(level + 1).encode(obj)
+            return "{\n" + inner + flat[1:-1] + "\n" + outer + "}"
+        items = ",\n".join(
+            inner + encode_basestring_ascii(key) + ": " + _dumps(value, level + 1) for key, value in sorted(obj.items())
+        )
+        return "{\n" + items + "\n" + outer + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if _SCALAR_TYPES.issuperset(map(type, obj)):
+            flat = _flat_encoder(level + 1).encode(obj)
+            return "[\n" + inner + flat[1:-1] + "\n" + outer + "]"
+        if _flat_records(obj):
+            # one encoder call renders every record at the deeper indent;
+            # a newline can only come from a separator (strings escape it),
+            # so "},\n<deeper>{" occurs exactly at the record boundaries
+            flat = _flat_encoder(level + 2).encode(obj)
+            flat = flat.replace("},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper)
+            return "[\n" + inner + "{\n" + deeper + flat[2:-2] + "\n" + inner + "}\n" + outer + "]"
+        return "[\n" + ",\n".join(inner + _dumps(item, level + 1) for item in obj) + "\n" + outer + "]"
+    # empty containers, non-str keys and anything the stdlib rejects
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer)
+
+
+def dumps_json(doc: Any) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, mostly C-encoded.
+
+    The stdlib renders indented JSON in pure Python and holds one string
+    per token until it joins them. Here every flat dict or list (scalar
+    values only) and every list of flat records is one C encoder call
+    whose item separator already carries the newline and indent.
+    """
+    return _dumps(doc, 0)
+
+
+def write_json(path: Path, doc: Any) -> None:
+    """Write doc as sorted, two-space indented JSON plus a final newline."""
+    Path(path).write_text(dumps_json(doc) + "\n", encoding="utf-8")

@@ -12,7 +12,6 @@ manifest reproduces them byte-identically.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -45,7 +44,7 @@ from .metrics import (
     compute_run_metrics,
     run_metrics_to_dict,
 )
-from .model import EMPTY_ALIASES, FieldAliasMap, NormalizedEvent, events_to_jsonl
+from .model import EMPTY_ALIASES, FieldAliasMap, NormalizedEvent, events_to_jsonl, write_json
 from .report import EvidencePackage, build_evidence_package, evidence_to_dict, render_budget_table
 from .synth import load_ground_truth
 from .tagging import (
@@ -212,9 +211,10 @@ def _write(out_dir: Path, name: str, payload: Any) -> Path:
     """Write text as is and anything else as sorted, indented JSON."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    if not isinstance(payload, str):
-        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.write_text(payload, encoding="utf-8")
+    if isinstance(payload, str):
+        path.write_text(payload, encoding="utf-8")
+    else:
+        write_json(path, payload)
     return path
 
 

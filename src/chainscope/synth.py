@@ -48,7 +48,7 @@ from .ingest import (
     normalize_records,
     parse_text,
 )
-from .model import NormalizedEvent, iso_ms, sort_events
+from .model import NormalizedEvent, iso_ms, sort_events, write_json
 from .tagging import ExpectedStepSet, StepTag, TagDecision, parse_step
 
 ACTIVITY_SET: Tuple[str, ...] = ("Web", "RemoteAccess", "FileOp", "Update", "Download", "Dev", "API", "Login")
@@ -678,7 +678,7 @@ def write_scenario(data: ScenarioData, out_dir: Path) -> List[Path]:
         "labels": dict(sorted(gt.labels.items())),
     }
     gt_path = out_dir / "ground_truth.json"
-    gt_path.write_text(json.dumps(gt_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(gt_path, gt_doc)
     written.append(gt_path)
     return written
 

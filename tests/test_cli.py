@@ -76,6 +76,18 @@ class TestEvaluateCommand:
         for path_a in sorted(out_a.iterdir()):
             assert path_a.read_bytes() == (out_b / path_a.name).read_bytes(), path_a.name
 
+    def test_expected_steps_keep_the_ground_truth_scenario_id(self, scenario_dir, tmp_path):
+        steps = ",".join(sorted(s.value for s in load_ground_truth(scenario_dir / "ground_truth.json").expected.steps))
+        flagged, plain = tmp_path / "flagged", tmp_path / "plain"
+        args = ["evaluate", "--scenario-dir", str(scenario_dir), "--gate", "expected"]
+        assert main(args + ["--expected-steps", steps, "--out", str(flagged)]) == 0
+        assert main(args + ["--out", str(plain)]) == 0
+        assert json.loads((flagged / "metrics.json").read_text())["scenario_id"] == "sc-dependency-chain"
+        assert json.loads((flagged / "events.jsonl").read_text().splitlines()[0])["scenario_id"] == "sc-dependency-chain"
+        for path in sorted(plain.iterdir()):
+            if path.name != "manifest.json":
+                assert (flagged / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_nonexistent_rules_file_names_path(self, scenario_dir, tmp_path, capsys):
         code = main(
             [
@@ -213,6 +225,18 @@ class TestStageCommands:
         code = main(["reconstruct", "--events", str(events_path), "--decisions", str(decisions_path), "--out", str(out)])
         assert code == 2
         assert offender in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_reconstruct_rejects_malformed_events_line(self, tmp_path, capsys):
+        events_path = tmp_path / "events.jsonl"
+        events_path.write_text(events_to_jsonl([make_event(event_id="b", ts=2_000)]) + '{"event_id":"a","ts":1}\n')
+        decisions_path = tmp_path / "decisions.jsonl"
+        decisions_path.write_text("")
+        out = tmp_path / "out"
+        code = main(["reconstruct", "--events", str(events_path), "--decisions", str(decisions_path), "--out", str(out)])
+        assert code == 2
+        assert "events line 2: KeyError: 'source'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope.errors import EventIdError
 from chainscope.graph import (
@@ -8,10 +10,11 @@ from chainscope.graph import (
     build_event_graph,
     chain_ambiguity,
     extract_chains,
+    join_reason,
 )
 from chainscope.synth import oracle_chains
 from chainscope.tagging import StepTag, TagDecision
-from conftest import make_event
+from conftest import make_event, make_random_tagged_table
 
 MIN = 60 * 1000
 
@@ -25,6 +28,104 @@ def tagged_pair(ts_gap_ms, host_a="h1", host_b="h1", **net_b):
     b = make_event(event_id="b", ts=1_000_000 + ts_gap_ms, host=host_b, **net_b)
     decisions = [tag(a, StepTag.INSTALL), tag(b, StepTag.DOWNLOAD)]
     return [a, b], decisions
+
+
+def scan_edges(nodes, window_ms):
+    """Reference edge set: join_reason on every node pair inside the window."""
+    edges = []
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            gap = b.ts - a.ts
+            if gap > window_ms:
+                break
+            reason = join_reason(a, b)
+            if reason is not None:
+                edges.append((a.event_id, b.event_id, reason, gap))
+    return edges
+
+
+def edge_tuples(graph):
+    return [(e.src, e.dst, e.join_reason, e.gap_ms) for e in graph.edges]
+
+
+# small value pools, so that hosts, users, pids/ppids and endpoints collide,
+# including endpoint pairs seen from the other side
+ENDPOINTS = st.sampled_from([("10.0.0.1", 1), ("10.0.0.1", None), ("10.0.0.2", 1), ("10.0.0.2", 2)])
+
+
+@st.composite
+def keyed_events(draw):
+    n = draw(st.integers(min_value=0, max_value=25))
+    events = []
+    for i in range(n):
+        net = {}
+        if draw(st.booleans()):
+            (src_ip, src_port), (dst_ip, dst_port) = draw(ENDPOINTS), draw(ENDPOINTS)
+            net = dict(
+                src_ip=draw(st.sampled_from([src_ip, None])),
+                src_port=src_port,
+                dst_ip=draw(st.sampled_from([dst_ip, dst_ip, None])),
+                dst_port=dst_port,
+                proto=draw(st.sampled_from([None, "tcp", "udp"])),
+            )
+        events.append(
+            make_event(
+                event_id=f"e{i:02d}",
+                ts=draw(st.integers(min_value=0, max_value=12)) * MIN,
+                host=draw(st.sampled_from([None, "h1", "h2"])),
+                user=draw(st.sampled_from([None, None, "u1", "u2"])),
+                pid=draw(st.sampled_from([None, 1, 2, 3])),
+                ppid=draw(st.sampled_from([None, 1, 2, 3])),
+                **net,
+            )
+        )
+    return events
+
+
+class TestKeyedEdgesEqualScan:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), window_min=st.integers(min_value=1, max_value=40))
+    def test_random_tagged_tables(self, seed, window_min):
+        events, decisions = make_random_tagged_table(seed)
+        graph = build_event_graph(events, decisions, window_ms=window_min * MIN)
+        assert edge_tuples(graph) == scan_edges(graph.nodes, window_min * MIN)
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=keyed_events(), window_min=st.integers(min_value=1, max_value=15))
+    def test_colliding_keys(self, events, window_min):
+        decisions = [tag(e, StepTag.INSTALL) for e in events]
+        graph = build_event_graph(events, decisions, window_ms=window_min * MIN)
+        assert edge_tuples(graph) == scan_edges(graph.nodes, window_min * MIN)
+
+    @pytest.mark.parametrize(
+        "a, b, reason",
+        [
+            (dict(pid=7), dict(pid=7), "shared_process"),
+            (dict(pid=7), dict(pid=8, ppid=7), "shared_process"),
+            (dict(pid=7, ppid=3), dict(pid=3), "shared_process"),
+            (dict(pid=7), dict(ppid=7), None),  # a later child needs its own pid
+            (dict(ppid=7), dict(pid=7), None),  # an earlier event needs its own pid
+            (dict(pid=7, host="h1"), dict(pid=7, host="h2"), None),  # contradicting hosts
+            (
+                dict(src_ip="10.0.0.1", src_port=5, dst_ip="10.0.0.2", dst_port=6),
+                dict(src_ip="10.0.0.2", src_port=6, dst_ip="10.0.0.1", dst_port=5, proto="tcp"),
+                "network_consistent",
+            ),
+            (
+                dict(src_ip="10.0.0.1", src_port=5, dst_ip="10.0.0.2", dst_port=6, proto="udp"),
+                dict(src_ip="10.0.0.2", src_port=6, dst_ip="10.0.0.1", dst_port=5, proto="tcp"),
+                None,
+            ),
+            (dict(dst_ip="10.0.0.2", dst_port=6), dict(dst_ip="10.0.0.2", dst_port=6), "network_consistent"),
+            (dict(dst_ip="10.0.0.2"), dict(dst_ip="10.0.0.2"), None),  # no port, no endpoint
+        ],
+    )
+    def test_lineage_and_endpoint_keys(self, a, b, reason):
+        a = make_event(event_id="a", ts=0, **{"host": None, **a})
+        b = make_event(event_id="b", ts=MIN, **{"host": None, **b})
+        graph = build_event_graph([a, b], [tag(a, StepTag.INSTALL), tag(b, StepTag.EXFIL)], window_ms=DEFAULT_WINDOW_MS)
+        assert edge_tuples(graph) == scan_edges(graph.nodes, DEFAULT_WINDOW_MS)
+        assert [e.join_reason for e in graph.edges] == ([reason] if reason else [])
 
 
 class TestBuildEventGraph:

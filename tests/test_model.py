@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -9,6 +10,7 @@ from chainscope.model import (
     MISSING,
     FieldAliasMap,
     canonicalize_ts,
+    dumps_json,
     event_from_dict,
     event_to_dict,
     events_from_jsonl,
@@ -165,3 +167,85 @@ class TestEventOrderingAndSerialization:
             "extras",
         ]
         assert event_from_dict(doc) == make_event(pid=1, dst_port=80)
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ('{"event_id":"a","ts":1}', "KeyError: 'source'"),
+            ("not json", "JSONDecodeError"),
+            ('["a", 1]', "AttributeError"),
+            ('{"event_id":"a","ts":"x","source":"s","trust_origin":"target"}', "ValueError"),
+        ],
+    )
+    def test_malformed_jsonl_line_names_its_line(self, line, detail):
+        text = events_to_jsonl([make_event(event_id="ok", ts=1)]) + "\n" + line + "\n"
+        with pytest.raises(ParseError, match=f"events line 3: {detail}") as info:
+            events_from_jsonl(text)
+        assert info.value.offending == line
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300]),
+    st.text(),
+    st.sampled_from(["},\n      {", "},\n    {", '"\\\n\t\x00', "\u2028\ud800\U0001f600", "caf\u00e9"]),
+)
+RECORDS = st.lists(st.dictionaries(st.text(max_size=4), SCALARS, min_size=1, max_size=4), min_size=1, max_size=4)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, RECORDS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), children, max_size=3),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        RECORDS,
+    ),
+    max_leaves=25,
+)
+
+
+def stdlib_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+class TestDumpsJson:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS)
+    def test_equals_stdlib_indented_dump(self, doc):
+        assert dumps_json(doc) == stdlib_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            [{}],
+            [{}, {"a": 1}],
+            {"e": [], "d": {}, "n": [[], {}]},
+            [{"a": "},\n      {"}, {"b": "},\n    {"}],
+            {"graph": {"edges": [{"src": "x", "dst": "y"}, {"src": "y", "dst": "z"}], "window_ms": 5}},
+            [{"a": 1}, [{"b": 2}], {"c": {"d": [1, 2]}}],
+            {1: [{"a": 1}], 2: {3: "x"}},
+        ],
+    )
+    def test_edge_cases(self, doc):
+        assert dumps_json(doc) == stdlib_dumps(doc)
+
+    def test_deep_nesting(self):
+        doc = [{"leaf": 1}, {"leaf": 2}]
+        for depth in range(60):
+            doc = {f"k{depth}": doc, "n": depth} if depth % 2 else [doc, depth, (depth,)]
+        assert dumps_json(doc) == stdlib_dumps(doc)
+
+    def test_unserializable_raises_like_stdlib(self):
+        for doc in ({"a": {1, 2}}, [{"a": object()}], {"a": 1, 2: "mixed keys"}):
+            with pytest.raises(TypeError):
+                stdlib_dumps(doc)
+            with pytest.raises(TypeError):
+                dumps_json(doc)
