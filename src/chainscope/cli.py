@@ -105,7 +105,10 @@ def _build_parser() -> _Parser:
     add_recon_params(p)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("sweep", help="rerun the pipeline under each source budget")
+    p = sub.add_parser(
+        "sweep",
+        help="score each source budget: every event tagged once, one graph, chains and metrics per budget",
+    )
     p.add_argument("--scenario-dir", type=Path, required=True)
     p.add_argument("--budgets", type=Path, required=True)
     p.add_argument("--weights", type=Path, help="composite-stream weights YAML (source -> channel count)")

@@ -216,6 +216,20 @@ def build_event_graph(
     return EventGraph(nodes=tuple(nodes), edges=tuple(edges), window_ms=window_ms)
 
 
+def induced_subgraph(graph: EventGraph, event_ids: Set[str]) -> EventGraph:
+    """The graph restricted to the nodes whose event id is in event_ids.
+
+    Equals build_event_graph on the events and decisions of that subset:
+    an edge depends only on its two events, and positions in the subset
+    keep their order, so nodes and edges keep theirs.
+    """
+    return EventGraph(
+        nodes=tuple(n for n in graph.nodes if n.event_id in event_ids),
+        edges=tuple(e for e in graph.edges if e.src in event_ids and e.dst in event_ids),
+        window_ms=graph.window_ms,
+    )
+
+
 # A bucket holds the ascending positions, and their timestamps, of the
 # nodes filed under one join key.
 JoinKey = Tuple[str, object]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ConfigError, FormatMismatchError, ParseError
+from .errors import ConfigError, EventIdError, FormatMismatchError, ParseError
 from .model import (
     EMPTY_ALIASES,
     TEXT_BLOB_CANDIDATES,
@@ -405,9 +405,12 @@ def _normalize_prenormalized(
 def merge_scenario(tables: Sequence[Sequence[NormalizedEvent]]) -> List[NormalizedEvent]:
     """Merge per-source tables into one (ts, event_id)-ordered table.
 
-    No records are added or removed; all inputs must share a scenario_id.
+    No records are added or removed; all inputs must share a scenario_id,
+    and event ids must be unique across all tables, else EventIdError
+    names the first repeated id.
     """
     merged: List[NormalizedEvent] = []
+    source_of: Dict[str, str] = {}
     scenario: Optional[str] = None
     for table in tables:
         for event in table:
@@ -417,6 +420,12 @@ def merge_scenario(tables: Sequence[Sequence[NormalizedEvent]]) -> List[Normaliz
                 raise ConfigError(
                     f"scenario_id mismatch while merging: {scenario!r} vs {event.scenario_id!r}"
                 )
+            if event.event_id in source_of:
+                raise EventIdError(
+                    f"duplicate event id {event.event_id!r}"
+                    f" (sources {source_of[event.event_id]!r} and {event.source!r})"
+                )
+            source_of[event.event_id] = event.source
             merged.append(event)
     return sort_events(merged)
 

@@ -3,7 +3,11 @@
 One run = ingest -> tag -> graph -> chains -> metrics/evidence, with every
 parameter fixed up front. ``evaluate``, each budget of a sweep and the
 ingest/tag/reconstruct stage commands all go through the functions here,
-and every artifact has exactly one writer in this module. Artifacts are
+and every artifact has exactly one writer in this module. A sweep shares
+the work its budgets have in common: each event is tagged once, one graph
+is built over the union of the budgets' sources, and only chains and
+metrics run per budget, on that graph's subgraph; every row is identical
+to a separate run on the budget's sources. Artifacts are
 deterministic functions of the inputs: JSON documents are dumped with
 sorted keys and no generation timestamps, so re-running with the same
 manifest reproduces them byte-identically.
@@ -31,6 +35,7 @@ from .graph import (
     chain_to_dict,
     extract_chains,
     graph_to_dict,
+    induced_subgraph,
 )
 from .ingest import IngestResult, SourceAdapterSpec, ingest_scenario, merge_scenario
 from .metrics import (
@@ -108,8 +113,14 @@ def reconstruct(
         decided = {d.event_id for d in decisions}
         missing = next(e.event_id for e in events if e.event_id not in decided)
         raise EventIdError(f"no decision for event id {missing!r}")
+    chains, ambiguity = rank_chains(graph, params)
+    return graph, chains, ambiguity
+
+
+def rank_chains(graph: EventGraph, params: RunParams) -> Tuple[List[Chain], ChainAmbiguity]:
+    """The chain step of every run and sweep budget: ranked chains and their ambiguity."""
     chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms)
-    return graph, chains, chain_ambiguity(chains, k=params.top_k)
+    return chains, chain_ambiguity(chains, k=params.top_k)
 
 
 @dataclass
@@ -265,14 +276,30 @@ def budget_sweep(
     aliases: FieldAliasMap = EMPTY_ALIASES,
     params: RunParams = RunParams(),
 ) -> List[SweepRow]:
-    """Rerun the identical pipeline under each source budget.
+    """Score the pipeline under each source budget, sharing the common work.
 
     Parsers, rules, and reconstruction parameters are fixed across
-    budgets; only the available source set varies. A budget naming an
-    unavailable source becomes an error row and the sweep goes on.
+    budgets; only the available source set varies. Each event is tagged
+    once, one graph is built over the union of the budgets' sources, and
+    each budget runs only chains and metrics, on the subgraph of its own
+    events. Rows equal a separate merge, tag and reconstruct per budget:
+    a decision depends only on its event, an edge only on its two events.
+    A budget naming an unavailable source becomes an error row and the
+    sweep goes on.
     """
     available = set(events_by_source)
     gate = params.resolve_gate(expected)
+    valid = [budget for budget in budgets if budget.sources <= available]
+    # merge_scenario rejects repeated ids, which keeps the memo sound
+    union = merge_scenario([events_by_source[s] for s in sorted(set().union(*(b.sources for b in valid)))])
+    memo: Dict[str, TagDecision] = {}
+    tagged = []
+    for budget in valid:
+        table = [event for event in union if event.source in budget.sources]
+        decisions, _diag = tag_run(table, rules, gate=gate, aliases=aliases, expected=expected.steps, decided=memo)
+        tagged.append((table, decisions))
+    graph = build_event_graph(union, [memo[event.event_id] for event in union], window_ms=params.window_ms)
+    scored = iter(tagged)
     rows: List[SweepRow] = []
     for budget in budgets:
         unknown = budget.sources - available
@@ -280,11 +307,9 @@ def budget_sweep(
             message = f"budget {budget.name!r} references unavailable source(s): {sorted(unknown)}"
             rows.append(SweepRow(budget=budget, metrics=None, error=message))
             continue
-        sources = sorted(budget.sources)
-        merged = merge_scenario([events_by_source[s] for s in sources])
-        decisions, _diag = tag_run(merged, rules, gate=gate, aliases=aliases, expected=expected.steps)
-        _graph, chains, _ambiguity = reconstruct(merged, decisions, params)
-        metrics = compute_run_metrics(decisions, chains, expected, merged, sources=sources)
+        table, decisions = next(scored)
+        chains, _ambiguity = rank_chains(induced_subgraph(graph, {d.event_id for d in decisions}), params)
+        metrics = compute_run_metrics(decisions, chains, expected, table, sources=sorted(budget.sources))
         rows.append(SweepRow(budget=budget, metrics=metrics))
     return rows
 
@@ -307,7 +332,7 @@ def sweep_scenario(
     params: RunParams = RunParams(),
     expected: Optional[ExpectedStepSet] = None,
 ) -> SweepResult:
-    """Run the identical pipeline once per source budget on one scenario."""
+    """Score every source budget of one scenario through budget_sweep."""
     expected, scenario_id = resolve_expected(scenario_dir, expected)
     if expected is None:
         raise ConfigError("sweep requires ground truth or an explicit expected step set")

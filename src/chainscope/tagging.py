@@ -383,14 +383,29 @@ def tag_run(
     gate: Optional[Iterable[StepTag]] = None,
     aliases: FieldAliasMap = EMPTY_ALIASES,
     expected: Optional[Iterable[StepTag]] = None,
+    decided: Optional[Dict[str, TagDecision]] = None,
 ) -> Tuple[List[TagDecision], RunDiagnostics]:
     """Tag a whole event table in (ts, event_id) order.
 
     Event-level ambiguity is |{e : |M(e)|>1}| / |{e : |M(e)|>=1}|, defined
     as 0 when no event matched anything.
+
+    ``decided`` memoizes decisions by event id across calls on overlapping
+    tables: a stored decision is reused, any other is computed and stored.
+    A decision depends only on the event, the rules, the gate and the
+    aliases, so one memo is sound for calls that share all three and whose
+    tables never give two events the same id.
     """
     ordered = sorted(events, key=lambda e: e.sort_key())
-    decisions = [tag_event(event, rules, gate=gate, aliases=aliases) for event in ordered]
+    if decided is None:
+        decisions = [tag_event(event, rules, gate=gate, aliases=aliases) for event in ordered]
+    else:
+        decisions = []
+        for event in ordered:
+            decision = decided.get(event.event_id)
+            if decision is None:
+                decision = decided[event.event_id] = tag_event(event, rules, gate=gate, aliases=aliases)
+            decisions.append(decision)
 
     step_counts: Dict[str, int] = {s.value: 0 for s in STEP_TAGS}
     matched = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from chainscope.configio import (
     packaged_template_ids,
 )
 from chainscope.model import NetworkInfo, NormalizedEvent, ProcessInfo
+from chainscope.synth import generate_scenario
 from chainscope.tagging import StepTag, TagDecision, load_rules
 
 
@@ -128,6 +130,13 @@ def make_random_tagged_table(seed, max_events=50):
             TagDecision(event_id=event.event_id, candidates=(), chosen=rng.choice(steps), diagnostics=())
         )
     return events, decisions
+
+
+def make_scenario_data(name, seed):
+    """A packaged scenario's generated data under another seed."""
+    spec = dataclasses.replace(load_packaged_scenario(name), seed=seed)
+    template = load_packaged_template(spec.attack_template) if spec.attack_template else None
+    return generate_scenario(spec, template)
 
 
 @pytest.fixture

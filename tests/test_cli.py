@@ -299,6 +299,36 @@ class TestSweepCommand:
         assert len(rows) == 1
 
 
+class TestDuplicateEventIds:
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_prenormalized_sources_sharing_an_id_exit_2(self, scenario_dir, tmp_path, capsys, command):
+        # each budget holds one source, so no single budget sees both events
+        data = tmp_path / "replay"
+        data.mkdir()
+        (data / "ground_truth.json").write_bytes((scenario_dir / "ground_truth.json").read_bytes())
+        for source, ts in (("replay_a", 1714554000000), ("replay_b", 1714554060000)):
+            records = [
+                {"event_id": "shared:1", "ts": ts, "host": "h1", "text_blob": "pip install requests"},
+                {"event_id": f"{source}:2", "ts": ts + 1, "host": "h1", "text_blob": "curl http://x"},
+            ]
+            (data / f"{source}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        adapters = tmp_path / "adapters.yml"
+        adapters.write_text(
+            "adapters:\n"
+            "  - {source: replay_a, format: prenormalized}\n"
+            "  - {source: replay_b, format: prenormalized}\n"
+        )
+        budgets = tmp_path / "budgets.yml"
+        budgets.write_text("budgets:\n  - [replay_a]\n  - [replay_b]\n")
+        out = tmp_path / "out"
+        args = [command, "--scenario-dir", str(data), "--adapters", str(adapters), "--out", str(out)]
+        if command == "sweep":
+            args += ["--budgets", str(budgets)]
+        assert main(args) == 2
+        assert "duplicate event id 'shared:1'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSanitizeAndReport:
     def test_sanitize_round_trip(self, scenario_dir, tmp_path):
         run = tmp_path / "run"

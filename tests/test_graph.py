@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from chainscope.graph import (
     build_event_graph,
     chain_ambiguity,
     extract_chains,
+    induced_subgraph,
     join_reason,
 )
 from chainscope.synth import oracle_chains
@@ -80,6 +83,27 @@ def keyed_events(draw):
             )
         )
     return events
+
+
+class TestInducedSubgraph:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        keep_seed=st.integers(min_value=0, max_value=10**6),
+        window_min=st.integers(min_value=1, max_value=40),
+    )
+    def test_equals_graph_built_on_the_subset(self, seed, keep_seed, window_min):
+        events, decisions = make_random_tagged_table(seed)
+        rng = random.Random(keep_seed)
+        density = rng.random()
+        keep = {e.event_id for e in events if rng.random() < density}
+        whole = build_event_graph(events, decisions, window_ms=window_min * MIN)
+        direct = build_event_graph(
+            [e for e in events if e.event_id in keep],
+            [d for d in decisions if d.event_id in keep],
+            window_ms=window_min * MIN,
+        )
+        assert induced_subgraph(whole, keep) == direct
 
 
 class TestKeyedEdgesEqualScan:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chainscope.errors import ConfigError, FormatMismatchError
+from chainscope.errors import ConfigError, EventIdError, FormatMismatchError
 from chainscope.ingest import (
     SourceAdapterSpec,
     ingest_scenario,
@@ -190,6 +190,15 @@ class TestMergeScenario:
         t1 = [make_event(event_id=f"a{i}", ts=i) for i in range(13)]
         t2 = [make_event(event_id=f"b{i}", ts=i) for i in range(7)]
         assert len(merge_scenario([t1, t2])) == 20
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_repeated_event_id_names_the_first(self, split):
+        # prenormalized records keep their own ids, so two tables can share one
+        first = [make_event(event_id="a", ts=1, source="replay_a"), make_event(event_id="x", ts=2, source="replay_a")]
+        second = [make_event(event_id="x", ts=9, source="replay_b"), make_event(event_id="a", ts=9, source="replay_b")]
+        tables = [first, second] if split else [first + second]
+        with pytest.raises(EventIdError, match=r"duplicate event id 'x' \(sources 'replay_a' and 'replay_b'\)"):
+            merge_scenario(tables)
 
 
 class TestScenarioIngestion:

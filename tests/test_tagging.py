@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainscope.configio import packaged_scenario_ids
 from chainscope.errors import ParseError, RuleError
 from chainscope.model import FieldAliasMap
 from chainscope.tagging import (
@@ -30,7 +31,7 @@ from chainscope.tagging import (
     tag_event,
     tag_run,
 )
-from conftest import make_event
+from conftest import make_event, make_scenario_data
 
 
 def rule(rule_id, step, priority=10, patterns=(r".",), fields=("text_blob",), **kw):
@@ -289,6 +290,28 @@ class TestTagRun:
             rng.shuffle(shuffled)
             permuted = [d.chosen for d in tag_run(events, load_rules({"rules": shuffled}))[0]]
             assert permuted == baseline
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=st.sampled_from(packaged_scenario_ids()),
+        seed=st.integers(min_value=0, max_value=3),
+        keep_seeds=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4),
+        gate=st.one_of(st.none(), st.frozensets(st.sampled_from(list(StepTag)))),
+    )
+    def test_shared_memo_equals_fresh_tagging(self, default_rules, aliases, scenario, seed, keep_seeds, gate):
+        data = make_scenario_data(scenario, seed)
+        events = [e for table in data.tables.values() for e in table]
+        expected = data.ground_truth.expected.steps
+        memo, seen = {}, set()
+        for keep_seed in keep_seeds:
+            rng = random.Random(keep_seed)
+            density = rng.random()
+            subset = [e for e in events if rng.random() < density]
+            seen.update(e.event_id for e in subset)
+            args = dict(gate=gate, aliases=aliases, expected=expected)
+            assert tag_run(subset, default_rules, **args, decided=memo) == tag_run(subset, default_rules, **args)
+        assert set(memo) == seen
 
 
 class TestExpectedSteps:
