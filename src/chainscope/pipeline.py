@@ -285,17 +285,21 @@ def budget_sweep(
     events. Rows equal a separate merge, tag and reconstruct per budget:
     a decision depends only on its event, an edge only on its two events.
     A budget naming an unavailable source becomes an error row and the
-    sweep goes on.
+    sweep goes on. The union is merged once, so a repeated event id or a
+    scenario_id mismatch anywhere in it fails the whole sweep.
     """
     available = set(events_by_source)
     gate = params.resolve_gate(expected)
     valid = [budget for budget in budgets if budget.sources <= available]
+    sources = sorted(set().union(*(b.sources for b in valid)))
     # merge_scenario rejects repeated ids, which keeps the memo sound
-    union = merge_scenario([events_by_source[s] for s in sorted(set().union(*(b.sources for b in valid)))])
+    union = merge_scenario([events_by_source[s] for s in sources])
+    # a budget takes its adapters' tables: a prenormalized record keeps its own source field
+    adapter_of = {event.event_id: s for s in sources for event in events_by_source[s]}
     memo: Dict[str, TagDecision] = {}
     tagged = []
     for budget in valid:
-        table = [event for event in union if event.source in budget.sources]
+        table = [event for event in union if adapter_of[event.event_id] in budget.sources]
         decisions, _diag = tag_run(table, rules, gate=gate, aliases=aliases, expected=expected.steps, decided=memo)
         tagged.append((table, decisions))
     graph = build_event_graph(union, [memo[event.event_id] for event in union], window_ms=params.window_ms)

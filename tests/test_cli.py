@@ -299,18 +299,23 @@ class TestSweepCommand:
         assert len(rows) == 1
 
 
-class TestDuplicateEventIds:
-    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-    def test_prenormalized_sources_sharing_an_id_exit_2(self, scenario_dir, tmp_path, capsys, command):
-        # each budget holds one source, so no single budget sees both events
+class TestInconsistentPrenormalizedSources:
+    """Two prenormalized sources; each budget holds one, so no budget sees both."""
+
+    @staticmethod
+    def run(command, scenario_dir, tmp_path, shared_id=None, scenario_id=None):
         data = tmp_path / "replay"
         data.mkdir()
         (data / "ground_truth.json").write_bytes((scenario_dir / "ground_truth.json").read_bytes())
         for source, ts in (("replay_a", 1714554000000), ("replay_b", 1714554060000)):
             records = [
-                {"event_id": "shared:1", "ts": ts, "host": "h1", "text_blob": "pip install requests"},
+                {"event_id": f"{source}:1", "ts": ts, "host": "h1", "text_blob": "pip install requests"},
                 {"event_id": f"{source}:2", "ts": ts + 1, "host": "h1", "text_blob": "curl http://x"},
             ]
+            if source == "replay_b" and shared_id:
+                records[0]["event_id"] = shared_id
+            if source == "replay_b" and scenario_id:
+                records = [dict(r, scenario_id=scenario_id) for r in records]
             (data / f"{source}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         adapters = tmp_path / "adapters.yml"
         adapters.write_text(
@@ -324,9 +329,21 @@ class TestDuplicateEventIds:
         args = [command, "--scenario-dir", str(data), "--adapters", str(adapters), "--out", str(out)]
         if command == "sweep":
             args += ["--budgets", str(budgets)]
-        assert main(args) == 2
-        assert "duplicate event id 'shared:1'" in capsys.readouterr().err
-        assert not out.exists()
+        return main(args), out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_sources_sharing_an_event_id_exit_2(self, scenario_dir, tmp_path, capsys, command):
+        assert self.run(command, scenario_dir, tmp_path, shared_id="replay_a:1") == (2, False)
+        assert "duplicate event id 'replay_a:1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_sources_with_another_scenario_id_exit_2(self, scenario_dir, tmp_path, capsys, command):
+        # a sweep merges all its budgets' sources, so it rejects what evaluate rejects
+        assert self.run(command, scenario_dir, tmp_path, scenario_id="elsewhere") == (2, False)
+        assert "scenario_id mismatch while merging" in capsys.readouterr().err
+
+    def test_consistent_sources_sweep(self, scenario_dir, tmp_path):
+        assert self.run("sweep", scenario_dir, tmp_path) == (0, True)
 
 
 class TestSanitizeAndReport:

@@ -6,6 +6,7 @@ reference below is the per-budget loop that shares nothing: merge the
 budget's sources, tag, reconstruct and score.
 """
 
+import dataclasses
 import importlib.resources
 import itertools
 import json
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope.cli import main
-from chainscope.configio import packaged_scenario_ids
+from chainscope.configio import load_adapters, packaged_scenario_ids
 from chainscope.graph import DEFAULT_TOP_K, DEFAULT_WINDOW_MS
-from chainscope.ingest import merge_scenario
-from chainscope.metrics import SweepRow, categorize_budget, compute_run_metrics
-from chainscope.pipeline import GATE_EXPECTED, RunParams, budget_sweep, reconstruct
+from chainscope.ingest import ingest_scenario, merge_scenario
+from chainscope.metrics import SweepRow, categorize_budget, compute_run_metrics, run_metrics_to_dict
+from chainscope.model import events_to_jsonl
+from chainscope.pipeline import GATE_EXPECTED, RunParams, budget_sweep, reconstruct, resolve_expected
 from chainscope.tagging import tag_run
 from conftest import make_scenario_data
 
@@ -69,6 +71,47 @@ def test_sweep_equals_a_run_per_budget(default_rules, aliases, sweep):
     expected = data.ground_truth.expected
     args = (tables, default_rules, expected, budgets)
     assert budget_sweep(*args, aliases=aliases, params=params) == sweep_from_scratch(*args, aliases, params)
+
+
+@pytest.mark.parametrize("others", [[], ["zeek", "auditd"]])
+def test_replayed_records_are_budgeted_by_adapter(tmp_path, default_rules, aliases, others):
+    # a prenormalized adapter keeps each canonical record's own source field,
+    # so the replay table holds records whose source is syslog (and zeek and
+    # auditd); a budget takes its events from its adapters' tables, not by
+    # that field
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", "dependency-chain", "--out", str(data)]) == 0
+    expected, scenario_id = resolve_expected(data)
+    recorded = ingest_scenario(data, load_adapters(), aliases, scenario_id=scenario_id).events_by_source
+    replayed = [dataclasses.replace(e, event_id=f"replay:{e.event_id}") for e in recorded["syslog"]]
+    replayed += [event for source in others for event in recorded[source]]
+    (data / "replay.jsonl").write_text(events_to_jsonl(replayed), encoding="utf-8")
+    adapters = tmp_path / "adapters.yml"
+    adapters.write_text(
+        "adapters:\n"
+        "  - source: syslog\n"
+        "    format: syslog_line\n"
+        "    field_map: {ts: ts, host: host, image: prog, pid: pid, message: message}\n"
+        "  - {source: replay, format: prenormalized}\n"
+    )
+    budgets = [["replay"], ["syslog"], ["replay", "syslog"], ["zeek"]]
+    budgets_path = tmp_path / "budgets.yml"
+    budgets_path.write_text(yaml.safe_dump({"budgets": budgets}), encoding="utf-8")
+    out = tmp_path / "sweep"
+    args = ["--scenario-dir", str(data), "--adapters", str(adapters), "--budgets", str(budgets_path)]
+    assert main(["sweep", *args, "--gate", GATE_EXPECTED, "--out", str(out)]) == 0
+
+    specs = load_adapters(adapters)
+    tables = ingest_scenario(data, specs, aliases, scenario_id=scenario_id).events_by_source
+    assert {e.source for e in tables["replay"]} == {"syslog", *others}
+    configs = [categorize_budget(b) for b in budgets]
+    reference = sweep_from_scratch(tables, default_rules, expected, configs, aliases, RunParams(gate=GATE_EXPECTED))
+    rows = json.loads((out / "sweep_rows.json").read_text(encoding="utf-8"))["rows"]
+    assert [row.get("error") for row in rows] == [row.error for row in reference]
+    assert [row.get("metrics") for row in rows] == [
+        row.metrics and json.loads(json.dumps(run_metrics_to_dict(row.metrics))) for row in reference
+    ]
+    assert reference[0].metrics.event_volume == len(replayed)
 
 
 @pytest.mark.parametrize("widened", [False, True])
