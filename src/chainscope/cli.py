@@ -33,7 +33,7 @@ from .configio import (
 from .errors import ChainscopeError, ConfigError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from .ingest import ingest_scenario
-from .model import events_from_jsonl, events_to_jsonl, write_json
+from .model import events_from_jsonl, events_to_jsonl, write_json, write_jsonl
 from .pipeline import (
     RunParams,
     build_manifest,
@@ -315,7 +315,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     sanitized, pmap, sanitize_report = sanitize_dataset(tables, policy, salt, pmap)
     merged = sorted((e for events in sanitized.values() for e in events), key=lambda e: e.sort_key())
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(events_to_jsonl(merged), encoding="utf-8")
+    write_jsonl(args.out, merged, events_to_jsonl)
     for category, mapping in pmap.to_dict().items():
         payload = {"category": category, "salt_ref": pmap.salt_ref, "mappings": mapping}
         write_json(mappings_dir / f"{category}.json", payload)

@@ -59,7 +59,7 @@ JOIN_REASONS = (JOIN_SHARED_HOST, JOIN_SHARED_USER, JOIN_SHARED_PROCESS, JOIN_NE
 TOP2_MARGIN_SENTINEL = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphNode:
     event_id: str
     ts: int
@@ -75,7 +75,7 @@ class GraphNode:
     proto: Optional[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str

@@ -63,8 +63,13 @@ DEFAULT_PARSE_THRESHOLD = 0.9
 # raw-record pseudo field exposing the whole line to field maps
 RAW_TEXT_KEY = "_raw"
 
+# event ids pad the file ordinal to 3 digits and the record ordinal to 6, so
+# that equal-ts events sort in file order; a wider ordinal would break that
+MAX_FILES_PER_SOURCE = 1_000
+MAX_RECORDS_PER_FILE = 1_000_000
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class RawRecord:
     """One parsed record, field map plus byte-exact original text."""
 
@@ -257,6 +262,7 @@ def _parse_csv(text: str, adapter: SourceAdapterSpec, records: List[RawRecord], 
 
 _INT_FIELDS = ("pid", "ppid", "src_port", "dst_port")
 _STR_FIELDS = ("host", "user", "image", "cmdline", "src_ip", "dst_ip", "proto")
+_SHARED_FIELDS = ("host", "user", "image", "src_ip", "dst_ip", "proto")
 
 
 def _lookup(
@@ -287,12 +293,23 @@ def _lookup(
     return None
 
 
+def _event_id(source: str, file_ordinal: int, ordinal: int, origin: str) -> str:
+    if file_ordinal >= MAX_FILES_PER_SOURCE or ordinal >= MAX_RECORDS_PER_FILE:
+        raise EventIdError(
+            f"{origin}: event id overflow for source {source!r} (file ordinal {file_ordinal}, record ordinal "
+            f"{ordinal}); ids hold at most {MAX_FILES_PER_SOURCE} files per source and "
+            f"{MAX_RECORDS_PER_FILE} records per file"
+        )
+    return f"{source}:{file_ordinal:03d}:{ordinal:06d}"
+
+
 def normalize_records(
     records: Sequence[RawRecord],
     adapter: SourceAdapterSpec,
     aliases: FieldAliasMap = EMPTY_ALIASES,
     scenario_id: str = "",
     file_ordinal: int = 0,
+    origin: str = "<memory>",
 ) -> NormalizeResult:
     """Convert RawRecords into NormalizedEvents.
 
@@ -300,16 +317,20 @@ def normalize_records(
     offending ordinal and reason) and excluded from the table; everything
     else gets a valid ts and source. text_blob concatenates the present
     candidates among raw/message/cmdline, in that order, joined by one
-    space.
+    space. Equal identity values (host, user, image, IPs, proto) and
+    extras keys become one shared string object. An event id that would
+    outgrow its padding raises EventIdError naming origin.
     """
     if adapter.format == FORMAT_PRENORMALIZED:
-        return _normalize_prenormalized(records, adapter, scenario_id, file_ordinal)
+        return _normalize_prenormalized(records, adapter, scenario_id, file_ordinal, origin)
 
     events: List[NormalizedEvent] = []
     quarantined: List[Quarantine] = []
     naive = 0
     lowered_map = {k.lower(): v for k, v in adapter.field_map.items()}
     used_source_keys = {v.lower() for v in lowered_map.values()}
+    # a file repeats a few values thousands of times; keep one copy of each
+    shared: Dict[str, str] = {}
 
     for record in records:
         lowered_fields = {k.lower(): v for k, v in record.fields.items()}
@@ -328,6 +349,12 @@ def normalize_records(
         values: Dict[str, Optional[str]] = {}
         for name in (*_STR_FIELDS, *_INT_FIELDS, *TEXT_BLOB_CANDIDATES):
             values[name] = _lookup(record, lowered_fields, name, lowered_map, aliases)
+        proto = values["proto"]
+        values["proto"] = proto.lower() if proto else None
+        for name in _SHARED_FIELDS:
+            value = values[name]
+            if value is not None:
+                values[name] = shared.setdefault(value, value)
 
         ints: Dict[str, Optional[int]] = {}
         for name in _INT_FIELDS:
@@ -345,15 +372,14 @@ def normalize_records(
 
         # extras: everything the field map did not consume
         extras = {
-            k: str(v)
+            shared.setdefault(k, k): str(v)
             for k, v in sorted(record.fields.items())
             if k.lower() not in used_source_keys
         }
 
-        proto = values.get("proto")
         events.append(
             NormalizedEvent(
-                event_id=f"{adapter.source}:{file_ordinal:03d}:{record.ordinal:06d}",
+                event_id=_event_id(adapter.source, file_ordinal, record.ordinal, origin),
                 ts=parsed.ts_ms,
                 scenario_id=scenario_id,
                 source=adapter.source,
@@ -371,7 +397,7 @@ def normalize_records(
                     src_port=ints["src_port"],
                     dst_ip=values.get("dst_ip"),
                     dst_port=ints["dst_port"],
-                    proto=proto.lower() if proto else None,
+                    proto=values.get("proto"),
                 ),
                 text_blob=text_blob,
                 extras=extras,
@@ -383,7 +409,7 @@ def normalize_records(
 
 
 def _normalize_prenormalized(
-    records: Sequence[RawRecord], adapter: SourceAdapterSpec, scenario_id: str, file_ordinal: int
+    records: Sequence[RawRecord], adapter: SourceAdapterSpec, scenario_id: str, file_ordinal: int, origin: str
 ) -> NormalizeResult:
     events: List[NormalizedEvent] = []
     quarantined: List[Quarantine] = []
@@ -393,7 +419,8 @@ def _normalize_prenormalized(
             data.setdefault("source", adapter.source)
             data.setdefault("trust_origin", adapter.trust_origin)
             data.setdefault("scenario_id", scenario_id)
-            data.setdefault("event_id", f"{adapter.source}:{file_ordinal:03d}:{record.ordinal:06d}")
+            if "event_id" not in data:
+                data["event_id"] = _event_id(adapter.source, file_ordinal, record.ordinal, origin)
             if "ts" not in data:
                 raise KeyError("ts")
             events.append(event_from_dict(data))
@@ -501,7 +528,7 @@ def ingest_scenario(
             parsed = parse_stream(path, adapter)
             rejected += parsed.n_rejected
             result = normalize_records(
-                parsed.records, adapter, aliases, scenario_id=scenario_id, file_ordinal=file_ordinal
+                parsed.records, adapter, aliases, scenario_id=scenario_id, file_ordinal=file_ordinal, origin=str(path)
             )
             quarantined += len(result.quarantined)
             naive += result.naive_ts_count

@@ -11,6 +11,7 @@ naive flag alongside the value.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
@@ -20,11 +21,13 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConfigError, ParseError
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 TRUST_ATTACKER = "attacker"
 TRUST_TARGET = "target"
@@ -80,7 +83,7 @@ class _Missing:
 MISSING = _Missing()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessInfo:
     pid: Optional[int] = None
     ppid: Optional[int] = None
@@ -91,7 +94,7 @@ class ProcessInfo:
         return self.pid is None and self.ppid is None and self.image is None and self.cmdline is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkInfo:
     src_ip: Optional[str] = None
     src_port: Optional[int] = None
@@ -109,7 +112,7 @@ class NetworkInfo:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedEvent:
     """One canonical telemetry record.
 
@@ -446,6 +449,11 @@ def events_from_jsonl(text: str) -> List[NormalizedEvent]:
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
+# Records rendered per C encoder call by the JSON and JSONL writers. It
+# bounds the largest string a writer holds (a slice of graph.json's edges
+# or of events.jsonl), not the output, which never depends on it.
+SLICE_RECORDS = 1024
+
 
 @lru_cache(maxsize=None)
 def _flat_encoder(level: int) -> json.JSONEncoder:
@@ -463,32 +471,49 @@ def _flat_records(items: Sequence[Any]) -> bool:
     )
 
 
-def _dumps(obj: Any, level: int) -> str:
+def _emit(obj: Any, level: int, write: Callable[[str], Any]) -> None:
     if type(obj) in _SCALAR_TYPES:
-        return json.dumps(obj)
+        write(json.dumps(obj))
+        return
     outer, inner, deeper = "  " * level, "  " * (level + 1), "  " * (level + 2)
     if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
         if _SCALAR_TYPES.issuperset(map(type, obj.values())):
             flat = _flat_encoder(level + 1).encode(obj)
-            return "{\n" + inner + flat[1:-1] + "\n" + outer + "}"
-        items = ",\n".join(
-            inner + encode_basestring_ascii(key) + ": " + _dumps(value, level + 1) for key, value in sorted(obj.items())
-        )
-        return "{\n" + items + "\n" + outer + "}"
+            write("{\n" + inner + flat[1:-1] + "\n" + outer + "}")
+            return
+        separator = "{\n"
+        for key, value in sorted(obj.items()):
+            write(separator + inner + encode_basestring_ascii(key) + ": ")
+            _emit(value, level + 1, write)
+            separator = ",\n"
+        write("\n" + outer + "}")
+        return
     if isinstance(obj, (list, tuple)) and obj:
         if _SCALAR_TYPES.issuperset(map(type, obj)):
             flat = _flat_encoder(level + 1).encode(obj)
-            return "[\n" + inner + flat[1:-1] + "\n" + outer + "]"
-        if _flat_records(obj):
-            # one encoder call renders every record at the deeper indent;
-            # a newline can only come from a separator (strings escape it),
-            # so "},\n<deeper>{" occurs exactly at the record boundaries
-            flat = _flat_encoder(level + 2).encode(obj)
-            flat = flat.replace("},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper)
-            return "[\n" + inner + "{\n" + deeper + flat[2:-2] + "\n" + inner + "}\n" + outer + "]"
-        return "[\n" + ",\n".join(inner + _dumps(item, level + 1) for item in obj) + "\n" + outer + "]"
+            write("[\n" + inner + flat[1:-1] + "\n" + outer + "]")
+            return
+        separator = "[\n"
+        for start in range(0, len(obj), SLICE_RECORDS):
+            items = obj[start : start + SLICE_RECORDS]
+            if _flat_records(items):
+                # one encoder call renders every record of the slice at the
+                # deeper indent; a newline can only come from a separator
+                # (strings escape it), so "},\n<deeper>{" occurs exactly at
+                # the record boundaries
+                flat = _flat_encoder(level + 2).encode(items)
+                flat = flat.replace("},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper)
+                write(separator + inner + "{\n" + deeper + flat[2:-2] + "\n" + inner + "}")
+                separator = ",\n"
+                continue
+            for item in items:
+                write(separator + inner)
+                _emit(item, level + 1, write)
+                separator = ",\n"
+        write("\n" + outer + "]")
+        return
     # empty containers, non-str keys and anything the stdlib rejects
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer)
+    write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer))
 
 
 def dumps_json(doc: Any) -> str:
@@ -496,12 +521,31 @@ def dumps_json(doc: Any) -> str:
 
     The stdlib renders indented JSON in pure Python and holds one string
     per token until it joins them. Here every flat dict or list (scalar
-    values only) and every list of flat records is one C encoder call
-    whose item separator already carries the newline and indent.
+    values only) and every slice of up to SLICE_RECORDS flat records is
+    one C encoder call whose item separator already carries the newline
+    and indent.
     """
-    return _dumps(doc, 0)
+    buffer = io.StringIO()
+    _emit(doc, 0, buffer.write)
+    return buffer.getvalue()
 
 
 def write_json(path: Path, doc: Any) -> None:
-    """Write doc as sorted, two-space indented JSON plus a final newline."""
-    Path(path).write_text(dumps_json(doc) + "\n", encoding="utf-8")
+    """Write dumps_json(doc) plus a final newline, streamed piece by piece.
+
+    The largest string held is one C-encoded slice, not the document.
+    """
+    with open(path, "w", encoding="utf-8") as out:
+        _emit(doc, 0, out.write)
+        out.write("\n")
+
+
+def write_jsonl(path: Path, items: Sequence[T], to_jsonl: Callable[[Sequence[T]], str]) -> None:
+    """Write to_jsonl(items) by calling it on SLICE_RECORDS items at a time.
+
+    to_jsonl must render each item as one newline-terminated line, so the
+    slices concatenate to the one-shot text.
+    """
+    with open(path, "w", encoding="utf-8") as out:
+        for start in range(0, len(items), SLICE_RECORDS):
+            out.write(to_jsonl(items[start : start + SLICE_RECORDS]))

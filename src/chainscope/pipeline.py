@@ -16,9 +16,10 @@ manifest reproduces them byte-identically.
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import ConfigError, EventIdError
@@ -49,7 +50,7 @@ from .metrics import (
     compute_run_metrics,
     run_metrics_to_dict,
 )
-from .model import EMPTY_ALIASES, FieldAliasMap, NormalizedEvent, events_to_jsonl, write_json
+from .model import EMPTY_ALIASES, FieldAliasMap, NormalizedEvent, events_to_jsonl, write_json, write_jsonl
 from .report import EvidencePackage, build_evidence_package, evidence_to_dict, render_budget_table
 from .synth import load_ground_truth
 from .tagging import (
@@ -62,6 +63,8 @@ from .tagging import (
     run_diag_to_dict,
     tag_run,
 )
+
+logger = logging.getLogger(__name__)
 
 GATE_EXPECTED = "expected"
 
@@ -218,11 +221,15 @@ def build_manifest(
     return manifest
 
 
-def _write(out_dir: Path, name: str, payload: Any) -> Path:
-    """Write text as is and anything else as sorted, indented JSON."""
+def _write(
+    out_dir: Path, name: str, payload: Any, to_jsonl: Optional[Callable[[Sequence[Any]], str]] = None
+) -> Path:
+    """Write records through to_jsonl, text as is and anything else as sorted, indented JSON."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(payload, str):
+    if to_jsonl is not None:
+        write_jsonl(path, payload, to_jsonl)
+    elif isinstance(payload, str):
         path.write_text(payload, encoding="utf-8")
     else:
         write_json(path, payload)
@@ -231,14 +238,14 @@ def _write(out_dir: Path, name: str, payload: Any) -> Path:
 
 def write_ingest_artifacts(ingest: IngestResult, events: Sequence[NormalizedEvent], out_dir: Path) -> List[Path]:
     return [
-        _write(out_dir, "events.jsonl", events_to_jsonl(events)),
+        _write(out_dir, "events.jsonl", events, events_to_jsonl),
         _write(out_dir, "ingest_report.json", ingest.report()),
     ]
 
 
 def write_tag_artifacts(decisions: Sequence[TagDecision], run_diag: RunDiagnostics, out_dir: Path) -> List[Path]:
     return [
-        _write(out_dir, "decisions.jsonl", decisions_to_jsonl(decisions)),
+        _write(out_dir, "decisions.jsonl", decisions, decisions_to_jsonl),
         _write(out_dir, "run_diag.json", run_diag_to_dict(run_diag)),
     ]
 
@@ -325,6 +332,7 @@ class SweepResult:
     best_by_category: Dict[str, SweepRow]
     aggregates: Dict[str, AggregateMetrics]
     table: str
+    sources_without_files: FrozenSet[str] = frozenset()  # named by a scored budget, no input file
 
 
 def sweep_scenario(
@@ -342,13 +350,28 @@ def sweep_scenario(
         raise ConfigError("sweep requires ground truth or an explicit expected step set")
     ingest_result = ingest_scenario(scenario_dir, adapters, aliases, scenario_id=scenario_id)
     rows = budget_sweep(ingest_result.events_by_source, rules, expected, budgets, aliases=aliases, params=params)
+    # ingest gives every adapter a table, so a budget naming a source the
+    # scenario never recorded is scored on nothing from it: flag such rows
+    scored_sources = set().union(*(row.budget.sources for row in rows if row.metrics is not None))
+    without_files = frozenset(s.source for s in ingest_result.stats if not s.files) & scored_sources
+    if without_files:
+        logger.warning(
+            "%s: budgets name source(s) with no input files, scored without their events: %s",
+            scenario_id,
+            ", ".join(sorted(without_files)),
+        )
     best = best_rows_by_category(rows)
     aggregates = {
         category: aggregate({scenario_id: (row.metrics, expected.e_s)}) for category, row in best.items()
     }
     table = render_budget_table(aggregates) if aggregates else ""
     return SweepResult(
-        scenario_id=scenario_id, rows=rows, best_by_category=best, aggregates=aggregates, table=table
+        scenario_id=scenario_id,
+        rows=rows,
+        best_by_category=best,
+        aggregates=aggregates,
+        table=table,
+        sources_without_files=without_files,
     )
 
 
@@ -365,6 +388,9 @@ def write_sweep_artifacts(result: SweepResult, out_dir: Path, manifest: Optional
         if row.metrics is not None:
             entry["metrics"] = run_metrics_to_dict(row.metrics)
             entry["best_in_category"] = result.best_by_category.get(row.budget.category) is row
+            without_files = sorted(row.budget.sources & result.sources_without_files)
+            if without_files:
+                entry["sources_without_files"] = without_files
         rows_doc.append(entry)
     written = [
         _write(out_dir, "sweep_rows.json", {"scenario_id": result.scenario_id, "rows": rows_doc}),

@@ -375,7 +375,7 @@ def emit_activity_events(
         if source is None:
             continue
         drafts.append(DraftEvent(ts=ts + offset, source=source, label=BENIGN_LABEL, fields=fields))
-    tables, _labels = _drafts_to_tables(drafts, scenario_id)
+    tables, _labels, _lines = _drafts_to_tables(drafts, scenario_id)
     return sort_events([e for table in tables.values() for e in table])
 
 
@@ -571,16 +571,20 @@ def default_adapter_for(source: str) -> SourceAdapterSpec:
 
 def _drafts_to_tables(
     drafts: Sequence[DraftEvent], scenario_id: str
-) -> Tuple[Dict[str, Tuple[NormalizedEvent, ...]], Dict[str, str]]:
-    """Render drafts to raw lines, re-parse them, and label the result."""
+) -> Tuple[Dict[str, Tuple[NormalizedEvent, ...]], Dict[str, str], Dict[str, Tuple[str, ...]]]:
+    """Render drafts to raw lines, re-parse them, and label the result.
+
+    Returns the tables, the labels and the rendered lines per source.
+    """
     per_source: Dict[str, List[DraftEvent]] = {}
     for draft in drafts:
         per_source.setdefault(draft.source, []).append(draft)
     tables: Dict[str, Tuple[NormalizedEvent, ...]] = {}
     labels: Dict[str, str] = {}
+    raw_lines: Dict[str, Tuple[str, ...]] = {}
     for source, items in per_source.items():
         items.sort(key=lambda d: d.ts)
-        lines = [_render_line(source, d) for d in items]
+        lines = raw_lines[source] = tuple(_render_line(source, d) for d in items)
         adapter = default_adapter_for(source)
         text = "\n".join(lines) + "\n"
         if adapter.format == FORMAT_CSV:
@@ -596,7 +600,7 @@ def _drafts_to_tables(
         for event, draft in zip(result.events, items):
             labels[event.event_id] = draft.label
         tables[source] = tuple(sort_events(result.events))
-    return tables, labels
+    return tables, labels, raw_lines
 
 
 def generate_scenario(
@@ -627,9 +631,10 @@ def generate_scenario(
             steps=template.expected_steps,
             technique_ids=template.technique_ids(),
         )
-    tables, labels = _drafts_to_tables(drafts, spec.scenario_id)
+    tables, labels, raw_lines = _drafts_to_tables(drafts, spec.scenario_id)
     for source in spec.sources:
         tables.setdefault(source, ())
+        raw_lines.setdefault(source, ())
     ground_truth = GroundTruth(
         scenario_id=spec.scenario_id,
         expected=expected,
@@ -637,12 +642,6 @@ def generate_scenario(
         chain_order=chain_order,
         omitted=omitted,
     )
-    raw_lines = {}
-    for source, events in tables.items():
-        # re-render from the same drafts for the on-disk copy
-        raw_lines[source] = tuple(
-            _render_line(source, d) for d in sorted((d for d in drafts if d.source == source), key=lambda d: d.ts)
-        )
     return ScenarioData(
         spec=spec,
         template_id=template.template_id if template else None,

@@ -174,20 +174,20 @@ def rules_to_doc(ruleset: RuleSet) -> Dict[str, Any]:
     return {"rules": out}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     step: StepTag
     rule_id: str
     priority: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     kind: str
     rule_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagDecision:
     event_id: str
     candidates: Tuple[Candidate, ...]

@@ -298,6 +298,30 @@ class TestSweepCommand:
         rows = json.loads((out / "sweep_rows.json").read_text())["rows"]
         assert len(rows) == 1
 
+    def test_budget_naming_a_source_without_files_is_flagged(self, scenario_dir, tmp_path, caplog):
+        assert not list(scenario_dir.glob("tracee*"))
+        budgets = tmp_path / "budgets.yml"
+        budgets.write_text("budgets:\n  - [tracee]\n  - [syslog]\n")
+        out = tmp_path / "sweep"
+        args = ["sweep", "--scenario-dir", str(scenario_dir), "--budgets", str(budgets), "--out", str(out)]
+        assert main(args) == 0
+        tracee, syslog = json.loads((out / "sweep_rows.json").read_text())["rows"]
+        assert tracee["sources_without_files"] == ["tracee"] and tracee["metrics"]["event_volume"] == 0
+        assert "sources_without_files" not in syslog
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "no input files" in warnings[0] and "tracee" in warnings[0]
+
+
+class TestEventIdWidth:
+    def test_more_than_a_thousand_files_per_source_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "many"
+        data.mkdir()
+        for i in range(1_001):
+            (data / f"syslog-{i:04d}.log").write_text(f"2024-05-01T09:00:00.000+00:00 h1 app: line {i}\n")
+        assert main(["ingest", "--scenario-dir", str(data), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "syslog-1000.log: event id overflow for source 'syslog'" in err
+
 
 class TestInconsistentPrenormalizedSources:
     """Two prenormalized sources; each budget holds one, so no budget sees both."""

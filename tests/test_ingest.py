@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from chainscope.errors import ConfigError, EventIdError, FormatMismatchError
 from chainscope.ingest import (
+    RawRecord,
     SourceAdapterSpec,
     ingest_scenario,
     merge_scenario,
@@ -145,6 +147,38 @@ class TestNormalizeRecords:
         event = result.events[0]
         assert event.user == "alice"  # alias fallback fills the structured field
         assert "UserName" in event.extras
+
+    def test_equal_values_share_one_string(self):
+        records = self._records(
+            'type=EXECVE ts=1714554000.000 host=build-01 uid=ci exe="/usr/bin/pip" cmd="pip install a"\n'
+            'type=EXECVE ts=1714554001.000 host=build-01 uid=ci exe="/usr/bin/pip" cmd="pip install b"\n',
+            KV_ADAPTER,
+        )
+        first, second = normalize_records(records, KV_ADAPTER, scenario_id="s").events
+        assert first.host == "build-01" and first.host is second.host
+        assert first.user is second.user and first.process.image is second.process.image
+        assert [k for k in first.extras] == ["type"] and next(iter(first.extras)) is next(iter(second.extras))
+
+    @pytest.mark.parametrize("file_ordinal, ordinal", [(1_000, 0), (0, 1_000_000)])
+    def test_event_id_overflow_names_source_and_file(self, file_ordinal, ordinal):
+        record = replace(self._records("2024-05-01T09:00:00.000+00:00 h1 app: m\n")[0], ordinal=ordinal)
+        with pytest.raises(EventIdError, match=r"syslog/x\.log: event id overflow for source 'syslog'"):
+            normalize_records([record], SYSLOG_ADAPTER, file_ordinal=file_ordinal, origin="syslog/x.log")
+        # one less in each ordinal still fits
+        widest = replace(record, ordinal=min(ordinal, 999_999))
+        event = normalize_records([widest], SYSLOG_ADAPTER, file_ordinal=min(file_ordinal, 999)).events[0]
+        assert event.event_id == f"syslog:{min(file_ordinal, 999):03d}:{min(ordinal, 999_999):06d}"
+
+    @pytest.mark.parametrize("file_ordinal, ordinal", [(1_000, 0), (0, 1_000_000)])
+    def test_prenormalized_default_id_overflow(self, file_ordinal, ordinal):
+        adapter = SourceAdapterSpec(source="replay", format="prenormalized")
+        line = json.dumps({"ts": 1714554000000, "text_blob": "x"})
+        record = RawRecord(source="replay", ordinal=ordinal, fields={}, raw_text=line)
+        with pytest.raises(EventIdError, match="replay.jsonl: event id overflow for source 'replay'"):
+            normalize_records([record], adapter, file_ordinal=file_ordinal, origin="replay.jsonl")
+        # a record that carries its own id needs no default
+        named = replace(record, raw_text=json.dumps({"event_id": "r1", "ts": 1}))
+        assert normalize_records([named], adapter, file_ordinal=file_ordinal).events[0].event_id == "r1"
 
     def test_int_coercion(self):
         records = self._records("2024-05-01T09:00:00.000+00:00 h1 app[123]: m\n")

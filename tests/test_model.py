@@ -1,11 +1,17 @@
 import json
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainscope import model
 from chainscope.errors import ConfigError, ParseError
+from chainscope.graph import build_event_graph
+from chainscope.ingest import IngestResult, RawRecord
 from chainscope.model import (
     MISSING,
     FieldAliasMap,
@@ -18,7 +24,10 @@ from chainscope.model import (
     parse_timestamp,
     resolve_field,
     sort_events,
+    write_json,
 )
+from chainscope.pipeline import write_ingest_artifacts, write_tag_artifacts
+from chainscope.tagging import decisions_to_jsonl, tag_run
 from conftest import make_event
 
 
@@ -249,3 +258,62 @@ class TestDumpsJson:
                 stdlib_dumps(doc)
             with pytest.raises(TypeError):
                 dumps_json(doc)
+
+
+# the writers' slice size, patched small so that every boundary case is cheap
+SLICE = 3
+SLICED_LENGTHS = (0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1)
+RECORD = st.dictionaries(st.text(max_size=4), SCALARS, min_size=1, max_size=4)
+SLICED_RECORDS = st.sampled_from(SLICED_LENGTHS).flatmap(lambda n: st.lists(RECORD, min_size=n, max_size=n))
+# records with other documents among them: a slice may hold both kinds
+MIXED_ITEMS = st.sampled_from(SLICED_LENGTHS).flatmap(
+    lambda n: st.lists(st.one_of(RECORD, DOCUMENTS), min_size=n, max_size=n)
+)
+SLICED_DOCUMENTS = st.one_of(
+    SLICED_RECORDS,
+    st.dictionaries(
+        st.text(max_size=4),
+        st.one_of(SLICED_RECORDS, MIXED_ITEMS, st.dictionaries(st.text(max_size=3), SLICED_RECORDS, max_size=2)),
+        max_size=3,
+    ),
+)
+
+
+class TestStreamedWriters:
+    @settings(max_examples=200, deadline=None)
+    @given(SLICED_DOCUMENTS)
+    def test_write_json_equals_stdlib_dump(self, doc):
+        with patch.object(model, "SLICE_RECORDS", SLICE), tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            write_json(path, doc)
+            assert path.read_bytes() == (stdlib_dumps(doc) + "\n").encode("utf-8")
+            assert dumps_json(doc) == stdlib_dumps(doc)
+
+    @pytest.mark.parametrize("n", SLICED_LENGTHS)
+    def test_jsonl_artifacts_equal_one_shot(self, tmp_path, monkeypatch, default_rules, n):
+        monkeypatch.setattr(model, "SLICE_RECORDS", SLICE)
+        texts = ["pip install requests", "curl -o /tmp/x http://example.com/x", "ls"]
+        events = [make_event(event_id=f"e{i}", ts=i, host=f"h{i % 2}", text_blob=texts[i % 3]) for i in range(n)]
+        decisions, diag = tag_run(events, default_rules)
+        events_path, _report = write_ingest_artifacts(IngestResult(events_by_source={}, stats=()), events, tmp_path)
+        decisions_path, _diag = write_tag_artifacts(decisions, diag, tmp_path)
+        assert events_path.read_text(encoding="utf-8") == events_to_jsonl(events)
+        assert decisions_path.read_text(encoding="utf-8") == decisions_to_jsonl(decisions)
+
+
+def test_per_event_classes_hold_no_dict(default_rules):
+    events = [
+        make_event(event_id=f"e{i}", ts=i, pid=7, src_ip="10.0.0.1", extras={"k": "v"}, text_blob="pip install x")
+        for i in range(2)
+    ]
+    decisions, _diag = tag_run(events, default_rules)
+    graph = build_event_graph(events, decisions)
+    candidates = [c for d in decisions for c in d.candidates]
+    diagnostics = [g for d in decisions for g in d.diagnostics]
+    assert candidates and diagnostics and graph.edges
+    record = RawRecord(source="syslog", ordinal=0, fields={}, raw_text="")
+    instances = [events[0], events[0].process, events[0].network, record, decisions[0], candidates[0], diagnostics[0]]
+    instances += [graph.nodes[0], graph.edges[0]]
+    assert len({type(obj) for obj in instances}) == 9
+    for obj in instances:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
