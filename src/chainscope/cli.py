@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -30,10 +29,10 @@ from .configio import (
     load_scenario_spec,
     load_template,
 )
-from .errors import ChainscopeError, ConfigError
+from .errors import ChainscopeError, ConfigError, ParseError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from .ingest import ingest_scenario
-from .model import events_from_jsonl, events_to_jsonl, write_json, write_jsonl
+from .model import events_from_jsonl, events_to_jsonl, read_json, write_json, write_jsonl
 from .pipeline import (
     RunParams,
     build_manifest,
@@ -239,7 +238,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     aliases = load_aliases(args.aliases)
     rules = _load_rules_file(args.rules)
     extra_weights = load_weights(args.weights) if args.weights else None
-    budgets, _weights = load_budgets(args.budgets, extra_weights=extra_weights)
+    budgets = load_budgets(args.budgets, extra_weights=extra_weights)
     deduped = []
     seen = set()
     for budget in budgets:
@@ -309,7 +308,11 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     mappings_dir.mkdir(parents=True, exist_ok=True)
     persisted = {}
     for path in sorted(mappings_dir.glob("*.json")):
-        persisted[path.stem] = json.loads(path.read_text(encoding="utf-8")).get("mappings", {})
+        doc = read_json(path)
+        entries = doc.get("mappings", {}) if isinstance(doc, dict) else None
+        if not isinstance(entries, dict):
+            raise ParseError(f"mapping file {path} must be an object whose 'mappings' is an object")
+        persisted[path.stem] = entries
     pmap = PseudonymMap(persisted, salt_ref=salt_reference(salt))
 
     sanitized, pmap, sanitize_report = sanitize_dataset(tables, policy, salt, pmap)
@@ -334,7 +337,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if sweep_rows.exists():
         table_path = indir / "budget_table.txt"
         text = table_path.read_text(encoding="utf-8") if table_path.exists() else ""
-        doc = json.loads(sweep_rows.read_text(encoding="utf-8"))
+        doc = read_json(sweep_rows)
         out.write_text(text, encoding="utf-8")
         write_json(out.with_suffix(out.suffix + ".json"), doc)
         print(f"sweep report -> {out}")
@@ -346,7 +349,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     lines: List[str] = []
     doc: Dict[str, Any] = {}
     if metrics_path.exists():
-        metrics_doc = json.loads(metrics_path.read_text(encoding="utf-8"))
+        metrics_doc = read_json(metrics_path)
         doc["metrics"] = metrics_doc
         lines.append(f"scenario: {metrics_doc.get('scenario_id', '?')}")
         lines.append(f"sources: {', '.join(metrics_doc.get('sources', []))}")
@@ -355,7 +358,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if metrics_doc.get("missing_steps"):
             lines.append("missing: " + ", ".join(metrics_doc["missing_steps"]))
     if evidence_path.exists():
-        evidence_doc = json.loads(evidence_path.read_text(encoding="utf-8"))
+        evidence_doc = read_json(evidence_path)
         doc["evidence"] = evidence_doc
         lines.append("")
         for section in evidence_doc.get("sections", []):

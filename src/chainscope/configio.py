@@ -134,7 +134,7 @@ def load_weights(path: Path) -> Dict[str, int]:
     return {str(k): int(v) for k, v in (table or {}).items()}
 
 
-def load_budgets(path: Path, extra_weights: Optional[Mapping[str, int]] = None) -> Tuple[List[BudgetConfig], Dict[str, int]]:
+def load_budgets(path: Path, extra_weights: Optional[Mapping[str, int]] = None) -> List[BudgetConfig]:
     doc = load_yaml(path)
     weights = {str(k): int(v) for k, v in (doc.get("weights") or {}).items()}
     if extra_weights:
@@ -150,7 +150,7 @@ def load_budgets(path: Path, extra_weights: Optional[Mapping[str, int]] = None) 
         budgets.append(categorize_budget(sources, weights))
     if not budgets:
         raise ConfigError(f"budgets file {path} defines no budgets")
-    return budgets, weights
+    return budgets
 
 
 def _parse_active_hours(value: Any) -> Tuple[int, int]:

@@ -11,8 +11,8 @@ expected-step count and averages precision and reconstructability
 unweighted, so scenarios with few expected steps are not over-emphasized
 on coverage but still count equally for per-scenario typical quality.
 
-The reconstructability scorer is pluggable: the default averages chain
-coverage with the unflagged-transition fraction of the best chain.
+Reconstructability averages chain coverage with the unflagged-transition
+fraction of the best chain.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class RunMetrics:
         return "+".join(sorted(self.sources))
 
 
-ReconScorer = Callable[[float, Optional[Chain]], float]
-
-
 def default_reconstructability(chain_cov: float, best_chain: Optional[Chain]) -> float:
     """Mean of chain coverage and the best chain's unflagged-transition share.
 
@@ -116,7 +113,6 @@ def compute_run_metrics(
     expected: ExpectedStepSet,
     events: Sequence[NormalizedEvent],
     sources: Optional[Sequence[str]] = None,
-    recon_scorer: ReconScorer = default_reconstructability,
 ) -> RunMetrics:
     """Score one pipeline run against the expected step set.
 
@@ -148,7 +144,7 @@ def compute_run_metrics(
         step_r=tag_cov,
         chain_p=chain_p,
         chain_r=chain_cov,
-        reconstructability=recon_scorer(chain_cov, best_chain),
+        reconstructability=default_reconstructability(chain_cov, best_chain),
         missing_steps=frozenset(expected.steps - observed),
         extra_steps=frozenset(observed - expected.steps),
         event_volume=len(events),

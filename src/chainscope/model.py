@@ -166,9 +166,6 @@ class FieldAliasMap:
     def aliases_for(self, canonical: str) -> Tuple[str, ...]:
         return self._entries.get(canonical.lower(), ())
 
-    def entries(self) -> Dict[str, Tuple[str, ...]]:
-        return dict(self._entries)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldAliasMap) and self._entries == other._entries
 
@@ -538,6 +535,14 @@ def write_json(path: Path, doc: Any) -> None:
     with open(path, "w", encoding="utf-8") as out:
         _emit(doc, 0, out.write)
         out.write("\n")
+
+
+def read_json(path: Path) -> Any:
+    """Parse one JSON document; invalid UTF-8 or JSON raises ParseError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise ParseError(f"malformed JSON in {path}: {exc}")
 
 
 def write_jsonl(path: Path, items: Sequence[T], to_jsonl: Callable[[Sequence[T]], str]) -> None:

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
 
 from .errors import SanitizeError
 from .model import NormalizedEvent
 
 CATEGORY_NAMES = ("host", "user", "resource", "path", "domain")
-DEFAULT_PREFIXES = {"host": "HOST_", "user": "USER_", "resource": "RES_", "path": "PATH_", "domain": "DOM_"}
 
 TOKEN_DIGITS = 6
 _TOKEN_RE = re.compile(r"^[A-Z]+_\d{6}$")
@@ -51,9 +50,9 @@ class CategorySpec:
 @dataclass(frozen=True)
 class PseudonymPolicy:
     categories: Tuple[CategorySpec, ...]
-    retain_literals: FrozenSet[str] = frozenset({"SYSTEM", "NT AUTHORITY\\SYSTEM", "N/A", "root"})
-    retain_patterns: Tuple[str, ...] = (r"^S-1-.*$",)
-    domain_rewrite_suffixes: Tuple[str, ...] = ()
+    retain_literals: FrozenSet[str]
+    retain_patterns: Tuple[str, ...]
+    domain_rewrite_suffixes: Tuple[str, ...]
 
     def __post_init__(self) -> None:
         prefixes = [c.prefix for c in self.categories]
@@ -68,25 +67,6 @@ class PseudonymPolicy:
             if spec.name == name:
                 return spec
         raise SanitizeError(f"unknown category {name!r}")
-
-
-def default_policy() -> PseudonymPolicy:
-    return PseudonymPolicy(
-        categories=(
-            CategorySpec(name="host", prefix="HOST_"),
-            CategorySpec(
-                name="user",
-                prefix="USER_",
-                patterns=(
-                    r"[A-Za-z]:\\Users\\([A-Za-z0-9_.\-]+)",
-                    r"/home/([A-Za-z0-9_.\-]+)",
-                ),
-            ),
-            CategorySpec(name="resource", prefix="RES_", patterns=(r"/subscriptions/[0-9a-fA-F\-]{16,}",)),
-            CategorySpec(name="domain", prefix="DOM_", patterns=(r"\b[a-z0-9][a-z0-9\-.]*\.[a-z]{2,}\b",)),
-        ),
-        domain_rewrite_suffixes=(".internal.cloudapp.net", ".blob.core.windows.net", ".azurewebsites.net"),
-    )
 
 
 class PseudonymMap:
@@ -120,9 +100,6 @@ class PseudonymMap:
     def add(self, category: str, original: str, token: str) -> None:
         self._insert(category, original, token)
 
-    def category_map(self, category: str) -> Dict[str, str]:
-        return dict(self._maps.get(category, {}))
-
     def to_dict(self) -> Dict[str, Dict[str, str]]:
         return {cat: dict(sorted(entries.items())) for cat, entries in sorted(self._maps.items())}
 
@@ -149,7 +126,7 @@ def pseudonymize_value(
     value: str,
     salt: bytes,
     pmap: PseudonymMap,
-    policy: Optional[PseudonymPolicy] = None,
+    policy: PseudonymPolicy,
 ) -> str:
     """Stable category-prefixed token for one identifier.
 
@@ -157,7 +134,6 @@ def pseudonymize_value(
     hashing value + counter byte until a free token appears. The map is
     updated in place.
     """
-    policy = policy or default_policy()
     if not salt:
         raise SanitizeError("salt must be non-empty")
     spec = policy.category(category)
@@ -244,8 +220,8 @@ def _substitute(text: str, ordered: Sequence[Tuple[str, str]], counts: Dict[str,
 
 def sanitize_dataset(
     tables: Mapping[str, Sequence[NormalizedEvent]],
-    policy: Optional[PseudonymPolicy] = None,
-    salt: bytes = b"",
+    policy: PseudonymPolicy,
+    salt: bytes,
     pmap: Optional[PseudonymMap] = None,
 ) -> Tuple[Dict[str, List[NormalizedEvent]], PseudonymMap, SanitizeReport]:
     """Rewrite every category-matched identifier across all sources.
@@ -255,7 +231,6 @@ def sanitize_dataset(
     timestamps, and source names are untouched. Returns sanitized tables,
     the updated map, and a per-category replacement report.
     """
-    policy = policy or default_policy()
     if not salt:
         raise SanitizeError("salt must be non-empty")
     pmap = pmap if pmap is not None else PseudonymMap(salt_ref=salt_reference(salt))
@@ -270,7 +245,7 @@ def sanitize_dataset(
         values = sorted(identifiers.get(spec.name, ()))
         mapped_counts[spec.name] = len(values)
         for value in values:
-            tokens[value] = pseudonymize_value(spec.name, value, salt, pmap, policy=policy)
+            tokens[value] = pseudonymize_value(spec.name, value, salt, pmap, policy)
             cat_of[value] = spec.name
     # longest-first so "alice-laptop" is rewritten before "alice"
     ordered = sorted(tokens.items(), key=lambda item: (-len(item[0]), item[0]))

@@ -13,8 +13,9 @@ plus an omit set for steps that are expected but intentionally never
 emitted -- that is how genuine observability gaps are modeled. Withheld
 sources produce the same effect at the source level.
 
-Generation renders raw per-source files (syslog lines, JSON-per-line
-records, key=value audit lines, CSV exports) and then builds the
+Generation renders raw per-source files for the packaged adapters in
+adapters.yml (syslog lines, JSON-per-line records, key=value audit
+lines, CSV exports) and then builds the
 normalized tables by running the real parsing path over those lines, so
 whatever the generator claims to have emitted is exactly what ingestion
 recovers, and the parse rate on synthetic fixtures is 1.0 by
@@ -34,6 +35,7 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,7 +50,7 @@ from .ingest import (
     normalize_records,
     parse_text,
 )
-from .model import NormalizedEvent, iso_ms, sort_events, write_json
+from .model import NormalizedEvent, iso_ms, read_json, sort_events, write_json
 from .tagging import ExpectedStepSet, StepTag, TagDecision, parse_step
 
 ACTIVITY_SET: Tuple[str, ...] = ("Web", "RemoteAccess", "FileOp", "Update", "Download", "Dev", "API", "Login")
@@ -421,35 +423,22 @@ def _attack_drafts(spec: ScenarioSpec, template: AttackTemplate) -> List[DraftEv
 
 # --- raw rendering and table construction -----------------------------------
 
-SOURCE_FORMATS: Mapping[str, str] = {
-    "syslog": FORMAT_SYSLOG,
-    "auth": FORMAT_SYSLOG,
-    "auditd": FORMAT_KV,
-    "zeek": FORMAT_EVE,
-    "suricata": FORMAT_EVE,
-    "tracee": FORMAT_EVE,
-    "azure_events": FORMAT_CSV,
-    "azure_process": FORMAT_CSV,
-    "azure_security": FORMAT_CSV,
-    "azure_conn": FORMAT_CSV,
-    "azure_port": FORMAT_CSV,
-}
-
 FORMAT_FILE_EXT = {FORMAT_SYSLOG: "log", FORMAT_KV: "log", FORMAT_EVE: "jsonl", FORMAT_CSV: "csv"}
 
-_AZURE_COLUMNS = (
-    "TimeGenerated",
-    "Computer",
-    "UserName",
-    "ProcessName",
-    "CommandLine",
-    "Message",
-    "SourceIp",
-    "SourcePort",
-    "DestinationIp",
-    "DestinationPort",
-    "Protocol",
-)
+
+@lru_cache(maxsize=None)
+def _packaged_adapters() -> Dict[str, SourceAdapterSpec]:
+    from .configio import load_adapters  # configio imports this module's spec types
+
+    return {adapter.source: adapter for adapter in load_adapters()}
+
+
+def _adapter_for(source: str) -> SourceAdapterSpec:
+    """The packaged adapter the generator renders one source's lines for."""
+    adapter = _packaged_adapters().get(source)
+    if adapter is None:
+        raise ScenarioError(f"no packaged adapter for source {source!r}; available: {sorted(_packaged_adapters())}")
+    return adapter
 
 
 def _csv_quote(value: str) -> str:
@@ -458,11 +447,18 @@ def _csv_quote(value: str) -> str:
     return value
 
 
-def _render_line(source: str, draft: DraftEvent) -> str:
+def _csv_cell(canonical: str, fields: Mapping[str, Any], draft: DraftEvent, message: str) -> str:
+    if canonical == "ts":
+        return iso_ms(draft.ts)
+    if canonical == "message":
+        return message
+    value = fields.get(canonical)
+    return "" if value is None else str(value)
+
+
+def _render_line(adapter: SourceAdapterSpec, draft: DraftEvent) -> str:
     fields = draft.fields
-    fmt = SOURCE_FORMATS.get(source)
-    if fmt is None:
-        raise ScenarioError(f"no renderer for source {source!r}")
+    fmt = adapter.format
     message = str(fields.get("message", ""))
     if fmt == FORMAT_SYSLOG:
         prog = str(fields.get("image", "app")).rsplit("/", 1)[-1]
@@ -487,6 +483,7 @@ def _render_line(source: str, draft: DraftEvent) -> str:
             parts.append(f'msg="{message}"')
         return " ".join(parts)
     if fmt == FORMAT_EVE:
+        source = adapter.source
         if source == "zeek":
             obj: Dict[str, Any] = {"ts": round(draft.ts / 1000, 3), "host": fields.get("host")}
             for src_key, dst_key in (("src_ip", "id.orig_h"), ("src_port", "id.orig_p"), ("dst_ip", "id.resp_h"), ("dst_port", "id.resp_p")):
@@ -516,57 +513,14 @@ def _render_line(source: str, draft: DraftEvent) -> str:
                 obj["message"] = message
         obj = {k: v for k, v in obj.items() if v is not None}
         return json.dumps(obj, separators=(",", ":"))
-    # csv_export
-    row = {
-        "TimeGenerated": iso_ms(draft.ts),
-        "Computer": str(fields.get("host", "")),
-        "UserName": str(fields.get("user", "") or ""),
-        "ProcessName": str(fields.get("image", "") or ""),
-        "CommandLine": str(fields.get("cmdline", "") or ""),
-        "Message": message,
-        "SourceIp": str(fields.get("src_ip", "") or ""),
-        "SourcePort": str(fields.get("src_port", "") if fields.get("src_port") is not None else ""),
-        "DestinationIp": str(fields.get("dst_ip", "") or ""),
-        "DestinationPort": str(fields.get("dst_port", "") if fields.get("dst_port") is not None else ""),
-        "Protocol": str(fields.get("proto", "") or ""),
-    }
-    return ",".join(_csv_quote(row[col]) for col in _AZURE_COLUMNS)
+    # csv_export: one column per field_map key, in order
+    return ",".join(_csv_quote(_csv_cell(canonical, fields, draft, message)) for canonical in adapter.field_map)
 
 
-def _csv_header() -> str:
-    return ",".join(_AZURE_COLUMNS)
-
-
-def default_adapter_for(source: str) -> SourceAdapterSpec:
-    """Adapter matching this module's renderer for one builtin source."""
-    fmt = SOURCE_FORMATS.get(source)
-    if fmt is None:
-        raise ScenarioError(f"unknown builtin source {source!r}")
-    if fmt == FORMAT_SYSLOG:
-        field_map = {"ts": "ts", "host": "host", "image": "prog", "pid": "pid", "message": "message"}
-    elif fmt == FORMAT_KV:
-        field_map = {"ts": "ts", "host": "host", "user": "uid", "pid": "pid", "ppid": "ppid", "image": "exe", "cmdline": "cmd", "message": "msg"}
-    elif source == "zeek":
-        field_map = {"ts": "ts", "host": "host", "src_ip": "id.orig_h", "src_port": "id.orig_p", "dst_ip": "id.resp_h", "dst_port": "id.resp_p", "proto": "proto", "message": "message"}
-    elif source == "suricata":
-        field_map = {"ts": "timestamp", "host": "host", "src_ip": "src_ip", "src_port": "src_port", "dst_ip": "dest_ip", "dst_port": "dest_port", "proto": "proto", "message": "message"}
-    elif source == "tracee":
-        field_map = {"ts": "timestamp", "host": "host", "pid": "pid", "ppid": "ppid", "image": "process", "cmdline": "cmdline", "message": "message"}
-    else:  # azure csv family
-        field_map = {
-            "ts": "TimeGenerated",
-            "host": "Computer",
-            "user": "UserName",
-            "image": "ProcessName",
-            "cmdline": "CommandLine",
-            "message": "Message",
-            "src_ip": "SourceIp",
-            "src_port": "SourcePort",
-            "dst_ip": "DestinationIp",
-            "dst_port": "DestinationPort",
-            "proto": "Protocol",
-        }
-    return SourceAdapterSpec(source=source, format=fmt, field_map=field_map)
+def _file_text(adapter: SourceAdapterSpec, lines: Sequence[str]) -> str:
+    """One source's raw file: its lines, under a header row for a CSV export."""
+    header = ",".join(adapter.field_map.values()) + "\n" if adapter.format == FORMAT_CSV else ""
+    return header + "\n".join(lines) + ("\n" if lines else "")
 
 
 def _drafts_to_tables(
@@ -584,12 +538,9 @@ def _drafts_to_tables(
     raw_lines: Dict[str, Tuple[str, ...]] = {}
     for source, items in per_source.items():
         items.sort(key=lambda d: d.ts)
-        lines = raw_lines[source] = tuple(_render_line(source, d) for d in items)
-        adapter = default_adapter_for(source)
-        text = "\n".join(lines) + "\n"
-        if adapter.format == FORMAT_CSV:
-            text = _csv_header() + "\n" + text
-        parsed = parse_text(text, adapter, origin=f"synth:{source}")
+        adapter = _adapter_for(source)
+        lines = raw_lines[source] = tuple(_render_line(adapter, d) for d in items)
+        parsed = parse_text(_file_text(adapter, lines), adapter, origin=f"synth:{source}")
         if parsed.n_rejected:
             raise ScenarioError(f"internal renderer error: {parsed.n_rejected} rejected line(s) for {source}")
         result = normalize_records(parsed.records, adapter, scenario_id=scenario_id, file_ordinal=0)
@@ -617,6 +568,8 @@ def generate_scenario(
         raise ScenarioError(
             f"scenario expects template {spec.attack_template!r}, got {template.template_id!r}"
         )
+    for source in spec.sources:
+        _adapter_for(source)  # fail before generating anything no packaged adapter can read
     drafts = _benign_drafts(spec)
     chain_order: Tuple[StepTag, ...] = ()
     omitted: FrozenSet[StepTag] = frozenset()
@@ -657,13 +610,9 @@ def write_scenario(data: ScenarioData, out_dir: Path) -> List[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
     for source in sorted(data.raw_lines):
-        lines = data.raw_lines[source]
-        fmt = SOURCE_FORMATS[source]
-        path = out_dir / f"{source}.{FORMAT_FILE_EXT[fmt]}"
-        body = "\n".join(lines) + ("\n" if lines else "")
-        if fmt == FORMAT_CSV:
-            body = _csv_header() + "\n" + body
-        path.write_text(body, encoding="utf-8")
+        adapter = _adapter_for(source)
+        path = out_dir / f"{source}.{FORMAT_FILE_EXT[adapter.format]}"
+        path.write_text(_file_text(adapter, data.raw_lines[source]), encoding="utf-8")
         written.append(path)
     gt = data.ground_truth
     gt_doc = {
@@ -683,7 +632,7 @@ def write_scenario(data: ScenarioData, out_dir: Path) -> List[Path]:
 
 
 def load_ground_truth(path: Path) -> GroundTruth:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     steps = frozenset(parse_step(s) for s in doc.get("expected_steps", []))
     expected = None
     if steps:

@@ -14,6 +14,7 @@ import pytest
 from chainscope.configio import (
     load_packaged_scenario,
     load_packaged_template,
+    load_policy,
     load_rules_doc,
     packaged_scenario_ids,
 )
@@ -327,8 +328,9 @@ def test_criterion_8_sanitizer(default_rules, aliases):
             make_event(event_id="z0", source="zeek", host="corenode", dst_port=4444, text_blob="conn established")
         ],
     }
-    once_a, map_a, _ = sanitize_dataset(tables, salt=salt)
-    once_b, map_b, _ = sanitize_dataset(tables, salt=salt)
+    policy = load_policy()
+    once_a, map_a, _ = sanitize_dataset(tables, policy, salt)
+    once_b, map_b, _ = sanitize_dataset(tables, policy, salt)
     for source in once_a:  # determinism under fixed salt
         assert events_to_jsonl(once_a[source]) == events_to_jsonl(once_b[source])
     assert map_a.to_dict() == map_b.to_dict()
@@ -339,7 +341,7 @@ def test_criterion_8_sanitizer(default_rules, aliases):
     assert once_a["syslog"][1].user == "SYSTEM"  # retain list pass-through
     assert "NT AUTHORITY\\SYSTEM" in once_a["syslog"][1].text_blob
 
-    twice, _, report = sanitize_dataset(once_a, salt=salt, pmap=map_a)  # idempotence
+    twice, _, report = sanitize_dataset(once_a, policy, salt, pmap=map_a)  # idempotence
     for source in once_a:
         assert events_to_jsonl(twice[source]) == events_to_jsonl(once_a[source])
     assert report.total_replacements == 0

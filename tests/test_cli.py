@@ -41,6 +41,15 @@ class TestSynthCommand:
     def test_unknown_packaged_spec_is_validation_error(self, tmp_path):
         assert main(["synth", "--spec", "no-such-scenario", "--out", str(tmp_path / "x")]) == 2
 
+    def test_source_without_packaged_adapter_is_validation_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yml"
+        spec.write_text(
+            "scenario_id: mini\nseed: 1\nhosts: [{name: h1}]\nsources: [syslog, osquery]\n"
+            "benign: {n_activities: 5}\nduration_s: 3600\n"
+        )
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "mini")]) == 2
+        assert "'osquery'" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_full_run_with_gating(self, scenario_dir, tmp_path, capsys):
@@ -494,6 +503,32 @@ class TestSanitizeAndReport:
         rows = json.loads((out / "sweep_rows.json").read_text())["rows"]
         assert rows[0]["category"] == "multi"
         assert rows[0]["effective_count"] == 3
+
+
+class TestMalformedJsonInputs:
+    def test_corrupt_ground_truth_exit_2(self, scenario_dir, tmp_path, capsys):
+        (scenario_dir / "ground_truth.json").write_text('{"scenario_id": ')
+        assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--out", str(tmp_path / "run")]) == 2
+        assert "ground_truth.json" in capsys.readouterr().err
+
+    def test_mapping_file_that_is_not_an_object_exit_2(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text(events_to_jsonl([make_event(event_id="a", host="h1")]))
+        salt = tmp_path / "salt.txt"
+        salt.write_text("salt\n")
+        mappings = tmp_path / "mappings"
+        mappings.mkdir()
+        (mappings / "host.json").write_text("[1, 2]\n")
+        argv = ["sanitize", "--in", str(events), "--salt-file", str(salt), "--mappings-dir", str(mappings)]
+        assert main(argv + ["--out", str(tmp_path / "s.jsonl")]) == 2
+        assert "host.json" in capsys.readouterr().err
+
+    def test_corrupt_metrics_exit_2(self, scenario_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--out", str(run)]) == 0
+        (run / "metrics.json").write_bytes(b"\xff{}")
+        assert main(["report", "--in", str(run), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "metrics.json" in capsys.readouterr().err
 
 
 class TestExitCodes:

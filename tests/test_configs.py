@@ -14,20 +14,19 @@ from chainscope.configio import (
     packaged_template_ids,
 )
 from chainscope.errors import ConfigError, ScenarioError
-from chainscope.synth import SOURCE_FORMATS, default_adapter_for
+from chainscope.synth import ROUTING
 from chainscope.tagging import StepTag, expected_from_techniques, load_rules
 
 
-def test_packaged_adapters_cover_all_builtin_sources():
-    adapters = {a.source: a for a in load_adapters()}
-    assert set(adapters) == set(SOURCE_FORMATS)
-    # the YAML document and the generator's builtin adapters must agree,
-    # otherwise written scenarios would not re-ingest cleanly
-    for source in SOURCE_FORMATS:
-        builtin = default_adapter_for(source)
-        packaged = adapters[source]
-        assert packaged.format == builtin.format, source
-        assert dict(packaged.field_map) == dict(builtin.field_map), source
+def test_every_generated_source_has_a_packaged_adapter():
+    # synth renders each source's lines for its packaged adapter
+    packaged = {a.source for a in load_adapters()}
+    routed = {source for sources in ROUTING.values() for source in sources}
+    assert routed <= packaged
+    for template_id in packaged_template_ids():
+        template = load_packaged_template(template_id)
+        named = {event.source for step in template.steps for event in step.events}
+        assert named <= packaged, template_id
 
 
 def test_packaged_aliases_load():

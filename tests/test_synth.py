@@ -23,6 +23,10 @@ from chainscope.tagging import StepTag, TagDecision, tag_run
 from conftest import make_event
 
 LINUX_SOURCES = ("syslog", "auth", "auditd", "zeek", "suricata", "tracee", "azure_port")
+AZURE_SOURCES = ("azure_events", "azure_process", "azure_security", "azure_conn", "azure_port")
+# zeek takes every network emission it is offered, so suricata needs a set of its own;
+# the Azure set routes every emission kind but "trace" to an Azure CSV export
+ROUND_TRIP_SOURCE_SETS = (LINUX_SOURCES, ("suricata",), AZURE_SOURCES)
 
 
 def spec_with(n=30, seed=7, hosts=None, sources=LINUX_SOURCES, **kw):
@@ -212,14 +216,18 @@ class TestGenerateScenario:
 
 class TestWriteAndReingest:
     def test_round_trip_equals_in_memory_tables(self, tmp_path, adapters, aliases):
-        data = generate_scenario(spec_with(n=30, seed=11), simple_template())
-        out = tmp_path / "scenario"
-        write_scenario(data, out)
-        result = ingest_scenario(out, adapters, aliases, scenario_id=data.spec.scenario_id)
-        for source, events in data.tables.items():
-            assert tuple(result.events_by_source.get(source, ())) == events
-        # parse rate on synthetic fixtures is exactly 1.0
-        assert all(s.rejected == 0 and s.quarantined == 0 for s in result.stats)
+        written = set()
+        for i, sources in enumerate(ROUND_TRIP_SOURCE_SETS):
+            data = generate_scenario(spec_with(n=30, seed=11, sources=sources), simple_template())
+            out = tmp_path / f"scenario{i}"
+            write_scenario(data, out)
+            result = ingest_scenario(out, adapters, aliases, scenario_id=data.spec.scenario_id)
+            for source, events in data.tables.items():
+                assert tuple(result.events_by_source.get(source, ())) == events
+            # parse rate on synthetic fixtures is exactly 1.0
+            assert all(s.rejected == 0 and s.quarantined == 0 for s in result.stats)
+            written |= {source for source, events in data.tables.items() if events}
+        assert written == {a.source for a in adapters}  # every packaged adapter re-read records
 
     def test_ground_truth_file_round_trip(self, tmp_path):
         data = generate_scenario(spec_with(n=10), simple_template())
