@@ -46,7 +46,7 @@ from .pipeline import (
     write_sweep_artifacts,
     write_tag_artifacts,
 )
-from .sanitize import PseudonymMap, sanitize_dataset, salt_reference
+from .sanitize import PseudonymMap, is_token, sanitize_dataset, salt_reference
 from .synth import generate_scenario, write_scenario
 from .tagging import ExpectedStepSet, decisions_from_jsonl, load_rules, parse_step, tag_run
 
@@ -181,7 +181,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_tag(args: argparse.Namespace) -> int:
     aliases = load_aliases(args.aliases)
     rules = _load_rules_file(args.rules)
-    events = events_from_jsonl(args.events.read_text(encoding="utf-8"))
+    with open(args.events, "rb") as handle:
+        events = events_from_jsonl(handle)
     expected = _expected_from_args(args)
     gate = RunParams(gate=args.gate).resolve_gate(expected)
     decisions, diag = tag_run(events, rules, gate=gate, aliases=aliases, expected=expected.steps if expected else None)
@@ -191,8 +192,10 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    events = events_from_jsonl(args.events.read_text(encoding="utf-8"))
-    decisions = decisions_from_jsonl(args.decisions.read_text(encoding="utf-8"))
+    with open(args.events, "rb") as handle:
+        events = events_from_jsonl(handle)
+    with open(args.decisions, "rb") as handle:
+        decisions = decisions_from_jsonl(handle)
     graph, chains, ambiguity = reconstruct(events, decisions, _params_from_args(args))
     write_reconstruct_artifacts(graph, chains, ambiguity, args.out)
     print(f"extracted {len(chains)} chain(s) -> {args.out}")
@@ -299,7 +302,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     salt = Path(salt_path).read_bytes().strip()
     if not salt:
         raise ConfigError(f"salt file {salt_path} is empty")
-    events = events_from_jsonl(args.infile.read_text(encoding="utf-8"))
+    with open(args.infile, "rb") as handle:
+        events = events_from_jsonl(handle)
     tables: Dict[str, List] = {}
     for event in events:
         tables.setdefault(event.source, []).append(event)
@@ -308,10 +312,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     mappings_dir.mkdir(parents=True, exist_ok=True)
     persisted = {}
     for path in sorted(mappings_dir.glob("*.json")):
-        doc = read_json(path)
-        entries = doc.get("mappings", {}) if isinstance(doc, dict) else None
+        entries = read_json(path).get("mappings", {})
         if not isinstance(entries, dict):
             raise ParseError(f"mapping file {path} must be an object whose 'mappings' is an object")
+        for original, token in entries.items():
+            if not isinstance(token, str) or not is_token(token):
+                raise ParseError(f"mapping file {path}: the token of {original!r} is not a PREFIX_DDDDDD token: {token!r}")
         persisted[path.stem] = entries
     pmap = PseudonymMap(persisted, salt_ref=salt_reference(salt))
 

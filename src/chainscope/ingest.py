@@ -413,6 +413,7 @@ def _normalize_prenormalized(
 ) -> NormalizeResult:
     events: List[NormalizedEvent] = []
     quarantined: List[Quarantine] = []
+    shared: Dict[str, str] = {}
     for record in records:
         try:
             data = json.loads(record.raw_text)
@@ -423,7 +424,7 @@ def _normalize_prenormalized(
                 data["event_id"] = _event_id(adapter.source, file_ordinal, record.ordinal, origin)
             if "ts" not in data:
                 raise KeyError("ts")
-            events.append(event_from_dict(data))
+            events.append(event_from_dict(data, shared))
         except (ValueError, KeyError, TypeError) as exc:
             quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad canonical record: {exc}"))
     return NormalizeResult(events=tuple(events), quarantined=tuple(quarantined), naive_ts_count=0)

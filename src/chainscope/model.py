@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConfigError, ParseError
 
@@ -394,32 +394,60 @@ def event_to_dict(event: NormalizedEvent) -> Dict[str, Any]:
     }
 
 
-def event_from_dict(data: Mapping[str, Any]) -> NormalizedEvent:
-    proc = data.get("process") or {}
-    net = data.get("network") or {}
+# the process and network records of an event that has none, shared by
+# every such event that a reader builds (both classes are frozen)
+_NO_PROCESS = ProcessInfo()
+_NO_NETWORK = NetworkInfo()
+
+
+def _process_info(proc: Mapping[str, Any], share: Callable[[Any], Any]) -> ProcessInfo:
+    info = ProcessInfo(
+        pid=proc.get("pid"),
+        ppid=proc.get("ppid"),
+        image=share(proc.get("image")),
+        cmdline=proc.get("cmdline"),
+    )
+    return _NO_PROCESS if info.is_empty() else info
+
+
+def _network_info(net: Mapping[str, Any], share: Callable[[Any], Any]) -> NetworkInfo:
+    info = NetworkInfo(
+        src_ip=share(net.get("src_ip")),
+        src_port=net.get("src_port"),
+        dst_ip=share(net.get("dst_ip")),
+        dst_port=net.get("dst_port"),
+        proto=share(net.get("proto")),
+    )
+    return _NO_NETWORK if info.is_empty() else info
+
+
+def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = None) -> NormalizedEvent:
+    """Build an event from its ``event_to_dict`` form.
+
+    With ``shared`` (one dict per read), equal string values of the fields
+    ``normalize_records`` shares (source, scenario id, trust origin, host,
+    user, image, IPs, proto and extras keys) become one object.
+    """
+    if shared is None:
+        shared = {}
+
+    def share(value: Any) -> Any:
+        return shared.setdefault(value, value) if isinstance(value, str) else value
+
+    proc = data.get("process")
+    net = data.get("network")
     return NormalizedEvent(
         event_id=data["event_id"],
         ts=int(data["ts"]),
-        scenario_id=data.get("scenario_id", ""),
-        source=data["source"],
-        trust_origin=data["trust_origin"],
-        host=data.get("host"),
-        user=data.get("user"),
-        process=ProcessInfo(
-            pid=proc.get("pid"),
-            ppid=proc.get("ppid"),
-            image=proc.get("image"),
-            cmdline=proc.get("cmdline"),
-        ),
-        network=NetworkInfo(
-            src_ip=net.get("src_ip"),
-            src_port=net.get("src_port"),
-            dst_ip=net.get("dst_ip"),
-            dst_port=net.get("dst_port"),
-            proto=net.get("proto"),
-        ),
+        scenario_id=share(data.get("scenario_id", "")),
+        source=share(data["source"]),
+        trust_origin=share(data["trust_origin"]),
+        host=share(data.get("host")),
+        user=share(data.get("user")),
+        process=_process_info(proc, share) if proc else _NO_PROCESS,
+        network=_network_info(net, share) if net else _NO_NETWORK,
         text_blob=data.get("text_blob", ""),
-        extras=dict(data.get("extras") or {}),
+        extras={share(k): v for k, v in dict(data.get("extras") or {}).items()},
     )
 
 
@@ -428,15 +456,45 @@ def events_to_jsonl(events: Iterable[NormalizedEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def events_from_jsonl(text: str) -> List[NormalizedEvent]:
-    """Parse events.jsonl; a malformed line raises ParseError naming its line number."""
+def _jsonl_lines(source: Union[str, IO[bytes]], kind: str) -> Iterator[Tuple[int, str]]:
+    """Yield ``(lineno, line)`` exactly as ``enumerate(text.splitlines(), 1)``.
+
+    ``source`` is the text or a file opened in binary mode. A file is read
+    one physical line at a time; each is decoded and split again with
+    ``str.splitlines``, so lines and their numbers match the text's. A line
+    that is not valid UTF-8 raises ParseError naming ``kind`` and the line.
+    """
+    if isinstance(source, str):
+        yield from enumerate(source.splitlines(), start=1)
+        return
+    lineno = 0
+    for raw in source:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{kind} line {lineno + 1}: {type(exc).__name__}: {exc}", offending=raw.decode("utf-8", "replace")
+            )
+        for line in text.splitlines():
+            lineno += 1
+            yield lineno, line
+
+
+def events_from_jsonl(source: Union[str, IO[bytes]]) -> List[NormalizedEvent]:
+    """Parse events.jsonl from its text or from a file opened in binary mode.
+
+    A file is read line by line, and equal identity values are shared
+    across the events (see ``event_from_dict``). A malformed line raises
+    ParseError naming its line number.
+    """
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    shared: Dict[str, str] = {}
+    for lineno, line in _jsonl_lines(source, "events"):
         line = line.strip()
         if not line:
             continue
         try:
-            events.append(event_from_dict(json.loads(line)))
+            events.append(event_from_dict(json.loads(line), shared))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"events line {lineno}: {type(exc).__name__}: {exc}", offending=line)
     return events
@@ -537,12 +595,19 @@ def write_json(path: Path, doc: Any) -> None:
         out.write("\n")
 
 
-def read_json(path: Path) -> Any:
-    """Parse one JSON document; invalid UTF-8 or JSON raises ParseError naming the file."""
+def read_json(path: Path) -> Dict[str, Any]:
+    """Parse one JSON object.
+
+    Invalid UTF-8, invalid JSON or a document that is not an object raises
+    ParseError naming the file.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
         raise ParseError(f"malformed JSON in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def write_jsonl(path: Path, items: Sequence[T], to_jsonl: Callable[[Sequence[T]], str]) -> None:

@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
 
 from .errors import SanitizeError
-from .model import NormalizedEvent
+from .model import NormalizedEvent, ProcessInfo
 
 CATEGORY_NAMES = ("host", "user", "resource", "path", "domain")
 
 TOKEN_DIGITS = 6
-_TOKEN_RE = re.compile(r"^[A-Z]+_\d{6}$")
+# ASCII digits only; \Z, unlike $, does not let a trailing newline through
+_TOKEN_RE = re.compile(r"[A-Z]+_[0-9]{6}\Z")
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,11 @@ class SanitizeReport:
 def _collect_identifiers(
     tables: Mapping[str, Sequence[NormalizedEvent]], policy: PseudonymPolicy
 ) -> Dict[str, Set[str]]:
-    """First pass: gather every identifier per category across all sources."""
+    """First pass: gather every identifier per category across all sources.
+
+    Each distinct host, user and text is examined once: the result sets do
+    not depend on how often or in which event a value occurs.
+    """
     found: Dict[str, Set[str]] = {spec.name: set() for spec in policy.categories}
     retain = policy.compiled_retain()
 
@@ -181,26 +186,27 @@ def _collect_identifiers(
             return False
         return not any(p.match(value) for p in retain)
 
-    category_names = {spec.name for spec in policy.categories}
+    hosts: Set[Optional[str]] = set()
+    users: Set[Optional[str]] = set()
+    texts: Set[str] = set()
     for events in tables.values():
         for event in events:
-            if "host" in category_names and event.host and keep(event.host):
-                found["host"].add(event.host)
-            if "user" in category_names and event.user and keep(event.user):
-                found["user"].add(event.user)
-            texts = [event.text_blob or "", event.process.cmdline or "", event.process.image or ""]
-            texts.extend(str(v) for v in event.extras.values())
-            for spec in policy.categories:
-                if not spec.patterns:
-                    continue
-                for pattern in spec.compiled():
-                    for text in texts:
-                        for match in pattern.finditer(text):
-                            value = match.group(1) if match.groups() else match.group(0)
-                            if spec.name == "domain" and not _domain_rewritable(value, policy):
-                                continue
-                            if keep(value):
-                                found[spec.name].add(value)
+            hosts.add(event.host)
+            users.add(event.user)
+            texts.update((event.text_blob or "", event.process.cmdline or "", event.process.image or ""))
+            texts.update(str(v) for v in event.extras.values())
+    for name, values in (("host", hosts), ("user", users)):
+        if name in found:
+            found[name].update(v for v in values if v and keep(v))
+    for spec in policy.categories:
+        for pattern in spec.compiled():
+            for text in texts:
+                for match in pattern.finditer(text):
+                    value = match.group(1) if match.groups() else match.group(0)
+                    if spec.name == "domain" and not _domain_rewritable(value, policy):
+                        continue
+                    if keep(value):
+                        found[spec.name].add(value)
     return found
 
 
@@ -264,13 +270,12 @@ def sanitize_dataset(
                 counts[cat_of[user]] = counts.get(cat_of[user], 0) + 1
                 user = tokens[user]
             proc = event.process
+            image = _substitute(proc.image, ordered, counts, cat_of) if proc.image else proc.image
+            cmdline = _substitute(proc.cmdline, ordered, counts, cat_of) if proc.cmdline else proc.cmdline
+            # _substitute returns its argument itself when nothing matched
             new_proc = proc
-            if proc.image or proc.cmdline:
-                new_proc = replace(
-                    proc,
-                    image=_substitute(proc.image, ordered, counts, cat_of) if proc.image else proc.image,
-                    cmdline=_substitute(proc.cmdline, ordered, counts, cat_of) if proc.cmdline else proc.cmdline,
-                )
+            if image is not proc.image or cmdline is not proc.cmdline:
+                new_proc = ProcessInfo(pid=proc.pid, ppid=proc.ppid, image=image, cmdline=cmdline)
             text_blob = _substitute(event.text_blob, ordered, counts, cat_of) if event.text_blob else event.text_blob
             extras = event.extras
             if extras:
@@ -280,7 +285,21 @@ def sanitize_dataset(
             if host is event.host and user is event.user and new_proc is proc and text_blob is event.text_blob and extras is event.extras:
                 out.append(event)
             else:
-                out.append(replace(event, host=host, user=user, process=new_proc, text_blob=text_blob, extras=extras))
+                out.append(
+                    NormalizedEvent(
+                        event_id=event.event_id,
+                        ts=event.ts,
+                        scenario_id=event.scenario_id,
+                        source=event.source,
+                        trust_origin=event.trust_origin,
+                        host=host,
+                        user=user,
+                        process=new_proc,
+                        network=event.network,
+                        text_blob=text_blob,
+                        extras=extras,
+                    )
+                )
         sanitized[source] = out
     report = SanitizeReport(
         replacements=dict(sorted(counts.items())),

@@ -39,7 +39,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ScenarioError
+from .errors import ParseError, ScenarioError
 from .graph import Chain
 from .ingest import (
     FORMAT_CSV,
@@ -633,6 +633,8 @@ def write_scenario(data: ScenarioData, out_dir: Path) -> List[Path]:
 
 def load_ground_truth(path: Path) -> GroundTruth:
     doc = read_json(path)
+    if not isinstance(doc.get("scenario_id"), str):
+        raise ParseError(f"{path}: 'scenario_id' must be a string")
     steps = frozenset(parse_step(s) for s in doc.get("expected_steps", []))
     expected = None
     if steps:

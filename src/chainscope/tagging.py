@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
+from typing import IO, Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Pattern, Sequence, Set, Tuple, Union
 
 from .errors import ConfigError, ParseError, RuleError
 from .model import (
@@ -28,6 +28,7 @@ from .model import (
     MISSING,
     FieldAliasMap,
     NormalizedEvent,
+    _jsonl_lines,
     _resolve_with_extras,
     lowered_extras_view,
 )
@@ -463,10 +464,13 @@ def decisions_to_jsonl(decisions: Iterable[TagDecision]) -> str:
     return "".join(json.dumps(decision_to_dict(d), sort_keys=True) + "\n" for d in decisions)
 
 
-def decisions_from_jsonl(text: str) -> List[TagDecision]:
-    """Parse decisions.jsonl; a malformed line raises ParseError naming its line number."""
+def decisions_from_jsonl(source: Union[str, IO[bytes]]) -> List[TagDecision]:
+    """Parse decisions.jsonl from its text or from a file opened in binary mode, line by line.
+
+    A malformed line raises ParseError naming its line number.
+    """
     decisions = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _jsonl_lines(source, "decisions"):
         if not line.strip():
             continue
         try:

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from chainscope.configio import (
     load_adapters,
@@ -142,3 +143,22 @@ def make_scenario_data(name, seed):
 @pytest.fixture
 def random_tagged_table():
     return make_random_tagged_table
+
+
+# line ends str.splitlines() honours: a JSONL reader must number lines the same
+# way whether it reads the text or the file
+LINE_ENDS = ("\n", "\r\n", "\r", "\u2028")
+
+
+@st.composite
+def jsonl_layouts(draw, lines):
+    """``lines`` joined with blank lines between them, mixed line ends, and maybe no final one."""
+    pieces = []
+    for line in lines:
+        pieces.extend(draw(st.lists(st.sampled_from(["", "  "]), max_size=2)))
+        pieces.append(line)
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(pieces), max_size=len(pieces)))
+    text = "".join(piece + end for piece, end in zip(pieces, ends))
+    if ends and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text

@@ -248,6 +248,22 @@ class TestStageCommands:
         assert "events line 2: KeyError: 'source'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_input", ["events", "decisions"])
+    def test_reconstruct_rejects_invalid_utf8(self, tmp_path, capsys, bad_input):
+        events_path = tmp_path / "events.jsonl"
+        events_path.write_text(events_to_jsonl([make_event(event_id="a", ts=1_000)]))
+        decisions_path = tmp_path / "decisions.jsonl"
+        decisions_path.write_text(
+            decisions_to_jsonl([TagDecision(event_id="a", candidates=(), chosen=StepTag.INSTALL, diagnostics=())])
+        )
+        bad = tmp_path / f"{bad_input}.jsonl"
+        bad.write_bytes(bad.read_bytes() + b'{"event_id": "\xff"}\n')
+        out = tmp_path / "out"
+        code = main(["reconstruct", "--events", str(events_path), "--decisions", str(decisions_path), "--out", str(out)])
+        assert code == 2
+        assert f"{bad_input} line 2: UnicodeDecodeError" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_three_budgets_with_best_per_category(self, scenario_dir, tmp_path):
@@ -529,6 +545,53 @@ class TestMalformedJsonInputs:
         (run / "metrics.json").write_bytes(b"\xff{}")
         assert main(["report", "--in", str(run), "--out", str(tmp_path / "r.txt")]) == 2
         assert "metrics.json" in capsys.readouterr().err
+
+    @staticmethod
+    def sanitize(tmp_path, mapping_doc):
+        events = tmp_path / "events.jsonl"
+        events.write_text(events_to_jsonl([make_event(event_id="a", host="lin-build-02")]))
+        salt = tmp_path / "salt.txt"
+        salt.write_text("salt\n")
+        mappings = tmp_path / "mappings"
+        mappings.mkdir()
+        (mappings / "host.json").write_text(json.dumps(mapping_doc))
+        argv = ["sanitize", "--in", str(events), "--salt-file", str(salt), "--mappings-dir", str(mappings)]
+        return main(argv + ["--out", str(tmp_path / "s.jsonl")])
+
+    def test_sanitize_invalid_utf8_events_exit_2(self, tmp_path, capsys):
+        assert self.sanitize(tmp_path, {"mappings": {}}) == 0
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(events.read_bytes() + b'{"host": "\xff"}\n')
+        argv = ["sanitize", "--in", str(events), "--salt-file", str(tmp_path / "salt.txt")]
+        assert main(argv + ["--mappings-dir", str(tmp_path / "mappings"), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert "events line 2: UnicodeDecodeError" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("token", [5, "HOST_12", "HOST_000012\n"])
+    def test_mapping_token_that_is_not_a_token_exit_2(self, tmp_path, capsys, token):
+        assert self.sanitize(tmp_path, {"mappings": {"lin-build-02": token}}) == 2
+        err = capsys.readouterr().err
+        assert "host.json" in err and "'lin-build-02'" in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "doc, detail",
+        [("[1]", "must hold a JSON object"), ('{"expected_steps": ["INSTALL"]}', "'scenario_id'"), ('{"scenario_id": 7}', "'scenario_id'")],
+    )
+    def test_ground_truth_of_the_wrong_shape_exit_2(self, scenario_dir, tmp_path, capsys, doc, detail):
+        (scenario_dir / "ground_truth.json").write_text(doc)
+        assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "ground_truth.json" in err and detail in err
+
+    @pytest.mark.parametrize("name", ["metrics.json", "evidence.json", "sweep_aggregates.json"])
+    def test_report_input_that_is_not_an_object_exit_2(self, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / name).write_text("[]\n")
+        assert main(["report", "--in", str(run), "--out", str(tmp_path / "r.txt")]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "must hold a JSON object" in err
 
 
 class TestExitCodes:

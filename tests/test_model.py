@@ -1,5 +1,8 @@
+import gc
+import io
 import json
 import tempfile
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 from unittest.mock import patch
@@ -25,10 +28,11 @@ from chainscope.model import (
     resolve_field,
     sort_events,
     write_json,
+    write_jsonl,
 )
 from chainscope.pipeline import write_ingest_artifacts, write_tag_artifacts
 from chainscope.tagging import decisions_to_jsonl, tag_run
-from conftest import make_event
+from conftest import jsonl_layouts, make_event
 
 
 class TestCanonicalizeTs:
@@ -191,6 +195,109 @@ class TestEventOrderingAndSerialization:
         with pytest.raises(ParseError, match=f"events line 3: {detail}") as info:
             events_from_jsonl(text)
         assert info.value.offending == line
+
+
+HOSTS = st.sampled_from([None, "h1", "h2", "build-02"])
+EVENTS = st.lists(
+    st.builds(
+        make_event,
+        ts=st.integers(min_value=0, max_value=2**45),
+        host=HOSTS,
+        user=st.sampled_from([None, "alice", "bob"]),
+        pid=st.none() | st.integers(min_value=0, max_value=99),
+        image=st.none() | st.sampled_from(["/usr/bin/pip", "cmd.exe"]),
+        cmdline=st.none() | st.text(max_size=8),
+        dst_ip=st.none() | st.sampled_from(["10.0.0.1", "203.0.113.9"]),
+        dst_port=st.none() | st.sampled_from([22, 443]),
+        proto=st.none() | st.just("tcp"),
+        text_blob=st.text(max_size=12),
+        extras=st.dictionaries(st.sampled_from(["type", "Image", "k"]), st.text(max_size=6), max_size=2),
+    ),
+    max_size=6,
+)
+MALFORMED_LINES = st.sampled_from(['{"event_id":"a","ts":1}', "not json", '["a", 1]', "{\"event_id\""])
+
+
+def _event_lines(events):
+    return events_to_jsonl(events).splitlines()
+
+
+def _parse_error(read, source):
+    with pytest.raises(ParseError) as info:
+        read(source)
+    return str(info.value), info.value.offending
+
+
+class TestEventsJsonlReader:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), EVENTS)
+    def test_file_reads_as_its_text(self, data, events):
+        text = data.draw(jsonl_layouts(_event_lines(events)))
+        assert events_from_jsonl(io.BytesIO(text.encode("utf-8"))) == events_from_jsonl(text) == events
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), EVENTS, MALFORMED_LINES)
+    def test_malformed_line_fails_alike_from_file_and_text(self, data, events, bad):
+        lines = _event_lines(events)
+        lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines))), bad)
+        text = data.draw(jsonl_layouts(lines))
+        from_text = _parse_error(events_from_jsonl, text)
+        assert from_text == _parse_error(events_from_jsonl, io.BytesIO(text.encode("utf-8")))
+        assert from_text[0].startswith("events line ")
+
+    def test_invalid_utf8_names_its_line(self):
+        raw = events_to_jsonl([make_event(event_id="a")]).encode() + b"\n" + b'{"host": "\xff"}\n'
+        with pytest.raises(ParseError, match="events line 3: UnicodeDecodeError"):
+            events_from_jsonl(io.BytesIO(raw))
+
+    def test_one_read_shares_equal_values(self):
+        events = [
+            make_event(event_id="a", host="build-02", user="alice", extras={"type": "EXECVE"}),
+            make_event(event_id="b", host="build-02", user="alice", pid=7, extras={"type": "EXECVE"}),
+            make_event(event_id="c", host="build-02", dst_ip="10.0.0.1", dst_port=22),
+        ]
+        a, b, c = events_from_jsonl(io.BytesIO(events_to_jsonl(events).encode()))
+        assert a.host is b.host is c.host
+        assert a.user is b.user
+        assert a.source is b.source is c.source
+        assert next(iter(a.extras)) is next(iter(b.extras))
+        # events without a process (or network) record share one empty record
+        assert a.process is c.process and a.process.is_empty()
+        assert a.network is b.network and a.network.is_empty()
+        assert b.process.pid == 7 and not c.network.is_empty()
+
+    def test_read_peak_stays_near_what_it_returns(self, tmp_path):
+        # a line-by-line read allocates little beyond the events it returns;
+        # holding the whole text and its line list takes about twice that
+        path = tmp_path / "events.jsonl"
+        events = [
+            make_event(
+                event_id=f"syslog:000:{i:06d}",
+                ts=1714521600000 + 997 * i,
+                host=f"host{i % 12:02d}",
+                user=f"user{i % 5}" if i % 3 else None,
+                pid=1000 + i if i % 2 else None,
+                image="/usr/bin/python3" if i % 2 else None,
+                cmdline=f"python3 /home/user{i % 5}/job_{i}.py --step {i}" if i % 2 else None,
+                dst_ip=f"10.0.{i % 7}.{i % 250}" if i % 4 == 0 else None,
+                dst_port=443 if i % 4 == 0 else None,
+                proto="tcp" if i % 4 == 0 else None,
+                text_blob=f"session {i} opened for user user{i % 5} by (uid=0) on host{i % 12:02d}",
+                extras={"type": "EXECVE", "seq": str(i)},
+            )
+            for i in range(2000)
+        ]
+        write_jsonl(path, events, events_to_jsonl)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as handle:
+                read = events_from_jsonl(handle)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read == events
+        assert peak <= 1.25 * held, f"peak {peak} B against {held} B held"
 
 
 SCALARS = st.one_of(

@@ -1,14 +1,21 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope.configio import load_policy
 from chainscope.errors import SanitizeError
 from chainscope.model import events_to_jsonl
 from chainscope.sanitize import (
     PseudonymMap,
+    SanitizeReport,
+    _domain_rewritable,
+    _substitute,
     is_token,
     pseudonymize_value,
+    salt_reference,
     sanitize_dataset,
 )
 from chainscope.tagging import tag_run
@@ -64,6 +71,8 @@ class TestPseudonymizeValue:
         assert pseudonymize_value("user", "USER_123456", SALT, pmap, POLICY) == "USER_123456"
         assert is_token("HOST_000001")
         assert not is_token("host_x")
+        assert not is_token("HOST_000001\n")
+        assert not is_token("HOST_\u0661\u0662\u0663\u0664\u0665\u0666")  # Arabic-Indic digits
 
 
 class TestSanitizeDataset:
@@ -218,3 +227,121 @@ class TestSanitizeDataset:
         after, _ = tag_run(sanitized["syslog"], default_rules, aliases=aliases)
         assert [d.chosen for d in before] == [d.chosen for d in after]
         assert [d.candidates for d in before] == [d.candidates for d in after]
+
+
+# --- reference: one identifier scan and one dataclasses.replace per event ---
+
+
+def reference_collect_identifiers(tables, policy):
+    found = {spec.name: set() for spec in policy.categories}
+    retain = policy.compiled_retain()
+
+    def keep(value):
+        if not value or value in policy.retain_literals or is_token(value):
+            return False
+        return not any(p.match(value) for p in retain)
+
+    category_names = {spec.name for spec in policy.categories}
+    for events in tables.values():
+        for event in events:
+            if "host" in category_names and event.host and keep(event.host):
+                found["host"].add(event.host)
+            if "user" in category_names and event.user and keep(event.user):
+                found["user"].add(event.user)
+            texts = [event.text_blob or "", event.process.cmdline or "", event.process.image or ""]
+            texts.extend(str(v) for v in event.extras.values())
+            for spec in policy.categories:
+                for pattern in spec.compiled():
+                    for text in texts:
+                        for match in pattern.finditer(text):
+                            value = match.group(1) if match.groups() else match.group(0)
+                            if spec.name == "domain" and not _domain_rewritable(value, policy):
+                                continue
+                            if keep(value):
+                                found[spec.name].add(value)
+    return found
+
+
+def reference_sanitize_dataset(tables, policy, salt, pmap):
+    identifiers = reference_collect_identifiers(tables, policy)
+    tokens, cat_of, mapped_counts = {}, {}, {}
+    for spec in policy.categories:
+        values = sorted(identifiers.get(spec.name, ()))
+        mapped_counts[spec.name] = len(values)
+        for value in values:
+            tokens[value] = pseudonymize_value(spec.name, value, salt, pmap, policy)
+            cat_of[value] = spec.name
+    ordered = sorted(tokens.items(), key=lambda item: (-len(item[0]), item[0]))
+
+    counts = {}
+    sanitized = {}
+    for source, events in tables.items():
+        out = []
+        for event in events:
+            host = event.host
+            if host is not None and host in tokens:
+                counts[cat_of[host]] = counts.get(cat_of[host], 0) + 1
+                host = tokens[host]
+            user = event.user
+            if user is not None and user in tokens:
+                counts[cat_of[user]] = counts.get(cat_of[user], 0) + 1
+                user = tokens[user]
+            proc = event.process
+            if proc.image or proc.cmdline:
+                proc = replace(
+                    proc,
+                    image=_substitute(proc.image, ordered, counts, cat_of) if proc.image else proc.image,
+                    cmdline=_substitute(proc.cmdline, ordered, counts, cat_of) if proc.cmdline else proc.cmdline,
+                )
+            text_blob = _substitute(event.text_blob, ordered, counts, cat_of) if event.text_blob else event.text_blob
+            extras = {k: _substitute(v, ordered, counts, cat_of) for k, v in event.extras.items()}
+            out.append(replace(event, host=host, user=user, process=proc, text_blob=text_blob, extras=extras))
+        sanitized[source] = out
+    report = SanitizeReport(replacements=dict(sorted(counts.items())), identifiers=dict(sorted(mapped_counts.items())))
+    return sanitized, pmap, report
+
+
+HOST_NAMES = ["buildbox", "alice-laptop", "SYSTEM", "HOST_123456", "root"]
+USER_NAMES = ["alice", "bob", "root", "SYSTEM", "S-1-5-18", "USER_000042"]
+FRAGMENTS = st.sampled_from(
+    [
+        "/home/alice/.cache",
+        "/home/bob",
+        "/home/root/x",
+        "C:\\Users\\alice\\notes.txt",
+        "vm-7.internal.cloudapp.net",
+        "store1.blob.core.windows.net",
+        "mirror.example.org",
+        "/subscriptions/0123456789abcdef0123/rg",
+        "buildbox",
+        "alice-laptop",
+        "alice",
+        "S-1-5-18",
+        "USER_000042",
+        "ok",
+    ]
+)
+TEXTS = st.lists(FRAGMENTS, max_size=4).map(" ".join)
+SANITIZE_EVENTS = st.lists(
+    st.builds(
+        make_event,
+        host=st.none() | st.sampled_from(HOST_NAMES),
+        user=st.none() | st.sampled_from(USER_NAMES),
+        image=st.none() | TEXTS,
+        cmdline=st.none() | TEXTS,
+        text_blob=TEXTS,
+        extras=st.dictionaries(st.sampled_from(["path", "Image"]), TEXTS, max_size=2),
+    ),
+    max_size=8,
+)
+
+
+class TestSanitizeEqualsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["syslog", "zeek", "azure_events"]), SANITIZE_EVENTS, max_size=3))
+    def test_tables_map_and_report(self, tables):
+        got = sanitize_dataset(tables, POLICY, SALT, PseudonymMap(salt_ref=salt_reference(SALT)))
+        want = reference_sanitize_dataset(tables, POLICY, SALT, PseudonymMap(salt_ref=salt_reference(SALT)))
+        assert got[0] == want[0]
+        assert got[1].to_dict() == want[1].to_dict()
+        assert got[2] == want[2]

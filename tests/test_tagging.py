@@ -1,3 +1,4 @@
+import io
 import random
 import re
 
@@ -31,7 +32,7 @@ from chainscope.tagging import (
     tag_event,
     tag_run,
 )
-from conftest import make_event, make_scenario_data
+from conftest import jsonl_layouts, make_event, make_scenario_data
 
 
 def rule(rule_id, step, priority=10, patterns=(r".",), fields=("text_blob",), **kw):
@@ -354,3 +355,28 @@ class TestDecisionsJsonl:
         text = decisions_to_jsonl([TagDecision(event_id="a", candidates=(), chosen=None, diagnostics=())])
         with pytest.raises(ParseError, match="line 2"):
             decisions_from_jsonl(text + '{"event_id": "b", "chosen": "NOT_A_STEP"}\n')
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.lists(DECISIONS, max_size=5), st.none() | st.sampled_from(['{"event_id": "b"}', "{", "[]"]))
+    def test_file_reads_as_its_text(self, data, decisions, bad):
+        lines = decisions_to_jsonl(decisions).splitlines()
+        if bad is not None:
+            lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines))), bad)
+        text = data.draw(jsonl_layouts(lines))
+
+        def read(source):
+            try:
+                return decisions_from_jsonl(source)
+            except ParseError as exc:
+                return str(exc), exc.offending
+
+        from_text = read(text)
+        assert read(io.BytesIO(text.encode("utf-8"))) == from_text
+        if bad is None:
+            assert from_text == decisions
+        else:
+            assert from_text[0].startswith("decisions line ")
+
+    def test_invalid_utf8_names_its_line(self):
+        with pytest.raises(ParseError, match="decisions line 2: UnicodeDecodeError"):
+            decisions_from_jsonl(io.BytesIO(b"\n\xff\n"))
