@@ -14,7 +14,7 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from . import __version__
 from .configio import (
@@ -335,6 +335,34 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
+_METRIC_KEYS = ("tag_cov", "chain_cov", "step_r", "chain_r", "step_p", "chain_p", "reconstructability")
+
+
+def _entries(path: Path, doc: Mapping[str, Any], key: str, fields: Sequence[str], where: str = "") -> List[Dict[str, Any]]:
+    """doc[key] (absent: none) as a list of objects that each hold every named field.
+
+    Anything else raises ParseError naming the file and the key.
+    """
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: {where}{key!r} must be a list, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: {where}{key}[{i}] must be an object, got {type(entry).__name__}")
+        for name in fields:
+            if name not in entry:
+                raise ParseError(f"{path}: {where}{key}[{i}] lacks {name!r}")
+    return entries
+
+
+def _strings(path: Path, doc: Mapping[str, Any], key: str, where: str = "") -> List[str]:
+    """doc[key] (absent: none) as a list of strings, else ParseError naming the file and the key."""
+    values = doc.get(key, [])
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ParseError(f"{path}: {where}{key!r} must be a list of strings, got {values!r}")
+    return values
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     indir = Path(args.indir)
     out = Path(args.out)
@@ -358,23 +386,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
         metrics_doc = read_json(metrics_path)
         doc["metrics"] = metrics_doc
         lines.append(f"scenario: {metrics_doc.get('scenario_id', '?')}")
-        lines.append(f"sources: {', '.join(metrics_doc.get('sources', []))}")
-        for key in ("tag_cov", "chain_cov", "step_r", "chain_r", "step_p", "chain_p", "reconstructability"):
-            lines.append(f"{key}: {metrics_doc.get(key, 0):.3f}")
-        if metrics_doc.get("missing_steps"):
-            lines.append("missing: " + ", ".join(metrics_doc["missing_steps"]))
+        lines.append(f"sources: {', '.join(_strings(metrics_path, metrics_doc, 'sources'))}")
+        for key in _METRIC_KEYS:
+            value = metrics_doc.get(key, 0)
+            if not isinstance(value, (int, float)):
+                raise ParseError(f"{metrics_path}: {key!r} must be a number, got {value!r}")
+            lines.append(f"{key}: {value:.3f}")
+        missing_steps = _strings(metrics_path, metrics_doc, "missing_steps")
+        if missing_steps:
+            lines.append("missing: " + ", ".join(missing_steps))
     if evidence_path.exists():
         evidence_doc = read_json(evidence_path)
         doc["evidence"] = evidence_doc
         lines.append("")
-        for section in evidence_doc.get("sections", []):
+        sections = _entries(evidence_path, evidence_doc, "sections", ("step", "window", "volume", "sources", "recoverability"))
+        for i, section in enumerate(sections):
+            where = f"sections[{i}]."
             lines.append(
                 f"[{section['step']}] {section['window']}  volume={section['volume']} "
-                f"sources={','.join(section['sources'])} ({section['recoverability']})"
+                f"sources={','.join(_strings(evidence_path, section, 'sources', where))} ({section['recoverability']})"
             )
-            for anchor in section.get("anchors", [])[:3]:
+            for anchor in _entries(evidence_path, section, "anchors", ("when", "source", "excerpt"), where)[:3]:
                 lines.append(f"    {anchor['when']} {anchor['source']}: {anchor['excerpt']}")
-        for missing in evidence_doc.get("missing_steps", []):
+        for missing in _entries(evidence_path, evidence_doc, "missing_steps", ("step", "diagnostic")):
             lines.append(f"[{missing['step']}] {missing['diagnostic']}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_json(out.with_suffix(out.suffix + ".json"), doc)

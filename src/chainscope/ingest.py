@@ -31,7 +31,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError, EventIdError, FormatMismatchError, ParseError
 from .model import (
@@ -265,32 +265,56 @@ _STR_FIELDS = ("host", "user", "image", "cmdline", "src_ip", "dst_ip", "proto")
 _SHARED_FIELDS = ("host", "user", "image", "src_ip", "dst_ip", "proto")
 
 
-def _lookup(
-    record: RawRecord,
-    lowered_fields: Mapping[str, str],
-    canonical: str,
-    lowered_map: Mapping[str, str],
-    aliases: FieldAliasMap,
-) -> Optional[str]:
-    """Resolve a canonical field from a raw record.
+_VALUE_FIELDS = tuple(dict.fromkeys((*_STR_FIELDS, *_INT_FIELDS, *TEXT_BLOB_CANDIDATES)))
+_HALF_YEAR_MS = 183 * 24 * 3600 * 1000
 
-    Precedence: adapter field_map, then the canonical name itself, then
-    alias-map fallbacks; all case-insensitive on the record's keys.
-    """
-    mapped = lowered_map.get(canonical)
-    keys: List[str] = []
-    if mapped is not None:
+
+@dataclass(frozen=True)
+class _AdapterPlan:
+    """What an adapter reads, resolved once: per canonical field, the lowered
+    source keys it tries in order (None reads the whole raw line), and the
+    lowered keys the field map consumes."""
+
+    keys: Mapping[str, Optional[Tuple[str, ...]]]
+    consumed: FrozenSet[str]
+
+
+def _adapter_plan(adapter: SourceAdapterSpec, aliases: FieldAliasMap) -> _AdapterPlan:
+    """Precedence: adapter field_map, then the canonical name itself, then
+    alias-map fallbacks; all case-insensitive on the record's keys."""
+    lowered_map = {k.lower(): v for k, v in adapter.field_map.items()}
+    keys: Dict[str, Optional[Tuple[str, ...]]] = {}
+    for name in ("ts", *_VALUE_FIELDS):
+        mapped = lowered_map.get(name)
         if mapped == RAW_TEXT_KEY:
-            return record.raw_text
-        keys.append(mapped)
-    else:
-        keys.append(canonical)
-        keys.extend(aliases.aliases_for(canonical))
-    for key in keys:
-        value = lowered_fields.get(key.lower())
-        if value is not None and value != "":
-            return value
-    return None
+            keys[name] = None
+        elif mapped is not None:
+            keys[name] = (mapped.lower(),)
+        else:
+            keys[name] = tuple(k.lower() for k in (name, *aliases.aliases_for(name)))
+    return _AdapterPlan(keys=keys, consumed=frozenset(v.lower() for v in lowered_map.values()))
+
+
+def _shape_plan(
+    shape: Tuple[str, ...], plan: _AdapterPlan, shared: Dict[str, str]
+) -> Tuple[Tuple[Tuple[str, Optional[Tuple[str, ...]]], ...], Tuple[str, ...]]:
+    """For records with these keys: the (canonical field, present original keys)
+    pairs worth reading, and the sorted extras keys.
+
+    Of two keys that differ only in case the last one is read, as a
+    case-folded copy of the record would keep it.
+    """
+    original = {key.lower(): key for key in shape}
+    reads = []
+    for name, lowered in plan.keys.items():
+        if lowered is None:
+            reads.append((name, None))
+            continue
+        present = tuple(original[key] for key in lowered if key in original)
+        if present:
+            reads.append((name, present))
+    extras = tuple(shared.setdefault(k, k) for k in sorted(shape) if k.lower() not in plan.consumed)
+    return tuple(reads), extras
 
 
 def _event_id(source: str, file_ordinal: int, ordinal: int, origin: str) -> str:
@@ -327,28 +351,49 @@ def normalize_records(
     events: List[NormalizedEvent] = []
     quarantined: List[Quarantine] = []
     naive = 0
-    lowered_map = {k.lower(): v for k, v in adapter.field_map.items()}
-    used_source_keys = {v.lower() for v in lowered_map.values()}
+    plan = _adapter_plan(adapter, aliases)
+    # records of one file come in a few key layouts; resolve each layout once
+    shapes: Dict[Tuple[str, ...], Any] = {}
     # a file repeats a few values thousands of times; keep one copy of each
     shared: Dict[str, str] = {}
+    # a year-less BSD timestamp far behind the previous one has crossed New Year
+    year = adapter.default_year
+    last_bsd_ts: Optional[int] = None
 
     for record in records:
-        lowered_fields = {k.lower(): v for k, v in record.fields.items()}
-        raw_ts = _lookup(record, lowered_fields, "ts", lowered_map, aliases)
+        fields = record.fields
+        shape = tuple(fields)
+        layout = shapes.get(shape)
+        if layout is None:
+            layout = shapes[shape] = _shape_plan(shape, plan, shared)
+        reads, extras_keys = layout
+        values: Dict[str, Optional[str]] = dict.fromkeys(_VALUE_FIELDS)
+        for name, keys in reads:
+            if keys is None:
+                values[name] = record.raw_text
+                continue
+            for key in keys:
+                value = fields[key]
+                if value is not None and value != "":
+                    values[name] = value
+                    break
+        raw_ts = values.pop("ts", None)
         if raw_ts is None:
             quarantined.append(Quarantine(ordinal=record.ordinal, reason="no timestamp field"))
             continue
         try:
-            parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=adapter.default_year)
+            parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=year)
+            if parsed.year_supplied:
+                if last_bsd_ts is not None and parsed.ts_ms < last_bsd_ts - _HALF_YEAR_MS:
+                    year += 1
+                    parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=year)
+                last_bsd_ts = parsed.ts_ms
         except ParseError as exc:
             quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad timestamp: {exc.offending!r}"))
             continue
         if parsed.tz_naive:
             naive += 1
 
-        values: Dict[str, Optional[str]] = {}
-        for name in (*_STR_FIELDS, *_INT_FIELDS, *TEXT_BLOB_CANDIDATES):
-            values[name] = _lookup(record, lowered_fields, name, lowered_map, aliases)
         proto = values["proto"]
         values["proto"] = proto.lower() if proto else None
         for name in _SHARED_FIELDS:
@@ -358,7 +403,7 @@ def normalize_records(
 
         ints: Dict[str, Optional[int]] = {}
         for name in _INT_FIELDS:
-            raw_value = values.get(name)
+            raw_value = values[name]
             if raw_value is None:
                 ints[name] = None
                 continue
@@ -367,15 +412,11 @@ def normalize_records(
             except ValueError:
                 ints[name] = None
 
-        blob_parts = [values[c] for c in TEXT_BLOB_CANDIDATES if values.get(c)]
+        blob_parts = [values[c] for c in TEXT_BLOB_CANDIDATES if values[c]]
         text_blob = " ".join(blob_parts)
 
         # extras: everything the field map did not consume
-        extras = {
-            shared.setdefault(k, k): str(v)
-            for k, v in sorted(record.fields.items())
-            if k.lower() not in used_source_keys
-        }
+        extras = {k: str(fields[k]) for k in extras_keys}
 
         events.append(
             NormalizedEvent(
@@ -384,20 +425,20 @@ def normalize_records(
                 scenario_id=scenario_id,
                 source=adapter.source,
                 trust_origin=adapter.trust_origin,
-                host=values.get("host"),
-                user=values.get("user"),
+                host=values["host"],
+                user=values["user"],
                 process=ProcessInfo(
                     pid=ints["pid"],
                     ppid=ints["ppid"],
-                    image=values.get("image"),
-                    cmdline=values.get("cmdline"),
+                    image=values["image"],
+                    cmdline=values["cmdline"],
                 ),
                 network=NetworkInfo(
-                    src_ip=values.get("src_ip"),
+                    src_ip=values["src_ip"],
                     src_port=ints["src_port"],
-                    dst_ip=values.get("dst_ip"),
+                    dst_ip=values["dst_ip"],
                     dst_port=ints["dst_port"],
-                    proto=values.get("proto"),
+                    proto=values["proto"],
                 ),
                 text_blob=text_blob,
                 extras=extras,

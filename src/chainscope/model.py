@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -180,6 +181,7 @@ EMPTY_ALIASES = FieldAliasMap()
 class TsParse:
     ts_ms: int
     tz_naive: bool
+    year_supplied: bool = False  # a BSD syslog timestamp took its year from default_year
 
 
 _ISO_FRACTION_RE = re.compile(r"(\.\d{1,9})")
@@ -238,16 +240,19 @@ def _parse_bsd(raw: str, default_year: Optional[int]) -> TsParse:
         raise ParseError(f"unparseable BSD syslog timestamp: {raw!r}", offending=raw)
     if default_year is None:
         raise ParseError(f"BSD syslog timestamp {raw!r} has no year; adapter must set default_year", offending=raw)
-    dt = datetime(
-        default_year,
-        _MONTHS[m.group("mon")],
-        int(m.group("day")),
-        int(m.group("h")),
-        int(m.group("m")),
-        int(m.group("s")),
-        tzinfo=timezone.utc,
-    )
-    return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=True)
+    try:
+        dt = datetime(
+            default_year,
+            _MONTHS[m.group("mon")],
+            int(m.group("day")),
+            int(m.group("h")),
+            int(m.group("m")),
+            int(m.group("s")),
+            tzinfo=timezone.utc,
+        )
+    except ValueError as exc:  # e.g. Feb 29 in a common year
+        raise ParseError(f"BSD syslog timestamp {raw!r} is not a date in {default_year}: {exc}", offending=raw)
+    return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=True, year_supplied=True)
 
 
 def parse_timestamp(raw: Union[str, int, float], format_hint: str = TS_AUTO, default_year: Optional[int] = None) -> TsParse:
@@ -292,49 +297,69 @@ def canonicalize_ts(raw: Union[str, int, float], format_hint: str = TS_AUTO, def
     return parsed.ts_ms
 
 
-_STRUCTURED_GETTERS = {
-    "event_id": lambda e: e.event_id,
-    "ts": lambda e: e.ts,
-    "scenario_id": lambda e: e.scenario_id,
-    "source": lambda e: e.source,
-    "trust_origin": lambda e: e.trust_origin,
-    "host": lambda e: e.host,
-    "user": lambda e: e.user,
-    "pid": lambda e: e.process.pid,
-    "ppid": lambda e: e.process.ppid,
-    "image": lambda e: e.process.image,
-    "cmdline": lambda e: e.process.cmdline,
-    "src_ip": lambda e: e.network.src_ip,
-    "src_port": lambda e: e.network.src_port,
-    "dst_ip": lambda e: e.network.dst_ip,
-    "dst_port": lambda e: e.network.dst_port,
-    "proto": lambda e: e.network.proto,
-    "text_blob": lambda e: e.text_blob or None,
+_STRUCTURED_GETTERS: Dict[str, Callable[[NormalizedEvent], Any]] = {
+    name: attrgetter(path)
+    for name, path in (
+        ("event_id", "event_id"),
+        ("ts", "ts"),
+        ("scenario_id", "scenario_id"),
+        ("source", "source"),
+        ("trust_origin", "trust_origin"),
+        ("host", "host"),
+        ("user", "user"),
+        ("pid", "process.pid"),
+        ("ppid", "process.ppid"),
+        ("image", "process.image"),
+        ("cmdline", "process.cmdline"),
+        ("src_ip", "network.src_ip"),
+        ("src_port", "network.src_port"),
+        ("dst_ip", "network.dst_ip"),
+        ("dst_port", "network.dst_port"),
+        ("proto", "network.proto"),
+    )
 }
+_STRUCTURED_GETTERS["text_blob"] = lambda e: e.text_blob or None
+
+# (lowered canonical name, structured getter or None, lowered extras keys in order)
+FieldResolver = Tuple[str, Optional[Callable[[NormalizedEvent], Any]], Tuple[str, ...]]
 
 
-def _resolve_with_extras(
-    event: NormalizedEvent,
-    name: str,
-    aliases: FieldAliasMap,
-    lowered_extras: Mapping[str, str],
-) -> Union[str, _Missing]:
-    getter = _STRUCTURED_GETTERS.get(name)
-    if getter is not None:
-        value = getter(event)
-        if value is not None:
-            return str(value)
-    if lowered_extras:
-        for key in (name, *aliases.aliases_for(name)):
-            value = lowered_extras.get(key.lower())
-            if value is not None and value != "":
-                return str(value)
-    return MISSING
+def field_resolver(canonical: str, aliases: FieldAliasMap = EMPTY_ALIASES) -> FieldResolver:
+    """Compile the lookup of one canonical field: its structured getter, then
+    the extras keys the canonical name and its aliases give, lowered."""
+    name = canonical.lower()
+    return name, _STRUCTURED_GETTERS.get(name), tuple(k.lower() for k in (name, *aliases.aliases_for(name)))
 
 
 def lowered_extras_view(event: NormalizedEvent) -> Dict[str, str]:
     """Case-folded extras, reusable across many resolve calls on one event."""
     return {k.lower(): v for k, v in event.extras.items()}
+
+
+def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -> Dict[str, Union[str, _Missing]]:
+    """Resolve compiled fields on one event: {lowered name: value or MISSING}.
+
+    A present structured value wins; otherwise the first non-empty extras
+    value among the resolver's keys. The case-folded extras view is built
+    only when some structured value is absent and the event has extras.
+    """
+    values: Dict[str, Union[str, _Missing]] = {}
+    view: Optional[Dict[str, str]] = None
+    for name, getter, keys in resolvers:
+        value = getter(event) if getter is not None else None
+        if value is not None:
+            values[name] = str(value)
+            continue
+        values[name] = MISSING
+        if event.extras:
+            if view is None:
+                view = lowered_extras_view(event)
+            for key in keys:
+                found = view.get(key)
+                if found is not None and found != "":
+                    values[name] = str(found)
+                    break
+    return values
 
 
 def resolve_field(
@@ -346,7 +371,8 @@ def resolve_field(
     aliases, in alias-list order, stringified. Absence is the MISSING
     sentinel, never an error. Pure function of its inputs.
     """
-    return _resolve_with_extras(event, canonical.lower(), aliases, lowered_extras_view(event))
+    resolver = field_resolver(canonical, aliases)
+    return resolve_fields(event, (resolver,))[resolver[0]]
 
 
 def sort_events(events: Iterable[NormalizedEvent]) -> List[NormalizedEvent]:
@@ -451,8 +477,12 @@ def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = 
     )
 
 
+# one compact encoder for every line, as json.dumps(..., separators=(",", ":")) would build per call
+encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def events_to_jsonl(events: Iterable[NormalizedEvent]) -> str:
-    lines = [json.dumps(event_to_dict(e), separators=(",", ":")) for e in events]
+    lines = [encode_compact(event_to_dict(e)) for e in events]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -31,7 +31,6 @@ shares only the Chain container with the production path.
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ from .ingest import (
     normalize_records,
     parse_text,
 )
-from .model import NormalizedEvent, iso_ms, read_json, sort_events, write_json
+from .model import NormalizedEvent, encode_compact, iso_ms, read_json, sort_events, write_json
 from .tagging import ExpectedStepSet, StepTag, TagDecision, parse_step
 
 ACTIVITY_SET: Tuple[str, ...] = ("Web", "RemoteAccess", "FileOp", "Update", "Download", "Dev", "API", "Login")
@@ -512,7 +511,7 @@ def _render_line(adapter: SourceAdapterSpec, draft: DraftEvent) -> str:
             if message:
                 obj["message"] = message
         obj = {k: v for k, v in obj.items() if v is not None}
-        return json.dumps(obj, separators=(",", ":"))
+        return encode_compact(obj)
     # csv_export: one column per field_map key, in order
     return ",".join(_csv_quote(_csv_cell(canonical, fields, draft, message)) for canonical in adapter.field_map)
 

@@ -19,7 +19,23 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Pattern, Sequence, Set, Tuple, Union
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Pattern,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .errors import ConfigError, ParseError, RuleError
 from .model import (
@@ -27,10 +43,11 @@ from .model import (
     EMPTY_ALIASES,
     MISSING,
     FieldAliasMap,
+    FieldResolver,
     NormalizedEvent,
     _jsonl_lines,
-    _resolve_with_extras,
-    lowered_extras_view,
+    field_resolver,
+    resolve_fields,
 )
 
 
@@ -85,10 +102,44 @@ class StepRule:
         return tuple(re.compile(p) for p in self.patterns)
 
 
+# one where_any or where_all block: (any-mode, ((lowered field, lowered allowed values), ...))
+Prefilter = Tuple[bool, Tuple[Tuple[str, FrozenSet[str]], ...]]
+
+
 @dataclass(frozen=True)
 class CompiledRule:
+    """A StepRule with everything its evaluation needs worked out once."""
+
     rule: StepRule
     regexes: Tuple[Pattern[str], ...]
+    searches: Tuple[Callable[[str], Any], ...]  # bound regex.search methods
+    candidate_fields: Tuple[str, ...]  # lowered
+    prefilters: Tuple[Prefilter, ...]  # where_any, then where_all; empty blocks left out
+    fields: Tuple[str, ...]  # every lowered field the rule reads
+    candidate: "Candidate"
+    missing_field: "Diagnostic"
+    prefilter_unusable: "Diagnostic"
+
+
+def _compile_rule(rule: StepRule, regexes: Tuple[Pattern[str], ...]) -> CompiledRule:
+    prefilters = tuple(
+        (mode_any, tuple((name.lower(), frozenset(a.lower() for a in allowed)) for name, allowed in clauses.items()))
+        for clauses, mode_any in ((rule.where_any, True), (rule.where_all, False))
+        if clauses
+    )
+    candidate_fields = tuple(name.lower() for name in rule.candidate_fields)
+    fields = tuple(dict.fromkeys((*(name for _, clauses in prefilters for name, _ in clauses), *candidate_fields)))
+    return CompiledRule(
+        rule=rule,
+        regexes=regexes,
+        searches=tuple(regex.search for regex in regexes),
+        candidate_fields=candidate_fields,
+        prefilters=prefilters,
+        fields=fields,
+        candidate=Candidate(step=rule.step, rule_id=rule.rule_id, priority=rule.priority),
+        missing_field=Diagnostic(kind=MISSING_FIELD, rule_id=rule.rule_id),
+        prefilter_unusable=Diagnostic(kind=PREFILTER_UNUSABLE, rule_id=rule.rule_id),
+    )
 
 
 class RuleSet:
@@ -114,7 +165,7 @@ class RuleSet:
                 regexes = rule.compiled()
             except re.error as exc:
                 raise RuleError(f"rule {rule.rule_id!r} has invalid pattern: {exc}")
-            compiled.append(CompiledRule(rule=rule, regexes=regexes))
+            compiled.append(_compile_rule(rule, regexes))
         self._compiled = tuple(compiled)
 
     @property
@@ -124,7 +175,7 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self._compiled)
 
-    def __iter__(self) -> Iterable[CompiledRule]:
+    def __iter__(self) -> Iterator[CompiledRule]:
         return iter(self._compiled)
 
 
@@ -242,48 +293,51 @@ def expected_from_techniques(
 # --- evaluation ------------------------------------------------------------
 
 
-class _FieldCache:
-    """Per-event memo of resolve_field lookups."""
-
-    def __init__(self, event: NormalizedEvent, aliases: FieldAliasMap):
-        self._event = event
-        self._aliases = aliases
-        self._extras = lowered_extras_view(event)
-        self._memo: Dict[str, Any] = {}
-
-    def get(self, name: str) -> Any:
-        key = name.lower()
-        if key not in self._memo:
-            self._memo[key] = _resolve_with_extras(self._event, key, self._aliases, self._extras)
-        return self._memo[key]
+_MULTI_MATCH = Diagnostic(kind=MULTI_MATCH)
 
 
-def _prefilter_status(rule: StepRule, cache: _FieldCache) -> str:
-    """Evaluate where_any/where_all. Returns 'pass', 'fail' or 'unusable'.
+def _scope_outcome(compiled: CompiledRule, source: str, gate: Optional[FrozenSet[StepTag]]) -> Optional[str]:
+    """SOURCE_SKIPPED or GATED when the rule cannot fire on this source under this gate, else None."""
+    rule = compiled.rule
+    if rule.sources and source not in rule.sources:
+        return SOURCE_SKIPPED
+    if gate is not None and rule.step not in gate:
+        return GATED
+    return None
 
-    A prefilter whose referenced fields are all MISSING is unusable (it
-    cannot be evaluated at all); a prefilter with present-but-unlisted
-    values simply fails.
+
+def _outcome(compiled: CompiledRule, values: Mapping[str, Any]) -> str:
+    """Evaluate an in-scope rule on resolved field values.
+
+    A prefilter block whose referenced fields are all MISSING is unusable
+    (it cannot be evaluated at all); one with present-but-unlisted values
+    simply fails.
     """
-    for clauses, mode in ((rule.where_any, "any"), (rule.where_all, "all")):
-        if not clauses:
-            continue
+    for mode_any, clauses in compiled.prefilters:
         usable = False
-        verdicts: List[bool] = []
-        for fname, allowed in clauses.items():
-            value = cache.get(fname)
+        passed = not mode_any
+        for name, allowed in clauses:
+            value = values[name]
             if value is MISSING:
-                verdicts.append(False)
-                continue
-            usable = True
-            allowed_lower = {a.lower() for a in allowed}
-            verdicts.append(str(value).lower() in allowed_lower)
+                verdict = False
+            else:
+                usable = True
+                verdict = value.lower() in allowed
+            passed = (passed or verdict) if mode_any else (passed and verdict)
         if not usable:
-            return "unusable"
-        passed = any(verdicts) if mode == "any" else all(verdicts)
+            return PREFILTER_UNUSABLE
         if not passed:
-            return "fail"
-    return "pass"
+            return NO_MATCH
+    any_field_present = False
+    for name in compiled.candidate_fields:
+        text = values[name]
+        if text is MISSING:
+            continue
+        any_field_present = True
+        for search in compiled.searches:
+            if search(text):
+                return FIRED
+    return NO_MATCH if any_field_present else MISSING_FIELD
 
 
 def evaluate_rule(
@@ -291,34 +345,62 @@ def evaluate_rule(
     compiled: CompiledRule,
     aliases: FieldAliasMap = EMPTY_ALIASES,
     gate: Optional[FrozenSet[StepTag]] = None,
-    cache: Optional[_FieldCache] = None,
 ) -> str:
     """Evaluate one rule against one event; returns the outcome constant."""
-    rule = compiled.rule
-    if rule.sources and event.source not in rule.sources:
-        return SOURCE_SKIPPED
-    if gate is not None and rule.step not in gate:
-        return GATED
-    if cache is None:
-        cache = _FieldCache(event, aliases)
-    status = _prefilter_status(rule, cache)
-    if status == "unusable":
-        return PREFILTER_UNUSABLE
-    if status == "fail":
-        return NO_MATCH
-    any_field_present = False
-    for fname in rule.candidate_fields:
-        value = cache.get(fname)
-        if value is MISSING:
-            continue
-        any_field_present = True
-        text = str(value)
-        for regex in compiled.regexes:
-            if regex.search(text):
-                return FIRED
-    if not any_field_present:
-        return MISSING_FIELD
-    return NO_MATCH
+    skipped = _scope_outcome(compiled, event.source, gate)
+    if skipped is not None:
+        return skipped
+    return _outcome(compiled, resolve_fields(event, [field_resolver(name, aliases) for name in compiled.fields]))
+
+
+class _Tagger:
+    """The rules of one tagging call, planned per event source.
+
+    A source's plan is the rules that pass ``sources`` and the gate, and
+    the resolvers of the fields they read; rules outside it end in
+    SOURCE_SKIPPED or GATED without being evaluated.
+    """
+
+    def __init__(self, rules: RuleSet, gate: Optional[Iterable[StepTag]], aliases: FieldAliasMap):
+        self._rules = tuple(rules)
+        self._gate = frozenset(gate) if gate is not None else None
+        self._resolvers = {name: field_resolver(name, aliases) for c in self._rules for name in c.fields}
+        self._plans: Dict[str, Tuple[Tuple[FieldResolver, ...], Tuple[CompiledRule, ...]]] = {}
+
+    def _plan(self, source: str) -> Tuple[Tuple[FieldResolver, ...], Tuple[CompiledRule, ...]]:
+        live = tuple(c for c in self._rules if _scope_outcome(c, source, self._gate) is None)
+        fields = dict.fromkeys(name for c in live for name in c.fields)
+        plan = self._plans[source] = (tuple(self._resolvers[name] for name in fields), live)
+        return plan
+
+    def decide(self, event: NormalizedEvent) -> TagDecision:
+        plan = self._plans.get(event.source)
+        if plan is None:
+            plan = self._plan(event.source)
+        resolvers, live = plan
+        values = resolve_fields(event, resolvers)
+        candidates: List[Candidate] = []
+        diagnostics: List[Diagnostic] = []
+        for compiled in live:
+            outcome = _outcome(compiled, values)
+            if outcome == FIRED:
+                candidates.append(compiled.candidate)
+            elif outcome == MISSING_FIELD:
+                diagnostics.append(compiled.missing_field)
+            elif outcome == PREFILTER_UNUSABLE:
+                diagnostics.append(compiled.prefilter_unusable)
+        if len(candidates) > 1:
+            candidates.sort(key=lambda c: (-c.priority, c.rule_id))
+            if len({c.step for c in candidates}) > 1:
+                diagnostics.append(_MULTI_MATCH)
+        if len(diagnostics) > 1:
+            diagnostics.sort(key=lambda d: (d.kind, d.rule_id or ""))
+        return TagDecision(
+            event_id=event.event_id,
+            candidates=tuple(candidates),
+            chosen=candidates[0].step if candidates else None,
+            diagnostics=tuple(diagnostics),
+        )
 
 
 def tag_event(
@@ -332,30 +414,7 @@ def tag_event(
     chosen is the max-priority candidate; ties broken by lexicographic
     rule_id. Gated-out steps never appear in candidates.
     """
-    gate_set = frozenset(gate) if gate is not None else None
-    cache = _FieldCache(event, aliases)
-    candidates: List[Candidate] = []
-    diagnostics: List[Diagnostic] = []
-    for compiled in rules:
-        outcome = evaluate_rule(event, compiled, aliases=aliases, gate=gate_set, cache=cache)
-        if outcome == FIRED:
-            candidates.append(Candidate(step=compiled.rule.step, rule_id=compiled.rule.rule_id, priority=compiled.rule.priority))
-        elif outcome == MISSING_FIELD:
-            diagnostics.append(Diagnostic(kind=MISSING_FIELD, rule_id=compiled.rule.rule_id))
-        elif outcome == PREFILTER_UNUSABLE:
-            diagnostics.append(Diagnostic(kind=PREFILTER_UNUSABLE, rule_id=compiled.rule.rule_id))
-
-    candidates.sort(key=lambda c: (-c.priority, c.rule_id))
-    chosen = candidates[0].step if candidates else None
-    if len({c.step for c in candidates}) > 1:
-        diagnostics.append(Diagnostic(kind=MULTI_MATCH))
-    diagnostics.sort(key=lambda d: (d.kind, d.rule_id or ""))
-    return TagDecision(
-        event_id=event.event_id,
-        candidates=tuple(candidates),
-        chosen=chosen,
-        diagnostics=tuple(diagnostics),
-    )
+    return _Tagger(rules, gate, aliases).decide(event)
 
 
 NO_STEPS_OBSERVED = "NO_STEPS_OBSERVED"
@@ -398,14 +457,15 @@ def tag_run(
     tables never give two events the same id.
     """
     ordered = sorted(events, key=lambda e: e.sort_key())
+    tagger = _Tagger(rules, gate, aliases)
     if decided is None:
-        decisions = [tag_event(event, rules, gate=gate, aliases=aliases) for event in ordered]
+        decisions = [tagger.decide(event) for event in ordered]
     else:
         decisions = []
         for event in ordered:
             decision = decided.get(event.event_id)
             if decision is None:
-                decision = decided[event.event_id] = tag_event(event, rules, gate=gate, aliases=aliases)
+                decision = decided[event.event_id] = tagger.decide(event)
             decisions.append(decision)
 
     step_counts: Dict[str, int] = {s.value: 0 for s in STEP_TAGS}
@@ -460,8 +520,12 @@ def decision_from_dict(doc: Mapping[str, Any]) -> TagDecision:
     )
 
 
+# one encoder for every line, as json.dumps(..., sort_keys=True) would build per call
+_encode_decision = json.JSONEncoder(sort_keys=True).encode
+
+
 def decisions_to_jsonl(decisions: Iterable[TagDecision]) -> str:
-    return "".join(json.dumps(decision_to_dict(d), sort_keys=True) + "\n" for d in decisions)
+    return "".join(_encode_decision(decision_to_dict(d)) + "\n" for d in decisions)
 
 
 def decisions_from_jsonl(source: Union[str, IO[bytes]]) -> List[TagDecision]:

@@ -14,9 +14,32 @@ from chainscope.configio import (
     packaged_scenario_ids,
     packaged_template_ids,
 )
-from chainscope.model import NetworkInfo, NormalizedEvent, ProcessInfo
+from chainscope.errors import ParseError
+from chainscope.ingest import RAW_TEXT_KEY, NormalizeResult, Quarantine
+from chainscope.model import (
+    EMPTY_ALIASES,
+    MISSING,
+    TEXT_BLOB_CANDIDATES,
+    NetworkInfo,
+    NormalizedEvent,
+    ProcessInfo,
+    parse_timestamp,
+)
 from chainscope.synth import generate_scenario
-from chainscope.tagging import StepTag, TagDecision, load_rules
+from chainscope.tagging import (
+    FIRED,
+    GATED,
+    MISSING_FIELD,
+    MULTI_MATCH,
+    NO_MATCH,
+    PREFILTER_UNUSABLE,
+    SOURCE_SKIPPED,
+    Candidate,
+    Diagnostic,
+    StepTag,
+    TagDecision,
+    load_rules,
+)
 
 
 @pytest.fixture(scope="session")
@@ -162,3 +185,200 @@ def jsonl_layouts(draw, lines):
     if ends and draw(st.booleans()):
         text = text[: -len(ends[-1])]
     return text
+
+
+# --- reference implementations ---------------------------------------------
+# The interpretive normalize and rule evaluation that ingest and tagging
+# compiled into plans. Property tests check the plans against them.
+
+
+def reference_lookup(record, lowered_fields, canonical, lowered_map, aliases):
+    """Resolve a canonical field from a raw record: field_map, then the
+    canonical name, then aliases; all case-insensitive on the record's keys."""
+    mapped = lowered_map.get(canonical)
+    keys = []
+    if mapped is not None:
+        if mapped == RAW_TEXT_KEY:
+            return record.raw_text
+        keys.append(mapped)
+    else:
+        keys.append(canonical)
+        keys.extend(aliases.aliases_for(canonical))
+    for key in keys:
+        value = lowered_fields.get(key.lower())
+        if value is not None and value != "":
+            return value
+    return None
+
+
+def reference_normalize_records(records, adapter, aliases=EMPTY_ALIASES, scenario_id="", file_ordinal=0):
+    """normalize_records for a non-prenormalized adapter, one lookup at a time (no year rollover)."""
+    str_fields = ("host", "user", "image", "cmdline", "src_ip", "dst_ip", "proto")
+    int_fields = ("pid", "ppid", "src_port", "dst_port")
+    events, quarantined, naive = [], [], 0
+    lowered_map = {k.lower(): v for k, v in adapter.field_map.items()}
+    used_source_keys = {v.lower() for v in lowered_map.values()}
+    for record in records:
+        lowered_fields = {k.lower(): v for k, v in record.fields.items()}
+        raw_ts = reference_lookup(record, lowered_fields, "ts", lowered_map, aliases)
+        if raw_ts is None:
+            quarantined.append(Quarantine(ordinal=record.ordinal, reason="no timestamp field"))
+            continue
+        try:
+            parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=adapter.default_year)
+        except ParseError as exc:
+            quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad timestamp: {exc.offending!r}"))
+            continue
+        if parsed.tz_naive:
+            naive += 1
+        values = {}
+        for name in (*str_fields, *int_fields, *TEXT_BLOB_CANDIDATES):
+            values[name] = reference_lookup(record, lowered_fields, name, lowered_map, aliases)
+        values["proto"] = values["proto"].lower() if values["proto"] else None
+        ints = {}
+        for name in int_fields:
+            try:
+                ints[name] = int(values[name]) if values[name] is not None else None
+            except ValueError:
+                ints[name] = None
+        events.append(
+            NormalizedEvent(
+                event_id=f"{adapter.source}:{file_ordinal:03d}:{record.ordinal:06d}",
+                ts=parsed.ts_ms,
+                scenario_id=scenario_id,
+                source=adapter.source,
+                trust_origin=adapter.trust_origin,
+                host=values["host"],
+                user=values["user"],
+                process=ProcessInfo(pid=ints["pid"], ppid=ints["ppid"], image=values["image"], cmdline=values["cmdline"]),
+                network=NetworkInfo(
+                    src_ip=values["src_ip"],
+                    src_port=ints["src_port"],
+                    dst_ip=values["dst_ip"],
+                    dst_port=ints["dst_port"],
+                    proto=values["proto"],
+                ),
+                text_blob=" ".join(values[c] for c in TEXT_BLOB_CANDIDATES if values[c]),
+                extras={k: str(v) for k, v in sorted(record.fields.items()) if k.lower() not in used_source_keys},
+            )
+        )
+    return NormalizeResult(events=tuple(events), quarantined=tuple(quarantined), naive_ts_count=naive)
+
+
+REFERENCE_GETTERS = {
+    "event_id": lambda e: e.event_id,
+    "ts": lambda e: e.ts,
+    "scenario_id": lambda e: e.scenario_id,
+    "source": lambda e: e.source,
+    "trust_origin": lambda e: e.trust_origin,
+    "host": lambda e: e.host,
+    "user": lambda e: e.user,
+    "pid": lambda e: e.process.pid,
+    "ppid": lambda e: e.process.ppid,
+    "image": lambda e: e.process.image,
+    "cmdline": lambda e: e.process.cmdline,
+    "src_ip": lambda e: e.network.src_ip,
+    "src_port": lambda e: e.network.src_port,
+    "dst_ip": lambda e: e.network.dst_ip,
+    "dst_port": lambda e: e.network.dst_port,
+    "proto": lambda e: e.network.proto,
+    "text_blob": lambda e: e.text_blob or None,
+}
+
+
+def reference_resolve(event, name, aliases, lowered_extras):
+    getter = REFERENCE_GETTERS.get(name)
+    if getter is not None:
+        value = getter(event)
+        if value is not None:
+            return str(value)
+    if lowered_extras:
+        for key in (name, *aliases.aliases_for(name)):
+            value = lowered_extras.get(key.lower())
+            if value is not None and value != "":
+                return str(value)
+    return MISSING
+
+
+class ReferenceFieldCache:
+    """Per-event memo of reference_resolve lookups."""
+
+    def __init__(self, event, aliases):
+        self._event = event
+        self._aliases = aliases
+        self._extras = {k.lower(): v for k, v in event.extras.items()}
+        self._memo = {}
+
+    def get(self, name):
+        key = name.lower()
+        if key not in self._memo:
+            self._memo[key] = reference_resolve(self._event, key, self._aliases, self._extras)
+        return self._memo[key]
+
+
+def reference_prefilter_status(rule, cache):
+    """'pass', 'fail' or 'unusable' (every referenced field MISSING)."""
+    for clauses, mode in ((rule.where_any, "any"), (rule.where_all, "all")):
+        if not clauses:
+            continue
+        usable = False
+        verdicts = []
+        for fname, allowed in clauses.items():
+            value = cache.get(fname)
+            if value is MISSING:
+                verdicts.append(False)
+                continue
+            usable = True
+            verdicts.append(str(value).lower() in {a.lower() for a in allowed})
+        if not usable:
+            return "unusable"
+        if not (any(verdicts) if mode == "any" else all(verdicts)):
+            return "fail"
+    return "pass"
+
+
+def reference_evaluate_rule(event, compiled, aliases=EMPTY_ALIASES, gate=None, cache=None):
+    rule = compiled.rule
+    if rule.sources and event.source not in rule.sources:
+        return SOURCE_SKIPPED
+    if gate is not None and rule.step not in gate:
+        return GATED
+    if cache is None:
+        cache = ReferenceFieldCache(event, aliases)
+    status = reference_prefilter_status(rule, cache)
+    if status == "unusable":
+        return PREFILTER_UNUSABLE
+    if status == "fail":
+        return NO_MATCH
+    any_field_present = False
+    for fname in rule.candidate_fields:
+        value = cache.get(fname)
+        if value is MISSING:
+            continue
+        any_field_present = True
+        for regex in compiled.regexes:
+            if regex.search(str(value)):
+                return FIRED
+    return NO_MATCH if any_field_present else MISSING_FIELD
+
+
+def reference_tag_event(event, rules, gate=None, aliases=EMPTY_ALIASES):
+    gate_set = frozenset(gate) if gate is not None else None
+    cache = ReferenceFieldCache(event, aliases)
+    candidates, diagnostics = [], []
+    for compiled in rules:
+        outcome = reference_evaluate_rule(event, compiled, aliases=aliases, gate=gate_set, cache=cache)
+        if outcome == FIRED:
+            candidates.append(Candidate(step=compiled.rule.step, rule_id=compiled.rule.rule_id, priority=compiled.rule.priority))
+        elif outcome in (MISSING_FIELD, PREFILTER_UNUSABLE):
+            diagnostics.append(Diagnostic(kind=outcome, rule_id=compiled.rule.rule_id))
+    candidates.sort(key=lambda c: (-c.priority, c.rule_id))
+    if len({c.step for c in candidates}) > 1:
+        diagnostics.append(Diagnostic(kind=MULTI_MATCH))
+    diagnostics.sort(key=lambda d: (d.kind, d.rule_id or ""))
+    return TagDecision(
+        event_id=event.event_id,
+        candidates=tuple(candidates),
+        chosen=candidates[0].step if candidates else None,
+        diagnostics=tuple(diagnostics),
+    )

@@ -593,6 +593,47 @@ class TestMalformedJsonInputs:
         err = capsys.readouterr().err
         assert name in err and "must hold a JSON object" in err
 
+    @staticmethod
+    def report_on(tmp_path, name, doc):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / name).write_text(json.dumps(doc))
+        return main(["report", "--in", str(run), "--out", str(tmp_path / "r.txt")])
+
+    SECTION = {"step": "INSTALL", "window": "w", "volume": 1, "sources": ["syslog"], "recoverability": "direct"}
+
+    def test_evidence_section_without_step_exit_2(self, tmp_path, capsys):
+        assert self.report_on(tmp_path, "evidence.json", {"sections": [{}]}) == 2
+        err = capsys.readouterr().err
+        assert "evidence.json" in err and "sections[0] lacks 'step'" in err
+
+    def test_evidence_section_sources_not_a_list_exit_2(self, tmp_path, capsys):
+        assert self.report_on(tmp_path, "evidence.json", {"sections": [{**self.SECTION, "sources": 5}]}) == 2
+        err = capsys.readouterr().err
+        assert "evidence.json" in err and "sections[0].'sources' must be a list of strings" in err
+
+    def test_evidence_anchor_without_excerpt_exit_2(self, tmp_path, capsys):
+        section = {**self.SECTION, "anchors": [{"when": "t", "source": "syslog"}]}
+        assert self.report_on(tmp_path, "evidence.json", {"sections": [section]}) == 2
+        err = capsys.readouterr().err
+        assert "evidence.json" in err and "sections[0].anchors[0] lacks 'excerpt'" in err
+
+    def test_evidence_missing_step_entry_not_an_object_exit_2(self, tmp_path, capsys):
+        assert self.report_on(tmp_path, "evidence.json", {"missing_steps": ["EXFIL"]}) == 2
+        err = capsys.readouterr().err
+        assert "evidence.json" in err and "missing_steps[0] must be an object" in err
+
+    @pytest.mark.parametrize("key, value", [("sources", "syslog"), ("missing_steps", 5), ("missing_steps", [1])])
+    def test_metrics_list_key_of_the_wrong_type_exit_2(self, tmp_path, capsys, key, value):
+        assert self.report_on(tmp_path, "metrics.json", {"scenario_id": "s", key: value}) == 2
+        err = capsys.readouterr().err
+        assert "metrics.json" in err and f"{key!r} must be a list of strings" in err
+
+    def test_metrics_score_that_is_not_a_number_exit_2(self, tmp_path, capsys):
+        assert self.report_on(tmp_path, "metrics.json", {"step_r": "high"}) == 2
+        err = capsys.readouterr().err
+        assert "metrics.json" in err and "'step_r' must be a number" in err
+
 
 class TestExitCodes:
     def test_usage_error_is_exit_1(self, capsys):

@@ -4,9 +4,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainscope.errors import ConfigError, EventIdError, FormatMismatchError
+from chainscope.errors import ConfigError, EventIdError, FormatMismatchError, ParseError
 from chainscope.ingest import (
+    RAW_TEXT_KEY,
     RawRecord,
     SourceAdapterSpec,
     ingest_scenario,
@@ -15,8 +18,8 @@ from chainscope.ingest import (
     parse_stream,
     parse_text,
 )
-from chainscope.model import FieldAliasMap
-from conftest import make_event
+from chainscope.model import FieldAliasMap, parse_timestamp
+from conftest import make_event, reference_normalize_records
 
 KV_ADAPTER = SourceAdapterSpec(
     source="auditd",
@@ -195,6 +198,100 @@ class TestNormalizeRecords:
         records = self._records("2024-05-01T09:00:00.000+00:00 c2 app: m\n")
         result = normalize_records(records, adapter, scenario_id="s")
         assert result.events[0].trust_origin == "attacker"
+
+
+# source keys that collide case-insensitively, so the compiled shapes must pick the same key as a case-folded copy
+SOURCE_KEYS = ("ts", "TS", "Ts", "when", "host", "Host", "HOST", "msg", "Msg", "cmd", "CommandLine", "commandline",
+               "uid", "pid", "PID", "dport", "id.resp_p", "proto", "x", "X")
+CANONICAL = ("ts", "host", "user", "pid", "ppid", "image", "cmdline", "src_ip", "src_port", "dst_ip", "dst_port",
+             "proto", "message", "raw")
+RAW_VALUES = ("", "h1", "42", " 7", "TCP", "2024-05-01T09:00:00.000+00:00", "2024-05-01T09:00:00", "1714554000",
+              "not a time", "May  1 13:22:00", "May  2 08:00:00")
+
+
+def alias_maps(keys):
+    """FieldAliasMaps over the given source keys; no alias serves two canonical names."""
+
+    def build(pairs):
+        owner, entries = {}, {}
+        for alias, canonical in pairs:
+            if owner.setdefault(alias.lower(), canonical) == canonical:
+                entries.setdefault(canonical, []).append(alias)
+        return FieldAliasMap(entries)
+
+    return st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(CANONICAL)), max_size=8).map(build)
+
+
+@st.composite
+def normalize_cases(draw):
+    """An adapter (random field map, _raw included), an alias map, and records in a few key layouts."""
+    source_key = st.sampled_from((*SOURCE_KEYS, RAW_TEXT_KEY))
+    canonical_key = st.sampled_from(CANONICAL).flatmap(lambda c: st.sampled_from((c, c.upper(), c.title())))
+    field_map = draw(st.dictionaries(canonical_key, source_key, max_size=6))
+    mapped = {k.lower() for k in field_map}
+    if "ts" not in mapped:
+        field_map["ts"] = draw(source_key)
+    if not mapped & {"raw", "message", "cmdline"}:
+        field_map["message"] = draw(source_key)
+    adapter = SourceAdapterSpec(
+        source="src", format="kv_audit", field_map=field_map, default_year=draw(st.sampled_from((None, 2024)))
+    )
+    shapes = draw(st.lists(st.lists(st.sampled_from(SOURCE_KEYS), unique=True, max_size=6), min_size=1, max_size=3))
+    records = []
+    for ordinal in range(draw(st.integers(min_value=0, max_value=8))):
+        shape = draw(st.sampled_from(shapes))
+        fields = {key: draw(st.sampled_from(RAW_VALUES)) for key in shape}
+        raw_text = draw(st.sampled_from(("", "raw line", "2024-05-01T09:00:00Z")))
+        records.append(RawRecord(source="src", ordinal=ordinal, fields=fields, raw_text=raw_text))
+    return adapter, draw(alias_maps(SOURCE_KEYS)), records
+
+
+class TestCompiledNormalizeEqualsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=normalize_cases())
+    def test_plans_equal_per_record_lookups(self, case):
+        adapter, aliases, records = case
+        got = normalize_records(records, adapter, aliases, scenario_id="s", file_ordinal=3)
+        want = reference_normalize_records(records, adapter, aliases, scenario_id="s", file_ordinal=3)
+        assert got == want
+        assert [list(e.extras) for e in got.events] == [list(e.extras) for e in want.events]
+
+
+class TestBsdYearRollover:
+    ADAPTER = replace(SYSLOG_ADAPTER, default_year=2023)
+
+    def _timestamps(self, *stamps, adapter=ADAPTER):
+        text = "".join(f"{stamp} h1 app: line {i}\n" for i, stamp in enumerate(stamps))
+        result = normalize_records(parse_text(text, adapter).records, adapter)
+        return [e.ts for e in result.events], result
+
+    def test_new_year_rolls_forward_for_the_rest_of_the_file(self):
+        stamps, _ = self._timestamps("Dec 31 23:59:59", "Jan  1 00:00:01", "Mar  3 10:00:00")
+        assert stamps == [
+            parse_timestamp("2023-12-31T23:59:59Z").ts_ms,
+            parse_timestamp("2024-01-01T00:00:01Z").ts_ms,
+            parse_timestamp("2024-03-03T10:00:00Z").ts_ms,
+        ]
+
+    def test_a_step_back_of_less_than_half_a_year_keeps_the_year(self):
+        stamps, _ = self._timestamps("May  1 10:00:00", "Apr  1 10:00:00")
+        assert stamps == [parse_timestamp("2023-05-01T10:00:00Z").ts_ms, parse_timestamp("2023-04-01T10:00:00Z").ts_ms]
+
+    def test_each_file_starts_at_the_default_year(self):
+        first, _ = self._timestamps("Dec 31 23:59:59", "Jan  1 00:00:01")
+        second, _ = self._timestamps("Jan  1 00:00:01")
+        assert second[0] == parse_timestamp("2023-01-01T00:00:01Z").ts_ms < first[1]
+
+    def test_only_a_supplied_year_is_reported(self):
+        assert parse_timestamp("Dec 31 23:59:59", default_year=2023).year_supplied
+        assert not parse_timestamp("2023-12-31T23:59:59Z").year_supplied
+
+    def test_a_day_the_year_lacks_is_quarantined(self):
+        with pytest.raises(ParseError, match="not a date in 2023"):
+            parse_timestamp("Feb 29 10:00:00", default_year=2023)
+        stamps, result = self._timestamps("Feb 29 10:00:00", "Mar  1 10:00:00")
+        assert stamps == [parse_timestamp("2023-03-01T10:00:00Z").ts_ms]
+        assert [q.ordinal for q in result.quarantined] == [0]
 
 
 class TestMergeScenario:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chainscope.configio import packaged_scenario_ids
 from chainscope.errors import ParseError, RuleError
-from chainscope.model import FieldAliasMap
+from chainscope.model import FieldAliasMap, lowered_extras_view, resolve_field
 from chainscope.tagging import (
     FIRED,
     GATED,
@@ -32,7 +32,14 @@ from chainscope.tagging import (
     tag_event,
     tag_run,
 )
-from conftest import jsonl_layouts, make_event, make_scenario_data
+from conftest import (
+    jsonl_layouts,
+    make_event,
+    make_scenario_data,
+    reference_evaluate_rule,
+    reference_resolve,
+    reference_tag_event,
+)
 
 
 def rule(rule_id, step, priority=10, patterns=(r".",), fields=("text_blob",), **kw):
@@ -313,6 +320,94 @@ class TestTagRun:
             args = dict(gate=gate, aliases=aliases, expected=expected)
             assert tag_run(subset, default_rules, **args, decided=memo) == tag_run(subset, default_rules, **args)
         assert set(memo) == seen
+
+
+RULE_FIELDS = ("text_blob", "cmdline", "CMDLINE", "message", "user", "dst_port", "proto", "host", "raw", "src_ip")
+RULE_PATTERNS = (r"install", r"(?i)CURL", r"^$", r"\d+", r"x", r".")
+EVENT_SOURCES = ("syslog", "zeek", "auth")
+EXTRAS_KEYS = ("CommandLine", "commandline", "Message", "msg", "user_name", "UserName", "transport", "raw", "Raw")
+ALIASABLE = ("cmdline", "message", "user", "proto", "host", "dst_port")
+
+
+@st.composite
+def step_rules(draw):
+    rules = []
+    for i in range(draw(st.integers(min_value=0, max_value=6))):
+        clauses = st.dictionaries(
+            st.sampled_from(RULE_FIELDS),
+            st.lists(st.sampled_from(("4444", "tcp", "TCP", "root", "x", "")), max_size=3).map(tuple),
+            max_size=2,
+        )
+        rules.append(
+            StepRule(
+                rule_id=draw(st.sampled_from("abc")) + str(i),
+                step=draw(st.sampled_from(list(StepTag))),
+                priority=draw(st.sampled_from((0.0, 5.0, 10.0))),
+                patterns=tuple(draw(st.lists(st.sampled_from(RULE_PATTERNS), min_size=1, max_size=3))),
+                candidate_fields=tuple(draw(st.lists(st.sampled_from(RULE_FIELDS), min_size=1, max_size=3))),
+                where_any=draw(clauses),
+                where_all=draw(clauses),
+                sources=tuple(draw(st.lists(st.sampled_from(EVENT_SOURCES), max_size=2))),
+            )
+        )
+    return RuleSet(rules)
+
+
+@st.composite
+def tag_events(draw):
+    events = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        events.append(
+            make_event(
+                event_id=f"e{i}",
+                ts=draw(st.integers(min_value=0, max_value=3)),
+                source=draw(st.sampled_from(EVENT_SOURCES)),
+                user=draw(st.sampled_from((None, "root", ""))),
+                cmdline=draw(st.sampled_from((None, "", "pip install x"))),
+                dst_port=draw(st.sampled_from((None, 4444, 22))),
+                proto=draw(st.sampled_from((None, "tcp"))),
+                text_blob=draw(st.sampled_from(("", "curl x", "install", "conn 4444"))),
+                extras=draw(st.dictionaries(st.sampled_from(EXTRAS_KEYS), st.sampled_from(("", "pip install", "root", "TCP")))),
+            )
+        )
+    return events
+
+
+def extras_alias_maps():
+    def build(pairs):
+        owner, entries = {}, {}
+        for alias, canonical in pairs:
+            if owner.setdefault(alias.lower(), canonical) == canonical:
+                entries.setdefault(canonical, []).append(alias)
+        return FieldAliasMap(entries)
+
+    return st.lists(st.tuples(st.sampled_from(EXTRAS_KEYS), st.sampled_from(ALIASABLE)), max_size=6).map(build)
+
+
+class TestCompiledTaggingEqualsReference:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ruleset=step_rules(),
+        events=tag_events(),
+        aliases=extras_alias_maps(),
+        gate=st.one_of(st.none(), st.frozensets(st.sampled_from(list(StepTag)))),
+    )
+    def test_plans_equal_interpretive_evaluation(self, ruleset, events, aliases, gate):
+        for event in events:
+            assert tag_event(event, ruleset, gate=gate, aliases=aliases) == reference_tag_event(
+                event, ruleset, gate=gate, aliases=aliases
+            )
+            for compiled in ruleset:
+                assert evaluate_rule(event, compiled, aliases=aliases, gate=gate) == reference_evaluate_rule(
+                    event, compiled, aliases=aliases, gate=gate
+                )
+            for name in RULE_FIELDS:
+                assert resolve_field(event, name, aliases) == reference_resolve(
+                    event, name.lower(), aliases, lowered_extras_view(event)
+                )
+        decisions, _ = tag_run(events, ruleset, gate=gate, aliases=aliases)
+        ordered = sorted(events, key=lambda e: e.sort_key())
+        assert decisions == [reference_tag_event(e, ruleset, gate=gate, aliases=aliases) for e in ordered]
 
 
 class TestExpectedSteps:
