@@ -65,6 +65,8 @@ def load_adapters_doc(doc: Mapping[str, Any]) -> List[SourceAdapterSpec]:
             )
         except KeyError as exc:
             raise ConfigError(f"adapter entry missing {exc}: {item!r}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed adapter entry {item!r}: {exc}")
     if not adapters:
         raise ConfigError("adapters document defines no adapters")
     return adapters

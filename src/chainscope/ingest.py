@@ -40,6 +40,7 @@ from .model import (
     TRUST_ORIGINS,
     TRUST_TARGET,
     TS_AUTO,
+    TS_FORMATS,
     FieldAliasMap,
     NetworkInfo,
     NormalizedEvent,
@@ -97,6 +98,10 @@ class SourceAdapterSpec:
             raise ConfigError(f"adapter {self.source!r}: unknown format {self.format!r}")
         if self.trust_origin not in TRUST_ORIGINS:
             raise ConfigError(f"adapter {self.source!r}: bad trust_origin {self.trust_origin!r}")
+        if self.ts_format not in TS_FORMATS:
+            raise ConfigError(f"adapter {self.source!r}: unknown ts_format {self.ts_format!r}; valid: {TS_FORMATS}")
+        if self.default_year is not None and (isinstance(self.default_year, bool) or not isinstance(self.default_year, int)):
+            raise ConfigError(f"adapter {self.source!r}: default_year must be an integer, got {self.default_year!r}")
         if self.format != FORMAT_PRENORMALIZED:
             mapped = {k.lower() for k in self.field_map}
             if "ts" not in mapped:
@@ -343,7 +348,9 @@ def normalize_records(
     candidates among raw/message/cmdline, in that order, joined by one
     space. Equal identity values (host, user, image, IPs, proto) and
     extras keys become one shared string object. An event id that would
-    outgrow its padding raises EventIdError naming origin.
+    outgrow its padding raises EventIdError naming origin. A year-less BSD
+    syslog timestamp more than half a year earlier than the previous one
+    rolls ``default_year`` forward, for it and for the records after it.
     """
     if adapter.format == FORMAT_PRENORMALIZED:
         return _normalize_prenormalized(records, adapter, scenario_id, file_ordinal, origin)
@@ -356,7 +363,7 @@ def normalize_records(
     shapes: Dict[Tuple[str, ...], Any] = {}
     # a file repeats a few values thousands of times; keep one copy of each
     shared: Dict[str, str] = {}
-    # a year-less BSD timestamp far behind the previous one has crossed New Year
+    # a year-less BSD timestamp far behind the previous one has crossed a New Year
     year = adapter.default_year
     last_bsd_ts: Optional[int] = None
 

@@ -20,7 +20,6 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -297,28 +296,25 @@ def canonicalize_ts(raw: Union[str, int, float], format_hint: str = TS_AUTO, def
     return parsed.ts_ms
 
 
-_STRUCTURED_GETTERS: Dict[str, Callable[[NormalizedEvent], Any]] = {
-    name: attrgetter(path)
-    for name, path in (
-        ("event_id", "event_id"),
-        ("ts", "ts"),
-        ("scenario_id", "scenario_id"),
-        ("source", "source"),
-        ("trust_origin", "trust_origin"),
-        ("host", "host"),
-        ("user", "user"),
-        ("pid", "process.pid"),
-        ("ppid", "process.ppid"),
-        ("image", "process.image"),
-        ("cmdline", "process.cmdline"),
-        ("src_ip", "network.src_ip"),
-        ("src_port", "network.src_port"),
-        ("dst_ip", "network.dst_ip"),
-        ("dst_port", "network.dst_port"),
-        ("proto", "network.proto"),
-    )
+_STRUCTURED_GETTERS = {
+    "event_id": lambda e: e.event_id,
+    "ts": lambda e: e.ts,
+    "scenario_id": lambda e: e.scenario_id,
+    "source": lambda e: e.source,
+    "trust_origin": lambda e: e.trust_origin,
+    "host": lambda e: e.host,
+    "user": lambda e: e.user,
+    "pid": lambda e: e.process.pid,
+    "ppid": lambda e: e.process.ppid,
+    "image": lambda e: e.process.image,
+    "cmdline": lambda e: e.process.cmdline,
+    "src_ip": lambda e: e.network.src_ip,
+    "src_port": lambda e: e.network.src_port,
+    "dst_ip": lambda e: e.network.dst_ip,
+    "dst_port": lambda e: e.network.dst_port,
+    "proto": lambda e: e.network.proto,
+    "text_blob": lambda e: e.text_blob or None,
 }
-_STRUCTURED_GETTERS["text_blob"] = lambda e: e.text_blob or None
 
 # (lowered canonical name, structured getter or None, lowered extras keys in order)
 FieldResolver = Tuple[str, Optional[Callable[[NormalizedEvent], Any]], Tuple[str, ...]]

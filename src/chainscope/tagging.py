@@ -19,23 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import (
-    IO,
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Pattern,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import IO, Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Pattern, Sequence, Set, Tuple, Union
 
 from .errors import ConfigError, ParseError, RuleError
 from .model import (

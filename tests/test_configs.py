@@ -107,3 +107,22 @@ def test_missing_config_file_names_path(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_yaml(tmp_path / "nope.yml")
     assert "nope.yml" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "setting, detail",
+    [
+        ('default_year: "2023"', "default_year must be an integer"),
+        ("default_year: true", "default_year must be an integer"),
+        ("ts_format: isoo", "unknown ts_format 'isoo'"),
+        ('parse_threshold: "high"', "malformed adapter entry"),
+    ],
+)
+def test_malformed_adapter_setting_is_a_config_error(tmp_path, setting, detail):
+    path = tmp_path / "adapters.yml"
+    path.write_text(
+        "adapters:\n  - source: syslog\n    format: syslog_line\n"
+        f"    field_map: {{ts: ts, message: message}}\n    {setting}\n"
+    )
+    with pytest.raises(ConfigError, match=detail):
+        load_adapters(path)
