@@ -337,6 +337,10 @@ def evaluate_rule(
     return _outcome(compiled, resolve_fields(event, [field_resolver(name, aliases) for name in compiled.fields]))
 
 
+# a source's plan: the resolvers of the fields its rules read, and those rules
+_Plan = Tuple[Tuple[FieldResolver, ...], Tuple[CompiledRule, ...]]
+
+
 class _Tagger:
     """The rules of one tagging call, planned per event source.
 
@@ -349,9 +353,9 @@ class _Tagger:
         self._rules = tuple(rules)
         self._gate = frozenset(gate) if gate is not None else None
         self._resolvers = {name: field_resolver(name, aliases) for c in self._rules for name in c.fields}
-        self._plans: Dict[str, Tuple[Tuple[FieldResolver, ...], Tuple[CompiledRule, ...]]] = {}
+        self._plans: Dict[str, _Plan] = {}
 
-    def _plan(self, source: str) -> Tuple[Tuple[FieldResolver, ...], Tuple[CompiledRule, ...]]:
+    def _plan(self, source: str) -> _Plan:
         live = tuple(c for c in self._rules if _scope_outcome(c, source, self._gate) is None)
         fields = dict.fromkeys(name for c in live for name in c.fields)
         plan = self._plans[source] = (tuple(self._resolvers[name] for name in fields), live)
