@@ -1,8 +1,11 @@
-"""Golden digests: the packaged scenarios' synth and evaluate outputs, byte for byte.
+"""Golden digests: the packaged scenarios' CLI outputs, byte for byte.
 
 For each packaged scenario the test runs ``synth``, then ``evaluate`` with
-the defaults and with ``--gate expected``, and compares the sha256 of every
-file written with ``tests/golden.json``. Everything runs from one fixed
+the defaults and with ``--gate expected``, a ``sweep`` over every non-empty
+subset of the scenario's sources and a ``sanitize`` of the default run's
+events; then ``report`` on one run directory and one sweep directory. It
+compares the sha256 of every file written, inputs the test writes itself
+included, with ``tests/golden.json``. Everything runs from one fixed
 working directory with relative paths, so ``manifest.json``, which records
 input paths as given, is stable.
 
@@ -14,6 +17,7 @@ it anew on purpose::
 """
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -21,10 +25,19 @@ import tempfile
 from pathlib import Path
 
 from chainscope.cli import main
-from chainscope.configio import packaged_scenario_ids
+from chainscope.configio import load_packaged_scenario, packaged_scenario_ids
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RUNS = {"default": [], "gated": ["--gate", "expected"]}
+SALT = "salt.txt"
+
+
+def write_lattice_budgets(path: Path, sources) -> None:
+    """A budgets document listing every non-empty subset of sources, smallest first."""
+    ordered = sorted(sources)
+    subsets = [c for size in range(1, len(ordered) + 1) for c in itertools.combinations(ordered, size)]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("budgets:\n" + "".join(f"  - [{', '.join(c)}]\n" for c in subsets), encoding="utf-8")
 
 
 def run_golden_corpus(workdir: Path) -> dict:
@@ -32,12 +45,23 @@ def run_golden_corpus(workdir: Path) -> dict:
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        for name in packaged_scenario_ids():
+        Path(SALT).write_text("golden-corpus-salt\n", encoding="utf-8")
+        names = packaged_scenario_ids()
+        for name in names:
             scenario = f"scenarios/{name}"
             assert main(["synth", "--spec", name, "--out", scenario]) == 0, name
             for run, flags in RUNS.items():
                 out = f"runs/{name}/{run}"
                 assert main(["evaluate", "--scenario-dir", scenario, *flags, "--out", out]) == 0, (name, run)
+            budgets = f"budgets/{name}.yml"
+            write_lattice_budgets(Path(budgets), load_packaged_scenario(name).sources)
+            sweep = ["sweep", "--scenario-dir", scenario, "--budgets", budgets, "--out", f"sweeps/{name}"]
+            assert main(sweep) == 0, name
+            sanitize = ["sanitize", "--in", f"runs/{name}/default/events.jsonl", "--salt-file", SALT]
+            sanitize += ["--mappings-dir", f"sanitized/{name}/mappings", "--out", f"sanitized/{name}/events.jsonl"]
+            assert main(sanitize) == 0, name
+        assert main(["report", "--in", f"runs/{names[0]}/default", "--out", "reports/run.txt"]) == 0
+        assert main(["report", "--in", f"sweeps/{names[0]}", "--out", "reports/sweep.txt"]) == 0
     finally:
         os.chdir(previous)
     return {
