@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from . import __version__
 from .configio import (
     load_adapters,
     load_aliases,
     load_budgets,
-    load_weights,
     load_packaged_scenario,
     load_packaged_template,
     load_policy,
@@ -32,7 +32,7 @@ from .configio import (
 from .errors import ChainscopeError, ConfigError, ParseError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from .ingest import ingest_scenario
-from .model import events_from_jsonl, events_to_jsonl, read_json, write_json, write_jsonl
+from .model import events_from_jsonl, events_to_jsonl, object_list, read_json, string_list, write_json, write_jsonl
 from .pipeline import (
     RunParams,
     build_manifest,
@@ -60,6 +60,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seconds(least_ms: int) -> Callable[[str], float]:
+    """argparse type: a time in seconds that rounds to at least least_ms milliseconds."""
+
+    def seconds(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or round(value * 1000) < least_ms:
+            raise argparse.ArgumentTypeError(f"must round to at least {least_ms} ms, got {text!r}")
+        return value
+
+    return seconds
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chainscope", description="telemetry-to-chain forensic pipeline")
     parser.add_argument("--version", action="version", version=f"chainscope {__version__}")
@@ -70,9 +90,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--aliases", type=Path, help="alias map YAML (default: packaged)")
 
     def add_recon_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--window", type=float, default=DEFAULT_WINDOW_MS / 1000, help="edge window, seconds")
-        p.add_argument("--gap", type=float, default=DEFAULT_GAP_MS / 1000, help="continuity gap threshold, seconds")
-        p.add_argument("--topk", type=int, default=DEFAULT_TOP_K, help="max candidate chains")
+        p.add_argument("--window", type=_seconds(1), default=DEFAULT_WINDOW_MS / 1000, help="edge window, seconds")
+        p.add_argument("--gap", type=_seconds(0), default=DEFAULT_GAP_MS / 1000, help="continuity gap threshold, seconds")
+        p.add_argument("--topk", type=_count, default=DEFAULT_TOP_K, help="max candidate chains")
 
     p = sub.add_parser("ingest", help="parse and normalize a scenario directory")
     p.add_argument("--scenario-dir", type=Path, required=True)
@@ -85,7 +105,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rules", type=Path, required=True)
     p.add_argument("--gate", help="comma-separated steps, or 'expected'")
     p.add_argument("--expected-steps", help="comma-separated expected steps")
-    add_common_config(p)
+    p.add_argument("--aliases", type=Path, help="alias map YAML (default: packaged)")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("reconstruct", help="build the event graph and extract chains")
@@ -110,7 +130,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--scenario-dir", type=Path, required=True)
     p.add_argument("--budgets", type=Path, required=True)
-    p.add_argument("--weights", type=Path, help="composite-stream weights YAML (source -> channel count)")
     p.add_argument("--rules", type=Path)
     p.add_argument("--gate", help="comma-separated steps, or 'expected'")
     add_common_config(p)
@@ -163,7 +182,7 @@ def _expected_from_args(args: argparse.Namespace) -> Optional[ExpectedStepSet]:
 
 
 def _load_rules_file(path: Optional[Path]):
-    return load_rules(load_rules_doc(path))
+    return load_rules(load_rules_doc(path), origin=str(path or "packaged rules.yml"))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -240,8 +259,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     adapters = load_adapters(args.adapters)
     aliases = load_aliases(args.aliases)
     rules = _load_rules_file(args.rules)
-    extra_weights = load_weights(args.weights) if args.weights else None
-    budgets = load_budgets(args.budgets, extra_weights=extra_weights)
+    budgets = load_budgets(args.budgets)
     deduped = []
     seen = set()
     for budget in budgets:
@@ -338,31 +356,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 _METRIC_KEYS = ("tag_cov", "chain_cov", "step_r", "chain_r", "step_p", "chain_p", "reconstructability")
 
 
-def _entries(path: Path, doc: Mapping[str, Any], key: str, fields: Sequence[str], where: str = "") -> List[Dict[str, Any]]:
-    """doc[key] (absent: none) as a list of objects that each hold every named field.
-
-    Anything else raises ParseError naming the file and the key.
-    """
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise ParseError(f"{path}: {where}{key!r} must be a list, got {type(entries).__name__}")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: {where}{key}[{i}] must be an object, got {type(entry).__name__}")
-        for name in fields:
-            if name not in entry:
-                raise ParseError(f"{path}: {where}{key}[{i}] lacks {name!r}")
-    return entries
-
-
-def _strings(path: Path, doc: Mapping[str, Any], key: str, where: str = "") -> List[str]:
-    """doc[key] (absent: none) as a list of strings, else ParseError naming the file and the key."""
-    values = doc.get(key, [])
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise ParseError(f"{path}: {where}{key!r} must be a list of strings, got {values!r}")
-    return values
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     indir = Path(args.indir)
     out = Path(args.out)
@@ -386,29 +379,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
         metrics_doc = read_json(metrics_path)
         doc["metrics"] = metrics_doc
         lines.append(f"scenario: {metrics_doc.get('scenario_id', '?')}")
-        lines.append(f"sources: {', '.join(_strings(metrics_path, metrics_doc, 'sources'))}")
+        lines.append(f"sources: {', '.join(string_list(metrics_path, metrics_doc, 'sources'))}")
         for key in _METRIC_KEYS:
             value = metrics_doc.get(key, 0)
             if not isinstance(value, (int, float)):
                 raise ParseError(f"{metrics_path}: {key!r} must be a number, got {value!r}")
             lines.append(f"{key}: {value:.3f}")
-        missing_steps = _strings(metrics_path, metrics_doc, "missing_steps")
+        missing_steps = string_list(metrics_path, metrics_doc, "missing_steps")
         if missing_steps:
             lines.append("missing: " + ", ".join(missing_steps))
     if evidence_path.exists():
         evidence_doc = read_json(evidence_path)
         doc["evidence"] = evidence_doc
         lines.append("")
-        sections = _entries(evidence_path, evidence_doc, "sections", ("step", "window", "volume", "sources", "recoverability"))
+        sections = object_list(evidence_path, evidence_doc, "sections", ("step", "window", "volume", "sources", "recoverability"))
         for i, section in enumerate(sections):
             where = f"sections[{i}]."
             lines.append(
                 f"[{section['step']}] {section['window']}  volume={section['volume']} "
-                f"sources={','.join(_strings(evidence_path, section, 'sources', where))} ({section['recoverability']})"
+                f"sources={','.join(string_list(evidence_path, section, 'sources', where))} ({section['recoverability']})"
             )
-            for anchor in _entries(evidence_path, section, "anchors", ("when", "source", "excerpt"), where)[:3]:
+            for anchor in object_list(evidence_path, section, "anchors", ("when", "source", "excerpt"), where)[:3]:
                 lines.append(f"    {anchor['when']} {anchor['source']}: {anchor['excerpt']}")
-        for missing in _entries(evidence_path, evidence_doc, "missing_steps", ("step", "diagnostic")):
+        for missing in object_list(evidence_path, evidence_doc, "missing_steps", ("step", "diagnostic")):
             lines.append(f"[{missing['step']}] {missing['diagnostic']}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_json(out.with_suffix(out.suffix + ".json"), doc)

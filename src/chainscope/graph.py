@@ -89,10 +89,6 @@ class EventGraph:
     edges: Tuple[Edge, ...]
     window_ms: int
 
-    @property
-    def node_ids(self) -> Tuple[str, ...]:
-        return tuple(n.event_id for n in self.nodes)
-
 
 @dataclass(frozen=True)
 class Chain:

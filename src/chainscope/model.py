@@ -636,6 +636,51 @@ def read_json(path: Path) -> Dict[str, Any]:
     return doc
 
 
+# Readers of the keys inside a parsed JSON or YAML document. ``origin``
+# names the file (or packaged document) in the error; ``where`` is the
+# path of ``doc`` inside it, such as "rules[2].".
+
+
+def object_list(
+    origin: Union[str, Path], doc: Mapping[str, Any], key: str, fields: Sequence[str] = (), where: str = ""
+) -> List[Dict[str, Any]]:
+    """doc[key] (absent: none) as a list of objects that each hold every named field.
+
+    Anything else raises ParseError naming the file and the key.
+    """
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{origin}: {where}{key!r} must be a list, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{origin}: {where}{key}[{i}] must be an object, got {type(entry).__name__}")
+        for name in fields:
+            if name not in entry:
+                raise ParseError(f"{origin}: {where}{key}[{i}] lacks {name!r}")
+    return entries
+
+
+def string_list(origin: Union[str, Path], doc: Mapping[str, Any], key: str, where: str = "") -> List[str]:
+    """doc[key] (absent: none) as a list of strings, else ParseError naming the file and the key.
+
+    A lone string is an error too, never a list of its characters.
+    """
+    values = doc.get(key, [])
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ParseError(f"{origin}: {where}{key!r} must be a list of strings, got {values!r}")
+    return values
+
+
+def object_field(origin: Union[str, Path], doc: Mapping[str, Any], key: str, where: str = "") -> Dict[str, Any]:
+    """doc[key] (absent or null: empty) as an object, else ParseError naming the file and the key."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{origin}: {where}{key!r} must be an object, got {value!r}")
+    return value
+
+
 def write_jsonl(path: Path, items: Sequence[T], to_jsonl: Callable[[Sequence[T]], str]) -> None:
     """Write to_jsonl(items) by calling it on SLICE_RECORDS items at a time.
 

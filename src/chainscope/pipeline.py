@@ -84,7 +84,10 @@ class RunParams:
             if expected is None:
                 raise ConfigError("--gate expected requires ground truth or an expected step set")
             return frozenset(expected.steps)
-        return frozenset(parse_step(part) for part in self.gate.split(",") if part.strip())
+        steps = frozenset(parse_step(part) for part in self.gate.split(",") if part.strip())
+        if not steps:
+            raise ConfigError(f"gate {self.gate!r} names no step")
+        return steps
 
 
 def resolve_expected(
@@ -195,12 +198,7 @@ def _digest_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def build_manifest(
-    command: str,
-    args: Mapping[str, Any],
-    input_paths: Iterable[Path],
-    seed: Optional[int] = None,
-) -> Dict[str, Any]:
+def build_manifest(command: str, args: Mapping[str, Any], input_paths: Iterable[Path]) -> Dict[str, Any]:
     digests = {}
     for path in sorted(set(Path(p) for p in input_paths)):
         if path.is_file():
@@ -209,16 +207,13 @@ def build_manifest(
             for child in sorted(path.rglob("*")):
                 if child.is_file():
                     digests[str(child)] = _digest_file(child)
-    manifest: Dict[str, Any] = {
+    return {
         "tool": "chainscope",
         "version": __version__,
         "command": command,
         "parameters": dict(sorted(args.items())),
         "input_digests": digests,
     }
-    if seed is not None:
-        manifest["seed"] = seed
-    return manifest
 
 
 def _write(

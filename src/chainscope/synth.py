@@ -22,11 +22,6 @@ recovers, and the parse rate on synthetic fixtures is 1.0 by
 construction. Everything is deterministic under (spec, seed); the
 simulated clock starts at the spec's start instant and wall-clock time is
 never consulted.
-
-``oracle_chains`` is the independent brute-force counterpart of
-``graph.extract_chains``: it enumerates every forward path over a small
-tagged table with its own edge test, projects, dedups, and sorts. It
-shares only the Chain container with the production path.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ParseError, ScenarioError
-from .graph import Chain
 from .ingest import (
     FORMAT_CSV,
     FORMAT_EVE,
@@ -49,8 +43,8 @@ from .ingest import (
     normalize_records,
     parse_text,
 )
-from .model import NormalizedEvent, encode_compact, iso_ms, read_json, sort_events, write_json
-from .tagging import ExpectedStepSet, StepTag, TagDecision, parse_step
+from .model import NormalizedEvent, encode_compact, iso_ms, object_field, read_json, sort_events, string_list, write_json
+from .tagging import ExpectedStepSet, StepTag, parse_step
 
 ACTIVITY_SET: Tuple[str, ...] = ("Web", "RemoteAccess", "FileOp", "Update", "Download", "Dev", "API", "Login")
 PROFILE_DEVELOPMENT = "development"
@@ -174,21 +168,11 @@ class AttackTemplate:
     def expected_steps(self) -> FrozenSet[StepTag]:
         return frozenset(s.step for s in self.steps)
 
-    @property
-    def emitted_steps(self) -> FrozenSet[StepTag]:
-        return self.expected_steps - self.omit
-
     def technique_ids(self) -> Tuple[str, ...]:
         out: List[str] = []
         for step in self.steps:
             out.extend(step.technique_ids)
         return tuple(out)
-
-    def emitting_sources(self, step: StepTag) -> FrozenSet[str]:
-        for spec in self.steps:
-            if spec.step == step:
-                return frozenset(e.source for e in spec.events)
-        return frozenset()
 
 
 @dataclass(frozen=True)
@@ -198,9 +182,6 @@ class GroundTruth:
     labels: Mapping[str, str]  # event_id -> "benign" | step name
     chain_order: Tuple[StepTag, ...]
     omitted: FrozenSet[StepTag]
-
-    def attack_event_ids(self) -> List[str]:
-        return sorted(eid for eid, label in self.labels.items() if label != BENIGN_LABEL)
 
 
 @dataclass(frozen=True)
@@ -355,29 +336,6 @@ def _benign_drafts(spec: ScenarioSpec) -> List[DraftEvent]:
                 continue  # no stream carries this kind: observability gap
             drafts.append(DraftEvent(ts=min(ts + offset, cutoff), source=source, label=BENIGN_LABEL, fields=fields))
     return drafts
-
-
-def emit_activity_events(
-    activity: str,
-    host: str,
-    ts: int,
-    sources: Sequence[str],
-    rng: Optional[random.Random] = None,
-    user: str = _USERS[0],
-    scenario_id: str = "adhoc",
-) -> List[NormalizedEvent]:
-    """Emit the correlated event burst for one activity invocation."""
-    rng = rng or random.Random(0)
-    emissions = _activity_emissions(activity, host, user, rng)
-    offsets = _burst_offsets(rng, len(emissions))
-    drafts = []
-    for (kind, fields), offset in zip(emissions, offsets):
-        source = route_kind(kind, sources)
-        if source is None:
-            continue
-        drafts.append(DraftEvent(ts=ts + offset, source=source, label=BENIGN_LABEL, fields=fields))
-    tables, _labels, _lines = _drafts_to_tables(drafts, scenario_id)
-    return sort_events([e for table in tables.values() for e in table])
 
 
 # --- attack emission --------------------------------------------------------
@@ -634,140 +592,18 @@ def load_ground_truth(path: Path) -> GroundTruth:
     doc = read_json(path)
     if not isinstance(doc.get("scenario_id"), str):
         raise ParseError(f"{path}: 'scenario_id' must be a string")
-    steps = frozenset(parse_step(s) for s in doc.get("expected_steps", []))
+    steps = frozenset(parse_step(s) for s in string_list(path, doc, "expected_steps"))
     expected = None
     if steps:
         expected = ExpectedStepSet(
             scenario_id=doc["scenario_id"],
             steps=steps,
-            technique_ids=tuple(doc.get("technique_ids", [])),
+            technique_ids=tuple(string_list(path, doc, "technique_ids")),
         )
     return GroundTruth(
         scenario_id=doc["scenario_id"],
         expected=expected,
-        labels=dict(doc.get("labels", {})),
-        chain_order=tuple(parse_step(s) for s in doc.get("chain_order", [])),
-        omitted=frozenset(parse_step(s) for s in doc.get("omitted_steps", [])),
+        labels=dict(object_field(path, doc, "labels")),
+        chain_order=tuple(parse_step(s) for s in string_list(path, doc, "chain_order")),
+        omitted=frozenset(parse_step(s) for s in string_list(path, doc, "omitted_steps")),
     )
-
-
-# --- brute-force chain oracle ------------------------------------------------
-
-
-def oracle_chains(
-    events: Sequence[NormalizedEvent],
-    decisions: Sequence[TagDecision],
-    window_ms: int,
-    gap_threshold_ms: int,
-    top_k: Optional[int] = None,
-    max_paths: int = 500_000,
-) -> List[Chain]:
-    """Exhaustive enumeration oracle for chain extraction (<= 50 events).
-
-    Enumerates every forward path under its own edge test, projects each
-    onto its first-occurrence step sequence, dedups keeping the minimal
-    representative under (span, first_ts, length, path read back-to-front
-    in (ts, event_id) order), and sorts by (score desc, span asc,
-    first_ts asc, back-to-front order).
-    """
-    chosen = {d.event_id: d.chosen for d in decisions if d.chosen is not None}
-    tagged = sorted((e for e in events if e.event_id in chosen), key=lambda e: (e.ts, e.event_id))
-    if len(tagged) > 50:
-        raise ScenarioError(f"oracle_chains is limited to 50 tagged events, got {len(tagged)}")
-    n = len(tagged)
-    if n == 0:
-        return []
-
-    def connected(a: NormalizedEvent, b: NormalizedEvent) -> bool:
-        if a.host is not None and a.host == b.host:
-            return True
-        if a.user is not None and a.user == b.user:
-            return True
-        pa, pb = a.process, b.process
-        hosts_ok = a.host is None or b.host is None or a.host == b.host
-        if hosts_ok and pa.pid is not None and pb.pid is not None:
-            if pa.pid == pb.pid or pa.pid == pb.ppid or (pa.ppid is not None and pa.ppid == pb.pid):
-                return True
-        na, nb = a.network, b.network
-        if na.dst_ip is not None and na.dst_port is not None and (na.dst_ip, na.dst_port) == (nb.dst_ip, nb.dst_port):
-            return True
-        if (
-            na.src_ip is not None
-            and na.dst_ip is not None
-            and nb.src_ip is not None
-            and nb.dst_ip is not None
-            and (na.proto is None or nb.proto is None or na.proto == nb.proto)
-        ):
-            if {(na.src_ip, na.src_port), (na.dst_ip, na.dst_port)} == {(nb.src_ip, nb.src_port), (nb.dst_ip, nb.dst_port)}:
-                return True
-        return False
-
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tagged[j].ts - tagged[i].ts > window_ms:
-                break
-            if connected(tagged[i], tagged[j]):
-                adj[i].append(j)
-
-    # best[(seq)] = ((span, first_ts, length, ids), path)
-    best: Dict[Tuple[StepTag, ...], Tuple[Tuple, Tuple[int, ...]]] = {}
-    counter = [0]
-
-    def consider(path: List[int]) -> None:
-        counter[0] += 1
-        if counter[0] > max_paths:
-            raise ScenarioError(f"oracle path budget exceeded ({max_paths})")
-        seq: Tuple[StepTag, ...] = ()
-        for idx in path:
-            step = chosen[tagged[idx].event_id]
-            if step not in seq:
-                seq = seq + (step,)
-        span = tagged[path[-1]].ts - tagged[path[0]].ts
-        first_ts = tagged[path[0]].ts
-        key = (span, first_ts, len(path), tuple(reversed(path)))
-        incumbent = best.get(seq)
-        if incumbent is None or key < incumbent[0]:
-            best[seq] = (key, tuple(path))
-
-    def dfs(path: List[int]) -> None:
-        consider(path)
-        for nxt in adj[path[-1]]:
-            path.append(nxt)
-            dfs(path)
-            path.pop()
-
-    for start in range(n):
-        dfs([start])
-
-    results: List[Tuple[Tuple, Chain]] = []
-    for seq, (key, path) in best.items():
-        path_events = [tagged[i] for i in path]
-        steps: List[StepTag] = []
-        supporting: Dict[StepTag, List[str]] = {}
-        first_pos: Dict[StepTag, int] = {}
-        for pos, event in enumerate(path_events):
-            step = chosen[event.event_id]
-            if step not in supporting:
-                steps.append(step)
-                supporting[step] = []
-                first_pos[step] = pos
-            supporting[step].append(event.event_id)
-        flags: List[Tuple[int, int]] = []
-        for k in range(1, len(steps)):
-            pos = first_pos[steps[k]]
-            gap = path_events[pos].ts - path_events[pos - 1].ts
-            if gap > gap_threshold_ms:
-                flags.append((k - 1, gap))
-        chain = Chain(
-            steps=tuple(steps),
-            supporting_events=tuple(tuple(supporting[s]) for s in steps),
-            score=len(steps),
-            continuity_flags=tuple(flags),
-            first_ts=path_events[0].ts,
-            span_ms=path_events[-1].ts - path_events[0].ts,
-        )
-        results.append(((-chain.score, chain.span_ms, chain.first_ts, key[3]), chain))
-    results.sort(key=lambda item: item[0])
-    ordered = [c for _, c in results]
-    return ordered[:top_k] if top_k is not None else ordered

@@ -31,7 +31,10 @@ from .model import (
     NormalizedEvent,
     _jsonl_lines,
     field_resolver,
+    object_field,
+    object_list,
     resolve_fields,
+    string_list,
 )
 
 
@@ -163,51 +166,38 @@ class RuleSet:
         return iter(self._compiled)
 
 
-def load_rules(doc: Mapping[str, Any]) -> RuleSet:
-    """Build a validated RuleSet from a parsed rules document."""
+def load_rules(doc: Mapping[str, Any], origin: str = "rules document") -> RuleSet:
+    """Build a validated RuleSet from a parsed rules document.
+
+    Every list must be a list of strings; an error names ``origin`` and the key.
+    """
     if not isinstance(doc, Mapping):
-        raise RuleError("rules document must be a mapping with a 'rules' list")
-    raw_rules = doc.get("rules", [])
-    if raw_rules is None:
-        raw_rules = []
+        raise RuleError(f"{origin}: rules document must be a mapping with a 'rules' list")
+    if doc.get("rules") is None:  # absent, or an empty "rules:" key
+        return RuleSet([])
     rules: List[StepRule] = []
-    for item in raw_rules:
+    for i, item in enumerate(object_list(origin, doc, "rules")):
+        where = f"rules[{i}]."
+
+        def clauses(key: str) -> Dict[str, Tuple[str, ...]]:
+            table = object_field(origin, item, key, where)
+            return {str(k): tuple(string_list(origin, table, k, f"{where}{key}.")) for k in table}
+
         try:
             rule = StepRule(
                 rule_id=str(item["rule_id"]),
                 step=parse_step(str(item["step"])),
                 priority=float(item.get("priority", 0)),
-                patterns=tuple(str(p) for p in item.get("patterns", [])),
-                candidate_fields=tuple(str(f) for f in item.get("candidate_fields", [])),
-                where_any={str(k): tuple(str(v) for v in vs) for k, vs in (item.get("where_any") or {}).items()},
-                where_all={str(k): tuple(str(v) for v in vs) for k, vs in (item.get("where_all") or {}).items()},
-                sources=tuple(str(s) for s in item.get("sources", []) or []),
+                patterns=tuple(string_list(origin, item, "patterns", where)),
+                candidate_fields=tuple(string_list(origin, item, "candidate_fields", where)),
+                where_any=clauses("where_any"),
+                where_all=clauses("where_all"),
+                sources=tuple(string_list(origin, item, "sources", where)),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise RuleError(f"malformed rule entry {item!r}: {exc}")
+            raise RuleError(f"{origin}: malformed rule entry {item!r}: {exc}")
         rules.append(rule)
     return RuleSet(rules)
-
-
-def rules_to_doc(ruleset: RuleSet) -> Dict[str, Any]:
-    """Serialize a RuleSet back to its document form (round-trips load_rules)."""
-    out = []
-    for rule in ruleset.rules:
-        entry: Dict[str, Any] = {
-            "rule_id": rule.rule_id,
-            "step": rule.step.value,
-            "priority": rule.priority,
-            "patterns": list(rule.patterns),
-            "candidate_fields": list(rule.candidate_fields),
-        }
-        if rule.where_any:
-            entry["where_any"] = {k: list(v) for k, v in rule.where_any.items()}
-        if rule.where_all:
-            entry["where_all"] = {k: list(v) for k, v in rule.where_all.items()}
-        if rule.sources:
-            entry["sources"] = list(rule.sources)
-        out.append(entry)
-    return {"rules": out}
 
 
 @dataclass(frozen=True, slots=True)

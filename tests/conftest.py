@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from chainscope.configio import (
     packaged_scenario_ids,
     packaged_template_ids,
 )
-from chainscope.errors import ParseError
+from chainscope.errors import ParseError, ScenarioError
+from chainscope.graph import Chain
 from chainscope.ingest import RAW_TEXT_KEY, NormalizeResult, Quarantine
 from chainscope.model import (
     EMPTY_ALIASES,
@@ -166,6 +168,133 @@ def make_scenario_data(name, seed):
 @pytest.fixture
 def random_tagged_table():
     return make_random_tagged_table
+
+
+# --- brute-force chain oracle ------------------------------------------------
+# The independent counterpart of graph.extract_chains: it enumerates every
+# forward path over a small tagged table with its own edge test, projects,
+# dedups and sorts. It shares only the Chain container with the production
+# path.
+
+
+def oracle_chains(
+    events: Sequence[NormalizedEvent],
+    decisions: Sequence[TagDecision],
+    window_ms: int,
+    gap_threshold_ms: int,
+    top_k: Optional[int] = None,
+    max_paths: int = 500_000,
+) -> List[Chain]:
+    """Exhaustive enumeration oracle for chain extraction (<= 50 events).
+
+    Enumerates every forward path under its own edge test, projects each
+    onto its first-occurrence step sequence, dedups keeping the minimal
+    representative under (span, first_ts, length, path read back-to-front
+    in (ts, event_id) order), and sorts by (score desc, span asc,
+    first_ts asc, back-to-front order).
+    """
+    chosen = {d.event_id: d.chosen for d in decisions if d.chosen is not None}
+    tagged = sorted((e for e in events if e.event_id in chosen), key=lambda e: (e.ts, e.event_id))
+    if len(tagged) > 50:
+        raise ScenarioError(f"oracle_chains is limited to 50 tagged events, got {len(tagged)}")
+    n = len(tagged)
+    if n == 0:
+        return []
+
+    def connected(a: NormalizedEvent, b: NormalizedEvent) -> bool:
+        if a.host is not None and a.host == b.host:
+            return True
+        if a.user is not None and a.user == b.user:
+            return True
+        pa, pb = a.process, b.process
+        hosts_ok = a.host is None or b.host is None or a.host == b.host
+        if hosts_ok and pa.pid is not None and pb.pid is not None:
+            if pa.pid == pb.pid or pa.pid == pb.ppid or (pa.ppid is not None and pa.ppid == pb.pid):
+                return True
+        na, nb = a.network, b.network
+        if na.dst_ip is not None and na.dst_port is not None and (na.dst_ip, na.dst_port) == (nb.dst_ip, nb.dst_port):
+            return True
+        if (
+            na.src_ip is not None
+            and na.dst_ip is not None
+            and nb.src_ip is not None
+            and nb.dst_ip is not None
+            and (na.proto is None or nb.proto is None or na.proto == nb.proto)
+        ):
+            if {(na.src_ip, na.src_port), (na.dst_ip, na.dst_port)} == {(nb.src_ip, nb.src_port), (nb.dst_ip, nb.dst_port)}:
+                return True
+        return False
+
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if tagged[j].ts - tagged[i].ts > window_ms:
+                break
+            if connected(tagged[i], tagged[j]):
+                adj[i].append(j)
+
+    # best[(seq)] = ((span, first_ts, length, ids), path)
+    best: Dict[Tuple[StepTag, ...], Tuple[Tuple, Tuple[int, ...]]] = {}
+    counter = [0]
+
+    def consider(path: List[int]) -> None:
+        counter[0] += 1
+        if counter[0] > max_paths:
+            raise ScenarioError(f"oracle path budget exceeded ({max_paths})")
+        seq: Tuple[StepTag, ...] = ()
+        for idx in path:
+            step = chosen[tagged[idx].event_id]
+            if step not in seq:
+                seq = seq + (step,)
+        span = tagged[path[-1]].ts - tagged[path[0]].ts
+        first_ts = tagged[path[0]].ts
+        key = (span, first_ts, len(path), tuple(reversed(path)))
+        incumbent = best.get(seq)
+        if incumbent is None or key < incumbent[0]:
+            best[seq] = (key, tuple(path))
+
+    def dfs(path: List[int]) -> None:
+        consider(path)
+        for nxt in adj[path[-1]]:
+            path.append(nxt)
+            dfs(path)
+            path.pop()
+
+    for start in range(n):
+        dfs([start])
+
+    results: List[Tuple[Tuple, Chain]] = []
+    for seq, (key, path) in best.items():
+        path_events = [tagged[i] for i in path]
+        steps: List[StepTag] = []
+        supporting: Dict[StepTag, List[str]] = {}
+        first_pos: Dict[StepTag, int] = {}
+        for pos, event in enumerate(path_events):
+            step = chosen[event.event_id]
+            if step not in supporting:
+                steps.append(step)
+                supporting[step] = []
+                first_pos[step] = pos
+            supporting[step].append(event.event_id)
+        flags: List[Tuple[int, int]] = []
+        for k in range(1, len(steps)):
+            pos = first_pos[steps[k]]
+            gap = path_events[pos].ts - path_events[pos - 1].ts
+            if gap > gap_threshold_ms:
+                flags.append((k - 1, gap))
+        chain = Chain(
+            steps=tuple(steps),
+            supporting_events=tuple(tuple(supporting[s]) for s in steps),
+            score=len(steps),
+            continuity_flags=tuple(flags),
+            first_ts=path_events[0].ts,
+            span_ms=path_events[-1].ts - path_events[0].ts,
+        )
+        results.append(((-chain.score, chain.span_ms, chain.first_ts, key[3]), chain))
+    results.sort(key=lambda item: item[0])
+    ordered = [c for _, c in results]
+    return ordered[:top_k] if top_k is not None else ordered
+
 
 
 # line ends str.splitlines() honours: a JSONL reader must number lines the same

@@ -30,7 +30,6 @@ from chainscope.synth import (
     ScenarioSpec,
     generate_scenario,
     in_active_hours,
-    oracle_chains,
     schedule_benign,
     write_scenario,
 )
@@ -41,7 +40,7 @@ from chainscope.tagging import (
     load_rules,
     tag_run,
 )
-from conftest import make_event, make_random_tagged_table
+from conftest import make_event, make_random_tagged_table, oracle_chains
 from test_metrics import stub_metrics
 
 I, A, D, O, E = StepTag.INSTALL, StepTag.AUTH, StepTag.DOWNLOAD, StepTag.OUTBOUND_CONN, StepTag.EXFIL
@@ -175,7 +174,7 @@ def test_criterion_4_ground_truth_recovery(tmp_path, default_rules, aliases):
             exclusive = {
                 s.step
                 for s in template.steps
-                if s.step not in template.omit and template.emitting_sources(s.step) == {source}
+                if s.step not in template.omit and {e.source for e in s.events} == {source}
             }
             if len(exclusive) == 1:
                 unique = (source, next(iter(exclusive)))

@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
+
 import pytest
 
-from chainscope.cli import main
+from chainscope.cli import _build_parser, main
 from chainscope.model import events_to_jsonl
 from chainscope.synth import load_ground_truth
 from chainscope.tagging import StepTag, TagDecision, decisions_to_jsonl
@@ -494,31 +497,16 @@ class TestSanitizeAndReport:
         assert main(["report", "--in", str(sweep_out), "--out", str(out)]) == 0
         assert "StepR(wtd)" in out.read_text()
 
-    def test_sweep_weights_flag_changes_category(self, scenario_dir, tmp_path):
+    def test_budgets_weights_key_changes_category(self, scenario_dir, tmp_path):
         budgets = tmp_path / "budgets.yml"
-        budgets.write_text("budgets:\n  - sources: [zeek]\n")
-        weights = tmp_path / "weights.yml"
-        weights.write_text("weights:\n  zeek: 3\n")
+        budgets.write_text("weights:\n  zeek: 3\nbudgets:\n  - sources: [zeek]\n")
         out = tmp_path / "sweep"
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--scenario-dir",
-                    str(scenario_dir),
-                    "--budgets",
-                    str(budgets),
-                    "--weights",
-                    str(weights),
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
+        assert main(["sweep", "--scenario-dir", str(scenario_dir), "--budgets", str(budgets), "--out", str(out)]) == 0
         rows = json.loads((out / "sweep_rows.json").read_text())["rows"]
         assert rows[0]["category"] == "multi"
         assert rows[0]["effective_count"] == 3
+        # the weights are in a file whose digest the manifest records
+        assert str(budgets) in json.loads((out / "manifest.json").read_text())["input_digests"]
 
 
 class TestMalformedJsonInputs:
@@ -576,7 +564,14 @@ class TestMalformedJsonInputs:
 
     @pytest.mark.parametrize(
         "doc, detail",
-        [("[1]", "must hold a JSON object"), ('{"expected_steps": ["INSTALL"]}', "'scenario_id'"), ('{"scenario_id": 7}', "'scenario_id'")],
+        [
+            ("[1]", "must hold a JSON object"),
+            ('{"expected_steps": ["INSTALL"]}', "'scenario_id'"),
+            ('{"scenario_id": 7}', "'scenario_id'"),
+            ('{"scenario_id": "s", "expected_steps": "INSTALL"}', "'expected_steps' must be a list of strings"),
+            ('{"scenario_id": "s", "expected_steps": ["INSTALL"], "technique_ids": "T1195"}', "'technique_ids' must be a list"),
+            ('{"scenario_id": "s", "labels": ["a"]}', "'labels' must be an object"),
+        ],
     )
     def test_ground_truth_of_the_wrong_shape_exit_2(self, scenario_dir, tmp_path, capsys, doc, detail):
         (scenario_dir / "ground_truth.json").write_text(doc)
@@ -635,6 +630,30 @@ class TestMalformedJsonInputs:
         assert "metrics.json" in err and "'step_r' must be a number" in err
 
 
+class TestReconstructionFlags:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--topk", "0"), ("--topk", "-2"), ("--window", "0"), ("--window", "0.0004"), ("--window", "-1"), ("--window", "nan"), ("--gap", "-1"), ("--gap", "inf")],
+    )
+    def test_out_of_range_value_is_a_usage_error_naming_the_flag(self, scenario_dir, tmp_path, capsys, flag, value):
+        argv = ["evaluate", "--scenario-dir", str(scenario_dir), flag, value, "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_smallest_values_are_accepted(self, scenario_dir, tmp_path):
+        argv = ["evaluate", "--scenario-dir", str(scenario_dir), "--topk", "1", "--window", "0.001", "--gap", "0"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("gate", [",", " , "])
+    def test_gate_naming_no_step_exit_2(self, scenario_dir, tmp_path, capsys, command, gate):
+        budgets = tmp_path / "budgets.yml"
+        budgets.write_text("budgets:\n  - [syslog]\n")
+        argv = [command, "--scenario-dir", str(scenario_dir), "--gate", gate, "--out", str(tmp_path / "out")]
+        assert main(argv + (["--budgets", str(budgets)] if command == "sweep" else [])) == 2
+        assert "names no step" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["evaluate"]) == 1  # missing required arguments
@@ -645,3 +664,21 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestReadmeSubcommandTable:
+    """Every flag the README's subcommand table names exists on that subcommand."""
+
+    @staticmethod
+    def table_rows():
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Subcommands", 1)[1].split("\n## ", 1)[0]
+        return [re.match(r"\| `(\w+)` \|(.*)", line).groups() for line in section.splitlines() if line.startswith("| `")]
+
+    def test_every_named_flag_exists_on_its_subcommand(self):
+        subparsers = _build_parser()._subparsers._group_actions[0].choices
+        rows = self.table_rows()
+        assert {command for command, _ in rows} == set(subparsers)
+        for command, purpose in rows:
+            flags = set(re.findall(r"--[a-z][a-z-]*", purpose))
+            assert flags <= set(subparsers[command]._option_string_actions), (command, flags)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from chainscope.cli import main
 from chainscope.configio import load_adapters, packaged_scenario_ids
+from chainscope.errors import ConfigError
 from chainscope.graph import DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from chainscope.ingest import ingest_scenario, merge_scenario
 from chainscope.metrics import SweepRow, categorize_budget, compute_run_metrics, run_metrics_to_dict
@@ -141,3 +142,9 @@ def test_lattice_adding_sources_never_loses_a_step(tmp_path, widened):
         if small < large:
             assert set(by_budget[small]["observed_steps"]) <= set(by_budget[large]["observed_steps"])
             assert by_budget[small]["step_r"] <= by_budget[large]["step_r"]
+
+
+@pytest.mark.parametrize("gate", [",", " , ", ",,"])
+def test_gate_naming_no_step_is_a_config_error(gate):
+    with pytest.raises(ConfigError, match="names no step"):
+        RunParams(gate=gate).resolve_gate(None)

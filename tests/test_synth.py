@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -11,16 +10,14 @@ from chainscope.synth import (
     BenignConfig,
     HostSpec,
     ScenarioSpec,
-    emit_activity_events,
     generate_scenario,
     in_active_hours,
     load_ground_truth,
-    oracle_chains,
     schedule_benign,
     write_scenario,
 )
 from chainscope.tagging import StepTag, TagDecision, tag_run
-from conftest import make_event
+from conftest import make_event, oracle_chains
 
 LINUX_SOURCES = ("syslog", "auth", "auditd", "zeek", "suricata", "tracee", "azure_port")
 AZURE_SOURCES = ("azure_events", "azure_process", "azure_security", "azure_conn", "azure_port")
@@ -62,24 +59,36 @@ class TestScheduleBenign:
         assert seen  # schedule is non-trivial
 
 
+def activity_events(activity, host="h1", seed=1):
+    """The events of one invocation of one activity: a one-host, one-activity scenario."""
+    spec = ScenarioSpec(
+        scenario_id="adhoc",
+        seed=seed,
+        hosts=(HostSpec(name=host),),
+        sources=LINUX_SOURCES,
+        benign=BenignConfig(n_activities=1, activity_set=(activity,)),
+    )
+    return [e for events in generate_scenario(spec).tables.values() for e in events]
+
+
 class TestEmitActivityEvents:
     def test_download_has_url_text_and_connection(self):
-        events = emit_activity_events("Download", "h1", 1714554000000, LINUX_SOURCES, rng=random.Random(1))
+        events = activity_events("Download")
         assert any("https://" in e.text_blob for e in events)
         assert any(e.network.dst_ip is not None for e in events)
 
     def test_login_is_single_auth_flavored_event(self):
-        events = emit_activity_events("Login", "h1", 1714554000000, LINUX_SOURCES, rng=random.Random(1))
+        events = activity_events("Login")
         assert len(events) == 1
         assert "session opened" in events[0].text_blob
 
     def test_unknown_activity_rejected(self):
         with pytest.raises(ScenarioError):
-            emit_activity_events("Nap", "h1", 0, LINUX_SOURCES)
+            activity_events("Nap")
 
     def test_burst_shares_host_and_stays_within_60s(self):
         for activity in ACTIVITY_SET:
-            events = emit_activity_events(activity, "h9", 1714554000000, LINUX_SOURCES, rng=random.Random(3))
+            events = activity_events(activity, host="h9", seed=3)
             assert events, activity
             assert {e.host for e in events} == {"h9"}
             assert max(e.ts for e in events) - min(e.ts for e in events) <= 60_000
@@ -140,7 +149,7 @@ def simple_template():
 class TestGenerateScenario:
     def test_benign_only_has_zero_attack_labels(self):
         data = generate_scenario(spec_with(n=20))
-        assert data.ground_truth.attack_event_ids() == []
+        assert [eid for eid, label in data.ground_truth.labels.items() if label != "benign"] == []
         assert data.ground_truth.expected is None
         assert all(label == "benign" for label in data.ground_truth.labels.values())
 

@@ -28,7 +28,6 @@ from chainscope.tagging import (
     evaluate_rule,
     expected_from_techniques,
     load_rules,
-    rules_to_doc,
     tag_event,
     tag_run,
 )
@@ -120,9 +119,12 @@ class TestLoadRules:
     def test_five_rule_round_trip(self):
         ruleset = load_rules(FIVE_RULE_DOC)
         assert len(ruleset) == 5
-        doc = rules_to_doc(ruleset)
-        assert len(load_rules(doc)) == 5
-        assert rules_to_doc(load_rules(doc)) == doc
+        for rule, entry in zip(ruleset.rules, FIVE_RULE_DOC["rules"]):
+            assert (rule.rule_id, rule.step.value, rule.priority) == (entry["rule_id"], entry["step"], entry["priority"])
+            assert list(rule.patterns) == entry["patterns"]
+            assert list(rule.candidate_fields) == entry["candidate_fields"]
+            assert {k: list(v) for k, v in rule.where_any.items()} == entry.get("where_any", {})
+            assert list(rule.sources) == entry.get("sources", [])
 
 
 class TestTagEvent:
