@@ -17,7 +17,7 @@ import yaml
 from .errors import ConfigError, ParseError, ScenarioError
 from .ingest import SourceAdapterSpec
 from .metrics import BudgetConfig, categorize_budget
-from .model import FieldAliasMap, canonicalize_ts, object_field, object_list, string_list
+from .model import FieldAliasMap, canonicalize_ts, float_value, object_field, object_list, string_list
 from .sanitize import CategorySpec, PseudonymPolicy
 from .synth import (
     ACTIVE_HOURS_DEFAULT,
@@ -101,7 +101,7 @@ def load_adapters_doc(doc: Any, origin: str) -> List[SourceAdapterSpec]:
                     ts_format=str(item.get("ts_format", "auto")),
                     default_year=item.get("default_year"),
                     file_pattern=item.get("file_pattern"),
-                    parse_threshold=float(item.get("parse_threshold", 0.9)),
+                    parse_threshold=float_value(item.get("parse_threshold", 0.9)),
                 )
             )
         except KeyError as exc:

@@ -1,6 +1,7 @@
 """Temporal event graph construction and candidate chain extraction.
 
-Tagged events become nodes; an edge connects two events when the later
+Tagged events become nodes (the events themselves, with their chosen
+steps in a parallel tuple); an edge connects two events when the later
 one falls inside a bounded window of the earlier one and they share a
 join key (host, user, process lineage, or consistent network endpoints).
 Edges always point forward under the (ts, event_id) order, so the graph
@@ -22,7 +23,7 @@ paths often project to the same sequence, so sequences are deduplicated
 keeping the best representative path -- smallest temporal span, then
 earliest start, then shortest path, then smallest when read back-to-front
 in (ts, event_id) node order. These rules are shared verbatim by the
-brute-force enumeration oracle in the synth module; extract_chains
+brute-force enumeration oracle in tests/conftest.py; extract_chains
 reaches the same result with a dynamic program over (node,
 projected-sequence) states, which stays polynomial because there are at
 most 325 distinct sequences over the five-step alphabet. Sequences are
@@ -60,22 +61,6 @@ TOP2_MARGIN_SENTINEL = math.inf
 
 
 @dataclass(frozen=True, slots=True)
-class GraphNode:
-    event_id: str
-    ts: int
-    step: StepTag
-    host: Optional[str]
-    user: Optional[str]
-    pid: Optional[int]
-    ppid: Optional[int]
-    src_ip: Optional[str]
-    src_port: Optional[int]
-    dst_ip: Optional[str]
-    dst_port: Optional[int]
-    proto: Optional[str]
-
-
-@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str
@@ -85,7 +70,13 @@ class Edge:
 
 @dataclass(frozen=True)
 class EventGraph:
-    nodes: Tuple[GraphNode, ...]  # sorted by (ts, event_id)
+    """The tagged events, in (ts, event_id) order, and the edges between them.
+
+    steps[i] is the step chosen for nodes[i].
+    """
+
+    nodes: Tuple[NormalizedEvent, ...]
+    steps: Tuple[StepTag, ...]
     edges: Tuple[Edge, ...]
     window_ms: int
 
@@ -109,8 +100,8 @@ class ChainAmbiguity:
     k: int
 
 
-def join_reason(a: GraphNode, b: GraphNode) -> Optional[str]:
-    """First matching join criterion between two nodes, in fixed priority order."""
+def join_reason(a: NormalizedEvent, b: NormalizedEvent) -> Optional[str]:
+    """First matching join criterion between two events, in fixed priority order."""
     if a.host is not None and b.host is not None and a.host == b.host:
         return JOIN_SHARED_HOST
     if a.user is not None and b.user is not None and a.user == b.user:
@@ -136,23 +127,6 @@ def join_reason(a: GraphNode, b: GraphNode) -> Optional[str]:
         if ends_a == ends_b:
             return JOIN_NETWORK
     return None
-
-
-def _node_from_event(event: NormalizedEvent, step: StepTag) -> GraphNode:
-    return GraphNode(
-        event_id=event.event_id,
-        ts=event.ts,
-        step=step,
-        host=event.host,
-        user=event.user,
-        pid=event.process.pid,
-        ppid=event.process.ppid,
-        src_ip=event.network.src_ip,
-        src_port=event.network.src_port,
-        dst_ip=event.network.dst_ip,
-        dst_port=event.network.dst_port,
-        proto=event.network.proto,
-    )
 
 
 def build_event_graph(
@@ -186,10 +160,7 @@ def build_event_graph(
         decided.add(decision.event_id)
         if decision.chosen is not None:
             chosen[decision.event_id] = decision.chosen
-    nodes = sorted(
-        (_node_from_event(e, chosen[e.event_id]) for e in events if e.event_id in chosen),
-        key=lambda n: (n.ts, n.event_id),
-    )
+    nodes = sorted((e for e in events if e.event_id in chosen), key=lambda e: (e.ts, e.event_id))
     ids = [node.event_id for node in nodes]
     ts = [node.ts for node in nodes]
     buckets, partners = _candidate_buckets(nodes, ts)
@@ -209,7 +180,8 @@ def build_event_graph(
             joined.sort()
         src, ts_a = ids[i], ts[i]
         edges.extend(Edge(src, ids[j], reason, ts[j] - ts_a) for j, reason in joined)
-    return EventGraph(nodes=tuple(nodes), edges=tuple(edges), window_ms=window_ms)
+    steps = tuple(chosen[event_id] for event_id in ids)
+    return EventGraph(nodes=tuple(nodes), steps=steps, edges=tuple(edges), window_ms=window_ms)
 
 
 def induced_subgraph(graph: EventGraph, event_ids: Set[str]) -> EventGraph:
@@ -219,8 +191,10 @@ def induced_subgraph(graph: EventGraph, event_ids: Set[str]) -> EventGraph:
     an edge depends only on its two events, and positions in the subset
     keep their order, so nodes and edges keep theirs.
     """
+    kept = [i for i, node in enumerate(graph.nodes) if node.event_id in event_ids]
     return EventGraph(
-        nodes=tuple(n for n in graph.nodes if n.event_id in event_ids),
+        nodes=tuple(graph.nodes[i] for i in kept),
+        steps=tuple(graph.steps[i] for i in kept),
         edges=tuple(e for e in graph.edges if e.src in event_ids and e.dst in event_ids),
         window_ms=graph.window_ms,
     )
@@ -232,7 +206,7 @@ JoinKey = Tuple[str, object]
 Bucket = Tuple[List[int], List[int]]
 
 
-def _join_keys(node: GraphNode) -> Tuple[List[JoinKey], List[JoinKey]]:
+def _join_keys(node: NormalizedEvent) -> Tuple[List[JoinKey], List[JoinKey]]:
     """Keys the node is filed under, and keys a later partner is filed under.
 
     Every pair join_reason accepts shares a host, a user, a pid/ppid link,
@@ -260,7 +234,7 @@ def _join_keys(node: GraphNode) -> Tuple[List[JoinKey], List[JoinKey]]:
 
 
 def _candidate_buckets(
-    nodes: Sequence[GraphNode], ts: Sequence[int]
+    nodes: Sequence[NormalizedEvent], ts: Sequence[int]
 ) -> Tuple[Dict[JoinKey, Bucket], List[List[Bucket]]]:
     """Every join key's bucket, and per node the buckets of its later partners."""
     keys = [_join_keys(node) for node in nodes]
@@ -282,21 +256,23 @@ def _later_within(bucket: Bucket, i: int, limit: int) -> List[int]:
 # --- chain extraction -------------------------------------------------------
 
 
-def build_chain(path_nodes: Sequence[GraphNode], gap_threshold_ms: int) -> Chain:
-    """Project one concrete path onto its first-occurrence step chain."""
+def build_chain(graph: EventGraph, path: Sequence[int], gap_threshold_ms: int) -> Chain:
+    """Project one concrete path, as node positions, onto its first-occurrence step chain."""
     steps: List[StepTag] = []
     supporting: Dict[StepTag, List[str]] = {}
     first_pos: Dict[StepTag, int] = {}
-    for pos, node in enumerate(path_nodes):
-        if node.step not in supporting:
-            steps.append(node.step)
-            supporting[node.step] = []
-            first_pos[node.step] = pos
-        supporting[node.step].append(node.event_id)
+    for pos, i in enumerate(path):
+        step = graph.steps[i]
+        if step not in supporting:
+            steps.append(step)
+            supporting[step] = []
+            first_pos[step] = pos
+        supporting[step].append(graph.nodes[i].event_id)
+    ts = [graph.nodes[i].ts for i in path]
     flags: List[Tuple[int, int]] = []
     for k in range(1, len(steps)):
         pos = first_pos[steps[k]]
-        gap = path_nodes[pos].ts - path_nodes[pos - 1].ts
+        gap = ts[pos] - ts[pos - 1]
         if gap > gap_threshold_ms:
             flags.append((k - 1, gap))
     return Chain(
@@ -304,8 +280,8 @@ def build_chain(path_nodes: Sequence[GraphNode], gap_threshold_ms: int) -> Chain
         supporting_events=tuple(tuple(supporting[s]) for s in steps),
         score=len(steps),
         continuity_flags=tuple(flags),
-        first_ts=path_nodes[0].ts,
-        span_ms=path_nodes[-1].ts - path_nodes[0].ts,
+        first_ts=ts[0],
+        span_ms=ts[-1] - ts[0],
     )
 
 
@@ -383,7 +359,7 @@ def extract_chains(
         return False
 
     for v in range(n):
-        extend = _EXTEND[_STEP_CODES[nodes[v].step]]
+        extend = _EXTEND[_STEP_CODES[graph.steps[v]]]
         here = {extend[0]: (ts[v], 1, -1)}
         states.append(here)
         for u in preds[v]:
@@ -434,7 +410,7 @@ def extract_chains(
             indexes.append(v)
             state = states[v][seq][2]
         indexes.reverse()
-        chain = build_chain([nodes[i] for i in indexes], gap_threshold_ms)
+        chain = build_chain(graph, indexes, gap_threshold_ms)
         chains.append((chain_order_key(chain, tuple(reversed(indexes))), chain))
     chains.sort(key=lambda item: item[0])
     ordered = [c for _, c in chains]
@@ -481,7 +457,9 @@ def chain_to_dict(chain: Chain) -> Dict:
 def graph_to_dict(graph: EventGraph) -> Dict:
     return {
         "window_ms": graph.window_ms,
-        "nodes": [{"event_id": n.event_id, "ts": n.ts, "step": n.step.value} for n in graph.nodes],
+        "nodes": [
+            {"event_id": n.event_id, "ts": n.ts, "step": step.value} for n, step in zip(graph.nodes, graph.steps)
+        ],
         "edges": [
             {"src": e.src, "dst": e.dst, "join_reason": e.join_reason, "gap_ms": e.gap_ms} for e in graph.edges
         ],

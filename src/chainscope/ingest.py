@@ -42,9 +42,7 @@ from .model import (
     TS_AUTO,
     TS_FORMATS,
     FieldAliasMap,
-    NetworkInfo,
     NormalizedEvent,
-    ProcessInfo,
     event_from_dict,
     parse_timestamp,
     sort_events,
@@ -72,11 +70,14 @@ MAX_RECORDS_PER_FILE = 1_000_000
 
 @dataclass(frozen=True, slots=True)
 class RawRecord:
-    """One parsed record, field map plus byte-exact original text."""
+    """One parsed record, field map plus byte-exact original text.
+
+    For a prenormalized record the fields are the decoded canonical record.
+    """
 
     source: str
     ordinal: int
-    fields: Mapping[str, str]
+    fields: Mapping[str, Any]
     raw_text: str
 
 
@@ -178,14 +179,17 @@ def _flatten(obj: Any, prefix: str = "") -> Dict[str, str]:
     return flat
 
 
-def _parse_eve_line(line: str) -> Optional[Dict[str, str]]:
+def _parse_json_object(line: str) -> Optional[Dict[str, Any]]:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError:
         return None
-    if not isinstance(obj, dict):
-        return None
-    return _flatten(obj)
+    return obj if isinstance(obj, dict) else None
+
+
+def _parse_eve_line(line: str) -> Optional[Dict[str, str]]:
+    obj = _parse_json_object(line)
+    return None if obj is None else _flatten(obj)
 
 
 def _parse_kv_line(line: str) -> Optional[Dict[str, str]]:
@@ -216,7 +220,7 @@ def parse_text(text: str, adapter: SourceAdapterSpec, origin: str = "<memory>") 
             FORMAT_SYSLOG: _parse_syslog_line,
             FORMAT_EVE: _parse_eve_line,
             FORMAT_KV: _parse_kv_line,
-            FORMAT_PRENORMALIZED: _parse_eve_line,
+            FORMAT_PRENORMALIZED: _parse_json_object,
         }[adapter.format]
         ordinal = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -434,19 +438,15 @@ def normalize_records(
                 trust_origin=adapter.trust_origin,
                 host=values["host"],
                 user=values["user"],
-                process=ProcessInfo(
-                    pid=ints["pid"],
-                    ppid=ints["ppid"],
-                    image=values["image"],
-                    cmdline=values["cmdline"],
-                ),
-                network=NetworkInfo(
-                    src_ip=values["src_ip"],
-                    src_port=ints["src_port"],
-                    dst_ip=values["dst_ip"],
-                    dst_port=ints["dst_port"],
-                    proto=values["proto"],
-                ),
+                pid=ints["pid"],
+                ppid=ints["ppid"],
+                image=values["image"],
+                cmdline=values["cmdline"],
+                src_ip=values["src_ip"],
+                src_port=ints["src_port"],
+                dst_ip=values["dst_ip"],
+                dst_port=ints["dst_port"],
+                proto=values["proto"],
                 text_blob=text_blob,
                 extras=extras,
             )
@@ -464,7 +464,7 @@ def _normalize_prenormalized(
     shared: Dict[str, str] = {}
     for record in records:
         try:
-            data = json.loads(record.raw_text)
+            data = dict(record.fields)
             data.setdefault("source", adapter.source)
             data.setdefault("trust_origin", adapter.trust_origin)
             data.setdefault("scenario_id", scenario_id)

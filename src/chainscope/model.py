@@ -84,37 +84,11 @@ MISSING = _Missing()
 
 
 @dataclass(frozen=True, slots=True)
-class ProcessInfo:
-    pid: Optional[int] = None
-    ppid: Optional[int] = None
-    image: Optional[str] = None
-    cmdline: Optional[str] = None
-
-    def is_empty(self) -> bool:
-        return self.pid is None and self.ppid is None and self.image is None and self.cmdline is None
-
-
-@dataclass(frozen=True, slots=True)
-class NetworkInfo:
-    src_ip: Optional[str] = None
-    src_port: Optional[int] = None
-    dst_ip: Optional[str] = None
-    dst_port: Optional[int] = None
-    proto: Optional[str] = None
-
-    def is_empty(self) -> bool:
-        return (
-            self.src_ip is None
-            and self.src_port is None
-            and self.dst_ip is None
-            and self.dst_port is None
-            and self.proto is None
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class NormalizedEvent:
-    """One canonical telemetry record.
+    """One canonical telemetry record, flat: its process fields (pid, ppid,
+    image, cmdline) and network fields (src_ip, src_port, dst_ip, dst_port,
+    proto) are slots of the event itself. Only events.jsonl groups them,
+    in ``event_to_dict`` and ``event_from_dict``.
 
     Immutable after construction; safe to share between workers.
     """
@@ -126,8 +100,15 @@ class NormalizedEvent:
     trust_origin: str
     host: Optional[str] = None
     user: Optional[str] = None
-    process: ProcessInfo = field(default_factory=ProcessInfo)
-    network: NetworkInfo = field(default_factory=NetworkInfo)
+    pid: Optional[int] = None
+    ppid: Optional[int] = None
+    image: Optional[str] = None
+    cmdline: Optional[str] = None
+    src_ip: Optional[str] = None
+    src_port: Optional[int] = None
+    dst_ip: Optional[str] = None
+    dst_port: Optional[int] = None
+    proto: Optional[str] = None
     text_blob: str = ""
     extras: Mapping[str, str] = field(default_factory=dict)
 
@@ -304,15 +285,15 @@ _STRUCTURED_GETTERS = {
     "trust_origin": lambda e: e.trust_origin,
     "host": lambda e: e.host,
     "user": lambda e: e.user,
-    "pid": lambda e: e.process.pid,
-    "ppid": lambda e: e.process.ppid,
-    "image": lambda e: e.process.image,
-    "cmdline": lambda e: e.process.cmdline,
-    "src_ip": lambda e: e.network.src_ip,
-    "src_port": lambda e: e.network.src_port,
-    "dst_ip": lambda e: e.network.dst_ip,
-    "dst_port": lambda e: e.network.dst_port,
-    "proto": lambda e: e.network.proto,
+    "pid": lambda e: e.pid,
+    "ppid": lambda e: e.ppid,
+    "image": lambda e: e.image,
+    "cmdline": lambda e: e.cmdline,
+    "src_ip": lambda e: e.src_ip,
+    "src_port": lambda e: e.src_port,
+    "dst_ip": lambda e: e.dst_ip,
+    "dst_port": lambda e: e.dst_port,
+    "proto": lambda e: e.proto,
     "text_blob": lambda e: e.text_blob or None,
 }
 
@@ -385,19 +366,27 @@ def iso_ms(ts_ms: int) -> str:
 
 
 def event_to_dict(event: NormalizedEvent) -> Dict[str, Any]:
+    """The on-disk form: process and network fields nested in two groups,
+    each null exactly when all of its fields are None."""
     proc: Optional[Dict[str, Any]] = None
-    if not event.process.is_empty():
-        proc = {k: v for k, v in (("pid", event.process.pid), ("ppid", event.process.ppid), ("image", event.process.image), ("cmdline", event.process.cmdline)) if v is not None}
+    if event.pid is not None or event.ppid is not None or event.image is not None or event.cmdline is not None:
+        proc = {k: v for k, v in (("pid", event.pid), ("ppid", event.ppid), ("image", event.image), ("cmdline", event.cmdline)) if v is not None}
     net: Optional[Dict[str, Any]] = None
-    if not event.network.is_empty():
+    if (
+        event.src_ip is not None
+        or event.src_port is not None
+        or event.dst_ip is not None
+        or event.dst_port is not None
+        or event.proto is not None
+    ):
         net = {
             k: v
             for k, v in (
-                ("src_ip", event.network.src_ip),
-                ("src_port", event.network.src_port),
-                ("dst_ip", event.network.dst_ip),
-                ("dst_port", event.network.dst_port),
-                ("proto", event.network.proto),
+                ("src_ip", event.src_ip),
+                ("src_port", event.src_port),
+                ("dst_ip", event.dst_ip),
+                ("dst_port", event.dst_port),
+                ("proto", event.proto),
             )
             if v is not None
         }
@@ -416,39 +405,14 @@ def event_to_dict(event: NormalizedEvent) -> Dict[str, Any]:
     }
 
 
-# the process and network records of an event that has none, shared by
-# every such event that a reader builds (both classes are frozen)
-_NO_PROCESS = ProcessInfo()
-_NO_NETWORK = NetworkInfo()
-
-
-def _process_info(proc: Mapping[str, Any], share: Callable[[Any], Any]) -> ProcessInfo:
-    info = ProcessInfo(
-        pid=proc.get("pid"),
-        ppid=proc.get("ppid"),
-        image=share(proc.get("image")),
-        cmdline=proc.get("cmdline"),
-    )
-    return _NO_PROCESS if info.is_empty() else info
-
-
-def _network_info(net: Mapping[str, Any], share: Callable[[Any], Any]) -> NetworkInfo:
-    info = NetworkInfo(
-        src_ip=share(net.get("src_ip")),
-        src_port=net.get("src_port"),
-        dst_ip=share(net.get("dst_ip")),
-        dst_port=net.get("dst_port"),
-        proto=share(net.get("proto")),
-    )
-    return _NO_NETWORK if info.is_empty() else info
-
-
 def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = None) -> NormalizedEvent:
     """Build an event from its ``event_to_dict`` form.
 
     With ``shared`` (one dict per read), equal string values of the fields
     ``normalize_records`` shares (source, scenario id, trust origin, host,
-    user, image, IPs, proto and extras keys) become one object.
+    user, image, IPs, proto and extras keys) become one object. A
+    ``process`` or ``network`` group that is present but not an object
+    raises TypeError naming it.
     """
     if shared is None:
         shared = {}
@@ -456,8 +420,12 @@ def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = 
     def share(value: Any) -> Any:
         return shared.setdefault(value, value) if isinstance(value, str) else value
 
-    proc = data.get("process")
-    net = data.get("network")
+    proc = data.get("process") or {}
+    net = data.get("network") or {}
+    if not isinstance(proc, dict):
+        raise TypeError(f"'process' must be an object, got {type(proc).__name__}")
+    if not isinstance(net, dict):
+        raise TypeError(f"'network' must be an object, got {type(net).__name__}")
     return NormalizedEvent(
         event_id=data["event_id"],
         ts=int(data["ts"]),
@@ -466,8 +434,15 @@ def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = 
         trust_origin=share(data["trust_origin"]),
         host=share(data.get("host")),
         user=share(data.get("user")),
-        process=_process_info(proc, share) if proc else _NO_PROCESS,
-        network=_network_info(net, share) if net else _NO_NETWORK,
+        pid=proc.get("pid"),
+        ppid=proc.get("ppid"),
+        image=share(proc.get("image")),
+        cmdline=proc.get("cmdline"),
+        src_ip=share(net.get("src_ip")),
+        src_port=net.get("src_port"),
+        dst_ip=share(net.get("dst_ip")),
+        dst_port=net.get("dst_port"),
+        proto=share(net.get("proto")),
         text_blob=data.get("text_blob", ""),
         extras={share(k): v for k, v in dict(data.get("extras") or {}).items()},
     )
@@ -658,6 +633,13 @@ def object_list(
             if name not in entry:
                 raise ParseError(f"{origin}: {where}{key}[{i}] lacks {name!r}")
     return entries
+
+
+def float_value(value: Any) -> float:
+    """float(value), except that a boolean (YAML's true or false) raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def string_list(origin: Union[str, Path], doc: Mapping[str, Any], key: str, where: str = "") -> List[str]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
 
 from .errors import SanitizeError
-from .model import NormalizedEvent, ProcessInfo
+from .model import NormalizedEvent
 
 CATEGORY_NAMES = ("host", "user", "resource", "path", "domain")
 
@@ -193,7 +193,7 @@ def _collect_identifiers(
         for event in events:
             hosts.add(event.host)
             users.add(event.user)
-            texts.update((event.text_blob or "", event.process.cmdline or "", event.process.image or ""))
+            texts.update((event.text_blob or "", event.cmdline or "", event.image or ""))
             texts.update(str(v) for v in event.extras.values())
     for name, values in (("host", hosts), ("user", users)):
         if name in found:
@@ -269,20 +269,23 @@ def sanitize_dataset(
             if user is not None and user in tokens:
                 counts[cat_of[user]] = counts.get(cat_of[user], 0) + 1
                 user = tokens[user]
-            proc = event.process
-            image = _substitute(proc.image, ordered, counts, cat_of) if proc.image else proc.image
-            cmdline = _substitute(proc.cmdline, ordered, counts, cat_of) if proc.cmdline else proc.cmdline
-            # _substitute returns its argument itself when nothing matched
-            new_proc = proc
-            if image is not proc.image or cmdline is not proc.cmdline:
-                new_proc = ProcessInfo(pid=proc.pid, ppid=proc.ppid, image=image, cmdline=cmdline)
+            image = _substitute(event.image, ordered, counts, cat_of) if event.image else event.image
+            cmdline = _substitute(event.cmdline, ordered, counts, cat_of) if event.cmdline else event.cmdline
             text_blob = _substitute(event.text_blob, ordered, counts, cat_of) if event.text_blob else event.text_blob
             extras = event.extras
             if extras:
                 new_extras = {k: _substitute(v, ordered, counts, cat_of) for k, v in extras.items()}
                 if new_extras != dict(extras):
                     extras = new_extras
-            if host is event.host and user is event.user and new_proc is proc and text_blob is event.text_blob and extras is event.extras:
+            # _substitute returns its argument itself when nothing matched
+            if (
+                host is event.host
+                and user is event.user
+                and image is event.image
+                and cmdline is event.cmdline
+                and text_blob is event.text_blob
+                and extras is event.extras
+            ):
                 out.append(event)
             else:
                 out.append(
@@ -294,8 +297,15 @@ def sanitize_dataset(
                         trust_origin=event.trust_origin,
                         host=host,
                         user=user,
-                        process=new_proc,
-                        network=event.network,
+                        pid=event.pid,
+                        ppid=event.ppid,
+                        image=image,
+                        cmdline=cmdline,
+                        src_ip=event.src_ip,
+                        src_port=event.src_port,
+                        dst_ip=event.dst_ip,
+                        dst_port=event.dst_port,
+                        proto=event.proto,
                         text_blob=text_blob,
                         extras=extras,
                     )

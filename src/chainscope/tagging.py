@@ -31,6 +31,7 @@ from .model import (
     NormalizedEvent,
     _jsonl_lines,
     field_resolver,
+    float_value,
     object_field,
     object_list,
     resolve_fields,
@@ -187,7 +188,7 @@ def load_rules(doc: Mapping[str, Any], origin: str = "rules document") -> RuleSe
             rule = StepRule(
                 rule_id=str(item["rule_id"]),
                 step=parse_step(str(item["step"])),
-                priority=float(item.get("priority", 0)),
+                priority=float_value(item.get("priority", 0)),
                 patterns=tuple(string_list(origin, item, "patterns", where)),
                 candidate_fields=tuple(string_list(origin, item, "candidate_fields", where)),
                 where_any=clauses("where_any"),

@@ -22,9 +22,7 @@ from chainscope.model import (
     EMPTY_ALIASES,
     MISSING,
     TEXT_BLOB_CANDIDATES,
-    NetworkInfo,
     NormalizedEvent,
-    ProcessInfo,
     parse_timestamp,
 )
 from chainscope.synth import generate_scenario
@@ -107,8 +105,15 @@ def make_event(
         trust_origin=trust_origin,
         host=host,
         user=user,
-        process=ProcessInfo(pid=pid, ppid=ppid, image=image, cmdline=cmdline),
-        network=NetworkInfo(src_ip=src_ip, src_port=src_port, dst_ip=dst_ip, dst_port=dst_port, proto=proto),
+        pid=pid,
+        ppid=ppid,
+        image=image,
+        cmdline=cmdline,
+        src_ip=src_ip,
+        src_port=src_port,
+        dst_ip=dst_ip,
+        dst_port=dst_port,
+        proto=proto,
         text_blob=text_blob,
         extras=dict(extras or {}),
     )
@@ -206,22 +211,20 @@ def oracle_chains(
             return True
         if a.user is not None and a.user == b.user:
             return True
-        pa, pb = a.process, b.process
         hosts_ok = a.host is None or b.host is None or a.host == b.host
-        if hosts_ok and pa.pid is not None and pb.pid is not None:
-            if pa.pid == pb.pid or pa.pid == pb.ppid or (pa.ppid is not None and pa.ppid == pb.pid):
+        if hosts_ok and a.pid is not None and b.pid is not None:
+            if a.pid == b.pid or a.pid == b.ppid or (a.ppid is not None and a.ppid == b.pid):
                 return True
-        na, nb = a.network, b.network
-        if na.dst_ip is not None and na.dst_port is not None and (na.dst_ip, na.dst_port) == (nb.dst_ip, nb.dst_port):
+        if a.dst_ip is not None and a.dst_port is not None and (a.dst_ip, a.dst_port) == (b.dst_ip, b.dst_port):
             return True
         if (
-            na.src_ip is not None
-            and na.dst_ip is not None
-            and nb.src_ip is not None
-            and nb.dst_ip is not None
-            and (na.proto is None or nb.proto is None or na.proto == nb.proto)
+            a.src_ip is not None
+            and a.dst_ip is not None
+            and b.src_ip is not None
+            and b.dst_ip is not None
+            and (a.proto is None or b.proto is None or a.proto == b.proto)
         ):
-            if {(na.src_ip, na.src_port), (na.dst_ip, na.dst_port)} == {(nb.src_ip, nb.src_port), (nb.dst_ip, nb.dst_port)}:
+            if {(a.src_ip, a.src_port), (a.dst_ip, a.dst_port)} == {(b.src_ip, b.src_port), (b.dst_ip, b.dst_port)}:
                 return True
         return False
 
@@ -379,14 +382,15 @@ def reference_normalize_records(records, adapter, aliases=EMPTY_ALIASES, scenari
                 trust_origin=adapter.trust_origin,
                 host=values["host"],
                 user=values["user"],
-                process=ProcessInfo(pid=ints["pid"], ppid=ints["ppid"], image=values["image"], cmdline=values["cmdline"]),
-                network=NetworkInfo(
-                    src_ip=values["src_ip"],
-                    src_port=ints["src_port"],
-                    dst_ip=values["dst_ip"],
-                    dst_port=ints["dst_port"],
-                    proto=values["proto"],
-                ),
+                pid=ints["pid"],
+                ppid=ints["ppid"],
+                image=values["image"],
+                cmdline=values["cmdline"],
+                src_ip=values["src_ip"],
+                src_port=ints["src_port"],
+                dst_ip=values["dst_ip"],
+                dst_port=ints["dst_port"],
+                proto=values["proto"],
                 text_blob=" ".join(values[c] for c in TEXT_BLOB_CANDIDATES if values[c]),
                 extras={k: str(v) for k, v in sorted(record.fields.items()) if k.lower() not in used_source_keys},
             )
@@ -402,15 +406,15 @@ REFERENCE_GETTERS = {
     "trust_origin": lambda e: e.trust_origin,
     "host": lambda e: e.host,
     "user": lambda e: e.user,
-    "pid": lambda e: e.process.pid,
-    "ppid": lambda e: e.process.ppid,
-    "image": lambda e: e.process.image,
-    "cmdline": lambda e: e.process.cmdline,
-    "src_ip": lambda e: e.network.src_ip,
-    "src_port": lambda e: e.network.src_port,
-    "dst_ip": lambda e: e.network.dst_ip,
-    "dst_port": lambda e: e.network.dst_port,
-    "proto": lambda e: e.network.proto,
+    "pid": lambda e: e.pid,
+    "ppid": lambda e: e.ppid,
+    "image": lambda e: e.image,
+    "cmdline": lambda e: e.cmdline,
+    "src_ip": lambda e: e.src_ip,
+    "src_port": lambda e: e.src_port,
+    "dst_ip": lambda e: e.dst_ip,
+    "dst_port": lambda e: e.dst_port,
+    "proto": lambda e: e.proto,
     "text_blob": lambda e: e.text_blob or None,
 }
 

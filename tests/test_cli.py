@@ -340,6 +340,27 @@ class TestSweepCommand:
         assert len(warnings) == 1 and "no input files" in warnings[0] and "tracee" in warnings[0]
 
 
+class TestParseThreshold:
+    """A file below its adapter's parse_threshold fails ingest, evaluate and sweep alike."""
+
+    @pytest.mark.parametrize("command", ["ingest", "evaluate", "sweep"])
+    def test_file_below_threshold_exit_2_naming_it(self, scenario_dir, tmp_path, capsys, command):
+        syslog = scenario_dir / "syslog.log"
+        with open(syslog, "a", encoding="utf-8") as log:
+            log.write("not a syslog line\n" * 10)
+        out = tmp_path / "out"
+        args = [command, "--scenario-dir", str(scenario_dir), "--out", str(out)]
+        if command == "sweep":
+            # a sweep ingests every source before any budget runs, so a budget without syslog fails too
+            budgets = tmp_path / "budgets.yml"
+            budgets.write_text("budgets:\n  - [zeek]\n")
+            args += ["--budgets", str(budgets)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{syslog}: parse rate 0.767 below threshold 0.9 for adapter 'syslog'" in err
+        assert not out.exists()
+
+
 class TestEventIdWidth:
     def test_more_than_a_thousand_files_per_source_exit_2(self, tmp_path, capsys):
         data = tmp_path / "many"

@@ -114,6 +114,7 @@ def test_missing_config_file_names_path(tmp_path):
         ("default_year: true", "default_year must be an integer"),
         ("ts_format: isoo", "unknown ts_format 'isoo'"),
         ('parse_threshold: "high"', "malformed adapter entry"),
+        ("parse_threshold: true", "malformed adapter entry .*expected a number, got True"),
     ],
 )
 def test_malformed_adapter_setting_is_a_config_error(tmp_path, setting, detail):

@@ -159,7 +159,7 @@ class TestNormalizeRecords:
         )
         first, second = normalize_records(records, KV_ADAPTER, scenario_id="s").events
         assert first.host == "build-01" and first.host is second.host
-        assert first.user is second.user and first.process.image is second.process.image
+        assert first.user is second.user and first.image is second.image
         assert [k for k in first.extras] == ["type"] and next(iter(first.extras)) is next(iter(second.extras))
 
     @pytest.mark.parametrize("file_ordinal, ordinal", [(1_000, 0), (0, 1_000_000)])
@@ -176,17 +176,44 @@ class TestNormalizeRecords:
     def test_prenormalized_default_id_overflow(self, file_ordinal, ordinal):
         adapter = SourceAdapterSpec(source="replay", format="prenormalized")
         line = json.dumps({"ts": 1714554000000, "text_blob": "x"})
-        record = RawRecord(source="replay", ordinal=ordinal, fields={}, raw_text=line)
+        record = replace(parse_text(line, adapter).records[0], ordinal=ordinal)
         with pytest.raises(EventIdError, match="replay.jsonl: event id overflow for source 'replay'"):
             normalize_records([record], adapter, file_ordinal=file_ordinal, origin="replay.jsonl")
         # a record that carries its own id needs no default
-        named = replace(record, raw_text=json.dumps({"event_id": "r1", "ts": 1}))
+        named = replace(parse_text(json.dumps({"event_id": "r1", "ts": 1}), adapter).records[0], ordinal=ordinal)
         assert normalize_records([named], adapter, file_ordinal=file_ordinal).events[0].event_id == "r1"
+
+    def test_prenormalized_line_is_decoded_once(self, monkeypatch):
+        adapter = SourceAdapterSpec(source="replay", format="prenormalized")
+        obj = {"ts": 1, "process": {"pid": 3, "image": "/bin/sh"}}
+        line = json.dumps(obj)
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, *args, **kwargs: decoded.append(text) or loads(text, *args, **kwargs))
+        parsed = parse_text(line, adapter)
+        # the record keeps the decoded object, not flattened strings such as 'process.pid': '3'
+        assert parsed.records[0].fields == obj
+        event = normalize_records(parsed.records, adapter).events[0]
+        assert (event.pid, event.image) == (3, "/bin/sh")
+        assert decoded == [line]
+
+    @pytest.mark.parametrize("key", ["process", "network"])
+    def test_prenormalized_group_that_is_not_an_object_is_quarantined(self, tmp_path, key):
+        adapter = SourceAdapterSpec(source="replay", format="prenormalized")
+        lines = [json.dumps({"ts": 1, key: "oops"}), json.dumps({"ts": 2, key: None}), json.dumps({"ts": 3, key: {}})]
+        (tmp_path / "replay.jsonl").write_text("\n".join(lines) + "\n")
+        result = ingest_scenario(tmp_path, [adapter], scenario_id="s")
+        assert result.report()["total_quarantined"] == 1
+        assert [e.ts for e in result.events_by_source["replay"]] == [2, 3]
+        parsed = parse_text("\n".join(lines), adapter)
+        (quarantine,) = normalize_records(parsed.records, adapter).quarantined
+        assert quarantine.ordinal == 0
+        assert quarantine.reason == f"bad canonical record: '{key}' must be an object, got str"
 
     def test_int_coercion(self):
         records = self._records("2024-05-01T09:00:00.000+00:00 h1 app[123]: m\n")
         result = normalize_records(records, SYSLOG_ADAPTER, scenario_id="s")
-        assert result.events[0].process.pid == 123
+        assert result.events[0].pid == 123
 
     def test_trust_origin_default_applied(self):
         adapter = SourceAdapterSpec(

@@ -141,6 +141,32 @@ class TestFieldAliasMap:
         assert aliases.aliases_for("CMDLINE") == ("CommandLine", "commandline")
 
 
+PROCESS_FIELDS = ("pid", "ppid", "image", "cmdline")
+NETWORK_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port", "proto")
+HOSTS = st.sampled_from([None, "h1", "h2", "build-02"])
+# events with any subset of the nine process and network fields set
+EVENTS = st.lists(
+    st.builds(
+        make_event,
+        ts=st.integers(min_value=0, max_value=2**45),
+        host=HOSTS,
+        user=st.sampled_from([None, "alice", "bob"]),
+        pid=st.none() | st.integers(min_value=0, max_value=99),
+        ppid=st.none() | st.integers(min_value=0, max_value=99),
+        image=st.none() | st.sampled_from(["/usr/bin/pip", "cmd.exe"]),
+        cmdline=st.none() | st.text(max_size=8),
+        src_ip=st.none() | st.sampled_from(["10.0.0.9", "192.0.2.1"]),
+        src_port=st.none() | st.integers(min_value=0, max_value=65535),
+        dst_ip=st.none() | st.sampled_from(["10.0.0.1", "203.0.113.9"]),
+        dst_port=st.none() | st.sampled_from([22, 443]),
+        proto=st.none() | st.just("tcp"),
+        text_blob=st.text(max_size=12),
+        extras=st.dictionaries(st.sampled_from(["type", "Image", "k"]), st.text(max_size=6), max_size=2),
+    ),
+    max_size=6,
+)
+
+
 class TestEventOrderingAndSerialization:
     def test_sort_is_total_and_deterministic(self):
         events = [
@@ -156,13 +182,18 @@ class TestEventOrderingAndSerialization:
         with pytest.raises(ValueError):
             make_event(trust_origin="unknown")
 
-    def test_jsonl_round_trip(self):
-        events = [
-            make_event(event_id="e1", ts=1, user="u", pid=4, cmdline="run", dst_ip="1.2.3.4", dst_port=443, proto="tcp", extras={"k": "v"}),
-            make_event(event_id="e2", ts=2, host=None, text_blob="hello world"),
-        ]
+    @settings(max_examples=200, deadline=None)
+    @given(EVENTS)
+    def test_jsonl_round_trip(self, events):
         text = events_to_jsonl(events)
         assert events_from_jsonl(text) == events
+        for event, line in zip(events, text.splitlines()):
+            doc = json.loads(line)
+            for group, names in (("process", PROCESS_FIELDS), ("network", NETWORK_FIELDS)):
+                present = {name: getattr(event, name) for name in names if getattr(event, name) is not None}
+                # a group is null exactly when all of its fields are None
+                assert (doc[group] is None) == (not present)
+                assert doc[group] == (present or None)
 
     def test_dict_field_names(self):
         doc = event_to_dict(make_event(pid=1, dst_port=80))
@@ -197,24 +228,6 @@ class TestEventOrderingAndSerialization:
         assert info.value.offending == line
 
 
-HOSTS = st.sampled_from([None, "h1", "h2", "build-02"])
-EVENTS = st.lists(
-    st.builds(
-        make_event,
-        ts=st.integers(min_value=0, max_value=2**45),
-        host=HOSTS,
-        user=st.sampled_from([None, "alice", "bob"]),
-        pid=st.none() | st.integers(min_value=0, max_value=99),
-        image=st.none() | st.sampled_from(["/usr/bin/pip", "cmd.exe"]),
-        cmdline=st.none() | st.text(max_size=8),
-        dst_ip=st.none() | st.sampled_from(["10.0.0.1", "203.0.113.9"]),
-        dst_port=st.none() | st.sampled_from([22, 443]),
-        proto=st.none() | st.just("tcp"),
-        text_blob=st.text(max_size=12),
-        extras=st.dictionaries(st.sampled_from(["type", "Image", "k"]), st.text(max_size=6), max_size=2),
-    ),
-    max_size=6,
-)
 MALFORMED_LINES = st.sampled_from(['{"event_id":"a","ts":1}', "not json", '["a", 1]', "{\"event_id\""])
 
 
@@ -252,19 +265,19 @@ class TestEventsJsonlReader:
 
     def test_one_read_shares_equal_values(self):
         events = [
-            make_event(event_id="a", host="build-02", user="alice", extras={"type": "EXECVE"}),
-            make_event(event_id="b", host="build-02", user="alice", pid=7, extras={"type": "EXECVE"}),
-            make_event(event_id="c", host="build-02", dst_ip="10.0.0.1", dst_port=22),
+            make_event(event_id="a", host="build-02", user="alice", image="/usr/bin/pip", extras={"type": "EXECVE"}),
+            make_event(event_id="b", host="build-02", user="alice", pid=7, image="/usr/bin/pip", dst_ip="10.0.0.1"),
+            make_event(event_id="c", host="build-02", src_ip="10.0.0.9", dst_ip="10.0.0.1", dst_port=22, proto="tcp"),
+            make_event(event_id="d", src_ip="10.0.0.9", proto="tcp", extras={"type": "EXECVE"}),
         ]
-        a, b, c = events_from_jsonl(io.BytesIO(events_to_jsonl(events).encode()))
+        a, b, c, d = events_from_jsonl(io.BytesIO(events_to_jsonl(events).encode()))
         assert a.host is b.host is c.host
         assert a.user is b.user
         assert a.source is b.source is c.source
-        assert next(iter(a.extras)) is next(iter(b.extras))
-        # events without a process (or network) record share one empty record
-        assert a.process is c.process and a.process.is_empty()
-        assert a.network is b.network and a.network.is_empty()
-        assert b.process.pid == 7 and not c.network.is_empty()
+        assert next(iter(a.extras)) is next(iter(d.extras))
+        # the flat identity strings are shared across the read as well
+        assert a.image is b.image
+        assert b.dst_ip is c.dst_ip and c.src_ip is d.src_ip and c.proto is d.proto
 
     def test_read_peak_stays_near_what_it_returns(self, tmp_path):
         # a line-by-line read allocates little beyond the events it returns;
@@ -418,9 +431,10 @@ def test_per_event_classes_hold_no_dict(default_rules):
     candidates = [c for d in decisions for c in d.candidates]
     diagnostics = [g for d in decisions for g in d.diagnostics]
     assert candidates and diagnostics and graph.edges
+    # the graph's nodes are the tagged events themselves
+    assert [id(node) for node in graph.nodes] == [id(event) for event in events]
     record = RawRecord(source="syslog", ordinal=0, fields={}, raw_text="")
-    instances = [events[0], events[0].process, events[0].network, record, decisions[0], candidates[0], diagnostics[0]]
-    instances += [graph.nodes[0], graph.edges[0]]
-    assert len({type(obj) for obj in instances}) == 9
+    instances = [events[0], record, decisions[0], candidates[0], diagnostics[0], graph.edges[0]]
+    assert len({type(obj) for obj in instances}) == 6
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -75,7 +75,7 @@ class TestEmitActivityEvents:
     def test_download_has_url_text_and_connection(self):
         events = activity_events("Download")
         assert any("https://" in e.text_blob for e in events)
-        assert any(e.network.dst_ip is not None for e in events)
+        assert any(e.dst_ip is not None for e in events)
 
     def test_login_is_single_auth_flavored_event(self):
         events = activity_events("Login")

@@ -106,6 +106,12 @@ class TestLoadRules:
             load_rules(doc)
         assert "bad" in str(err.value)
 
+    @pytest.mark.parametrize("priority", [True, False, "high"])
+    def test_non_numeric_priority(self, priority):
+        doc = {"rules": [{"rule_id": "r", "step": "INSTALL", "priority": priority, "patterns": ["x"], "candidate_fields": ["text_blob"]}]}
+        with pytest.raises(RuleError, match="malformed rule entry"):
+            load_rules(doc)
+
     def test_duplicate_rule_id(self):
         entry = {"rule_id": "dup", "step": "INSTALL", "priority": 1, "patterns": ["x"], "candidate_fields": ["text_blob"]}
         with pytest.raises(RuleError):
