@@ -6,6 +6,8 @@ one falls inside a bounded window of the earlier one and they share a
 join key (host, user, process lineage, or consistent network endpoints).
 Edges always point forward under the (ts, event_id) order, so the graph
 is a DAG and nodes in that order are already topologically sorted.
+build_event_graph is the one place that pairs decisions with events: an
+edge names its endpoints by node position, and later stages index by it.
 
 build_event_graph does not test every pair inside the window. It files
 each node in keyed buckets -- host, user, pid, ppid, destination endpoint
@@ -32,7 +34,9 @@ extended sequence, so a DP state is the int node * 326 + sequence and a
 path is a chain of such parent ints. The back-to-front tie-break matters
 for throughput: two candidate paths for one state almost always arrive
 through different predecessors, so the comparison resolves without
-walking whole paths.
+walking whole paths. In place of a subgraph, extract_chains takes the
+node positions to use: an edge depends only on its two events and
+positions keep their order, so that equals the graph built on their events.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ TOP2_MARGIN_SENTINEL = math.inf
 
 @dataclass(frozen=True, slots=True)
 class Edge:
-    src: str
-    dst: str
+    src: int  # node positions in the EventGraph
+    dst: int
     join_reason: str
     gap_ms: int
 
@@ -140,7 +144,7 @@ def build_event_graph(
     exists iff 0 <= ts_b - ts_a <= window_ms, (a, b) are distinct and
     forward-ordered under (ts, event_id), and a join criterion holds.
     Edges are ordered by (a, b) node position. Event ids must be unique
-    and every decision must name a distinct event of the table; otherwise
+    and every event must have exactly one decision; otherwise
     EventIdError names the first offender.
     """
     if window_ms <= 0:
@@ -160,8 +164,10 @@ def build_event_graph(
         decided.add(decision.event_id)
         if decision.chosen is not None:
             chosen[decision.event_id] = decision.chosen
+    if len(decided) < len(event_ids):
+        missing = next(e.event_id for e in events if e.event_id not in decided)
+        raise EventIdError(f"no decision for event id {missing!r}")
     nodes = sorted((e for e in events if e.event_id in chosen), key=lambda e: (e.ts, e.event_id))
-    ids = [node.event_id for node in nodes]
     ts = [node.ts for node in nodes]
     buckets, partners = _candidate_buckets(nodes, ts)
     edges: List[Edge] = []
@@ -178,26 +184,10 @@ def build_event_graph(
         if others:
             joined.extend((j, r) for j in others if (r := join_reason(a, nodes[j])) is not None)
             joined.sort()
-        src, ts_a = ids[i], ts[i]
-        edges.extend(Edge(src, ids[j], reason, ts[j] - ts_a) for j, reason in joined)
-    steps = tuple(chosen[event_id] for event_id in ids)
+        ts_a = ts[i]
+        edges.extend(Edge(i, j, reason, ts[j] - ts_a) for j, reason in joined)
+    steps = tuple(chosen[node.event_id] for node in nodes)
     return EventGraph(nodes=tuple(nodes), steps=steps, edges=tuple(edges), window_ms=window_ms)
-
-
-def induced_subgraph(graph: EventGraph, event_ids: Set[str]) -> EventGraph:
-    """The graph restricted to the nodes whose event id is in event_ids.
-
-    Equals build_event_graph on the events and decisions of that subset:
-    an edge depends only on its two events, and positions in the subset
-    keep their order, so nodes and edges keep theirs.
-    """
-    kept = [i for i, node in enumerate(graph.nodes) if node.event_id in event_ids]
-    return EventGraph(
-        nodes=tuple(graph.nodes[i] for i in kept),
-        steps=tuple(graph.steps[i] for i in kept),
-        edges=tuple(e for e in graph.edges if e.src in event_ids and e.dst in event_ids),
-        window_ms=graph.window_ms,
-    )
 
 
 # A bucket holds the ascending positions, and their timestamps, of the
@@ -318,31 +308,38 @@ def extract_chains(
     graph: EventGraph,
     top_k: Optional[int] = DEFAULT_TOP_K,
     gap_threshold_ms: int = DEFAULT_GAP_MS,
+    nodes: Optional[Sequence[int]] = None,
 ) -> List[Chain]:
     """Extract candidate chains as deduplicated ordered step sequences.
 
     Equivalent to enumerating every forward path, projecting it onto its
     first-occurrence step sequence, and keeping the best representative
     per distinct sequence -- but runs as a DP over (node, sequence)
-    states. An empty graph yields an empty list.
+    states. nodes, ascending node positions (None: all of them), limits
+    the paths to those nodes and the edges between them. No nodes yield
+    an empty list.
     """
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1")
-    nodes = graph.nodes
-    n = len(nodes)
-    if n == 0:
+    n = len(graph.nodes)
+    if nodes is None:
+        nodes = range(n)
+    if not nodes:
         return []
-    index = {node.event_id: i for i, node in enumerate(nodes)}
+    kept = bytearray(n)  # 1 at each position in nodes
+    for v in nodes:
+        kept[v] = 1
+    # edges come in (src, dst) order, so every predecessor list ascends
     preds: List[List[int]] = [[] for _ in range(n)]
     for edge in graph.edges:
-        preds[index[edge.dst]].append(index[edge.src])
-    for plist in preds:
-        plist.sort()
-    ts = [node.ts for node in nodes]
+        if kept[edge.src] and kept[edge.dst]:
+            preds[edge.dst].append(edge.src)
+    ts = [node.ts for node in graph.nodes]
 
-    # states[v][seq] = (first_ts, length, parent); a state is the int
-    # v * _NSEQ + seq, and parent is the predecessor's state or -1
-    states: List[Dict[int, Tuple[int, int, int]]] = []
+    # states[v][seq] = (first_ts, length, parent), a fresh dict for each kept
+    # v; a state is the int v * _NSEQ + seq, and parent is the predecessor's
+    # state or -1
+    states: List[Dict[int, Tuple[int, int, int]]] = [{}] * n
 
     def back_less(a: int, b: int) -> bool:
         """Compare two stored paths back-to-front by node index.
@@ -358,10 +355,9 @@ def extract_chains(
             a, b = states[node_a][seq_a][2], states[node_b][seq_b][2]
         return False
 
-    for v in range(n):
+    for v in nodes:
         extend = _EXTEND[_STEP_CODES[graph.steps[v]]]
-        here = {extend[0]: (ts[v], 1, -1)}
-        states.append(here)
+        here = states[v] = {extend[0]: (ts[v], 1, -1)}
         for u in preds[v]:
             base = u * _NSEQ
             for seq_u, (first, length, _parent) in states[u].items():
@@ -392,7 +388,7 @@ def extract_chains(
 
     # best representative per distinct sequence across all endpoints
     best: Dict[int, Tuple[Tuple[int, int, int], int]] = {}
-    for v in range(n):
+    for v in nodes:
         base = v * _NSEQ
         for seq, (first, length, _parent) in states[v].items():
             key = (ts[v] - first, first, length)
@@ -455,12 +451,13 @@ def chain_to_dict(chain: Chain) -> Dict:
 
 
 def graph_to_dict(graph: EventGraph) -> Dict:
+    """The graph.json document: nodes, and edges with their endpoints as event ids."""
+    nodes = graph.nodes
     return {
         "window_ms": graph.window_ms,
-        "nodes": [
-            {"event_id": n.event_id, "ts": n.ts, "step": step.value} for n, step in zip(graph.nodes, graph.steps)
-        ],
+        "nodes": [{"event_id": n.event_id, "ts": n.ts, "step": step.value} for n, step in zip(nodes, graph.steps)],
         "edges": [
-            {"src": e.src, "dst": e.dst, "join_reason": e.join_reason, "gap_ms": e.gap_ms} for e in graph.edges
+            {"src": nodes[e.src].event_id, "dst": nodes[e.dst].event_id, "join_reason": e.join_reason, "gap_ms": e.gap_ms}
+            for e in graph.edges
         ],
     }

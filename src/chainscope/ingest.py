@@ -579,6 +579,10 @@ def ingest_scenario(
             result = normalize_records(
                 parsed.records, adapter, aliases, scenario_id=scenario_id, file_ordinal=file_ordinal, origin=str(path)
             )
+            if result.quarantined:
+                first, count = result.quarantined[0], len(result.quarantined)
+                message = "%s: %d record(s) quarantined for source %r; first at ordinal %d: %s"
+                logger.warning(message, path.name, count, adapter.source, first.ordinal, first.reason)
             quarantined += len(result.quarantined)
             naive += result.naive_ts_count
             events.extend(result.events)

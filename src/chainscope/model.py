@@ -405,14 +405,44 @@ def event_to_dict(event: NormalizedEvent) -> Dict[str, Any]:
     }
 
 
+_KIND_NAMES = {str: "a string", int: "an integer"}
+_REQUIRED = object()
+
+
+def _field(group: Mapping[str, Any], key: str, kind: type, default: Any = None) -> Any:
+    """group[key], or default when the key is absent (_REQUIRED: KeyError).
+
+    The value must be exactly of kind -- a JSON boolean is no integer --
+    or null where the default is None; otherwise TypeError names the key.
+    """
+    value = group[key] if default is _REQUIRED else group.get(key, default)
+    if type(value) is kind or (value is None and default is None):
+        return value
+    nullable = " or null" if default is None else ""
+    raise TypeError(f"{key!r} must be {_KIND_NAMES[kind]}{nullable}, got {type(value).__name__}")
+
+
+def _object(data: Mapping[str, Any], key: str) -> Dict[str, Any]:
+    """data[key] as an object, absent or null: empty; anything else raises TypeError naming the key."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if type(value) is not dict:
+        raise TypeError(f"{key!r} must be an object, got {type(value).__name__}")
+    return value
+
+
 def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = None) -> NormalizedEvent:
     """Build an event from its ``event_to_dict`` form.
 
     With ``shared`` (one dict per read), equal string values of the fields
     ``normalize_records`` shares (source, scenario id, trust origin, host,
-    user, image, IPs, proto and extras keys) become one object. A
-    ``process`` or ``network`` group that is present but not an object
-    raises TypeError naming it.
+    user, image, IPs, proto and extras keys) become one object. A value of
+    the wrong JSON type raises TypeError naming its key: event_id, source
+    and trust_origin are strings, and so are scenario_id and text_blob when
+    present; ts is an integer; the other fields are strings or integers as
+    in NormalizedEvent, or null; ``process``, ``network`` and ``extras``
+    are objects or null, and the values of ``extras`` are strings.
     """
     if shared is None:
         shared = {}
@@ -420,31 +450,29 @@ def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = 
     def share(value: Any) -> Any:
         return shared.setdefault(value, value) if isinstance(value, str) else value
 
-    proc = data.get("process") or {}
-    net = data.get("network") or {}
-    if not isinstance(proc, dict):
-        raise TypeError(f"'process' must be an object, got {type(proc).__name__}")
-    if not isinstance(net, dict):
-        raise TypeError(f"'network' must be an object, got {type(net).__name__}")
+    proc, net, extras = _object(data, "process"), _object(data, "network"), _object(data, "extras")
+    for key, value in extras.items():
+        if type(value) is not str:
+            raise TypeError(f"'extras' value {key!r} must be a string, got {type(value).__name__}")
     return NormalizedEvent(
-        event_id=data["event_id"],
-        ts=int(data["ts"]),
-        scenario_id=share(data.get("scenario_id", "")),
-        source=share(data["source"]),
-        trust_origin=share(data["trust_origin"]),
-        host=share(data.get("host")),
-        user=share(data.get("user")),
-        pid=proc.get("pid"),
-        ppid=proc.get("ppid"),
-        image=share(proc.get("image")),
-        cmdline=proc.get("cmdline"),
-        src_ip=share(net.get("src_ip")),
-        src_port=net.get("src_port"),
-        dst_ip=share(net.get("dst_ip")),
-        dst_port=net.get("dst_port"),
-        proto=share(net.get("proto")),
-        text_blob=data.get("text_blob", ""),
-        extras={share(k): v for k, v in dict(data.get("extras") or {}).items()},
+        event_id=_field(data, "event_id", str, _REQUIRED),
+        ts=_field(data, "ts", int, _REQUIRED),
+        scenario_id=share(_field(data, "scenario_id", str, "")),
+        source=share(_field(data, "source", str, _REQUIRED)),
+        trust_origin=share(_field(data, "trust_origin", str, _REQUIRED)),
+        host=share(_field(data, "host", str)),
+        user=share(_field(data, "user", str)),
+        pid=_field(proc, "pid", int),
+        ppid=_field(proc, "ppid", int),
+        image=share(_field(proc, "image", str)),
+        cmdline=_field(proc, "cmdline", str),
+        src_ip=share(_field(net, "src_ip", str)),
+        src_port=_field(net, "src_port", int),
+        dst_ip=share(_field(net, "dst_ip", str)),
+        dst_port=_field(net, "dst_port", int),
+        proto=share(_field(net, "proto", str)),
+        text_blob=_field(data, "text_blob", str, ""),
+        extras={share(k): v for k, v in extras.items()},
     )
 
 

@@ -6,11 +6,11 @@ ingest/tag/reconstruct stage commands all go through the functions here,
 and every artifact has exactly one writer in this module. A sweep shares
 the work its budgets have in common: each event is tagged once, one graph
 is built over the union of the budgets' sources, and only chains and
-metrics run per budget, on that graph's subgraph; every row is identical
-to a separate run on the budget's sources. Artifacts are
-deterministic functions of the inputs: JSON documents are dumped with
-sorted keys and no generation timestamps, so re-running with the same
-manifest reproduces them byte-identically.
+metrics run per budget, on that graph restricted to the positions of the
+budget's nodes; every row is identical to a separate run on the budget's
+sources. Artifacts are deterministic functions of the inputs: JSON
+documents are dumped with sorted keys and no generation timestamps, so
+re-running with the same manifest reproduces them byte-identically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ConfigError, EventIdError
+from .errors import ConfigError
 from .graph import (
     Chain,
     ChainAmbiguity,
@@ -36,7 +36,6 @@ from .graph import (
     chain_to_dict,
     extract_chains,
     graph_to_dict,
-    induced_subgraph,
 )
 from .ingest import IngestResult, SourceAdapterSpec, ingest_scenario, merge_scenario
 from .metrics import (
@@ -110,22 +109,18 @@ def reconstruct(
 ) -> Tuple[EventGraph, List[Chain], ChainAmbiguity]:
     """Event graph, ranked candidate chains and their ambiguity.
 
-    Requires exactly one decision per event; build_event_graph rejects
-    duplicate ids and unknown or repeated decisions, and a count mismatch
-    left after that means some event has no decision.
+    Requires exactly one decision per event, which build_event_graph checks.
     """
     graph = build_event_graph(events, decisions, window_ms=params.window_ms)
-    if len(decisions) != len(events):
-        decided = {d.event_id for d in decisions}
-        missing = next(e.event_id for e in events if e.event_id not in decided)
-        raise EventIdError(f"no decision for event id {missing!r}")
     chains, ambiguity = rank_chains(graph, params)
     return graph, chains, ambiguity
 
 
-def rank_chains(graph: EventGraph, params: RunParams) -> Tuple[List[Chain], ChainAmbiguity]:
-    """The chain step of every run and sweep budget: ranked chains and their ambiguity."""
-    chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms)
+def rank_chains(
+    graph: EventGraph, params: RunParams, nodes: Optional[Sequence[int]] = None
+) -> Tuple[List[Chain], ChainAmbiguity]:
+    """The chain step of every run and sweep budget: ranked chains, on nodes as in extract_chains."""
+    chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms, nodes=nodes)
     return chains, chain_ambiguity(chains, k=params.top_k)
 
 
@@ -176,7 +171,7 @@ def run_scenario(
     if expected is not None:
         metrics = compute_run_metrics(decisions, chains, expected, events, sources=params.sources)
     evidence = build_evidence_package(
-        chains, decisions, events, expected=tuple(expected.steps) if expected else None, scenario_id=scenario_id
+        chains, graph, expected=tuple(expected.steps) if expected else None, scenario_id=scenario_id
     )
     return RunResult(
         scenario_id=scenario_id,
@@ -283,12 +278,13 @@ def budget_sweep(
     Parsers, rules, and reconstruction parameters are fixed across
     budgets; only the available source set varies. Each event is tagged
     once, one graph is built over the union of the budgets' sources, and
-    each budget runs only chains and metrics, on the subgraph of its own
-    events. Rows equal a separate merge, tag and reconstruct per budget:
-    a decision depends only on its event, an edge only on its two events.
-    A budget naming an unavailable source becomes an error row and the
-    sweep goes on. The union is merged once, so a repeated event id or a
-    scenario_id mismatch anywhere in it fails the whole sweep.
+    each budget runs only chains and metrics, on that graph restricted to
+    the positions of its adapters' nodes. Rows equal a separate merge, tag
+    and reconstruct per budget: a decision depends only on its event, an
+    edge only on its two events. A budget naming an unavailable source
+    becomes an error row and the sweep goes on. The union is merged once,
+    so a repeated event id or a scenario_id mismatch anywhere in it fails
+    the whole sweep.
     """
     available = set(events_by_source)
     gate = params.resolve_gate(expected)
@@ -305,6 +301,7 @@ def budget_sweep(
         decisions, _diag = tag_run(table, rules, gate=gate, aliases=aliases, expected=expected.steps, decided=memo)
         tagged.append((table, decisions))
     graph = build_event_graph(union, [memo[event.event_id] for event in union], window_ms=params.window_ms)
+    node_adapters = [adapter_of[node.event_id] for node in graph.nodes]
     scored = iter(tagged)
     rows: List[SweepRow] = []
     for budget in budgets:
@@ -314,7 +311,8 @@ def budget_sweep(
             rows.append(SweepRow(budget=budget, metrics=None, error=message))
             continue
         table, decisions = next(scored)
-        chains, _ambiguity = rank_chains(induced_subgraph(graph, {d.event_id for d in decisions}), params)
+        nodes = [i for i, adapter in enumerate(node_adapters) if adapter in budget.sources]
+        chains, _ambiguity = rank_chains(graph, params, nodes)
         metrics = compute_run_metrics(decisions, chains, expected, table, sources=sorted(budget.sources))
         rows.append(SweepRow(budget=budget, metrics=metrics))
     return rows

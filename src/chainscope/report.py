@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError
-from .graph import Chain
+from .graph import Chain, EventGraph
 from .metrics import CATEGORY_ORDER, AggregateMetrics
 from .model import NormalizedEvent, iso_ms
-from .tagging import NO_STEPS_OBSERVED, StepTag, TagDecision
+from .tagging import NO_STEPS_OBSERVED, StepTag
 
 EXCERPT_LEN = 160
 MAX_ANCHORS_PER_STEP = 20
@@ -54,26 +54,20 @@ class EvidencePackage:
 
 def build_evidence_package(
     chains: Sequence[Chain],
-    decisions: Sequence[TagDecision],
-    events: Sequence[NormalizedEvent],
+    graph: EventGraph,
     expected: Optional[Sequence[StepTag]] = None,
     scenario_id: str = "",
 ) -> EvidencePackage:
     """Organize run output by step anchors.
 
     One section per observed step (best-chain steps first, remaining
-    observed steps after); each missing expected step is listed with its
-    MISSING_* diagnostic.
+    observed steps after), from the graph's tagged events; each missing
+    expected step is listed with its MISSING_* diagnostic.
     """
-    by_id = {e.event_id: e for e in events}
+    # the graph holds its nodes in (ts, event_id) order, so each step's list is too
     tagged: Dict[StepTag, List[NormalizedEvent]] = {}
-    for decision in decisions:
-        if decision.chosen is None:
-            continue
-        event = by_id.get(decision.event_id)
-        if event is None:
-            continue
-        tagged.setdefault(decision.chosen, []).append(event)
+    for event, step in zip(graph.nodes, graph.steps):
+        tagged.setdefault(step, []).append(event)
 
     ordered_steps: List[StepTag] = []
     if chains:
@@ -84,7 +78,7 @@ def build_evidence_package(
 
     sections: List[StepEvidence] = []
     for step in ordered_steps:
-        step_events = sorted(tagged.get(step, []), key=lambda e: e.sort_key())
+        step_events = tagged.get(step)
         if not step_events:
             continue
         anchors = tuple(

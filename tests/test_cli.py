@@ -576,6 +576,25 @@ class TestMalformedJsonInputs:
         assert "events line 2: UnicodeDecodeError" in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ('{"extras": {"k": 5}}', "'extras' value 'k' must be a string, got int"),
+            ('{"ts": true}', "'ts' must be an integer, got bool"),
+            ('{"ts": 2.9}', "'ts' must be an integer, got float"),
+            ('{"text_blob": 3}', "'text_blob' must be a string, got int"),
+        ],
+    )
+    def test_sanitize_events_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, line, detail):
+        assert self.sanitize(tmp_path, {"mappings": {}}) == 0
+        events = tmp_path / "events.jsonl"
+        record = {**json.loads(events.read_text()), "event_id": "b", **json.loads(line)}
+        events.write_text(events.read_text() + json.dumps(record) + "\n")
+        argv = ["sanitize", "--in", str(events), "--salt-file", str(tmp_path / "salt.txt")]
+        assert main(argv + ["--mappings-dir", str(tmp_path / "mappings"), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert f"events line 2: TypeError: {detail}" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     @pytest.mark.parametrize("token", [5, "HOST_12", "HOST_000012\n"])
     def test_mapping_token_that_is_not_a_token_exit_2(self, tmp_path, capsys, token):
         assert self.sanitize(tmp_path, {"mappings": {"lin-build-02": token}}) == 2

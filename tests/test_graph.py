@@ -12,7 +12,6 @@ from chainscope.graph import (
     build_event_graph,
     chain_ambiguity,
     extract_chains,
-    induced_subgraph,
     join_reason,
 )
 from chainscope.tagging import StepTag, TagDecision
@@ -47,7 +46,9 @@ def scan_edges(nodes, window_ms):
 
 
 def edge_tuples(graph):
-    return [(e.src, e.dst, e.join_reason, e.gap_ms) for e in graph.edges]
+    """The graph's edges with their endpoint positions mapped to event ids."""
+    ids = [n.event_id for n in graph.nodes]
+    return [(ids[e.src], ids[e.dst], e.join_reason, e.gap_ms) for e in graph.edges]
 
 
 # small value pools, so that hosts, users, pids/ppids and endpoints collide,
@@ -84,14 +85,14 @@ def keyed_events(draw):
     return events
 
 
-class TestInducedSubgraph:
+class TestRestrictedExtraction:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
         keep_seed=st.integers(min_value=0, max_value=10**6),
         window_min=st.integers(min_value=1, max_value=40),
     )
-    def test_equals_graph_built_on_the_subset(self, seed, keep_seed, window_min):
+    def test_equals_extraction_from_graph_built_on_the_subset(self, seed, keep_seed, window_min):
         events, decisions = make_random_tagged_table(seed)
         rng = random.Random(keep_seed)
         density = rng.random()
@@ -102,7 +103,10 @@ class TestInducedSubgraph:
             [d for d in decisions if d.event_id in keep],
             window_ms=window_min * MIN,
         )
-        assert induced_subgraph(whole, keep) == direct
+        nodes = [i for i, node in enumerate(whole.nodes) if node.event_id in keep]
+        assert [whole.nodes[i] for i in nodes] == list(direct.nodes)
+        for top_k in (None, 2):
+            assert extract_chains(whole, top_k=top_k, nodes=nodes) == extract_chains(direct, top_k=top_k)
 
 
 class TestKeyedEdgesEqualScan:
@@ -157,7 +161,8 @@ class TestBuildEventGraph:
         graph = build_event_graph(events, decisions, window_ms=DEFAULT_WINDOW_MS)
         assert len(graph.edges) == 1
         edge = graph.edges[0]
-        assert (edge.src, edge.dst, edge.join_reason, edge.gap_ms) == ("a", "b", "shared_host", MIN)
+        assert edge_tuples(graph) == [("a", "b", "shared_host", MIN)]
+        assert (edge.src, edge.dst) == (0, 1)
 
     def test_eleven_minutes_outside_ten_minute_window(self):
         events, decisions = tagged_pair(11 * MIN)
@@ -192,6 +197,13 @@ class TestBuildEventGraph:
         with pytest.raises(EventIdError, match="duplicate event id 'x'"):
             build_event_graph([x1, x2, y], decisions, window_ms=DEFAULT_WINDOW_MS)
 
+    @pytest.mark.parametrize("decided, offender", [((), "a"), (("a",), "b"), (("b",), "a")])
+    def test_missing_decision_is_rejected(self, decided, offender):
+        events = [make_event(event_id="a", ts=1_000), make_event(event_id="b", ts=2_000)]
+        decisions = [tag(e, StepTag.INSTALL) for e in events if e.event_id in decided]
+        with pytest.raises(EventIdError, match=f"no decision for event id '{offender}'"):
+            build_event_graph(events, decisions, window_ms=DEFAULT_WINDOW_MS)
+
     def test_process_lineage_join(self):
         a = make_event(event_id="a", ts=0, host=None, pid=100)
         b = make_event(event_id="b", ts=MIN, host=None, pid=101, ppid=100)
@@ -213,18 +225,20 @@ class TestBuildEventGraph:
         for seed in range(10):
             events, decisions = random_tagged_table(seed)
             graph = build_event_graph(events, decisions, window_ms=DEFAULT_WINDOW_MS)
-            order = {n.event_id: i for i, n in enumerate(graph.nodes)}
             for edge in graph.edges:
-                assert edge.src != edge.dst
-                assert order[edge.src] < order[edge.dst]
-                assert 0 <= edge.gap_ms <= graph.window_ms
+                src, dst = graph.nodes[edge.src], graph.nodes[edge.dst]
+                assert src.event_id != dst.event_id
+                assert edge.src < edge.dst
+                assert src.sort_key() < dst.sort_key()
+                assert 0 <= edge.gap_ms == dst.ts - src.ts <= graph.window_ms
 
     def test_widening_window_never_removes_edges(self, random_tagged_table):
         for seed in range(8):
             events, decisions = random_tagged_table(seed)
             narrow = build_event_graph(events, decisions, window_ms=5 * MIN)
             wide = build_event_graph(events, decisions, window_ms=20 * MIN)
-            assert set(narrow.edges) <= set(wide.edges)
+            assert narrow.nodes == wide.nodes
+            assert set(edge_tuples(narrow)) <= set(edge_tuples(wide))
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):

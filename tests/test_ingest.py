@@ -197,10 +197,26 @@ class TestNormalizeRecords:
         assert (event.pid, event.image) == (3, "/bin/sh")
         assert decoded == [line]
 
-    @pytest.mark.parametrize("key", ["process", "network"])
-    def test_prenormalized_group_that_is_not_an_object_is_quarantined(self, tmp_path, key):
+    @pytest.mark.parametrize(
+        "bad, good, reason",
+        [
+            pytest.param({"process": "oops"}, {"process": None}, "'process' must be an object, got str", id="process"),
+            pytest.param({"network": "oops"}, {"network": {}}, "'network' must be an object, got str", id="network"),
+            ({"text_blob": 3, "host": "h"}, {"text_blob": "3"}, "'text_blob' must be a string, got int"),
+            ({"host": 5}, {"host": None}, "'host' must be a string or null, got int"),
+            ({"event_id": 7}, {"event_id": "r7"}, "'event_id' must be a string, got int"),
+            ({"scenario_id": None}, {"scenario_id": "s"}, "'scenario_id' must be a string, got NoneType"),
+            ({"process": {"pid": "7"}}, {"process": {"pid": 7}}, "'pid' must be an integer or null, got str"),
+            ({"network": {"dst_port": True}}, {"network": {"dst_port": None}}, "'dst_port' must be an integer or null, got bool"),
+            ({"ts": True}, {}, "'ts' must be an integer, got bool"),
+            ({"ts": 2.9}, {}, "'ts' must be an integer, got float"),
+            ({"extras": {"k": 5}}, {"extras": {"k": "5"}}, "'extras' value 'k' must be a string, got int"),
+            ({"extras": ["k"]}, {"extras": None}, "'extras' must be an object, got list"),
+        ],
+    )
+    def test_prenormalized_group_that_is_not_an_object_is_quarantined(self, tmp_path, bad, good, reason):
         adapter = SourceAdapterSpec(source="replay", format="prenormalized")
-        lines = [json.dumps({"ts": 1, key: "oops"}), json.dumps({"ts": 2, key: None}), json.dumps({"ts": 3, key: {}})]
+        lines = [json.dumps({"ts": 1, **bad}), json.dumps({"ts": 2, **good}), json.dumps({"ts": 3})]
         (tmp_path / "replay.jsonl").write_text("\n".join(lines) + "\n")
         result = ingest_scenario(tmp_path, [adapter], scenario_id="s")
         assert result.report()["total_quarantined"] == 1
@@ -208,7 +224,7 @@ class TestNormalizeRecords:
         parsed = parse_text("\n".join(lines), adapter)
         (quarantine,) = normalize_records(parsed.records, adapter).quarantined
         assert quarantine.ordinal == 0
-        assert quarantine.reason == f"bad canonical record: '{key}' must be an object, got str"
+        assert quarantine.reason == f"bad canonical record: {reason}"
 
     def test_int_coercion(self):
         records = self._records("2024-05-01T09:00:00.000+00:00 h1 app[123]: m\n")
@@ -411,6 +427,19 @@ class TestScenarioIngestion:
         assert stats.quarantined == 1
         # |merged| = sum(inputs) - |quarantined|
         assert len(result.merged()) == 3 - stats.quarantined
+
+    def test_quarantine_is_logged_once_per_file(self, tmp_path, caplog):
+        adapter = SourceAdapterSpec(source="replay", format="prenormalized", file_pattern="*.jsonl")
+        lines = [{"ts": 1}, {"ts": 2}, {"ts": 3, "process": "oops"}, {"ts": 4, "host": 5}]
+        (tmp_path / "replay.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        (tmp_path / "clean.jsonl").write_text(json.dumps({"event_id": "c1", "ts": 5}) + "\n")
+        with caplog.at_level("WARNING", logger="chainscope.ingest"):
+            result = ingest_scenario(tmp_path, [adapter], scenario_id="s")
+        assert result.report()["total_quarantined"] == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "replay.jsonl: 2 record(s) quarantined for source 'replay'; first at ordinal 2: "
+            "bad canonical record: 'process' must be an object, got str"
+        ]
 
 
 REAL_BUNDLE_DIR = os.environ.get("CHAINSCOPE_REAL_BUNDLE_DIR")

@@ -218,7 +218,13 @@ class TestEventOrderingAndSerialization:
             ('{"event_id":"a","ts":1}', "KeyError: 'source'"),
             ("not json", "JSONDecodeError"),
             ('["a", 1]', "AttributeError"),
-            ('{"event_id":"a","ts":"x","source":"s","trust_origin":"target"}', "ValueError"),
+            ('{"event_id":"a","ts":"x","source":"s","trust_origin":"target"}', "TypeError: 'ts' must be an integer, got str"),
+            ('{"event_id":"a","ts":true,"source":"s","trust_origin":"target"}', "TypeError: 'ts' must be an integer, got bool"),
+            ('{"event_id":"a","ts":2.9,"source":"s","trust_origin":"target"}', "TypeError: 'ts' must be an integer, got float"),
+            ('{"event_id":"a","ts":1,"source":"s","trust_origin":"target","text_blob":3}', "TypeError: 'text_blob'"),
+            ('{"event_id":"a","ts":1,"source":"s","trust_origin":"target","process":{"pid":"7"}}', "TypeError: 'pid'"),
+            ('{"event_id":"a","ts":1,"source":"s","trust_origin":"target","extras":{"k":5}}', "TypeError: 'extras'"),
+            ('{"event_id":"a","ts":1,"source":7,"trust_origin":"target"}', "TypeError: 'source'"),
         ],
     )
     def test_malformed_jsonl_line_names_its_line(self, line, detail):
@@ -228,7 +234,9 @@ class TestEventOrderingAndSerialization:
         assert info.value.offending == line
 
 
-MALFORMED_LINES = st.sampled_from(['{"event_id":"a","ts":1}', "not json", '["a", 1]', "{\"event_id\""])
+MALFORMED_LINES = st.sampled_from(
+    ['{"event_id":"a","ts":1}', "not json", '["a", 1]', "{\"event_id\"", '{"event_id":"a","ts":true,"source":"s","trust_origin":"target"}']
+)
 
 
 def _event_lines(events):

@@ -1,7 +1,7 @@
 import pytest
 
 from chainscope.errors import ConfigError
-from chainscope.graph import Chain
+from chainscope.graph import Chain, build_event_graph
 from chainscope.metrics import aggregate
 from chainscope.report import build_evidence_package, evidence_to_dict, render_budget_table
 from chainscope.tagging import StepTag, TagDecision
@@ -33,18 +33,18 @@ class TestEvidencePackage:
                 span_ms=110_000,
             )
         ]
-        return events, decisions, chains
+        return build_event_graph(events, decisions), chains
 
     def test_sections_for_observed_and_missing_for_absent(self):
-        events, decisions, chains = self.fixture()
-        package = build_evidence_package(chains, decisions, events, expected=(I, D, O, E), scenario_id="s")
+        graph, chains = self.fixture()
+        package = build_evidence_package(chains, graph, expected=(I, D, O, E), scenario_id="s")
         assert [s.step for s in package.sections] == [O, I, D]
         assert [(step, diag) for step, diag in package.missing] == [(E, "MISSING_EXFIL")]
         assert not package.no_steps_observed
 
     def test_anchor_contents(self):
-        events, decisions, chains = self.fixture()
-        package = build_evidence_package(chains, decisions, events, expected=(I, D, O, E))
+        graph, chains = self.fixture()
+        package = build_evidence_package(chains, graph, expected=(I, D, O, E))
         section = package.sections[0]
         assert section.volume == 1
         assert section.t_min == section.t_max == 0
@@ -55,7 +55,7 @@ class TestEvidencePackage:
         assert "conn to" in anchor.excerpt
 
     def test_empty_run_all_missing(self):
-        package = build_evidence_package([], [], [], expected=(I, D, O, E))
+        package = build_evidence_package([], build_event_graph([], []), expected=(I, D, O, E))
         assert package.sections == ()
         assert package.no_steps_observed
         assert len(package.missing) == 4
@@ -64,7 +64,7 @@ class TestEvidencePackage:
 
     def test_single_tagged_event_volume_one(self):
         event = make_event(event_id="only", text_blob="pip install x")
-        package = build_evidence_package([], [tag("only", I)], [event])
+        package = build_evidence_package([], build_event_graph([event], [tag("only", I)]))
         assert len(package.sections) == 1
         assert package.sections[0].volume == 1
 
@@ -73,13 +73,20 @@ class TestEvidencePackage:
             make_event(event_id="a", ts=0, source="zeek", text_blob="x"),
             make_event(event_id="b", ts=1, source="suricata", text_blob="x"),
         ]
-        package = build_evidence_package([], [tag("a", O), tag("b", O)], events)
+        package = build_evidence_package([], build_event_graph(events, [tag("a", O), tag("b", O)]))
         assert package.sections[0].recoverability == "multi-source"
 
+    def test_anchors_in_ts_then_event_id_order(self):
+        events = [make_event(event_id=i, ts=ts) for i, ts in (("b", 5), ("c", 1), ("a", 5))]
+        package = build_evidence_package([], build_event_graph(events, [tag(e.event_id, O) for e in events]))
+        (section,) = package.sections
+        assert [a.event_id for a in section.anchors] == ["c", "a", "b"]
+        assert (section.t_min, section.t_max) == (1, 5)
+
     def test_byte_identical_for_identical_inputs(self):
-        events, decisions, chains = self.fixture()
-        a = evidence_to_dict(build_evidence_package(chains, decisions, events, expected=(I, D, O, E)))
-        b = evidence_to_dict(build_evidence_package(chains, decisions, events, expected=(I, D, O, E)))
+        graph, chains = self.fixture()
+        a = evidence_to_dict(build_evidence_package(chains, graph, expected=(I, D, O, E)))
+        b = evidence_to_dict(build_evidence_package(chains, graph, expected=(I, D, O, E)))
         assert a == b
 
 
