@@ -315,9 +315,9 @@ def extract_chains(
     Equivalent to enumerating every forward path, projecting it onto its
     first-occurrence step sequence, and keeping the best representative
     per distinct sequence -- but runs as a DP over (node, sequence)
-    states. nodes, ascending node positions (None: all of them), limits
-    the paths to those nodes and the edges between them. No nodes yield
-    an empty list.
+    states. nodes, node positions in any order (None: all of them),
+    limits the paths to those nodes and the edges between them. No nodes
+    yield an empty list.
     """
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -329,6 +329,7 @@ def extract_chains(
     kept = bytearray(n)  # 1 at each position in nodes
     for v in nodes:
         kept[v] = 1
+    nodes = [v for v in range(n) if kept[v]]  # the DP visits nodes in ascending order
     # edges come in (src, dst) order, so every predecessor list ascends
     preds: List[List[int]] = [[] for _ in range(n)]
     for edge in graph.edges:

@@ -107,6 +107,8 @@ class TestRestrictedExtraction:
         assert [whole.nodes[i] for i in nodes] == list(direct.nodes)
         for top_k in (None, 2):
             assert extract_chains(whole, top_k=top_k, nodes=nodes) == extract_chains(direct, top_k=top_k)
+        # the positions may come in any order
+        assert extract_chains(whole, nodes=nodes[::-1]) == extract_chains(direct)
 
 
 class TestKeyedEdgesEqualScan:

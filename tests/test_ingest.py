@@ -198,29 +198,38 @@ class TestNormalizeRecords:
         assert decoded == [line]
 
     @pytest.mark.parametrize(
-        "bad, good, reason",
+        "bad, goods, reason",
         [
-            pytest.param({"process": "oops"}, {"process": None}, "'process' must be an object, got str", id="process"),
-            pytest.param({"network": "oops"}, {"network": {}}, "'network' must be an object, got str", id="network"),
-            ({"text_blob": 3, "host": "h"}, {"text_blob": "3"}, "'text_blob' must be a string, got int"),
-            ({"host": 5}, {"host": None}, "'host' must be a string or null, got int"),
-            ({"event_id": 7}, {"event_id": "r7"}, "'event_id' must be a string, got int"),
-            ({"scenario_id": None}, {"scenario_id": "s"}, "'scenario_id' must be a string, got NoneType"),
-            ({"process": {"pid": "7"}}, {"process": {"pid": 7}}, "'pid' must be an integer or null, got str"),
-            ({"network": {"dst_port": True}}, {"network": {"dst_port": None}}, "'dst_port' must be an integer or null, got bool"),
-            ({"ts": True}, {}, "'ts' must be an integer, got bool"),
-            ({"ts": 2.9}, {}, "'ts' must be an integer, got float"),
-            ({"extras": {"k": 5}}, {"extras": {"k": "5"}}, "'extras' value 'k' must be a string, got int"),
-            ({"extras": ["k"]}, {"extras": None}, "'extras' must be an object, got list"),
+            pytest.param(
+                {"process": "oops"}, [{"process": None}, {"process": {}}], "'process' must be an object, got str", id="process"
+            ),
+            pytest.param(
+                {"network": "oops"}, [{"network": None}, {"network": {}}], "'network' must be an object, got str", id="network"
+            ),
+            ({"text_blob": 3, "host": "h"}, [{"text_blob": "3"}], "'text_blob' must be a string, got int"),
+            ({"host": 5}, [{"host": None}], "'host' must be a string or null, got int"),
+            ({"event_id": 7}, [{"event_id": "r7"}], "'event_id' must be a string, got int"),
+            ({"scenario_id": None}, [{"scenario_id": "s"}], "'scenario_id' must be a string, got NoneType"),
+            ({"process": {"pid": "7"}}, [{"process": {"pid": 7}}], "'pid' must be an integer or null, got str"),
+            (
+                {"network": {"dst_port": True}},
+                [{"network": {"dst_port": None}}],
+                "'dst_port' must be an integer or null, got bool",
+            ),
+            ({"ts": True}, [], "'ts' must be an integer, got bool"),
+            ({"ts": 2.9}, [], "'ts' must be an integer, got float"),
+            ({"extras": {"k": 5}}, [{"extras": {"k": "5"}}], "'extras' value 'k' must be a string, got int"),
+            ({"extras": ["k"]}, [{"extras": None}], "'extras' must be an object, got list"),
         ],
     )
-    def test_prenormalized_group_that_is_not_an_object_is_quarantined(self, tmp_path, bad, good, reason):
+    def test_prenormalized_group_that_is_not_an_object_is_quarantined(self, tmp_path, bad, goods, reason):
         adapter = SourceAdapterSpec(source="replay", format="prenormalized")
-        lines = [json.dumps({"ts": 1, **bad}), json.dumps({"ts": 2, **good}), json.dumps({"ts": 3})]
+        records = [{"ts": 1, **bad}, *({"ts": 2 + i, **good} for i, good in enumerate(goods)), {"ts": 9}]
+        lines = [json.dumps(record) for record in records]
         (tmp_path / "replay.jsonl").write_text("\n".join(lines) + "\n")
         result = ingest_scenario(tmp_path, [adapter], scenario_id="s")
         assert result.report()["total_quarantined"] == 1
-        assert [e.ts for e in result.events_by_source["replay"]] == [2, 3]
+        assert [e.ts for e in result.events_by_source["replay"]] == [record["ts"] for record in records[1:]]
         parsed = parse_text("\n".join(lines), adapter)
         (quarantine,) = normalize_records(parsed.records, adapter).quarantined
         assert quarantine.ordinal == 0
