@@ -1,7 +1,9 @@
 """Golden digests: the packaged scenarios' CLI outputs, byte for byte.
 
 For each packaged scenario the test runs ``synth``, then ``evaluate`` with
-the defaults and with ``--gate expected``, a ``sweep`` over every non-empty
+the defaults, with ``--gate expected`` and with the dense rule pack (the
+packaged rules plus two benign rules, so the graph has tens of nodes and
+hundreds of edges), a ``sweep`` over every non-empty
 subset of the scenario's sources and a ``sanitize`` of the default run's
 events; then ``report`` on one run directory and one sweep directory. It
 compares the sha256 of every file written, inputs the test writes itself
@@ -22,14 +24,33 @@ import json
 import os
 import sys
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 from chainscope.cli import main
 from chainscope.configio import load_packaged_scenario, packaged_scenario_ids
 
 GOLDEN = Path(__file__).with_name("golden.json")
-RUNS = {"default": [], "gated": ["--gate", "expected"]}
+RULES_DENSE = "rules_dense.yml"
+RUNS = {"default": [], "gated": ["--gate", "expected"], "dense": ["--rules", RULES_DENSE]}
 SALT = "salt.txt"
+# the two benign rules of bench/benign_rules.yml, appended to the packaged
+# rule list: routine session and flow lines become graph nodes
+BENIGN_RULES = r"""
+  - rule_id: zz-benign-auth
+    step: AUTH
+    priority: 2
+    patterns:
+      - '(?i)session opened for user'
+    candidate_fields: [text_blob]
+
+  - rule_id: zz-benign-flow
+    step: OUTBOUND_CONN
+    priority: 1
+    patterns:
+      - '(?i)\bflow tcp\b'
+    candidate_fields: [text_blob]
+"""
 
 
 def write_lattice_budgets(path: Path, sources) -> None:
@@ -46,6 +67,8 @@ def run_golden_corpus(workdir: Path) -> dict:
     os.chdir(workdir)
     try:
         Path(SALT).write_text("golden-corpus-salt\n", encoding="utf-8")
+        packaged_rules = files("chainscope").joinpath("config", "rules.yml").read_text(encoding="utf-8")
+        Path(RULES_DENSE).write_text(packaged_rules + BENIGN_RULES, encoding="utf-8")
         names = packaged_scenario_ids()
         for name in names:
             scenario = f"scenarios/{name}"
