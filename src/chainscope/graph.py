@@ -45,7 +45,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import EventIdError
 from .model import NormalizedEvent
@@ -60,8 +60,6 @@ JOIN_SHARED_USER = "shared_user"
 JOIN_SHARED_PROCESS = "shared_process"
 JOIN_NETWORK = "network_consistent"
 JOIN_REASONS = (JOIN_SHARED_HOST, JOIN_SHARED_USER, JOIN_SHARED_PROCESS, JOIN_NETWORK)
-
-TOP2_MARGIN_SENTINEL = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,13 +93,6 @@ class Chain:
     continuity_flags: Tuple[Tuple[int, int], ...]  # (transition index, gap_ms)
     first_ts: int
     span_ms: int
-
-
-@dataclass(frozen=True)
-class ChainAmbiguity:
-    top2_margin: float
-    entropy_topk: float
-    k: int
 
 
 def join_reason(a: NormalizedEvent, b: NormalizedEvent) -> Optional[str]:
@@ -414,30 +405,21 @@ def extract_chains(
     return ordered[:top_k] if top_k is not None else ordered
 
 
-def chain_ambiguity(chains: Sequence[Chain], k: int = DEFAULT_TOP_K) -> ChainAmbiguity:
-    """Chain-level ambiguity: top-2 score margin and normalized top-K entropy."""
+def chain_ambiguity(chains: Sequence[Chain], k: int = DEFAULT_TOP_K) -> Dict[str, Any]:
+    """The ambiguity.json document: top-2 score margin and normalized top-K entropy.
+
+    top2_margin is None with fewer than two chains.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(chains) < 2:
-        return ChainAmbiguity(top2_margin=TOP2_MARGIN_SENTINEL, entropy_topk=0.0, k=min(k, len(chains)))
-    scores = [float(c.score) for c in chains]
-    margin = scores[0] - scores[1]
-    m = min(k, len(scores))
-    top = scores[:m]
+    m = min(k, len(chains))
+    top = [float(c.score) for c in chains[:m]]
+    margin = float(chains[0].score - chains[1].score) if len(chains) >= 2 else None
     total = sum(top)
-    if m < 2 or total <= 0:
-        return ChainAmbiguity(top2_margin=margin, entropy_topk=0.0, k=m)
-    weights = [s / total for s in top]
-    entropy = -sum(w * math.log(w) for w in weights if w > 0) / math.log(m)
-    return ChainAmbiguity(top2_margin=margin, entropy_topk=entropy, k=m)
-
-
-def ambiguity_to_dict(ambiguity: ChainAmbiguity) -> Dict:
-    return {
-        "top2_margin": None if ambiguity.top2_margin == TOP2_MARGIN_SENTINEL else ambiguity.top2_margin,
-        "entropy_topk": ambiguity.entropy_topk,
-        "k": ambiguity.k,
-    }
+    entropy = 0.0
+    if m >= 2 and total > 0:
+        entropy = -sum(w * math.log(w) for w in (s / total for s in top) if w > 0) / math.log(m)
+    return {"top2_margin": margin, "entropy_topk": entropy, "k": m}
 
 
 def chain_to_dict(chain: Chain) -> Dict:

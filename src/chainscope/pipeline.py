@@ -3,11 +3,13 @@
 One run = ingest -> tag -> graph -> chains -> metrics/evidence, with every
 parameter fixed up front. ``evaluate``, each budget of a sweep and the
 ingest/tag/reconstruct stage commands all go through the functions here,
-and every artifact has exactly one writer in this module. A sweep shares
-the work its budgets have in common: each event is tagged once, one graph
-is built over the union of the budgets' sources, and only chains and
-metrics run per budget, on that graph restricted to the positions of the
-budget's nodes; every row is identical to a separate run on the budget's
+and every artifact has exactly one writer in this module. evidence.json
+and ambiguity.json are built once, as the documents themselves, and
+written as they are. A sweep shares the work its budgets have in common:
+each event is tagged once, one graph is built over the union of the
+budgets' sources, and only chains and metrics run per budget, on that
+graph restricted to the positions of the budget's nodes; a sweep row has
+no ambiguity. Every row is identical to a separate run on the budget's
 sources. Artifacts are deterministic functions of the inputs: JSON
 documents are dumped with sorted keys and no generation timestamps, so
 re-running with the same manifest reproduces them byte-identically.
@@ -25,12 +27,10 @@ from . import __version__
 from .errors import ConfigError
 from .graph import (
     Chain,
-    ChainAmbiguity,
     DEFAULT_GAP_MS,
     DEFAULT_TOP_K,
     DEFAULT_WINDOW_MS,
     EventGraph,
-    ambiguity_to_dict,
     build_event_graph,
     chain_ambiguity,
     chain_to_dict,
@@ -50,7 +50,7 @@ from .metrics import (
     run_metrics_to_dict,
 )
 from .model import EMPTY_ALIASES, FieldAliasMap, NormalizedEvent, events_to_jsonl, write_json, write_jsonl
-from .report import EvidencePackage, build_evidence_package, evidence_to_dict, render_budget_table
+from .report import build_evidence_package, render_budget_table
 from .synth import load_ground_truth
 from .tagging import (
     ExpectedStepSet,
@@ -106,22 +106,14 @@ def resolve_expected(
 
 def reconstruct(
     events: Sequence[NormalizedEvent], decisions: Sequence[TagDecision], params: RunParams
-) -> Tuple[EventGraph, List[Chain], ChainAmbiguity]:
-    """Event graph, ranked candidate chains and their ambiguity.
+) -> Tuple[EventGraph, List[Chain], Dict[str, Any]]:
+    """Event graph, ranked candidate chains and the ambiguity.json document.
 
     Requires exactly one decision per event, which build_event_graph checks.
     """
     graph = build_event_graph(events, decisions, window_ms=params.window_ms)
-    chains, ambiguity = rank_chains(graph, params)
-    return graph, chains, ambiguity
-
-
-def rank_chains(
-    graph: EventGraph, params: RunParams, nodes: Optional[Sequence[int]] = None
-) -> Tuple[List[Chain], ChainAmbiguity]:
-    """The chain step of every run and sweep budget: ranked chains, on nodes as in extract_chains."""
-    chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms, nodes=nodes)
-    return chains, chain_ambiguity(chains, k=params.top_k)
+    chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms)
+    return graph, chains, chain_ambiguity(chains, k=params.top_k)
 
 
 @dataclass
@@ -134,10 +126,10 @@ class RunResult:
     run_diag: RunDiagnostics
     graph: EventGraph
     chains: List[Chain]
-    ambiguity: ChainAmbiguity
+    ambiguity: Dict[str, Any]  # the ambiguity.json document
     expected: Optional[ExpectedStepSet]
     metrics: Optional[RunMetrics]
-    evidence: EvidencePackage
+    evidence: Dict[str, Any]  # the evidence.json document
 
 
 def run_scenario(
@@ -241,12 +233,12 @@ def write_tag_artifacts(decisions: Sequence[TagDecision], run_diag: RunDiagnosti
 
 
 def write_reconstruct_artifacts(
-    graph: EventGraph, chains: Sequence[Chain], ambiguity: ChainAmbiguity, out_dir: Path
+    graph: EventGraph, chains: Sequence[Chain], ambiguity: Mapping[str, Any], out_dir: Path
 ) -> List[Path]:
     return [
         _write(out_dir, "graph.json", graph_to_dict(graph)),
         _write(out_dir, "chains.json", [chain_to_dict(c) for c in chains]),
-        _write(out_dir, "ambiguity.json", ambiguity_to_dict(ambiguity)),
+        _write(out_dir, "ambiguity.json", ambiguity),
     ]
 
 
@@ -259,7 +251,7 @@ def write_run_artifacts(result: RunResult, out_dir: Path, manifest: Optional[Map
     ]
     if result.metrics is not None:
         written.append(_write(out_dir, "metrics.json", run_metrics_to_dict(result.metrics)))
-    written.append(_write(out_dir, "evidence.json", evidence_to_dict(result.evidence)))
+    written.append(_write(out_dir, "evidence.json", result.evidence))
     if manifest is not None:
         written.append(_write(out_dir, "manifest.json", dict(manifest)))
     return written
@@ -312,7 +304,7 @@ def budget_sweep(
             continue
         table, decisions = next(scored)
         nodes = [i for i, adapter in enumerate(node_adapters) if adapter in budget.sources]
-        chains, _ambiguity = rank_chains(graph, params, nodes)
+        chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms, nodes=nodes)
         metrics = compute_run_metrics(decisions, chains, expected, table, sources=sorted(budget.sources))
         rows.append(SweepRow(budget=budget, metrics=metrics))
     return rows

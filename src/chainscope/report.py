@@ -1,13 +1,13 @@
-"""Evidence packages and rendered metric tables.
+"""The evidence.json document and rendered metric tables.
 
-Reports are pure functions of pipeline outputs: identical inputs yield
-byte-identical documents.
+build_evidence_package builds the document itself, with no record type
+in between. Reports are pure functions of pipeline outputs: identical
+inputs yield byte-identical documents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from .errors import ConfigError
 from .graph import Chain, EventGraph
@@ -22,43 +22,13 @@ RECOVERABILITY_SINGLE = "single-source"
 RECOVERABILITY_MULTI = "multi-source"
 
 
-@dataclass(frozen=True)
-class Anchor:
-    event_id: str
-    ts: int
-    source: str
-    excerpt: str
-
-
-@dataclass(frozen=True)
-class StepEvidence:
-    step: StepTag
-    anchors: Tuple[Anchor, ...]
-    t_min: int
-    t_max: int
-    volume: int
-    sources: Tuple[str, ...]
-
-    @property
-    def recoverability(self) -> str:
-        return RECOVERABILITY_SINGLE if len(self.sources) == 1 else RECOVERABILITY_MULTI
-
-
-@dataclass(frozen=True)
-class EvidencePackage:
-    scenario_id: str
-    sections: Tuple[StepEvidence, ...]  # one per observed step, chain order first
-    missing: Tuple[Tuple[StepTag, str], ...]  # (step, diagnostic)
-    no_steps_observed: bool
-
-
 def build_evidence_package(
     chains: Sequence[Chain],
     graph: EventGraph,
     expected: Optional[Sequence[StepTag]] = None,
     scenario_id: str = "",
-) -> EvidencePackage:
-    """Organize run output by step anchors.
+) -> Dict[str, Any]:
+    """The evidence.json document: the run's output organized by step anchors.
 
     One section per observed step (best-chain steps first, remaining
     observed steps after), from the graph's tagged events; each missing
@@ -69,75 +39,46 @@ def build_evidence_package(
     for event, step in zip(graph.nodes, graph.steps):
         tagged.setdefault(step, []).append(event)
 
-    ordered_steps: List[StepTag] = []
-    if chains:
-        ordered_steps.extend(chains[0].steps)
-    for step in StepTag:
-        if step in tagged and step not in ordered_steps:
-            ordered_steps.append(step)
+    ordered_steps: List[StepTag] = list(chains[0].steps) if chains else []
+    ordered_steps.extend(step for step in StepTag if step in tagged and step not in ordered_steps)
 
-    sections: List[StepEvidence] = []
+    sections = []
     for step in ordered_steps:
         step_events = tagged.get(step)
         if not step_events:
             continue
-        anchors = tuple(
-            Anchor(
-                event_id=e.event_id,
-                ts=e.ts,
-                source=e.source,
-                excerpt=(e.text_blob or "")[:EXCERPT_LEN],
-            )
-            for e in step_events[:MAX_ANCHORS_PER_STEP]
-        )
+        t_min, t_max = step_events[0].ts, step_events[-1].ts
+        sources = sorted({e.source for e in step_events})
         sections.append(
-            StepEvidence(
-                step=step,
-                anchors=anchors,
-                t_min=step_events[0].ts,
-                t_max=step_events[-1].ts,
-                volume=len(step_events),
-                sources=tuple(sorted({e.source for e in step_events})),
-            )
-        )
-
-    missing: List[Tuple[StepTag, str]] = []
-    if expected:
-        observed = set(tagged)
-        for step in sorted(set(expected), key=lambda s: s.value):
-            if step not in observed:
-                missing.append((step, f"MISSING_{step.value}"))
-    return EvidencePackage(
-        scenario_id=scenario_id,
-        sections=tuple(sections),
-        missing=tuple(missing),
-        no_steps_observed=not tagged,
-    )
-
-
-def evidence_to_dict(package: EvidencePackage) -> Dict:
-    doc: Dict = {
-        "scenario_id": package.scenario_id,
-        "no_steps_observed": package.no_steps_observed,
-        "sections": [
             {
-                "step": s.step.value,
-                "t_min": s.t_min,
-                "t_max": s.t_max,
-                "window": f"{iso_ms(s.t_min)} - {iso_ms(s.t_max)}",
-                "volume": s.volume,
-                "sources": list(s.sources),
-                "recoverability": s.recoverability,
+                "step": step.value,
+                "t_min": t_min,
+                "t_max": t_max,
+                "window": f"{iso_ms(t_min)} - {iso_ms(t_max)}",
+                "volume": len(step_events),
+                "sources": sources,
+                "recoverability": RECOVERABILITY_SINGLE if len(sources) == 1 else RECOVERABILITY_MULTI,
                 "anchors": [
-                    {"event_id": a.event_id, "ts": a.ts, "when": iso_ms(a.ts), "source": a.source, "excerpt": a.excerpt}
-                    for a in s.anchors
+                    {
+                        "event_id": e.event_id,
+                        "ts": e.ts,
+                        "when": iso_ms(e.ts),
+                        "source": e.source,
+                        "excerpt": (e.text_blob or "")[:EXCERPT_LEN],
+                    }
+                    for e in step_events[:MAX_ANCHORS_PER_STEP]
                 ],
             }
-            for s in package.sections
-        ],
-        "missing_steps": [{"step": step.value, "diagnostic": diag} for step, diag in package.missing],
+        )
+
+    missing = sorted(set(expected or ()) - set(tagged), key=lambda s: s.value)
+    doc: Dict[str, Any] = {
+        "scenario_id": scenario_id,
+        "no_steps_observed": not tagged,
+        "sections": sections,
+        "missing_steps": [{"step": step.value, "diagnostic": f"MISSING_{step.value}"} for step in missing],
     }
-    if package.no_steps_observed:
+    if not tagged:
         doc["flags"] = [NO_STEPS_OBSERVED]
     return doc
 

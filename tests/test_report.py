@@ -3,7 +3,7 @@ import pytest
 from chainscope.errors import ConfigError
 from chainscope.graph import Chain, build_event_graph
 from chainscope.metrics import aggregate
-from chainscope.report import build_evidence_package, evidence_to_dict, render_budget_table
+from chainscope.report import build_evidence_package, render_budget_table
 from chainscope.tagging import StepTag, TagDecision
 from conftest import make_event
 from test_metrics import stub_metrics
@@ -37,56 +37,55 @@ class TestEvidencePackage:
 
     def test_sections_for_observed_and_missing_for_absent(self):
         graph, chains = self.fixture()
-        package = build_evidence_package(chains, graph, expected=(I, D, O, E), scenario_id="s")
-        assert [s.step for s in package.sections] == [O, I, D]
-        assert [(step, diag) for step, diag in package.missing] == [(E, "MISSING_EXFIL")]
-        assert not package.no_steps_observed
+        doc = build_evidence_package(chains, graph, expected=(I, D, O, E), scenario_id="s")
+        assert [s["step"] for s in doc["sections"]] == [O.value, I.value, D.value]
+        assert [(m["step"], m["diagnostic"]) for m in doc["missing_steps"]] == [(E.value, "MISSING_EXFIL")]
+        assert not doc["no_steps_observed"]
 
     def test_anchor_contents(self):
         graph, chains = self.fixture()
-        package = build_evidence_package(chains, graph, expected=(I, D, O, E))
-        section = package.sections[0]
-        assert section.volume == 1
-        assert section.t_min == section.t_max == 0
-        assert section.sources == ("zeek",)
-        assert section.recoverability == "single-source"
-        anchor = section.anchors[0]
-        assert anchor.event_id == "c"
-        assert "conn to" in anchor.excerpt
+        doc = build_evidence_package(chains, graph, expected=(I, D, O, E))
+        section = doc["sections"][0]
+        assert section["volume"] == 1
+        assert section["t_min"] == section["t_max"] == 0
+        assert section["sources"] == ["zeek"]
+        assert section["recoverability"] == "single-source"
+        anchor = section["anchors"][0]
+        assert anchor["event_id"] == "c"
+        assert "conn to" in anchor["excerpt"]
 
     def test_empty_run_all_missing(self):
-        package = build_evidence_package([], build_event_graph([], []), expected=(I, D, O, E))
-        assert package.sections == ()
-        assert package.no_steps_observed
-        assert len(package.missing) == 4
-        doc = evidence_to_dict(package)
+        doc = build_evidence_package([], build_event_graph([], []), expected=(I, D, O, E))
+        assert doc["sections"] == []
+        assert doc["no_steps_observed"]
+        assert len(doc["missing_steps"]) == 4
         assert doc["flags"] == ["NO_STEPS_OBSERVED"]
 
     def test_single_tagged_event_volume_one(self):
         event = make_event(event_id="only", text_blob="pip install x")
-        package = build_evidence_package([], build_event_graph([event], [tag("only", I)]))
-        assert len(package.sections) == 1
-        assert package.sections[0].volume == 1
+        doc = build_evidence_package([], build_event_graph([event], [tag("only", I)]))
+        assert len(doc["sections"]) == 1
+        assert doc["sections"][0]["volume"] == 1
 
     def test_multi_source_step_flagged(self):
         events = [
             make_event(event_id="a", ts=0, source="zeek", text_blob="x"),
             make_event(event_id="b", ts=1, source="suricata", text_blob="x"),
         ]
-        package = build_evidence_package([], build_event_graph(events, [tag("a", O), tag("b", O)]))
-        assert package.sections[0].recoverability == "multi-source"
+        doc = build_evidence_package([], build_event_graph(events, [tag("a", O), tag("b", O)]))
+        assert doc["sections"][0]["recoverability"] == "multi-source"
 
     def test_anchors_in_ts_then_event_id_order(self):
         events = [make_event(event_id=i, ts=ts) for i, ts in (("b", 5), ("c", 1), ("a", 5))]
-        package = build_evidence_package([], build_event_graph(events, [tag(e.event_id, O) for e in events]))
-        (section,) = package.sections
-        assert [a.event_id for a in section.anchors] == ["c", "a", "b"]
-        assert (section.t_min, section.t_max) == (1, 5)
+        doc = build_evidence_package([], build_event_graph(events, [tag(e.event_id, O) for e in events]))
+        (section,) = doc["sections"]
+        assert [a["event_id"] for a in section["anchors"]] == ["c", "a", "b"]
+        assert (section["t_min"], section["t_max"]) == (1, 5)
 
     def test_byte_identical_for_identical_inputs(self):
         graph, chains = self.fixture()
-        a = evidence_to_dict(build_evidence_package(chains, graph, expected=(I, D, O, E)))
-        b = evidence_to_dict(build_evidence_package(chains, graph, expected=(I, D, O, E)))
+        a = build_evidence_package(chains, graph, expected=(I, D, O, E))
+        b = build_evidence_package(chains, graph, expected=(I, D, O, E))
         assert a == b
 
 
