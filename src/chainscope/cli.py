@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .configio import (
@@ -155,10 +155,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _split_csv(value: Optional[str]) -> Optional[List[str]]:
-    if not value:
+def _split_csv(value: Optional[str], flag: str, kind: str) -> Optional[Tuple[str, ...]]:
+    """The names in a comma-separated flag value, or None when the flag is absent.
+
+    A value that names nothing is a validation error, not an absent flag.
+    """
+    if value is None:
         return None
-    return [part.strip() for part in value.split(",") if part.strip()]
+    names = tuple(part.strip() for part in value.split(",") if part.strip())
+    if not names:
+        raise ConfigError(f"{flag} {value!r} names no {kind}")
+    return names
 
 
 def _params_from_args(args: argparse.Namespace) -> RunParams:
@@ -167,13 +174,13 @@ def _params_from_args(args: argparse.Namespace) -> RunParams:
         gap_ms=round(args.gap * 1000),
         top_k=args.topk,
         gate=getattr(args, "gate", None),
-        sources=tuple(_split_csv(getattr(args, "sources", None)) or ()) or None,
+        sources=_split_csv(getattr(args, "sources", None), "--sources", "source"),
     )
 
 
 def _expected_from_args(args: argparse.Namespace) -> Optional[ExpectedStepSet]:
-    steps = _split_csv(getattr(args, "expected_steps", None))
-    if not steps:
+    steps = _split_csv(getattr(args, "expected_steps", None), "--expected-steps", "step")
+    if steps is None:
         return None
     scenario = getattr(args, "scenario_dir", None)
     # the scenario id comes from ground truth when there is one, as without the flag
@@ -186,12 +193,11 @@ def _load_rules_file(path: Optional[Path]):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    sources = _split_csv(args.sources, "--sources", "source")
     adapters = load_adapters(args.adapters)
     aliases = load_aliases(args.aliases)
     _expected, scenario_id = resolve_expected(args.scenario_dir)
-    result = ingest_scenario(
-        args.scenario_dir, adapters, aliases, scenario_id=scenario_id, sources=_split_csv(args.sources)
-    )
+    result = ingest_scenario(args.scenario_dir, adapters, aliases, scenario_id=scenario_id, sources=sources)
     write_ingest_artifacts(result, result.merged(), args.out)
     print(f"ingested {result.report()['total_records']} events -> {args.out}")
     return 0

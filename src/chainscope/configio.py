@@ -1,9 +1,9 @@
 """Loading of declarative config documents (YAML) and packaged defaults.
 
 All pipeline behavior that is content rather than mechanism -- rules,
-adapters, alias maps, technique-to-step tables, sanitization policy,
-attack templates, scenario specs, budget lists -- lives in config
-documents. The package ships working defaults under chainscope/config/.
+adapters, alias maps, sanitization policy, attack templates, scenario
+specs, budget lists -- lives in config documents. The package ships
+working defaults under chainscope/config/.
 """
 
 from __future__ import annotations
@@ -141,12 +141,6 @@ def load_aliases(path: Optional[Path] = None) -> FieldAliasMap:
 
 def load_rules_doc(path: Optional[Path] = None) -> Dict[str, Any]:
     return load_yaml(path) if path else _packaged("rules.yml")
-
-
-def load_technique_map(path: Optional[Path] = None) -> Dict[str, List[str]]:
-    origin, doc = _load(path, "technique_steps.yml")
-    table = object_field(origin, doc, "technique_steps")
-    return {str(step): string_list(origin, table, step, "technique_steps.") for step in table}
 
 
 def load_policy(path: Optional[Path] = None) -> PseudonymPolicy:

@@ -556,12 +556,16 @@ def ingest_scenario(
     """Ingest every file in a scenario directory matching adapter patterns.
 
     Files per source are processed in sorted-name order; the position
-    supplies the file ordinal used in event ids.
+    supplies the file ordinal used in event ids. sources, when given,
+    restricts ingest to those adapters, and each must name one.
     """
     scenario_dir = Path(scenario_dir)
     if scenario_id is None:
         scenario_id = scenario_dir.name
     wanted = set(sources) if sources is not None else None
+    unknown = sorted((wanted or set()) - {adapter.source for adapter in adapters})
+    if unknown:
+        raise ConfigError(f"no adapter defines source(s): {unknown}")
 
     events_by_source: Dict[str, Tuple[NormalizedEvent, ...]] = {}
     stats: List[SourceIngestStats] = []

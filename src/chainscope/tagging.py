@@ -228,7 +228,7 @@ class TagDecision:
 
 @dataclass(frozen=True)
 class ExpectedStepSet:
-    """Coarse steps a scenario should exhibit, derived from technique ids."""
+    """Coarse steps a scenario should exhibit, with the technique ids it declares."""
 
     scenario_id: str
     steps: FrozenSet[StepTag]
@@ -241,28 +241,6 @@ class ExpectedStepSet:
     @property
     def e_s(self) -> int:
         return len(self.steps)
-
-
-def expected_from_techniques(
-    scenario_id: str, technique_ids: Sequence[str], technique_map: Mapping[str, Sequence[str]]
-) -> ExpectedStepSet:
-    """Map ATT&CK technique ids to an expected step set.
-
-    ``technique_map`` maps step name -> technique id list; matching is by
-    exact id first, then by parent technique (T1048.003 -> T1048).
-    """
-    by_technique: Dict[str, StepTag] = {}
-    for step_name, ids in technique_map.items():
-        step = parse_step(step_name)
-        for tid in ids:
-            by_technique[tid.upper()] = step
-    steps: Set[StepTag] = set()
-    for tid in technique_ids:
-        key = tid.upper()
-        hit = by_technique.get(key) or by_technique.get(key.split(".")[0])
-        if hit is not None:
-            steps.add(hit)
-    return ExpectedStepSet(scenario_id=scenario_id, steps=frozenset(steps), technique_ids=tuple(technique_ids))
 
 
 # --- evaluation ------------------------------------------------------------

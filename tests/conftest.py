@@ -1,8 +1,10 @@
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import pytest
+import yaml
 from hypothesis import strategies as st
 
 from chainscope.configio import (
@@ -11,7 +13,6 @@ from chainscope.configio import (
     load_packaged_scenario,
     load_packaged_template,
     load_rules_doc,
-    load_technique_map,
     packaged_scenario_ids,
     packaged_template_ids,
 )
@@ -36,9 +37,11 @@ from chainscope.tagging import (
     SOURCE_SKIPPED,
     Candidate,
     Diagnostic,
+    ExpectedStepSet,
     StepTag,
     TagDecision,
     load_rules,
+    parse_step,
 )
 
 
@@ -59,7 +62,9 @@ def default_rules():
 
 @pytest.fixture(scope="session")
 def technique_map():
-    return load_technique_map()
+    """Step name -> technique id list, from tests/technique_steps.yml."""
+    doc = yaml.safe_load(Path(__file__).with_name("technique_steps.yml").read_text(encoding="utf-8"))
+    return doc["technique_steps"]
 
 
 @pytest.fixture(scope="session")
@@ -173,6 +178,28 @@ def make_scenario_data(name, seed):
 @pytest.fixture
 def random_tagged_table():
     return make_random_tagged_table
+
+
+def expected_from_techniques(
+    scenario_id: str, technique_ids: Sequence[str], technique_map: Mapping[str, Sequence[str]]
+) -> ExpectedStepSet:
+    """Map ATT&CK technique ids to an expected step set.
+
+    ``technique_map`` maps step name -> technique id list; matching is by
+    exact id first, then by parent technique (T1048.003 -> T1048).
+    """
+    by_technique: Dict[str, StepTag] = {}
+    for step_name, ids in technique_map.items():
+        step = parse_step(step_name)
+        for tid in ids:
+            by_technique[tid.upper()] = step
+    steps: Set[StepTag] = set()
+    for tid in technique_ids:
+        key = tid.upper()
+        hit = by_technique.get(key) or by_technique.get(key.split(".")[0])
+        if hit is not None:
+            steps.add(hit)
+    return ExpectedStepSet(scenario_id=scenario_id, steps=frozenset(steps), technique_ids=tuple(technique_ids))
 
 
 # --- brute-force chain oracle ------------------------------------------------

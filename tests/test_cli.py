@@ -694,6 +694,37 @@ class TestReconstructionFlags:
         assert "names no step" in capsys.readouterr().err
 
 
+class TestSourcesFlag:
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    def test_source_no_adapter_defines_exit_2_naming_each(self, scenario_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--scenario-dir", str(scenario_dir), "--sources", "sylog,syslog,zek", "--out", str(out)]
+        assert main(argv) == 2
+        assert "no adapter defines source(s): ['sylog', 'zek']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    @pytest.mark.parametrize("sources", [",", " , ", ""])
+    def test_sources_naming_no_source_exit_2(self, scenario_dir, tmp_path, capsys, command, sources):
+        out = tmp_path / "out"
+        assert main([command, "--scenario-dir", str(scenario_dir), "--sources", sources, "--out", str(out)]) == 2
+        assert "names no source" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ingest_and_evaluate_write_the_same_events(self, scenario_dir, tmp_path):
+        for command in ("ingest", "evaluate"):
+            argv = [command, "--scenario-dir", str(scenario_dir), "--sources", " zeek, syslog ", "--out", str(tmp_path / command)]
+            assert main(argv) == 0
+        events = (tmp_path / "ingest" / "events.jsonl").read_bytes()
+        assert events == (tmp_path / "evaluate" / "events.jsonl").read_bytes()
+        assert {json.loads(line)["source"] for line in events.splitlines()} == {"zeek", "syslog"}
+
+    def test_expected_steps_naming_no_step_exit_2(self, scenario_dir, tmp_path, capsys):
+        argv = ["evaluate", "--scenario-dir", str(scenario_dir), "--expected-steps", ",", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "--expected-steps ',' names no step" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["evaluate"]) == 1  # missing required arguments
@@ -704,6 +735,16 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestReadmeLayout:
+    def test_layout_names_exactly_the_package_modules(self):
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Layout", 1)[1].split("```", 2)[1]
+        named = set(re.findall(r"^  (\w+\.py) ", block, re.MULTILINE))
+        modules = {path.name for path in (root / "src" / "chainscope").glob("*.py")} - {"__init__.py"}
+        assert named == modules
 
 
 class TestReadmeSubcommandTable:

@@ -10,13 +10,13 @@ from chainscope.configio import (
     load_packaged_template,
     load_policy,
     load_rules_doc,
-    load_technique_map,
     packaged_scenario_ids,
     packaged_template_ids,
 )
-from chainscope.errors import ConfigError, ParseError, ScenarioError
+from chainscope.errors import ConfigError, ScenarioError
 from chainscope.synth import ROUTING
-from chainscope.tagging import StepTag, expected_from_techniques, load_rules
+from chainscope.tagging import StepTag, load_rules
+from conftest import expected_from_techniques
 
 
 def test_every_generated_source_has_a_packaged_adapter():
@@ -266,10 +266,3 @@ def test_malformed_scenario_spec(tmp_path, capsys, text, key):
 )
 def test_malformed_attack_template(tmp_path, capsys, text, key):
     assert_names_file_and_key(tmp_path, capsys, "template", text, key)
-
-
-def test_malformed_technique_map_names_file_and_key(tmp_path):
-    path = tmp_path / "techniques.yml"
-    path.write_text("technique_steps:\n  INSTALL: T1195\n")
-    with pytest.raises(ParseError, match=r"techniques\.yml: technique_steps\.'INSTALL' must be a list of strings"):
-        load_technique_map(path)

@@ -26,12 +26,12 @@ from chainscope.tagging import (
     decisions_from_jsonl,
     decisions_to_jsonl,
     evaluate_rule,
-    expected_from_techniques,
     load_rules,
     tag_event,
     tag_run,
 )
 from conftest import (
+    expected_from_techniques,
     jsonl_layouts,
     make_event,
     make_scenario_data,
