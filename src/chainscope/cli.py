@@ -29,7 +29,7 @@ from .configio import (
     load_scenario_spec,
     load_template,
 )
-from .errors import ChainscopeError, ConfigError, ParseError
+from .errors import ChainscopeError, ConfigError, ParseError, SanitizeError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from .ingest import ingest_scenario
 from .model import events_from_jsonl, events_to_jsonl, object_list, read_json, string_list, write_json, write_jsonl
@@ -334,16 +334,22 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     mappings_dir = Path(args.mappings_dir)
     mappings_dir.mkdir(parents=True, exist_ok=True)
+    salt_ref = salt_reference(salt)
     persisted = {}
     for path in sorted(mappings_dir.glob("*.json")):
-        entries = read_json(path).get("mappings", {})
+        doc = read_json(path)
+        # a file without these keys (written by hand) is taken as this salt's and its name's
+        for key, expected in (("salt_ref", salt_ref), ("category", path.stem)):
+            if key in doc and doc[key] != expected:
+                raise SanitizeError(f"mapping file {path}: {key!r} is {doc[key]!r}, expected {expected!r}")
+        entries = doc.get("mappings", {})
         if not isinstance(entries, dict):
             raise ParseError(f"mapping file {path} must be an object whose 'mappings' is an object")
         for original, token in entries.items():
             if not isinstance(token, str) or not is_token(token):
                 raise ParseError(f"mapping file {path}: the token of {original!r} is not a PREFIX_DDDDDD token: {token!r}")
         persisted[path.stem] = entries
-    pmap = PseudonymMap(persisted, salt_ref=salt_reference(salt))
+    pmap = PseudonymMap(persisted, salt_ref=salt_ref)
 
     sanitized, pmap, sanitize_report = sanitize_dataset(tables, policy, salt, pmap)
     merged = sorted((e for events in sanitized.values() for e in events), key=lambda e: e.sort_key())
@@ -369,7 +375,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     sweep_rows = indir / "sweep_aggregates.json"
     if sweep_rows.exists():
         table_path = indir / "budget_table.txt"
-        text = table_path.read_text(encoding="utf-8") if table_path.exists() else ""
+        try:
+            text = table_path.read_text(encoding="utf-8") if table_path.exists() else ""
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{table_path} is not valid UTF-8: {exc}")
         doc = read_json(sweep_rows)
         out.write_text(text, encoding="utf-8")
         write_json(out.with_suffix(out.suffix + ".json"), doc)

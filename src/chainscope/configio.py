@@ -9,12 +9,13 @@ working defaults under chainscope/config/.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
-from .errors import ConfigError, ParseError, ScenarioError
+from .errors import ConfigError, ParseError, SanitizeError, ScenarioError
 from .ingest import SourceAdapterSpec
 from .metrics import BudgetConfig, categorize_budget
 from .model import FieldAliasMap, canonicalize_ts, float_value, object_field, object_list, string_list
@@ -143,24 +144,39 @@ def load_rules_doc(path: Optional[Path] = None) -> Dict[str, Any]:
     return load_yaml(path) if path else _packaged("rules.yml")
 
 
+def _regex_list(origin: str, doc: Mapping[str, Any], key: str, where: str = "") -> Tuple[str, ...]:
+    """doc[key] as a list of strings that each compile as a regular expression, else ConfigError naming the entry."""
+    patterns = tuple(string_list(origin, doc, key, where))
+    for j, pattern in enumerate(patterns):
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise ConfigError(f"{origin}: {where}{key}[{j}] is not a valid regular expression: {exc}")
+    return patterns
+
+
 def load_policy(path: Optional[Path] = None) -> PseudonymPolicy:
+    """The sanitize policy; every pattern must compile, and every prefix must
+    be ASCII capital letters followed by '_', so that its tokens are tokens."""
     origin, doc = _load(path, "sanitize_policy.yml")
-    categories = tuple(
-        CategorySpec(
-            name=str(item["name"]),
-            prefix=str(item["prefix"]),
-            patterns=tuple(string_list(origin, item, "patterns", f"categories[{i}].")),
-        )
-        for i, item in enumerate(object_list(origin, doc, "categories", ("name", "prefix")))
-    )
+    categories = []
+    for i, item in enumerate(object_list(origin, doc, "categories", ("name", "prefix"))):
+        patterns = _regex_list(origin, item, "patterns", f"categories[{i}].")
+        try:
+            categories.append(CategorySpec(name=str(item["name"]), prefix=str(item["prefix"]), patterns=patterns))
+        except SanitizeError as exc:  # an unknown name, or a prefix outside the token grammar
+            raise ConfigError(f"{origin}: categories[{i}]: {exc}")
     if not categories:
         raise ConfigError(f"{origin}: sanitize policy defines no categories")
-    return PseudonymPolicy(
-        categories=categories,
-        retain_literals=frozenset(string_list(origin, doc, "retain_literals")),
-        retain_patterns=tuple(string_list(origin, doc, "retain_patterns")),
-        domain_rewrite_suffixes=tuple(string_list(origin, doc, "domain_rewrite_suffixes")),
-    )
+    try:
+        return PseudonymPolicy(
+            categories=tuple(categories),
+            retain_literals=frozenset(string_list(origin, doc, "retain_literals")),
+            retain_patterns=_regex_list(origin, doc, "retain_patterns"),
+            domain_rewrite_suffixes=tuple(string_list(origin, doc, "domain_rewrite_suffixes")),
+        )
+    except SanitizeError as exc:  # a category name or prefix used twice
+        raise ConfigError(f"{origin}: {exc}")
 
 
 def load_budgets(path: Path) -> List[BudgetConfig]:

@@ -300,7 +300,7 @@ def _adapter_plan(adapter: SourceAdapterSpec, aliases: FieldAliasMap) -> _Adapte
         elif mapped is not None:
             keys[name] = (mapped.lower(),)
         else:
-            keys[name] = tuple(k.lower() for k in (name, *aliases.aliases_for(name)))
+            keys[name] = aliases.lookup_keys(name)
     return _AdapterPlan(keys=keys, consumed=frozenset(v.lower() for v in lowered_map.values()))
 
 

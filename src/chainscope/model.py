@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -33,54 +34,8 @@ TRUST_ATTACKER = "attacker"
 TRUST_TARGET = "target"
 TRUST_ORIGINS = (TRUST_ATTACKER, TRUST_TARGET)
 
-# Canonical field superset. Anything else an adapter preserves lands in
-# `extras` and is reachable through resolve_field via the alias map.
-CANONICAL_FIELDS = frozenset(
-    {
-        "event_id",
-        "ts",
-        "scenario_id",
-        "source",
-        "trust_origin",
-        "host",
-        "user",
-        "pid",
-        "ppid",
-        "image",
-        "cmdline",
-        "src_ip",
-        "src_port",
-        "dst_ip",
-        "dst_port",
-        "proto",
-        "text_blob",
-        "message",
-        "raw",
-    }
-)
-
 # Candidate fields concatenated into text_blob, in this fixed order.
 TEXT_BLOB_CANDIDATES = ("raw", "message", "cmdline")
-
-
-class _Missing:
-    """Distinguished absence value returned by resolve_field."""
-
-    _instance: Optional["_Missing"] = None
-
-    def __new__(cls) -> "_Missing":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MISSING"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-MISSING = _Missing()
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +79,15 @@ class NormalizedEvent:
         return (self.ts, self.event_id)
 
 
+# The fields an event holds itself: every slot but extras.
+_EVENT_FIELDS = frozenset(NormalizedEvent.__slots__) - {"extras"}
+
+# Canonical field superset: the event's own fields and the text-blob
+# candidates. Anything else an adapter preserves lands in `extras` and is
+# reachable through resolve_field via the alias map.
+CANONICAL_FIELDS = _EVENT_FIELDS | frozenset(TEXT_BLOB_CANDIDATES)
+
+
 class FieldAliasMap:
     """Canonical field name -> ordered source-specific alias names.
 
@@ -146,6 +110,12 @@ class FieldAliasMap:
 
     def aliases_for(self, canonical: str) -> Tuple[str, ...]:
         return self._entries.get(canonical.lower(), ())
+
+    def lookup_keys(self, canonical: str) -> Tuple[str, ...]:
+        """The keys a lookup of ``canonical`` tries, in order: the lowered
+        canonical name, then its lowered aliases."""
+        name = canonical.lower()
+        return (name, *(alias.lower() for alias in self.aliases_for(name)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldAliasMap) and self._entries == other._entries
@@ -277,25 +247,9 @@ def canonicalize_ts(raw: Union[str, int, float], format_hint: str = TS_AUTO, def
     return parsed.ts_ms
 
 
-_STRUCTURED_GETTERS = {
-    "event_id": lambda e: e.event_id,
-    "ts": lambda e: e.ts,
-    "scenario_id": lambda e: e.scenario_id,
-    "source": lambda e: e.source,
-    "trust_origin": lambda e: e.trust_origin,
-    "host": lambda e: e.host,
-    "user": lambda e: e.user,
-    "pid": lambda e: e.pid,
-    "ppid": lambda e: e.ppid,
-    "image": lambda e: e.image,
-    "cmdline": lambda e: e.cmdline,
-    "src_ip": lambda e: e.src_ip,
-    "src_port": lambda e: e.src_port,
-    "dst_ip": lambda e: e.dst_ip,
-    "dst_port": lambda e: e.dst_port,
-    "proto": lambda e: e.proto,
-    "text_blob": lambda e: e.text_blob or None,
-}
+def _text_blob(event: NormalizedEvent) -> Optional[str]:
+    return event.text_blob or None  # an empty blob counts as absent
+
 
 # (lowered canonical name, structured getter or None, lowered extras keys in order)
 FieldResolver = Tuple[str, Optional[Callable[[NormalizedEvent], Any]], Tuple[str, ...]]
@@ -305,7 +259,8 @@ def field_resolver(canonical: str, aliases: FieldAliasMap = EMPTY_ALIASES) -> Fi
     """Compile the lookup of one canonical field: its structured getter, then
     the extras keys the canonical name and its aliases give, lowered."""
     name = canonical.lower()
-    return name, _STRUCTURED_GETTERS.get(name), tuple(k.lower() for k in (name, *aliases.aliases_for(name)))
+    getter = _text_blob if name == "text_blob" else attrgetter(name) if name in _EVENT_FIELDS else None
+    return name, getter, aliases.lookup_keys(name)
 
 
 def lowered_extras_view(event: NormalizedEvent) -> Dict[str, str]:
@@ -313,21 +268,22 @@ def lowered_extras_view(event: NormalizedEvent) -> Dict[str, str]:
     return {k.lower(): v for k, v in event.extras.items()}
 
 
-def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -> Dict[str, Union[str, _Missing]]:
-    """Resolve compiled fields on one event: {lowered name: value or MISSING}.
+def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -> Dict[str, Optional[str]]:
+    """Resolve compiled fields on one event: {lowered name: value, or None when absent}.
 
     A present structured value wins; otherwise the first non-empty extras
-    value among the resolver's keys. The case-folded extras view is built
-    only when some structured value is absent and the event has extras.
+    value among the resolver's keys. Every present value is a str. The
+    case-folded extras view is built only when some structured value is
+    absent and the event has extras.
     """
-    values: Dict[str, Union[str, _Missing]] = {}
+    values: Dict[str, Optional[str]] = {}
     view: Optional[Dict[str, str]] = None
     for name, getter, keys in resolvers:
         value = getter(event) if getter is not None else None
         if value is not None:
             values[name] = str(value)
             continue
-        values[name] = MISSING
+        values[name] = None
         if event.extras:
             if view is None:
                 view = lowered_extras_view(event)
@@ -339,14 +295,12 @@ def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -
     return values
 
 
-def resolve_field(
-    event: NormalizedEvent, canonical: str, aliases: FieldAliasMap = EMPTY_ALIASES
-) -> Union[str, _Missing]:
+def resolve_field(event: NormalizedEvent, canonical: str, aliases: FieldAliasMap = EMPTY_ALIASES) -> Optional[str]:
     """Look up a canonical field on an event, falling back to extras aliases.
 
     Returns the first present value among the canonical field and its
-    aliases, in alias-list order, stringified. Absence is the MISSING
-    sentinel, never an error. Pure function of its inputs.
+    aliases, in alias-list order, stringified. Absence is None, never an
+    error. Pure function of its inputs.
     """
     resolver = field_resolver(canonical, aliases)
     return resolve_fields(event, (resolver,))[resolver[0]]

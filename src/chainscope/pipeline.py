@@ -77,7 +77,7 @@ class RunParams:
     sources: Optional[Tuple[str, ...]] = None
 
     def resolve_gate(self, expected: Optional[ExpectedStepSet]) -> Optional[frozenset]:
-        if self.gate is None or self.gate == "":
+        if self.gate is None:
             return None
         if self.gate == GATE_EXPECTED:
             if expected is None:

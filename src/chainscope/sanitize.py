@@ -20,6 +20,7 @@ correlation stay exactly as collected.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
@@ -43,6 +44,8 @@ class CategorySpec:
     def __post_init__(self) -> None:
         if self.name not in CATEGORY_NAMES:
             raise SanitizeError(f"unknown category {self.name!r}; valid: {CATEGORY_NAMES}")
+        if not is_token(self.prefix + "0" * TOKEN_DIGITS):  # its tokens must be tokens
+            raise SanitizeError(f"prefix must be ASCII capital letters followed by '_', got {self.prefix!r}")
 
     def compiled(self) -> Tuple[Pattern[str], ...]:
         return tuple(re.compile(p) for p in self.patterns)
@@ -56,8 +59,9 @@ class PseudonymPolicy:
     domain_rewrite_suffixes: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        prefixes = [c.prefix for c in self.categories]
-        if len(set(prefixes)) != len(prefixes):
+        if len({c.name for c in self.categories}) != len(self.categories):
+            raise SanitizeError("category names must be unique")
+        if len({c.prefix for c in self.categories}) != len(self.categories):
             raise SanitizeError("category prefixes must be unique")
 
     def compiled_retain(self) -> Tuple[Pattern[str], ...]:
@@ -216,12 +220,36 @@ def _domain_rewritable(domain: str, policy: PseudonymPolicy) -> bool:
 
 
 def _substitute(text: str, ordered: Sequence[Tuple[str, str]], counts: Dict[str, int], cat_of: Mapping[str, str]) -> str:
-    for original, token in ordered:
+    """Replace the originals in text by their tokens, one original after
+    another in ``ordered``'s order, but never inside a token already put in.
+
+    When several originals occur, each first becomes one private-use
+    character that text does not hold, so no later original can match in
+    or across it; the marks become their tokens at the end. Returns text
+    itself when no original occurs in it.
+    """
+    pairs = iter(ordered)
+    for original, token in pairs:
         if original in text:
-            hits = text.count(original)
-            text = text.replace(original, token)
-            counts[cat_of[original]] = counts.get(cat_of[original], 0) + hits
-    return text
+            break
+    else:
+        return text
+    later = [(o, t) for o, t in pairs if o in text]
+    if not later:  # one original: no token to protect
+        counts[cat_of[original]] = counts.get(cat_of[original], 0) + text.count(original)
+        return text.replace(original, token)
+    free_marks = (mark for mark in map(chr, itertools.count(0xE000)) if mark not in text)
+    out = text
+    placed = []
+    for (original, token), mark in zip([(original, token), *later], free_marks):
+        found = out.count(original)
+        if found:  # an earlier, longer original may have taken every occurrence
+            counts[cat_of[original]] = counts.get(cat_of[original], 0) + found
+            out = out.replace(original, mark)
+            placed.append((mark, token))
+    for mark, token in placed:
+        out = out.replace(mark, token)
+    return out
 
 
 def sanitize_dataset(

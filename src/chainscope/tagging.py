@@ -25,7 +25,6 @@ from .errors import ConfigError, ParseError, RuleError
 from .model import (
     CANONICAL_FIELDS,
     EMPTY_ALIASES,
-    MISSING,
     FieldAliasMap,
     FieldResolver,
     NormalizedEvent,
@@ -259,19 +258,19 @@ def _scope_outcome(compiled: CompiledRule, source: str, gate: Optional[FrozenSet
     return None
 
 
-def _outcome(compiled: CompiledRule, values: Mapping[str, Any]) -> str:
+def _outcome(compiled: CompiledRule, values: Mapping[str, Optional[str]]) -> str:
     """Evaluate an in-scope rule on resolved field values.
 
-    A prefilter block whose referenced fields are all MISSING is unusable
-    (it cannot be evaluated at all); one with present-but-unlisted values
-    simply fails.
+    An absent field's value is None. A prefilter block whose referenced
+    fields are all absent is unusable (it cannot be evaluated at all); one
+    with present-but-unlisted values simply fails.
     """
     for mode_any, clauses in compiled.prefilters:
         usable = False
         passed = not mode_any
         for name, allowed in clauses:
             value = values[name]
-            if value is MISSING:
+            if value is None:
                 verdict = False
             else:
                 usable = True
@@ -284,7 +283,7 @@ def _outcome(compiled: CompiledRule, values: Mapping[str, Any]) -> str:
     any_field_present = False
     for name in compiled.candidate_fields:
         text = values[name]
-        if text is MISSING:
+        if text is None:
             continue
         any_field_present = True
         for search in compiled.searches:

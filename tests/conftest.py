@@ -21,7 +21,6 @@ from chainscope.graph import Chain
 from chainscope.ingest import RAW_TEXT_KEY, NormalizeResult, Quarantine
 from chainscope.model import (
     EMPTY_ALIASES,
-    MISSING,
     TEXT_BLOB_CANDIDATES,
     NormalizedEvent,
     parse_timestamp,
@@ -457,7 +456,7 @@ def reference_resolve(event, name, aliases, lowered_extras):
             value = lowered_extras.get(key.lower())
             if value is not None and value != "":
                 return str(value)
-    return MISSING
+    return None
 
 
 class ReferenceFieldCache:
@@ -477,7 +476,7 @@ class ReferenceFieldCache:
 
 
 def reference_prefilter_status(rule, cache):
-    """'pass', 'fail' or 'unusable' (every referenced field MISSING)."""
+    """'pass', 'fail' or 'unusable' (every referenced field absent)."""
     for clauses, mode in ((rule.where_any, "any"), (rule.where_all, "all")):
         if not clauses:
             continue
@@ -485,7 +484,7 @@ def reference_prefilter_status(rule, cache):
         verdicts = []
         for fname, allowed in clauses.items():
             value = cache.get(fname)
-            if value is MISSING:
+            if value is None:
                 verdicts.append(False)
                 continue
             usable = True
@@ -513,7 +512,7 @@ def reference_evaluate_rule(event, compiled, aliases=EMPTY_ALIASES, gate=None, c
     any_field_present = False
     for fname in rule.candidate_fields:
         value = cache.get(fname)
-        if value is MISSING:
+        if value is None:
             continue
         any_field_present = True
         for regex in compiled.regexes:

@@ -6,6 +6,7 @@ import pytest
 
 from chainscope.cli import _build_parser, main
 from chainscope.model import events_to_jsonl
+from chainscope.sanitize import salt_reference
 from chainscope.synth import load_ground_truth
 from chainscope.tagging import StepTag, TagDecision, decisions_to_jsonl
 from conftest import make_event
@@ -669,6 +670,47 @@ class TestMalformedJsonInputs:
         err = capsys.readouterr().err
         assert "metrics.json" in err and "'step_r' must be a number" in err
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"salt_ref": salt_reference(b"another salt"), "mappings": {}}, "'salt_ref'"),
+            ({"category": "user", "mappings": {}}, "'category'"),
+        ],
+    )
+    def test_mapping_file_of_another_salt_or_category_exit_2(self, tmp_path, capsys, doc, key):
+        assert self.sanitize(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "host.json" in err and key in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_mapping_file_of_this_salt_and_category_loads(self, tmp_path):
+        doc = {"category": "host", "salt_ref": salt_reference(b"salt"), "mappings": {"lin-build-02": "HOST_000042"}}
+        assert self.sanitize(tmp_path, doc) == 0
+        assert "HOST_000042" in (tmp_path / "s.jsonl").read_text()
+
+    def test_second_salt_on_one_mappings_directory_exit_2(self, scenario_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--out", str(run)]) == 0
+        mappings = tmp_path / "mappings"
+        codes = []
+        for salt in ("saltA", "saltB"):
+            (tmp_path / f"{salt}.txt").write_text(salt + "\n")
+            argv = ["sanitize", "--in", str(run / "events.jsonl"), "--salt-file", str(tmp_path / f"{salt}.txt")]
+            codes.append(main(argv + ["--mappings-dir", str(mappings), "--out", str(tmp_path / f"{salt}.jsonl")]))
+            if salt == "saltA":
+                written = (mappings / "host.json").read_bytes()
+        assert codes == [0, 2]
+        assert "host.json" in capsys.readouterr().err
+        assert (mappings / "host.json").read_bytes() == written
+
+    def test_report_on_a_budget_table_that_is_not_utf8_exit_2(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        (sweep / "sweep_aggregates.json").write_text("{}\n")
+        (sweep / "budget_table.txt").write_bytes(b"budget \xff\n")
+        assert main(["report", "--in", str(sweep), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "budget_table.txt" in capsys.readouterr().err
+
 
 class TestReconstructionFlags:
     @pytest.mark.parametrize(
@@ -692,6 +734,20 @@ class TestReconstructionFlags:
         argv = [command, "--scenario-dir", str(scenario_dir), "--gate", gate, "--out", str(tmp_path / "out")]
         assert main(argv + (["--budgets", str(budgets)] if command == "sweep" else [])) == 2
         assert "names no step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "tag", "sweep"])
+    def test_empty_gate_names_no_step_exit_2(self, scenario_dir, tmp_path, capsys, command):
+        (tmp_path / "budgets.yml").write_text("budgets:\n  - [syslog]\n")
+        (tmp_path / "rules.yml").write_text("rules:\n  - {rule_id: r, step: INSTALL, patterns: [pip], candidate_fields: [text_blob]}\n")
+        (tmp_path / "events.jsonl").write_text(events_to_jsonl([make_event()]))
+        argv = {
+            "evaluate": ["evaluate", "--scenario-dir", str(scenario_dir)],
+            "tag": ["tag", "--events", str(tmp_path / "events.jsonl"), "--rules", str(tmp_path / "rules.yml")],
+            "sweep": ["sweep", "--scenario-dir", str(scenario_dir), "--budgets", str(tmp_path / "budgets.yml")],
+        }[command]
+        assert main(argv + ["--gate", "", "--out", str(tmp_path / "out")]) == 2
+        assert "names no step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSourcesFlag:

@@ -219,6 +219,26 @@ def test_malformed_policy_document(tmp_path, capsys, text, key):
 @pytest.mark.parametrize(
     "text, key",
     [
+        (CATEGORY % "patterns: ['(unclosed']", "categories[0].patterns[0] is not a valid regular expression"),
+        (CATEGORY % "patterns: ['/home/(x)', '[a-']", "categories[0].patterns[1] is not a valid regular expression"),
+        (CATEGORY % "patterns: []" + "retain_patterns: ['*bad']\n", "retain_patterns[0] is not a valid regular expression"),
+        ("categories:\n  - {name: host, prefix: host_}\n", "categories[0]: prefix must be ASCII capital letters"),
+        ("categories:\n  - {name: host, prefix: HOST_}\n  - {name: user, prefix: USER}\n", "categories[1]: prefix"),
+        ("categories:\n  - {name: host, prefix: H0_}\n", "categories[0]: prefix"),
+        ("categories:\n  - {name: host, prefix: _}\n", "categories[0]: prefix"),
+        ("categories:\n  - {name: host, prefix: 7}\n", "categories[0]: prefix"),
+        ("categories:\n  - {name: host, prefix: A_}\n  - {name: host, prefix: B_}\n", "category names must be unique"),
+        ("categories:\n  - {name: host, prefix: A_}\n  - {name: user, prefix: A_}\n", "category prefixes must be unique"),
+        ("categories:\n  - {name: flavor, prefix: A_}\n", "categories[0]: unknown category 'flavor'"),
+    ],
+)
+def test_policy_that_cannot_work(tmp_path, capsys, text, key):
+    assert_names_file_and_key(tmp_path, capsys, "policy", text, key)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
         ("budgets:\n  - syslog\n", "budgets[0] must be a list of sources"),
         ("budgets: syslog\n", "'budgets' must be a list"),
         ("budgets:\n  - sources: syslog\n", "budgets[0].'sources' must be a list of strings"),

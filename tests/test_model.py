@@ -16,7 +16,6 @@ from chainscope.errors import ConfigError, ParseError
 from chainscope.graph import build_event_graph
 from chainscope.ingest import IngestResult, RawRecord
 from chainscope.model import (
-    MISSING,
     FieldAliasMap,
     canonicalize_ts,
     dumps_json,
@@ -105,7 +104,7 @@ class TestResolveField:
 
     def test_missing_is_a_value(self):
         event = make_event()
-        assert resolve_field(event, "cmdline") is MISSING
+        assert resolve_field(event, "cmdline") is None
 
     def test_alias_order_respected(self):
         event = make_event(extras={"cmd": "second", "CommandLine": "first"})
@@ -123,7 +122,7 @@ class TestResolveField:
         assert results == {"x"}
 
     def test_empty_text_blob_is_missing(self):
-        assert resolve_field(make_event(text_blob=""), "text_blob") is MISSING
+        assert resolve_field(make_event(text_blob=""), "text_blob") is None
 
     def test_case_insensitive_lookup(self):
         event = make_event(extras={"COMMANDLINE": "x"})
@@ -139,6 +138,25 @@ class TestFieldAliasMap:
     def test_same_canonical_twice_is_fine(self):
         aliases = FieldAliasMap({"cmdline": ["CommandLine", "commandline"]})
         assert aliases.aliases_for("CMDLINE") == ("CommandLine", "commandline")
+
+    def test_lookup_keys_are_the_lowered_name_then_the_lowered_aliases(self):
+        aliases = FieldAliasMap({"CmdLine": ["CommandLine", "cmd"]})
+        assert aliases.lookup_keys("CMDLINE") == ("cmdline", "commandline", "cmd")
+        assert aliases.lookup_keys("Image") == ("image",)
+
+
+def test_canonical_fields_are_the_event_fields_and_the_text_blob_candidates():
+    assert model.CANONICAL_FIELDS == {
+        "event_id", "ts", "scenario_id", "source", "trust_origin", "host", "user",
+        "pid", "ppid", "image", "cmdline", "src_ip", "src_port", "dst_ip", "dst_port", "proto",
+        "text_blob", "message", "raw",
+    }  # fmt: skip
+
+
+@pytest.mark.parametrize("name", ["message", "raw", "extras"])
+def test_a_field_the_event_does_not_hold_resolves_from_extras_only(name):
+    assert resolve_field(make_event(extras={name: "x"}), name) == "x"
+    assert resolve_field(make_event(), name) is None
 
 
 PROCESS_FIELDS = ("pid", "ppid", "image", "cmdline")

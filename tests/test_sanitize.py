@@ -1,5 +1,8 @@
 import hashlib
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from operator import attrgetter
 
 import pytest
@@ -11,6 +14,8 @@ from chainscope.configio import load_policy, packaged_scenario_ids
 from chainscope.errors import SanitizeError
 from chainscope.model import events_to_jsonl
 from chainscope.sanitize import (
+    CATEGORY_NAMES,
+    CategorySpec,
     PseudonymMap,
     SanitizeReport,
     _domain_rewritable,
@@ -362,3 +367,111 @@ def test_reconstruct_from_sanitized_events_writes_the_same_bytes(tmp_path, scena
     assert main(reconstruct + ["--out", str(rebuilt)]) == 0
     for name in ("graph.json", "chains.json", "ambiguity.json"):
         assert (rebuilt / name).read_bytes() == (run / name).read_bytes(), name
+
+
+def reference_substitute(text, ordered):
+    """What _substitute does, spelled out: the text between the tokens put
+    in so far is a list of pieces, and each original in turn splits the
+    pieces it occurs in. Returns the text and the number of replacements."""
+    parts = [text]  # text at even positions, tokens at odd ones
+    replaced = 0
+    for original, token in ordered:
+        spliced = []
+        for position, part in enumerate(parts):
+            if position % 2:
+                spliced.append(part)
+                continue
+            pieces = part.split(original)
+            replaced += len(pieces) - 1
+            for piece in pieces[:-1]:
+                spliced += [piece, token]
+            spliced.append(pieces[-1])
+        parts = spliced
+    return "".join(parts), replaced
+
+
+# token characters and a private-use character among them, so originals can
+# occur inside the tokens put in before them
+SUBSTITUTE_CHARS = "abR0_- \ue000"
+
+
+class TestSubstitute:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(SUBSTITUTE_CHARS, max_size=12),
+        originals=st.sets(st.text(SUBSTITUTE_CHARS, min_size=1, max_size=3), max_size=5),
+    )
+    def test_equals_the_reference_and_never_rewrites_a_token(self, text, originals):
+        tokens = {original: f"RES_{i:06d}" for i, original in enumerate(sorted(originals))}
+        ordered = sorted(tokens.items(), key=lambda item: (-len(item[0]), item[0]))
+        counts = {}
+        got = _substitute(text, ordered, counts, dict.fromkeys(tokens, "resource"))
+        want, replaced = reference_substitute(text, ordered)
+        assert got == want
+        assert counts == ({"resource": replaced} if replaced else {})
+        if not replaced:
+            assert got is text
+        if not set("".join(originals)) & set("".join(tokens.values())):
+            # no original can overlap a token: str.replace one original after another
+            for original, token in ordered:
+                text = text.replace(original, token)
+            assert got == text
+
+    def test_a_token_put_in_is_not_rewritten_by_a_later_original(self):
+        policy = replace(POLICY, categories=(CategorySpec(name="resource", prefix="RES_", patterns=(".",)),))
+        event = make_event(host=None, text_blob="0R")
+        sanitized, pmap, report = sanitize_dataset({"syslog": [event]}, policy, SALT)
+        tokens = pmap.to_dict()["resource"]
+        # "0" is replaced first; its token holds an "R", which stays as it is
+        assert sanitized["syslog"][0].text_blob == tokens["0"] + tokens["R"]
+        assert report.replacements == {"resource": 2}
+
+
+@pytest.fixture(scope="module")
+def dependency_chain_run(tmp_path_factory):
+    """The packaged dependency-chain scenario's evaluate run, and a salt file."""
+    root = tmp_path_factory.mktemp("dependency-chain")
+    assert main(["synth", "--spec", "dependency-chain", "--out", str(root / "scenario")]) == 0
+    assert main(["evaluate", "--scenario-dir", str(root / "scenario"), "--out", str(root / "run")]) == 0
+    (root / "salt.txt").write_bytes(SALT)
+    return root
+
+
+# Patterns of at most four characters cannot nest a quantifier inside a
+# quantified group, which could backtrack for an exponential time.
+POLICY_PATTERNS = st.lists(st.text("aes.*+?()[]{}\\^$|-", max_size=4), max_size=2)
+# two of three draws are well-formed prefixes, so that a fair share of the
+# policies load and both runs sanitize
+PREFIXES = st.one_of(
+    st.text("HOSTUER", min_size=1, max_size=3).map("{}_".format),
+    st.sampled_from(["HOST_", "USER_", "RES_"]),
+    st.text("HOS_h0", max_size=4),
+)
+POLICY_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "categories": st.lists(
+            st.fixed_dictionaries({"name": st.sampled_from(CATEGORY_NAMES), "prefix": PREFIXES, "patterns": POLICY_PATTERNS}),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda category: category["name"],
+        ),
+        "retain_patterns": POLICY_PATTERNS,
+    }
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(POLICY_DOCUMENTS)
+def test_no_policy_reaches_an_internal_error(dependency_chain_run, policy):
+    """Sanitizing twice into one mappings directory exits 0 or 2, and a
+    policy the first run accepts, the second run accepts too."""
+    with tempfile.TemporaryDirectory() as scratch:
+        policy_path = Path(scratch) / "policy.yml"
+        policy_path.write_text(json.dumps(policy), encoding="utf-8")  # JSON is YAML
+        argv = ["sanitize", "--in", str(dependency_chain_run / "run" / "events.jsonl"), "--policy", str(policy_path)]
+        argv += ["--salt-file", str(dependency_chain_run / "salt.txt"), "--mappings-dir", str(Path(scratch) / "mappings")]
+        first = main(argv + ["--out", str(Path(scratch) / "first.jsonl")])
+        second = main(argv + ["--out", str(Path(scratch) / "second.jsonl")])
+    assert first in (0, 2) and second in (0, 2)
+    if first == 0:
+        assert second == 0
