@@ -18,7 +18,7 @@ import yaml
 from .errors import ConfigError, ParseError, SanitizeError, ScenarioError
 from .ingest import SourceAdapterSpec
 from .metrics import BudgetConfig, categorize_budget
-from .model import FieldAliasMap, canonicalize_ts, float_value, object_field, object_list, string_list
+from .model import FieldAliasMap, canonicalize_ts, compile_regex, float_value, object_field, object_list, string_list
 from .sanitize import CategorySpec, PseudonymPolicy
 from .synth import (
     ACTIVE_HOURS_DEFAULT,
@@ -149,7 +149,7 @@ def _regex_list(origin: str, doc: Mapping[str, Any], key: str, where: str = "") 
     patterns = tuple(string_list(origin, doc, key, where))
     for j, pattern in enumerate(patterns):
         try:
-            re.compile(pattern)
+            compile_regex(pattern)
         except re.error as exc:
             raise ConfigError(f"{origin}: {where}{key}[{j}] is not a valid regular expression: {exc}")
     return patterns

@@ -9,6 +9,15 @@ is a DAG and nodes in that order are already topologically sorted.
 build_event_graph is the one place that pairs decisions with events: an
 edge names its endpoints by node position, and later stages index by it.
 
+The graph holds no Python object per edge. Its edges are four parallel
+arrays -- source and target positions, a code into JOIN_REASONS and the
+gap -- and each node's predecessors are kept in compressed sparse row
+form: an offset per node into one array of source positions, built once
+per graph, so every extract_chains call (one per sweep budget) reads
+them without scanning the edges. EventGraph.edges is a read-only view
+that builds an Edge when one is read, and graph_to_dict's records are
+built a slice at a time while graph.json is written.
+
 build_event_graph does not test every pair inside the window. It files
 each node in keyed buckets -- host, user, pid, ppid, destination endpoint
 and unordered endpoint pair -- and takes a node's candidate partners from
@@ -30,8 +39,16 @@ reaches the same result with a dynamic program over (node,
 projected-sequence) states, which stays polynomial because there are at
 most 325 distinct sequences over the five-step alphabet. Sequences are
 coded as ints, and a table built once maps (sequence, step) to the
-extended sequence, so a DP state is the int node * 326 + sequence and a
-path is a chain of such parent ints. The back-to-front tie-break matters
+extended sequence, so a DP state is named by the code node * 326 +
+sequence and a path is a chain of such parent codes. The states are kept
+node by node, as a tuple of sequences and a tuple of ranks per node and
+the parent codes in one array, so the DP holds no Python object per
+state; only the node being computed keeps its candidates in dicts. A
+rank folds a path's first_ts and length into one int, first_ts * (nodes
++ 1) - length, which orders paths by the first two tie rules at once,
+and ranks are shared per distinct value. A code is resolved to its
+position by scanning its node's few sequences, which only path walks
+need. The back-to-front tie-break matters
 for throughput: two candidate paths for one state almost always arrive
 through different predecessors, so the comparison resolves without
 walking whole paths. In place of a subgraph, extract_chains takes the
@@ -42,13 +59,15 @@ positions keep their order, so that equals the graph built on their events.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from typing import Any, DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import EventIdError
-from .model import NormalizedEvent
+from .model import ColumnView, NormalizedEvent
 from .tagging import StepTag, TagDecision
 
 DEFAULT_WINDOW_MS = 10 * 60 * 1000
@@ -60,6 +79,7 @@ JOIN_SHARED_USER = "shared_user"
 JOIN_SHARED_PROCESS = "shared_process"
 JOIN_NETWORK = "network_consistent"
 JOIN_REASONS = (JOIN_SHARED_HOST, JOIN_SHARED_USER, JOIN_SHARED_PROCESS, JOIN_NETWORK)
+_REASON_CODES = {reason: code for code, reason in enumerate(JOIN_REASONS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,17 +90,35 @@ class Edge:
     gap_ms: int
 
 
+def _edge(src: int, dst: int, reason: int, gap_ms: int) -> Edge:
+    return Edge(src, dst, JOIN_REASONS[reason], gap_ms)
+
+
 @dataclass(frozen=True)
 class EventGraph:
     """The tagged events, in (ts, event_id) order, and the edges between them.
 
-    steps[i] is the step chosen for nodes[i].
+    steps[i] is the step chosen for nodes[i]. Edge k runs from node
+    edge_src[k] to node edge_dst[k], joined by JOIN_REASONS[edge_reason[k]]
+    and edge_gap[k] ms apart; edges are in (src, dst) order. The
+    predecessors of node v, ascending, are
+    pred_sources[pred_offsets[v]:pred_offsets[v + 1]].
     """
 
     nodes: Tuple[NormalizedEvent, ...]
     steps: Tuple[StepTag, ...]
-    edges: Tuple[Edge, ...]
     window_ms: int
+    edge_src: "array[int]"
+    edge_dst: "array[int]"
+    edge_reason: "array[int]"
+    edge_gap: "array[int]"
+    pred_offsets: "array[int]"
+    pred_sources: "array[int]"
+
+    @property
+    def edges(self) -> ColumnView:
+        """The edges as a read-only sequence of Edge, each built on access."""
+        return ColumnView(_edge, self.edge_src, self.edge_dst, self.edge_reason, self.edge_gap)
 
 
 @dataclass(frozen=True)
@@ -161,7 +199,8 @@ def build_event_graph(
     nodes = sorted((e for e in events if e.event_id in chosen), key=lambda e: (e.ts, e.event_id))
     ts = [node.ts for node in nodes]
     buckets, partners = _candidate_buckets(nodes, ts)
-    edges: List[Edge] = []
+    src, dst, reasons, gaps = array("i"), array("i"), array("B"), array("q")
+    preds: List[List[int]] = [[] for _ in nodes]
     for i, a in enumerate(nodes):
         limit = ts[i] + window_ms
         same_host: List[int] = []
@@ -171,14 +210,30 @@ def build_event_graph(
         for bucket in partners[i]:
             others.update(_later_within(bucket, i, limit))
         others.difference_update(same_host)
-        joined = [(j, JOIN_SHARED_HOST) for j in same_host]
+        targets, codes = same_host, bytes(len(same_host))  # code 0 is JOIN_SHARED_HOST
         if others:
-            joined.extend((j, r) for j in others if (r := join_reason(a, nodes[j])) is not None)
+            joined = [(j, 0) for j in same_host]
+            joined.extend((j, _REASON_CODES[r]) for j in others if (r := join_reason(a, nodes[j])) is not None)
             joined.sort()
+            targets, codes = [j for j, _code in joined], bytes(code for _j, code in joined)
         ts_a = ts[i]
-        edges.extend(Edge(i, j, reason, ts[j] - ts_a) for j, reason in joined)
-    steps = tuple(chosen[node.event_id] for node in nodes)
-    return EventGraph(nodes=tuple(nodes), steps=steps, edges=tuple(edges), window_ms=window_ms)
+        src.extend(repeat(i, len(targets)))
+        dst.extend(targets)
+        reasons.frombytes(codes)
+        gaps.extend([ts[j] - ts_a for j in targets])
+        for j in targets:
+            preds[j].append(i)
+    return EventGraph(
+        nodes=tuple(nodes),
+        steps=tuple(chosen[node.event_id] for node in nodes),
+        window_ms=window_ms,
+        edge_src=src,
+        edge_dst=dst,
+        edge_reason=reasons,
+        edge_gap=gaps,
+        pred_offsets=array("q", accumulate(map(len, preds), initial=0)),
+        pred_sources=array("i", chain.from_iterable(preds)),
+    )
 
 
 # A bucket holds the ascending positions, and their timestamps, of the
@@ -321,69 +376,77 @@ def extract_chains(
     for v in nodes:
         kept[v] = 1
     nodes = [v for v in range(n) if kept[v]]  # the DP visits nodes in ascending order
-    # edges come in (src, dst) order, so every predecessor list ascends
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for edge in graph.edges:
-        if kept[edge.src] and kept[edge.dst]:
-            preds[edge.dst].append(edge.src)
     ts = [node.ts for node in graph.nodes]
+    pred_offsets, pred_sources = graph.pred_offsets, graph.pred_sources
+    # A path of first_ts f and length l ranks f * scale - l: a larger rank
+    # is a later start, then a shorter path.
+    scale = n + 1
 
-    # states[v][seq] = (first_ts, length, parent), a fresh dict for each kept
-    # v; a state is the int v * _NSEQ + seq, and parent is the predecessor's
-    # state or -1
-    states: List[Dict[int, Tuple[int, int, int]]] = [{}] * n
+    # The (node, sequence) states, node by node: seqs_of[v] holds the
+    # sequences of v's states and ranks_of[v] the ranks of their best
+    # paths, in one order; their parent states follow from parents[off[v]]
+    # on, as codes node * _NSEQ + sequence (-1: none). A node outside
+    # nodes has no states.
+    seqs_of: List[Tuple[int, ...]] = [()] * n
+    ranks_of: List[Tuple[int, ...]] = [()] * n
+    parents = array("q")
+    off = [0] * n
+    lowered: Dict[int, int] = {}  # rank -> rank - 1, one int object per distinct rank
+
+    def parent_of(code: int) -> int:
+        v, seq = divmod(code, _NSEQ)
+        return parents[off[v] + seqs_of[v].index(seq)]
 
     def back_less(a: int, b: int) -> bool:
-        """Compare two stored paths back-to-front by node index.
+        """Compare two stored paths, as state codes, back-to-front by node index.
 
         Both chains have equal length whenever this is reached, so the
         walk terminates on both sides together.
         """
         while a >= 0 and b >= 0:
-            node_a, seq_a = divmod(a, _NSEQ)
-            node_b, seq_b = divmod(b, _NSEQ)
+            node_a, node_b = a // _NSEQ, b // _NSEQ
             if node_a != node_b:
                 return node_a < node_b
-            a, b = states[node_a][seq_a][2], states[node_b][seq_b][2]
+            a, b = parent_of(a), parent_of(b)
         return False
 
     for v in nodes:
         extend = _EXTEND[_STEP_CODES[graph.steps[v]]]
-        here = states[v] = {extend[0]: (ts[v], 1, -1)}
-        for u in preds[v]:
+        # the candidates for v's states, by sequence: the rank of the path
+        # up to the predecessor (the path to v ranks one less), and the
+        # predecessor's state
+        rank_of = {extend[0]: ts[v] * scale}
+        via = {extend[0]: -1}
+        for u in pred_sources[pred_offsets[v] : pred_offsets[v + 1]]:
             base = u * _NSEQ
-            for seq_u, (first, length, _parent) in states[u].items():
+            for seq_u, rank in zip(seqs_of[u], ranks_of[u]):
                 seq = extend[seq_u]
-                length += 1
                 # larger first_ts -> smaller span at every extension; then
                 # shorter path; back-to-front order only on a full tie.
                 # Predecessors come in ascending order, so an incumbent
-                # whose parent is an earlier node (state below base) wins
+                # whose parent is an earlier node (code below base) wins
                 # the tie without a walk.
-                incumbent = here.get(seq)
+                incumbent = rank_of.get(seq)
                 if (
                     incumbent is None
-                    or first > incumbent[0]
-                    or (
-                        first == incumbent[0]
-                        and (
-                            length < incumbent[1]
-                            or (
-                                length == incumbent[1]
-                                and incumbent[2] >= base
-                                and back_less(base + seq_u, incumbent[2])
-                            )
-                        )
-                    )
+                    or rank > incumbent
+                    or (rank == incumbent and via[seq] >= base and back_less(base + seq_u, via[seq]))
                 ):
-                    here[seq] = (first, length, base + seq_u)
+                    rank_of[seq] = rank
+                    via[seq] = base + seq_u
+        seqs_of[v] = tuple(rank_of)
+        # a stored 0 is falsy, but setdefault then returns that same 0
+        ranks_of[v] = tuple([lowered.get(rank) or lowered.setdefault(rank, rank - 1) for rank in rank_of.values()])
+        off[v] = len(parents)
+        parents.extend(via.values())
 
     # best representative per distinct sequence across all endpoints
     best: Dict[int, Tuple[Tuple[int, int, int], int]] = {}
     for v in nodes:
         base = v * _NSEQ
-        for seq, (first, length, _parent) in states[v].items():
-            key = (ts[v] - first, first, length)
+        for seq, rank in zip(seqs_of[v], ranks_of[v]):
+            before, rest = divmod(rank, scale)
+            key = (ts[v] - before - 1, before + 1, scale - rest)  # span, first_ts, length
             incumbent = best.get(seq)
             # on equal keys the ends differ (same end would be the same
             # state), so the back-to-front comparison resolves on the first step
@@ -391,12 +454,11 @@ def extract_chains(
                 best[seq] = (key, base + seq)
 
     chains: List[Tuple[Tuple, Chain]] = []
-    for _key, state in best.values():
+    for _key, code in best.values():
         indexes: List[int] = []
-        while state >= 0:
-            v, seq = divmod(state, _NSEQ)
-            indexes.append(v)
-            state = states[v][seq][2]
+        while code >= 0:
+            indexes.append(code // _NSEQ)
+            code = parent_of(code)
         indexes.reverse()
         chain = build_chain(graph, indexes, gap_threshold_ms)
         chains.append((chain_order_key(chain, tuple(reversed(indexes))), chain))
@@ -434,13 +496,21 @@ def chain_to_dict(chain: Chain) -> Dict:
 
 
 def graph_to_dict(graph: EventGraph) -> Dict:
-    """The graph.json document: nodes, and edges with their endpoints as event ids."""
-    nodes = graph.nodes
+    """The graph.json document: nodes, and edges with their endpoints as event ids.
+
+    Its node and edge records are ColumnViews, built only as write_json
+    renders them.
+    """
+    ids = [node.event_id for node in graph.nodes]
+
+    def node_record(node: NormalizedEvent, step: StepTag) -> Dict[str, Any]:
+        return {"event_id": node.event_id, "ts": node.ts, "step": step.value}
+
+    def edge_record(src: int, dst: int, reason: int, gap_ms: int) -> Dict[str, Any]:
+        return {"src": ids[src], "dst": ids[dst], "join_reason": JOIN_REASONS[reason], "gap_ms": gap_ms}
+
     return {
         "window_ms": graph.window_ms,
-        "nodes": [{"event_id": n.event_id, "ts": n.ts, "step": step.value} for n, step in zip(nodes, graph.steps)],
-        "edges": [
-            {"src": nodes[e.src].event_id, "dst": nodes[e.dst].event_id, "join_reason": e.join_reason, "gap_ms": e.gap_ms}
-            for e in graph.edges
-        ],
+        "nodes": ColumnView(node_record, graph.nodes, graph.steps),
+        "edges": ColumnView(edge_record, graph.edge_src, graph.edge_dst, graph.edge_reason, graph.edge_gap),
     }

@@ -11,10 +11,12 @@ naive flag alongside the value.
 
 from __future__ import annotations
 
+import collections.abc
 import io
 import json
 import logging
 import re
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -22,7 +24,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConfigError, ParseError
 
@@ -493,6 +495,40 @@ _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 SLICE_RECORDS = 1024
 
 
+class ColumnView(collections.abc.Sequence):
+    """A read-only sequence whose item k is make(column[k], ...) over parallel columns.
+
+    Items exist only while they are used: a slice is a tuple of new items.
+    write_json renders a view as a JSON list, SLICE_RECORDS items at a
+    time, so a document can hold records that are never all built at once.
+    A view equals a tuple, or another view, of equal items.
+    """
+
+    __slots__ = ("_make", "_columns")
+
+    def __init__(self, make: Callable[..., Any], *columns: Sequence[Any]) -> None:
+        self._make = make
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, k: Any) -> Any:
+        if isinstance(k, slice):
+            return tuple(map(self._make, *(column[k] for column in self._columns)))
+        return self._make(*(column[k] for column in self._columns))
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._make, *self._columns)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, ColumnView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @lru_cache(maxsize=None)
 def _flat_encoder(level: int) -> json.JSONEncoder:
     """C-accelerated encoder whose item separator starts a line at ``level``."""
@@ -526,9 +562,9 @@ def _emit(obj: Any, level: int, write: Callable[[str], Any]) -> None:
             separator = ",\n"
         write("\n" + outer + "}")
         return
-    if isinstance(obj, (list, tuple)) and obj:
+    if isinstance(obj, (list, tuple, ColumnView)) and obj:
         if _SCALAR_TYPES.issuperset(map(type, obj)):
-            flat = _flat_encoder(level + 1).encode(obj)
+            flat = _flat_encoder(level + 1).encode(obj[:] if isinstance(obj, ColumnView) else obj)
             write("[\n" + inner + flat[1:-1] + "\n" + outer + "]")
             return
         separator = "[\n"
@@ -551,11 +587,13 @@ def _emit(obj: Any, level: int, write: Callable[[str], Any]) -> None:
         write("\n" + outer + "]")
         return
     # empty containers, non-str keys and anything the stdlib rejects
-    write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer))
+    write(json.dumps([] if isinstance(obj, ColumnView) else obj, indent=2, sort_keys=True).replace("\n", "\n" + outer))
 
 
 def dumps_json(doc: Any) -> str:
     """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, mostly C-encoded.
+
+    A ColumnView in doc is dumped as the list of its items.
 
     The stdlib renders indented JSON in pure Python and holds one string
     per token until it joins them. Here every flat dict or list (scalar
@@ -622,6 +660,21 @@ def float_value(value: Any) -> float:
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def compile_regex(pattern: str) -> Pattern[str]:
+    """re.compile(pattern), raising re.error also where re only warns.
+
+    re warns with a FutureWarning of a pattern whose meaning a later
+    Python changes, such as the possible nested set in "[[a]"; a config
+    pattern must mean one thing, so that is an error here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        try:
+            return re.compile(pattern)
+        except FutureWarning as exc:
+            raise re.error(str(exc), pattern) from None
 
 
 def string_list(origin: Union[str, Path], doc: Mapping[str, Any], key: str, where: str = "") -> List[str]:

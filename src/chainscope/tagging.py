@@ -29,6 +29,7 @@ from .model import (
     FieldResolver,
     NormalizedEvent,
     _jsonl_lines,
+    compile_regex,
     field_resolver,
     float_value,
     object_field,
@@ -85,9 +86,6 @@ class StepRule:
     where_all: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
     sources: Tuple[str, ...] = ()  # empty = all sources
 
-    def compiled(self) -> Tuple[Pattern[str], ...]:
-        return tuple(re.compile(p) for p in self.patterns)
-
 
 # one where_any or where_all block: (any-mode, ((lowered field, lowered allowed values), ...))
 Prefilter = Tuple[bool, Tuple[Tuple[str, FrozenSet[str]], ...]]
@@ -130,12 +128,16 @@ def _compile_rule(rule: StepRule, regexes: Tuple[Pattern[str], ...]) -> Compiled
 
 
 class RuleSet:
-    """Validated, compiled collection of StepRules."""
+    """Validated, compiled collection of StepRules.
 
-    def __init__(self, rules: Sequence[StepRule]):
+    A pattern that does not compile is named by its entry in origin, the
+    document the rules were read from.
+    """
+
+    def __init__(self, rules: Sequence[StepRule], origin: str = "rules"):
         seen: Set[str] = set()
         compiled: List[CompiledRule] = []
-        for rule in rules:
+        for i, rule in enumerate(rules):
             if rule.rule_id in seen:
                 raise RuleError(f"duplicate rule_id {rule.rule_id!r}")
             seen.add(rule.rule_id)
@@ -148,11 +150,16 @@ class RuleSet:
             for name in (*rule.candidate_fields, *rule.where_any, *rule.where_all):
                 if name.lower() not in CANONICAL_FIELDS:
                     raise RuleError(f"rule {rule.rule_id!r} references non-canonical field {name!r}")
-            try:
-                regexes = rule.compiled()
-            except re.error as exc:
-                raise RuleError(f"rule {rule.rule_id!r} has invalid pattern: {exc}")
-            compiled.append(_compile_rule(rule, regexes))
+            regexes = []
+            for j, pattern in enumerate(rule.patterns):
+                try:
+                    regexes.append(compile_regex(pattern))
+                except re.error as exc:
+                    raise RuleError(
+                        f"{origin}: rules[{i}].patterns[{j}] of rule {rule.rule_id!r} "
+                        f"is not a valid regular expression: {exc}"
+                    )
+            compiled.append(_compile_rule(rule, tuple(regexes)))
         self._compiled = tuple(compiled)
 
     @property
@@ -197,7 +204,7 @@ def load_rules(doc: Mapping[str, Any], origin: str = "rules document") -> RuleSe
         except (KeyError, TypeError, ValueError) as exc:
             raise RuleError(f"{origin}: malformed rule entry {item!r}: {exc}")
         rules.append(rule)
-    return RuleSet(rules)
+    return RuleSet(rules, origin)
 
 
 @dataclass(frozen=True, slots=True)

@@ -198,6 +198,11 @@ def test_malformed_aliases_document(tmp_path, capsys, text, key):
         (RULE % "where_any: {dst_port: '4444'}", "rules[0].where_any.'dst_port' must be a list of strings"),
         (RULE % "where_all: [dst_port]", "rules[0].'where_all' must be an object"),
         ("rules: [install]\n", "rules[0] must be an object"),
+        ("rules:\n  - {rule_id: r, step: INSTALL, patterns: [pip, '('], candidate_fields: [text_blob]}\n",
+         "rules[0].patterns[1] of rule 'r' is not a valid regular expression"),
+        # re only warns of a possible nested set; a rule pattern must not be ambiguous
+        ("rules:\n  - {rule_id: r, step: INSTALL, patterns: ['[[a]'], candidate_fields: [text_blob]}\n",
+         "rules[0].patterns[0] of rule 'r' is not a valid regular expression"),
     ],
 )
 def test_malformed_rules_document(tmp_path, capsys, text, key):
@@ -222,6 +227,8 @@ def test_malformed_policy_document(tmp_path, capsys, text, key):
         (CATEGORY % "patterns: ['(unclosed']", "categories[0].patterns[0] is not a valid regular expression"),
         (CATEGORY % "patterns: ['/home/(x)', '[a-']", "categories[0].patterns[1] is not a valid regular expression"),
         (CATEGORY % "patterns: []" + "retain_patterns: ['*bad']\n", "retain_patterns[0] is not a valid regular expression"),
+        # re only warns of a possible nested set; a policy pattern must not be ambiguous
+        (CATEGORY % "patterns: ['x', '[[a]']", "categories[0].patterns[1] is not a valid regular expression"),
         ("categories:\n  - {name: host, prefix: host_}\n", "categories[0]: prefix must be ASCII capital letters"),
         ("categories:\n  - {name: host, prefix: HOST_}\n  - {name: user, prefix: USER}\n", "categories[1]: prefix"),
         ("categories:\n  - {name: host, prefix: H0_}\n", "categories[0]: prefix"),

@@ -1,9 +1,17 @@
+import gc
+import json
 import random
+import tempfile
+import tracemalloc
+from array import array
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainscope import model
 from chainscope.errors import EventIdError
 from chainscope.graph import (
     DEFAULT_WINDOW_MS,
@@ -11,8 +19,10 @@ from chainscope.graph import (
     build_event_graph,
     chain_ambiguity,
     extract_chains,
+    graph_to_dict,
     join_reason,
 )
+from chainscope.model import write_json
 from chainscope.tagging import StepTag, TagDecision
 from conftest import make_event, make_random_tagged_table, oracle_chains
 
@@ -154,6 +164,100 @@ class TestKeyedEdgesEqualScan:
         graph = build_event_graph([a, b], [tag(a, StepTag.INSTALL), tag(b, StepTag.EXFIL)], window_ms=DEFAULT_WINDOW_MS)
         assert edge_tuples(graph) == scan_edges(graph.nodes, DEFAULT_WINDOW_MS)
         assert [e.join_reason for e in graph.edges] == ([reason] if reason else [])
+
+
+class TestTiedTimestamps:
+    @settings(max_examples=150, deadline=None)
+    @given(events=keyed_events(), steps=st.lists(st.sampled_from(list(StepTag)[:3]), min_size=25, max_size=25))
+    def test_extraction_equals_oracle(self, events, steps):
+        # a dozen events over 13 distinct minutes: equal first_ts, equal
+        # lengths and the back-to-front tie-break all occur often
+        events = events[:12]
+        decisions = [tag(e, step) for e, step in zip(events, steps)]
+        graph = build_event_graph(events, decisions, window_ms=5 * MIN)
+        want = oracle_chains(events, decisions, window_ms=5 * MIN, gap_threshold_ms=MIN)
+        assert extract_chains(graph, top_k=None, gap_threshold_ms=MIN) == want
+
+
+class TestGraphJson:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        size=st.integers(min_value=0, max_value=50),
+        window_min=st.integers(min_value=1, max_value=40),
+    )
+    @example(seed=0, size=0, window_min=10)  # no nodes
+    @example(seed=0, size=1, window_min=10)  # one node, no edges
+    def test_streamed_text_equals_stdlib_dump(self, seed, size, window_min):
+        events, decisions = make_random_tagged_table(seed)
+        graph = build_event_graph(events[:size], decisions[:size], window_ms=window_min * MIN)
+        doc = graph_to_dict(graph)
+        ids = [node.event_id for node in graph.nodes]
+        materialised = {
+            "window_ms": window_min * MIN,
+            "nodes": [{"event_id": n.event_id, "ts": n.ts, "step": s.value} for n, s in zip(graph.nodes, graph.steps)],
+            "edges": [
+                {"src": ids[e.src], "dst": ids[e.dst], "join_reason": e.join_reason, "gap_ms": e.gap_ms}
+                for e in graph.edges
+            ],
+        }
+        assert {**doc, "nodes": list(doc["nodes"]), "edges": list(doc["edges"])} == materialised
+        # slices of three records, so that graphs of a few edges cross slice boundaries
+        with patch.object(model, "SLICE_RECORDS", 3), tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            write_json(path, doc)
+            assert path.read_text(encoding="utf-8") == json.dumps(materialised, indent=2, sort_keys=True) + "\n"
+
+
+def two_thousand_node_graph():
+    """2,000 tagged events on 10 hosts, 0-45 s apart: about 5k edges and 78k DP states."""
+    rng = random.Random(7)
+    events, decisions = [], []
+    ts = 1_700_000_000_000
+    for i in range(2000):
+        ts += rng.randrange(0, 45_000)
+        event = make_event(event_id=f"e{i:04d}", ts=ts, host=f"h{rng.randrange(10)}")
+        events.append(event)
+        decisions.append(tag(event, rng.choice(list(StepTag))))
+    return build_event_graph(events, decisions)
+
+
+class TestMemory:
+    def test_edges_are_array_columns(self, random_tagged_table):
+        graph = build_event_graph(*random_tagged_table(3), window_ms=60 * MIN)
+        n, e = len(graph.nodes), len(graph.edges)
+        assert e > 0
+        for column in (graph.edge_src, graph.edge_dst, graph.edge_reason, graph.edge_gap, graph.pred_sources):
+            # one array per column, and no object per edge for the GC to visit
+            assert isinstance(column, array) and len(column) == e and gc.get_referents(column) == [array]
+        assert isinstance(graph.pred_offsets, array) and len(graph.pred_offsets) == n + 1
+        offsets = graph.pred_offsets
+        for v in range(n):
+            want = [edge.src for edge in graph.edges if edge.dst == v]
+            assert list(graph.pred_sources[offsets[v] : offsets[v + 1]]) == want
+
+    def test_chain_dp_peak_per_state(self):
+        graph = two_thousand_node_graph()
+        # the (node, sequence) states: the distinct step sequences of the paths ending at each node
+        preds = [[] for _ in graph.nodes]
+        for edge in graph.edges:
+            preds[edge.dst].append(edge.src)
+        reach = []
+        for v, step in enumerate(graph.steps):
+            here = {(step,)}
+            here.update(seq if step in seq else seq + (step,) for u in preds[v] for seq in reach[u])
+            reach.append(here)
+        states = sum(map(len, reach))
+        assert states > 50_000
+        tracemalloc.start()
+        try:
+            extract_chains(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the states take about 26 bytes each here; a dict entry and a tuple
+        # per state, as a DP of one object per state holds, take about 140
+        assert peak < 64 * states + 2**20, (peak, states)
 
 
 class TestBuildEventGraph:
