@@ -30,8 +30,9 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError, EventIdError, FormatMismatchError, ParseError
 from .model import (
@@ -163,19 +164,20 @@ def _parse_syslog_line(line: str) -> Optional[Dict[str, str]]:
     return fields
 
 
-def _flatten(obj: Any, prefix: str = "") -> Dict[str, str]:
+def _flatten(obj: Dict[str, Any], prefix: str = "") -> Dict[str, str]:
+    """A decoded JSON object's scalar values by dotted key path, as strings; lists as JSON, nulls left out."""
     flat: Dict[str, str] = {}
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            name = f"{prefix}.{key}" if prefix else str(key)
-            if isinstance(value, dict):
-                flat.update(_flatten(value, name))
-            elif value is None:
-                continue
-            elif isinstance(value, (list, tuple)):
-                flat[name] = json.dumps(value)
-            else:
-                flat[name] = str(value)
+    for key, value in obj.items():
+        name = f"{prefix}.{key}" if prefix else key
+        kind = type(value)
+        if kind is str:
+            flat[name] = value
+        elif kind is dict:
+            flat.update(_flatten(value, name))
+        elif kind is list:
+            flat[name] = json.dumps(value)
+        elif value is not None:
+            flat[name] = str(value)
     return flat
 
 
@@ -247,34 +249,52 @@ def parse_text(text: str, adapter: SourceAdapterSpec, origin: str = "<memory>") 
     return ParseResult(source=adapter.source, records=tuple(records), rejected_lines=tuple(rejected))
 
 
+def _csv_rows(text: str) -> Iterator[Tuple[int, str, Optional[List[str]]]]:
+    """Each row of a CSV text: the number of its first physical line, its
+    physical text without the final line end, and its cells, or None when
+    the csv module rejects it. A quoted cell may span several lines."""
+    lines = io.StringIO(text).readlines()
+    reader = csv.reader(lines)
+    end = 0
+    while True:
+        start = end
+        try:
+            row: Optional[List[str]] = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:  # such as a field over csv.field_size_limit()
+            row = None
+        end = reader.line_num
+        yield start + 1, "".join(lines[start:end]).removesuffix("\n").removesuffix("\r"), row
+
+
 def _parse_csv(text: str, adapter: SourceAdapterSpec, records: List[RawRecord], rejected: List[int]) -> None:
-    reader = csv.reader(io.StringIO(text))
     header: Optional[List[str]] = None
     ordinal = 0
-    for lineno, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+    for lineno, raw_text, row in _csv_rows(text):
+        if row is not None and all(not cell.strip() for cell in row):
             continue
-        if header is None:
+        if header is None and row is not None:
             header = [cell.strip() for cell in row]
             continue
-        if len(row) != len(header):
+        if row is None or header is None or len(row) != len(header):
             rejected.append(lineno)
             ordinal += 1
             continue
         fields = {key: value for key, value in zip(header, row) if value != ""}
-        raw_line = ",".join(row)
-        records.append(RawRecord(source=adapter.source, ordinal=ordinal, fields=fields, raw_text=raw_line))
+        records.append(RawRecord(source=adapter.source, ordinal=ordinal, fields=fields, raw_text=raw_text))
         ordinal += 1
 
 
 # --- normalization ---------------------------------------------------------
 
 _INT_FIELDS = ("pid", "ppid", "src_port", "dst_port")
-_STR_FIELDS = ("host", "user", "image", "cmdline", "src_ip", "dst_ip", "proto")
-_SHARED_FIELDS = ("host", "user", "image", "src_ip", "dst_ip", "proto")
+_SHARED_FIELDS = ("host", "user", "image", "src_ip", "dst_ip")  # proto is lowered, then shared too
 
-
-_VALUE_FIELDS = tuple(dict.fromkeys((*_STR_FIELDS, *_INT_FIELDS, *TEXT_BLOB_CANDIDATES)))
+# what normalize reads from a record besides ts: the event's own fields in
+# NormalizedEvent's order, then the other text-blob candidates
+_VALUE_FIELDS = ("host", "user", "pid", "ppid", "image", "cmdline", "src_ip", "src_port", "dst_ip", "dst_port", "proto", "raw", "message")
+_blob_parts = itemgetter(*(_VALUE_FIELDS.index(name) for name in TEXT_BLOB_CANDIDATES))
 _HALF_YEAR_MS = 183 * 24 * 3600 * 1000
 
 
@@ -304,36 +324,69 @@ def _adapter_plan(adapter: SourceAdapterSpec, aliases: FieldAliasMap) -> _Adapte
     return _AdapterPlan(keys=keys, consumed=frozenset(v.lower() for v in lowered_map.values()))
 
 
+def _int_or_none(value: Any) -> Optional[int]:
+    try:
+        return int(value)
+    except ValueError:
+        return None
+
+
+# one field's read: its slot in _VALUE_FIELDS, the present original keys to
+# try in order (None: the raw line), and the conversion of the value found
+_Read = Tuple[int, Optional[Tuple[str, ...]], Optional[Callable[[Any], Any]]]
+
+
 def _shape_plan(
     shape: Tuple[str, ...], plan: _AdapterPlan, shared: Dict[str, str]
-) -> Tuple[Tuple[Tuple[str, Optional[Tuple[str, ...]]], ...], Tuple[str, ...]]:
-    """For records with these keys: the (canonical field, present original keys)
-    pairs worth reading, and the sorted extras keys.
+) -> Tuple[Optional[Tuple[str, ...]], Tuple[_Read, ...], Tuple[str, ...]]:
+    """For records with these keys: the present original keys of ts (None:
+    the raw line), the reads of the other fields worth reading, and the
+    sorted extras keys.
 
-    Of two keys that differ only in case the last one is read, as a
-    case-folded copy of the record would keep it.
+    Equal identity values (host, user, image, IPs, proto) become one shared
+    string object, and proto is lowered. Of two keys that differ only in
+    case the last one is read, as a case-folded copy of the record would
+    keep it.
     """
     original = {key.lower(): key for key in shape}
-    reads = []
+
+    def share(value: str) -> str:
+        return shared.setdefault(value, value)
+
+    def share_lowered(value: str) -> Optional[str]:
+        return share(value.lower()) if value else None
+
+    present: Dict[str, Optional[Tuple[str, ...]]] = {}
     for name, lowered in plan.keys.items():
-        if lowered is None:
-            reads.append((name, None))
-            continue
-        present = tuple(original[key] for key in lowered if key in original)
-        if present:
-            reads.append((name, present))
-    extras = tuple(shared.setdefault(k, k) for k in sorted(shape) if k.lower() not in plan.consumed)
-    return tuple(reads), extras
+        keys = None if lowered is None else tuple(original[key] for key in lowered if key in original)
+        if keys is None or keys:
+            present[name] = keys
+    conversions: Dict[str, Callable[[Any], Any]] = {"proto": share_lowered}
+    conversions.update((name, _int_or_none) for name in _INT_FIELDS)
+    conversions.update((name, share) for name in _SHARED_FIELDS)
+    reads = tuple((slot, present[name], conversions.get(name)) for slot, name in enumerate(_VALUE_FIELDS) if name in present)
+    extras = tuple(share(k) for k in sorted(shape) if k.lower() not in plan.consumed)
+    return present.get("ts", ()), reads, extras
 
 
-def _event_id(source: str, file_ordinal: int, ordinal: int, origin: str) -> str:
-    if file_ordinal >= MAX_FILES_PER_SOURCE or ordinal >= MAX_RECORDS_PER_FILE:
-        raise EventIdError(
-            f"{origin}: event id overflow for source {source!r} (file ordinal {file_ordinal}, record ordinal "
-            f"{ordinal}); ids hold at most {MAX_FILES_PER_SOURCE} files per source and "
-            f"{MAX_RECORDS_PER_FILE} records per file"
-        )
-    return f"{source}:{file_ordinal:03d}:{ordinal:06d}"
+def _event_ids(source: str, file_ordinal: int, origin: str) -> Callable[[int], str]:
+    """The event id of each record ordinal of one file: ``<source>:<file ordinal>:<ordinal>``.
+
+    An id that would outgrow its padding raises EventIdError naming origin.
+    """
+    prefix = f"{source}:{file_ordinal:03d}:"
+    limit = MAX_RECORDS_PER_FILE if file_ordinal < MAX_FILES_PER_SOURCE else 0
+
+    def event_id(ordinal: int) -> str:
+        if ordinal >= limit:
+            raise EventIdError(
+                f"{origin}: event id overflow for source {source!r} (file ordinal {file_ordinal}, record ordinal "
+                f"{ordinal}); ids hold at most {MAX_FILES_PER_SOURCE} files per source and "
+                f"{MAX_RECORDS_PER_FILE} records per file"
+            )
+        return f"{prefix}{ordinal:06d}"
+
+    return event_id
 
 
 def normalize_records(
@@ -356,8 +409,9 @@ def normalize_records(
     syslog timestamp more than half a year earlier than the previous one
     rolls ``default_year`` forward, for it and for the records after it.
     """
+    event_id = _event_ids(adapter.source, file_ordinal, origin)
     if adapter.format == FORMAT_PRENORMALIZED:
-        return _normalize_prenormalized(records, adapter, scenario_id, file_ordinal, origin)
+        return _normalize_prenormalized(records, adapter, scenario_id, event_id)
 
     events: List[NormalizedEvent] = []
     quarantined: List[Quarantine] = []
@@ -370,6 +424,7 @@ def normalize_records(
     # a year-less BSD timestamp far behind the previous one has crossed a New Year
     year = adapter.default_year
     last_bsd_ts: Optional[int] = None
+    source, trust_origin, ts_format = adapter.source, adapter.trust_origin, adapter.ts_format
 
     for record in records:
         fields = record.fields
@@ -377,27 +432,22 @@ def normalize_records(
         layout = shapes.get(shape)
         if layout is None:
             layout = shapes[shape] = _shape_plan(shape, plan, shared)
-        reads, extras_keys = layout
-        values: Dict[str, Optional[str]] = dict.fromkeys(_VALUE_FIELDS)
-        for name, keys in reads:
-            if keys is None:
-                values[name] = record.raw_text
-                continue
-            for key in keys:
-                value = fields[key]
-                if value is not None and value != "":
-                    values[name] = value
-                    break
-        raw_ts = values.pop("ts", None)
+        ts_keys, reads, extras_keys = layout
+        raw_ts = record.raw_text if ts_keys is None else None
+        for key in ts_keys or ():
+            value = fields[key]
+            if value is not None and value != "":
+                raw_ts = value
+                break
         if raw_ts is None:
             quarantined.append(Quarantine(ordinal=record.ordinal, reason="no timestamp field"))
             continue
         try:
-            parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=year)
+            parsed = parse_timestamp(raw_ts, format_hint=ts_format, default_year=year)
             if parsed.year_supplied:
                 if last_bsd_ts is not None and parsed.ts_ms < last_bsd_ts - _HALF_YEAR_MS:
                     year += 1
-                    parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=year)
+                    parsed = parse_timestamp(raw_ts, format_hint=ts_format, default_year=year)
                 last_bsd_ts = parsed.ts_ms
         except ParseError as exc:
             quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad timestamp: {exc.offending!r}"))
@@ -405,50 +455,40 @@ def normalize_records(
         if parsed.tz_naive:
             naive += 1
 
-        proto = values["proto"]
-        values["proto"] = proto.lower() if proto else None
-        for name in _SHARED_FIELDS:
-            value = values[name]
-            if value is not None:
-                values[name] = shared.setdefault(value, value)
-
-        ints: Dict[str, Optional[int]] = {}
-        for name in _INT_FIELDS:
-            raw_value = values[name]
-            if raw_value is None:
-                ints[name] = None
-                continue
-            try:
-                ints[name] = int(raw_value)
-            except ValueError:
-                ints[name] = None
-
-        blob_parts = [values[c] for c in TEXT_BLOB_CANDIDATES if values[c]]
-        text_blob = " ".join(blob_parts)
-
-        # extras: everything the field map did not consume
-        extras = {k: str(fields[k]) for k in extras_keys}
-
+        values: List[Any] = [None] * len(_VALUE_FIELDS)
+        for slot, keys, convert in reads:
+            if keys is None:
+                value = record.raw_text
+            else:
+                for key in keys:
+                    value = fields[key]
+                    if value is not None and value != "":
+                        break
+                else:
+                    continue
+            values[slot] = value if convert is None else convert(value)
+        host, user, pid, ppid, image, cmdline, src_ip, src_port, dst_ip, dst_port, proto, _, _ = values
         events.append(
             NormalizedEvent(
-                event_id=_event_id(adapter.source, file_ordinal, record.ordinal, origin),
+                event_id=event_id(record.ordinal),
                 ts=parsed.ts_ms,
                 scenario_id=scenario_id,
-                source=adapter.source,
-                trust_origin=adapter.trust_origin,
-                host=values["host"],
-                user=values["user"],
-                pid=ints["pid"],
-                ppid=ints["ppid"],
-                image=values["image"],
-                cmdline=values["cmdline"],
-                src_ip=values["src_ip"],
-                src_port=ints["src_port"],
-                dst_ip=values["dst_ip"],
-                dst_port=ints["dst_port"],
-                proto=values["proto"],
-                text_blob=text_blob,
-                extras=extras,
+                source=source,
+                trust_origin=trust_origin,
+                host=host,
+                user=user,
+                pid=pid,
+                ppid=ppid,
+                image=image,
+                cmdline=cmdline,
+                src_ip=src_ip,
+                src_port=src_port,
+                dst_ip=dst_ip,
+                dst_port=dst_port,
+                proto=proto,
+                text_blob=" ".join(filter(None, _blob_parts(values))),
+                # extras: everything the field map did not consume
+                extras={k: str(fields[k]) for k in extras_keys},
             )
         )
     if naive:
@@ -457,7 +497,7 @@ def normalize_records(
 
 
 def _normalize_prenormalized(
-    records: Sequence[RawRecord], adapter: SourceAdapterSpec, scenario_id: str, file_ordinal: int, origin: str
+    records: Sequence[RawRecord], adapter: SourceAdapterSpec, scenario_id: str, event_id: Callable[[int], str]
 ) -> NormalizeResult:
     events: List[NormalizedEvent] = []
     quarantined: List[Quarantine] = []
@@ -469,7 +509,7 @@ def _normalize_prenormalized(
             data.setdefault("trust_origin", adapter.trust_origin)
             data.setdefault("scenario_id", scenario_id)
             if "event_id" not in data:
-                data["event_id"] = _event_id(adapter.source, file_ordinal, record.ordinal, origin)
+                data["event_id"] = event_id(record.ordinal)
             if "ts" not in data:
                 raise KeyError("ts")
             events.append(event_from_dict(data, shared))

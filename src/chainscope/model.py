@@ -28,6 +28,11 @@ from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, O
 
 from .errors import ConfigError, ParseError
 
+try:  # the regular expression parser: re._parser from Python 3.11, sre_parse before
+    from re import _parser as _sre_parser
+except ImportError:  # pragma: no cover - Python 3.10
+    import sre_parse as _sre_parser  # type: ignore[no-redef]
+
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
@@ -139,6 +144,8 @@ class TsParse:
 _ISO_FRACTION_RE = re.compile(r"(\.\d{1,9})")
 _ISO_COMPACT_TZ_RE = re.compile(r"([+-]\d{2})(\d{2})$")
 _EPOCH_RE = re.compile(r"^-?\d+(\.\d+)?$")
+# the form iso_ms renders: no "Z", a colon in the offset and 3 fraction digits
+_CANONICAL_ISO_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}[+-]\d\d:\d\d", re.ASCII)
 _BSD_SYSLOG_RE = re.compile(
     r"^(?P<mon>Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)\s+(?P<day>\d{1,2})\s+"
     r"(?P<h>\d{2}):(?P<m>\d{2}):(?P<s>\d{2})$"
@@ -154,18 +161,15 @@ TS_FORMATS = (TS_AUTO, TS_ISO8601, TS_EPOCH_SECONDS, TS_EPOCH_MILLIS, TS_SYSLOG_
 
 
 def _parse_iso(raw: str) -> TsParse:
-    text = raw.strip()
-    if text.endswith("Z") or text.endswith("z"):
-        text = text[:-1] + "+00:00"
-    # "+0000" (no colon) -> "+00:00"
-    text = _ISO_COMPACT_TZ_RE.sub(r"\1:\2", text)
-
-    # fromisoformat on 3.10 wants exactly 3 or 6 fractional digits
-    def _pad(match: "re.Match[str]") -> str:
-        digits = match.group(1)[1:]
-        return "." + digits.ljust(6, "0")[:6]
-
-    text = _ISO_FRACTION_RE.sub(_pad, text, count=1)
+    """raw is stripped. The rewrites below cannot change the value of canonical text, so it skips them."""
+    text = raw
+    if not _CANONICAL_ISO_RE.fullmatch(text):
+        if text.endswith("Z") or text.endswith("z"):
+            text = text[:-1] + "+00:00"
+        # "+0000" (no colon) -> "+00:00"
+        text = _ISO_COMPACT_TZ_RE.sub(r"\1:\2", text)
+        # fromisoformat on 3.10 wants exactly 3 or 6 fractional digits
+        text = _ISO_FRACTION_RE.sub(_pad_fraction, text, count=1)
     try:
         dt = datetime.fromisoformat(text)
     except ValueError:
@@ -176,10 +180,13 @@ def _parse_iso(raw: str) -> TsParse:
     return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=naive)
 
 
-def _parse_epoch(raw: str, millis: Optional[bool]) -> TsParse:
-    if not _EPOCH_RE.match(raw.strip()):
-        raise ParseError(f"unparseable epoch timestamp: {raw!r}", offending=raw)
-    value = float(raw)
+def _pad_fraction(match: "re.Match[str]") -> str:
+    return "." + match.group(1)[1:].ljust(6, "0")[:6]
+
+
+def _parse_epoch(text: str, millis: Optional[bool]) -> TsParse:
+    """text matches _EPOCH_RE; millis None: milliseconds from 1e11 up."""
+    value = float(text)
     if millis is None:
         millis = abs(value) >= 1e11
     ts_ms = round(value) if millis else round(value * 1000)
@@ -212,25 +219,24 @@ def parse_timestamp(raw: Union[str, int, float], format_hint: str = TS_AUTO, def
 
     Naive inputs are interpreted as UTC; ingest counts and reports them.
     """
-    if isinstance(raw, bool):
-        raise ParseError(f"unparseable timestamp: {raw!r}", offending=str(raw))
-    if isinstance(raw, (int, float)):
-        raw = repr(raw)
+    if not isinstance(raw, str):
+        if isinstance(raw, bool):
+            raise ParseError(f"unparseable timestamp: {raw!r}", offending=str(raw))
+        if isinstance(raw, (int, float)):
+            raw = repr(raw)
     text = raw.strip()
     if not text:
         raise ParseError("empty timestamp", offending=raw)
     if format_hint == TS_ISO8601:
         return _parse_iso(text)
-    if format_hint == TS_EPOCH_SECONDS:
-        return _parse_epoch(text, millis=False)
-    if format_hint == TS_EPOCH_MILLIS:
-        return _parse_epoch(text, millis=True)
     if format_hint == TS_SYSLOG_BSD:
         return _parse_bsd(text, default_year)
-    if format_hint != TS_AUTO:
+    if format_hint not in (TS_AUTO, TS_EPOCH_SECONDS, TS_EPOCH_MILLIS):
         raise ParseError(f"unknown timestamp format hint: {format_hint!r}", offending=raw)
     if _EPOCH_RE.match(text):
-        return _parse_epoch(text, millis=None)
+        return _parse_epoch(text, millis=None if format_hint == TS_AUTO else format_hint == TS_EPOCH_MILLIS)
+    if format_hint != TS_AUTO:
+        raise ParseError(f"unparseable epoch timestamp: {text!r}", offending=text)
     try:
         return _parse_iso(text)
     except ParseError:
@@ -309,7 +315,8 @@ def resolve_field(event: NormalizedEvent, canonical: str, aliases: FieldAliasMap
 
 
 def sort_events(events: Iterable[NormalizedEvent]) -> List[NormalizedEvent]:
-    return sorted(events, key=lambda e: e.sort_key())
+    """The events in (ts, event_id) order; the key is sort_key, read in C."""
+    return sorted(events, key=attrgetter("ts", "event_id"))
 
 
 def iso_ms(ts_ms: int) -> str:
@@ -662,19 +669,27 @@ def float_value(value: Any) -> float:
     return float(value)
 
 
-def compile_regex(pattern: str) -> Pattern[str]:
-    """re.compile(pattern), raising re.error also where re only warns.
+def parse_regex(pattern: str) -> Any:
+    """The parse tree of pattern, raising re.error also where re only warns.
 
     re warns with a FutureWarning of a pattern whose meaning a later
     Python changes, such as the possible nested set in "[[a]"; a config
-    pattern must mean one thing, so that is an error here.
+    pattern must mean one thing, so that is an error here. The parser is
+    called directly: re.compile returns a pattern it compiled before
+    without parsing it, and so without warning, again.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", FutureWarning)
         try:
-            return re.compile(pattern)
+            return _sre_parser.parse(pattern)
         except FutureWarning as exc:
             raise re.error(str(exc), pattern) from None
+
+
+def compile_regex(pattern: str) -> Pattern[str]:
+    """re.compile(pattern), after parse_regex(pattern) has checked it."""
+    parse_regex(pattern)
+    return re.compile(pattern)
 
 
 def string_list(origin: Union[str, Path], doc: Mapping[str, Any], key: str, where: str = "") -> List[str]:

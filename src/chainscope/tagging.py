@@ -29,12 +29,13 @@ from .model import (
     FieldResolver,
     NormalizedEvent,
     _jsonl_lines,
-    compile_regex,
     field_resolver,
     float_value,
     object_field,
     object_list,
+    parse_regex,
     resolve_fields,
+    sort_events,
     string_list,
 )
 
@@ -90,6 +91,11 @@ class StepRule:
 # one where_any or where_all block: (any-mode, ((lowered field, lowered allowed values), ...))
 Prefilter = Tuple[bool, Tuple[Tuple[str, FrozenSet[str]], ...]]
 
+# one pattern: its bound search method, the literals one of which every match
+# contains (None: not known), and whether they are lowered for an IGNORECASE
+# pattern, to be looked for in the lowered text
+Search = Tuple[Callable[[str], Any], Optional[Tuple[str, ...]], bool]
+
 
 @dataclass(frozen=True)
 class CompiledRule:
@@ -97,16 +103,17 @@ class CompiledRule:
 
     rule: StepRule
     regexes: Tuple[Pattern[str], ...]
-    searches: Tuple[Callable[[str], Any], ...]  # bound regex.search methods
+    searches: Tuple[Search, ...]
     candidate_fields: Tuple[str, ...]  # lowered
     prefilters: Tuple[Prefilter, ...]  # where_any, then where_all; empty blocks left out
     fields: Tuple[str, ...]  # every lowered field the rule reads
+    folded_fields: Tuple[str, ...]  # the candidate fields whose lowered text a search prefilter reads
     candidate: "Candidate"
     missing_field: "Diagnostic"
     prefilter_unusable: "Diagnostic"
 
 
-def _compile_rule(rule: StepRule, regexes: Tuple[Pattern[str], ...]) -> CompiledRule:
+def _compile_rule(rule: StepRule, regexes: Tuple[Pattern[str], ...], trees: Sequence[Any]) -> CompiledRule:
     prefilters = tuple(
         (mode_any, tuple((name.lower(), frozenset(a.lower() for a in allowed)) for name, allowed in clauses.items()))
         for clauses, mode_any in ((rule.where_any, True), (rule.where_all, False))
@@ -114,17 +121,89 @@ def _compile_rule(rule: StepRule, regexes: Tuple[Pattern[str], ...]) -> Compiled
     )
     candidate_fields = tuple(name.lower() for name in rule.candidate_fields)
     fields = tuple(dict.fromkeys((*(name for _, clauses in prefilters for name, _ in clauses), *candidate_fields)))
+    searches = tuple((regex.search, *required_literals(tree)) for regex, tree in zip(regexes, trees))
     return CompiledRule(
         rule=rule,
         regexes=regexes,
-        searches=tuple(regex.search for regex in regexes),
+        searches=searches,
         candidate_fields=candidate_fields,
         prefilters=prefilters,
         fields=fields,
+        folded_fields=candidate_fields if any(literals and fold for _, literals, fold in searches) else (),
         candidate=Candidate(step=rule.step, rule_id=rule.rule_id, priority=rule.priority),
         missing_field=Diagnostic(kind=MISSING_FIELD, rule_id=rule.rule_id),
         prefilter_unusable=Diagnostic(kind=PREFILTER_UNUSABLE, rule_id=rule.rule_id),
     )
+
+
+# --- required literals -----------------------------------------------------
+# A search runs only on text that holds one of the literals every match of
+# its pattern contains (the prefilter of RE2, and of R. Cox, "Regular
+# Expression Matching with a Trigram Index", 2012). Text without any of them
+# cannot match, so skipping its search changes no outcome.
+
+
+class _Opaque(Exception):
+    """A parse node whose literals are not derived."""
+
+
+# parse nodes that match no fixed text: they end a literal run and require nothing
+_NO_LITERALS = frozenset({"LITERAL", "NOT_LITERAL", "ANY", "IN", "AT", "GROUPREF", "GROUPREF_EXISTS", "ASSERT", "ASSERT_NOT"})
+_REPEATS = frozenset({"MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"})
+
+
+def _required(nodes: Any, fold: bool) -> Optional[FrozenSet[str]]:
+    """Literals one of which every match of the parse nodes contains, or None.
+
+    A run of literal nodes, a group, a repeat of at least once and an
+    alternation whose every branch requires literals each give such a set;
+    the one whose shortest literal is longest is kept, then the smallest.
+    With fold, literals are lowered, and a non-ASCII one ends a run: re
+    folds some characters onto ASCII letters that str.lower does not, such
+    as U+017F LONG S onto "s".
+    """
+    found: List[FrozenSet[str]] = []
+    run: List[str] = []
+    for op, av in nodes:
+        kind = op.name
+        if kind == "LITERAL" and not (fold and av > 0x7F):
+            run.append(chr(av).lower() if fold else chr(av))
+            continue
+        if run:
+            found.append(frozenset({"".join(run)}))
+            run = []
+        if kind == "SUBPATTERN":
+            if av[1] or av[2]:  # a scoped flag, such as (?i:...) or (?-i:...)
+                raise _Opaque(kind)
+            required = _required(av[3], fold)
+        elif kind == "ATOMIC_GROUP":
+            required = _required(av, fold)
+        elif kind in _REPEATS:
+            required = _required(av[2], fold) if av[0] >= 1 else None
+        elif kind == "BRANCH":
+            branches = [_required(branch, fold) for branch in av[1]]
+            required = frozenset().union(*branches) if all(branches) else None
+        elif kind in _NO_LITERALS:
+            required = None
+        else:
+            raise _Opaque(kind)
+        if required:
+            found.append(required)
+    if run:
+        found.append(frozenset({"".join(run)}))
+    return max(found, key=lambda literals: (min(map(len, literals)), -len(literals)), default=None)
+
+
+def required_literals(tree: Any) -> Tuple[Optional[Tuple[str, ...]], bool]:
+    """For a pattern's parse tree (``model.parse_regex``): the literals one of
+    which every match contains, sorted, or None when none are derived; and
+    whether the pattern is IGNORECASE, which makes them lowered."""
+    fold = bool(tree.state.flags & re.IGNORECASE)
+    try:
+        literals = _required(tree, fold)
+    except _Opaque:
+        return None, fold
+    return (tuple(sorted(literals)) if literals else None), fold
 
 
 class RuleSet:
@@ -150,16 +229,17 @@ class RuleSet:
             for name in (*rule.candidate_fields, *rule.where_any, *rule.where_all):
                 if name.lower() not in CANONICAL_FIELDS:
                     raise RuleError(f"rule {rule.rule_id!r} references non-canonical field {name!r}")
-            regexes = []
+            regexes, trees = [], []
             for j, pattern in enumerate(rule.patterns):
                 try:
-                    regexes.append(compile_regex(pattern))
+                    trees.append(parse_regex(pattern))
+                    regexes.append(re.compile(pattern))
                 except re.error as exc:
                     raise RuleError(
                         f"{origin}: rules[{i}].patterns[{j}] of rule {rule.rule_id!r} "
                         f"is not a valid regular expression: {exc}"
                     )
-            compiled.append(_compile_rule(rule, tuple(regexes)))
+            compiled.append(_compile_rule(rule, tuple(regexes), trees))
         self._compiled = tuple(compiled)
 
     @property
@@ -265,12 +345,23 @@ def _scope_outcome(compiled: CompiledRule, source: str, gate: Optional[FrozenSet
     return None
 
 
-def _outcome(compiled: CompiledRule, values: Mapping[str, Optional[str]]) -> str:
+def _folded(values: Mapping[str, Optional[str]], names: Iterable[str]) -> Dict[str, Optional[str]]:
+    """The lowered text of each named field, None where it is absent or not
+    ASCII: re folds some non-ASCII characters that str.lower does not."""
+    folded: Dict[str, Optional[str]] = {}
+    for name in names:
+        text = values[name]
+        folded[name] = text.lower() if text is not None and text.isascii() else None
+    return folded
+
+
+def _outcome(compiled: CompiledRule, values: Mapping[str, Optional[str]], folded: Mapping[str, Optional[str]]) -> str:
     """Evaluate an in-scope rule on resolved field values.
 
     An absent field's value is None. A prefilter block whose referenced
     fields are all absent is unusable (it cannot be evaluated at all); one
-    with present-but-unlisted values simply fails.
+    with present-but-unlisted values simply fails. folded holds
+    ``_folded(values, compiled.folded_fields)``.
     """
     for mode_any, clauses in compiled.prefilters:
         usable = False
@@ -293,7 +384,15 @@ def _outcome(compiled: CompiledRule, values: Mapping[str, Optional[str]]) -> str
         if text is None:
             continue
         any_field_present = True
-        for search in compiled.searches:
+        for search, literals, fold in compiled.searches:
+            if literals is not None:
+                haystack = folded[name] if fold else text
+                if haystack is not None:
+                    for literal in literals:
+                        if literal in haystack:
+                            break
+                    else:
+                        continue  # no required literal: the search cannot match
             if search(text):
                 return FIRED
     return NO_MATCH if any_field_present else MISSING_FIELD
@@ -309,11 +408,13 @@ def evaluate_rule(
     skipped = _scope_outcome(compiled, event.source, gate)
     if skipped is not None:
         return skipped
-    return _outcome(compiled, resolve_fields(event, [field_resolver(name, aliases) for name in compiled.fields]))
+    values = resolve_fields(event, [field_resolver(name, aliases) for name in compiled.fields])
+    return _outcome(compiled, values, _folded(values, compiled.folded_fields))
 
 
-# a source's plan: the resolvers of the fields its rules read, and those rules
-_Plan = Tuple[Tuple[FieldResolver, ...], Tuple[CompiledRule, ...]]
+# a source's plan: the resolvers of the fields its rules read, the fields
+# whose lowered text they read, and those rules
+_Plan = Tuple[Tuple[FieldResolver, ...], Tuple[str, ...], Tuple[CompiledRule, ...]]
 
 
 class _Tagger:
@@ -333,19 +434,21 @@ class _Tagger:
     def _plan(self, source: str) -> _Plan:
         live = tuple(c for c in self._rules if _scope_outcome(c, source, self._gate) is None)
         fields = dict.fromkeys(name for c in live for name in c.fields)
-        plan = self._plans[source] = (tuple(self._resolvers[name] for name in fields), live)
+        folded = tuple(dict.fromkeys(name for c in live for name in c.folded_fields))
+        plan = self._plans[source] = (tuple(self._resolvers[name] for name in fields), folded, live)
         return plan
 
     def decide(self, event: NormalizedEvent) -> TagDecision:
         plan = self._plans.get(event.source)
         if plan is None:
             plan = self._plan(event.source)
-        resolvers, live = plan
+        resolvers, folded_fields, live = plan
         values = resolve_fields(event, resolvers)
+        folded = _folded(values, folded_fields)
         candidates: List[Candidate] = []
         diagnostics: List[Diagnostic] = []
         for compiled in live:
-            outcome = _outcome(compiled, values)
+            outcome = _outcome(compiled, values, folded)
             if outcome == FIRED:
                 candidates.append(compiled.candidate)
             elif outcome == MISSING_FIELD:
@@ -419,7 +522,7 @@ def tag_run(
     aliases, so one memo is sound for calls that share all three and whose
     tables never give two events the same id.
     """
-    ordered = sorted(events, key=lambda e: e.sort_key())
+    ordered = sort_events(events)
     tagger = _Tagger(rules, gate, aliases)
     if decided is None:
         decisions = [tagger.decide(event) for event in ordered]

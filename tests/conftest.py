@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import re
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -22,7 +24,13 @@ from chainscope.ingest import RAW_TEXT_KEY, NormalizeResult, Quarantine
 from chainscope.model import (
     EMPTY_ALIASES,
     TEXT_BLOB_CANDIDATES,
+    TS_AUTO,
+    TS_EPOCH_MILLIS,
+    TS_EPOCH_SECONDS,
+    TS_ISO8601,
+    TS_SYSLOG_BSD,
     NormalizedEvent,
+    TsParse,
     parse_timestamp,
 )
 from chainscope.synth import generate_scenario
@@ -348,6 +356,91 @@ def jsonl_layouts(draw, lines):
 # --- reference implementations ---------------------------------------------
 # The interpretive normalize and rule evaluation that ingest and tagging
 # compiled into plans. Property tests check the plans against them.
+
+
+_REFERENCE_FRACTION_RE = re.compile(r"(\.\d{1,9})")
+_REFERENCE_COMPACT_TZ_RE = re.compile(r"([+-]\d{2})(\d{2})$")
+_REFERENCE_EPOCH_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_REFERENCE_BSD_RE = re.compile(
+    r"^(?P<mon>Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)\s+(?P<day>\d{1,2})\s+"
+    r"(?P<h>\d{2}):(?P<m>\d{2}):(?P<s>\d{2})$"
+)
+_REFERENCE_MONTHS = {m: i + 1 for i, m in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split())}
+
+
+def _reference_iso(raw):
+    text = raw.strip()
+    if text.endswith("Z") or text.endswith("z"):
+        text = text[:-1] + "+00:00"
+    text = _REFERENCE_COMPACT_TZ_RE.sub(r"\1:\2", text)
+    text = _REFERENCE_FRACTION_RE.sub(lambda m: "." + m.group(1)[1:].ljust(6, "0")[:6], text, count=1)
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        raise ParseError(f"unparseable ISO-8601 timestamp: {raw!r}", offending=raw)
+    naive = dt.tzinfo is None
+    if naive:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=naive)
+
+
+def _reference_epoch(raw, millis):
+    if not _REFERENCE_EPOCH_RE.match(raw.strip()):
+        raise ParseError(f"unparseable epoch timestamp: {raw!r}", offending=raw)
+    value = float(raw)
+    if millis is None:
+        millis = abs(value) >= 1e11
+    return TsParse(ts_ms=round(value) if millis else round(value * 1000), tz_naive=False)
+
+
+def _reference_bsd(raw, default_year):
+    m = _REFERENCE_BSD_RE.match(raw.strip())
+    if not m:
+        raise ParseError(f"unparseable BSD syslog timestamp: {raw!r}", offending=raw)
+    if default_year is None:
+        raise ParseError(f"BSD syslog timestamp {raw!r} has no year; adapter must set default_year", offending=raw)
+    try:
+        dt = datetime(
+            default_year,
+            _REFERENCE_MONTHS[m.group("mon")],
+            int(m.group("day")),
+            int(m.group("h")),
+            int(m.group("m")),
+            int(m.group("s")),
+            tzinfo=timezone.utc,
+        )
+    except ValueError as exc:
+        raise ParseError(f"BSD syslog timestamp {raw!r} is not a date in {default_year}: {exc}", offending=raw)
+    return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=True, year_supplied=True)
+
+
+def reference_parse_timestamp(raw, format_hint=TS_AUTO, default_year=None):
+    """parse_timestamp as it was before it skipped the rewrites of canonical
+    text: every ISO rewrite applied, and an epoch matched twice."""
+    if isinstance(raw, bool):
+        raise ParseError(f"unparseable timestamp: {raw!r}", offending=str(raw))
+    if isinstance(raw, (int, float)):
+        raw = repr(raw)
+    text = raw.strip()
+    if not text:
+        raise ParseError("empty timestamp", offending=raw)
+    if format_hint == TS_ISO8601:
+        return _reference_iso(text)
+    if format_hint == TS_EPOCH_SECONDS:
+        return _reference_epoch(text, millis=False)
+    if format_hint == TS_EPOCH_MILLIS:
+        return _reference_epoch(text, millis=True)
+    if format_hint == TS_SYSLOG_BSD:
+        return _reference_bsd(text, default_year)
+    if format_hint != TS_AUTO:
+        raise ParseError(f"unknown timestamp format hint: {format_hint!r}", offending=raw)
+    if _REFERENCE_EPOCH_RE.match(text):
+        return _reference_epoch(text, millis=None)
+    try:
+        return _reference_iso(text)
+    except ParseError:
+        pass
+    return _reference_bsd(text, default_year)
 
 
 def reference_lookup(record, lowered_fields, canonical, lowered_map, aliases):

@@ -1,8 +1,11 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainscope.cli import _build_parser, main
 from chainscope.model import events_to_jsonl
@@ -819,3 +822,76 @@ class TestReadmeSubcommandTable:
         for command, purpose in rows:
             flags = set(re.findall(r"--[a-z][a-z-]*", purpose))
             assert flags <= set(subparsers[command]._option_string_actions), (command, flags)
+
+
+# --- corrupted raw inputs --------------------------------------------------
+
+# the two canonical timestamp forms the packaged adapters read
+TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT[0-9:.]+[+-]\d\d:\d\d|\d{9,}\.\d+")
+BAD_TIMESTAMPS = ("", "x", "2024-13-01T00:00:00.000+00:00", "2024-05-01T00:00:60.000+00:00", "-1", "1e400", "9" * 30, "Jan 32 00:00:00")
+JSON_VALUES = (None, 0, -1, 1.5, True, "", "x", [], {}, {"a": [1]}, 10**30)
+CSV_CELLS = ('"', '"unclosed', "a,b", "", "\x00", "-1", "99999999999", "not-a-port")
+
+
+@pytest.fixture(scope="module")
+def packaged_inputs(tmp_path_factory):
+    """Raw files of two packaged scenarios, one with a CSV export: {scenario: {file name: text}}."""
+    root = tmp_path_factory.mktemp("packaged")
+    inputs = {}
+    for spec in ("dependency-chain", "startup-persistence"):
+        assert main(["synth", "--spec", spec, "--out", str(root / spec)]) == 0
+        inputs[spec] = {p.name: p.read_text(encoding="utf-8") for p in sorted((root / spec).iterdir())}
+    return inputs
+
+
+@st.composite
+def corrupted_line(draw, name, line):
+    kind = draw(st.sampled_from(["truncate", "timestamp", "json" if name.endswith(".jsonl") else "csv" if name.endswith(".csv") else "truncate"]))
+    if kind == "timestamp":
+        return TIMESTAMP_RE.sub(draw(st.sampled_from(BAD_TIMESTAMPS)), line, count=1)
+    if kind == "json":
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            return line[: len(line) // 2]
+        if doc:
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(JSON_VALUES))
+        return json.dumps(doc)
+    if kind == "csv":
+        cells = line.split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CSV_CELLS))
+        return ",".join(cells)
+    return line[: draw(st.integers(0, len(line)))]
+
+
+@st.composite
+def corrupted_scenarios(draw, inputs):
+    spec = draw(st.sampled_from(sorted(inputs)))
+    files = dict(inputs[spec])
+    raw_names = sorted(name for name, text in files.items() if name != "ground_truth.json" and text)
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(raw_names))
+        lines = files[name].split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(corrupted_line(name, lines[i]))
+        files[name] = "\n".join(lines)
+    return spec, files
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_corrupted_raw_input_reaches_an_internal_error(packaged_inputs, data):
+    """evaluate and sweep on packaged raw files with truncated lines, swapped
+    JSON value types, bad CSV cells or bad timestamps exit 0 or 2, never 3."""
+    spec, files = data.draw(corrupted_scenarios(packaged_inputs))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / spec
+        scenario.mkdir()
+        for name, text in files.items():
+            (scenario / name).write_text(text, encoding="utf-8")
+        sources = sorted({name.rpartition(".")[0] for name in files} - {"ground_truth"})
+        budgets = Path(tmp) / "budgets.yml"
+        budgets.write_text(json.dumps({"budgets": [[s] for s in sources] + [sources]}), encoding="utf-8")
+        evaluate = main(["evaluate", "--scenario-dir", str(scenario), "--out", str(Path(tmp) / "run")])
+        sweep = main(["sweep", "--scenario-dir", str(scenario), "--budgets", str(budgets), "--out", str(Path(tmp) / "sweep")])
+    assert evaluate in (0, 2) and sweep in (0, 2)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import replace
@@ -101,6 +102,29 @@ class TestParseStream:
         assert len(result.records) == 1
         assert result.records[0].fields == {"TimeGenerated": "2024-05-01T09:00:00.000+00:00", "Message": "hello"}
         assert result.n_rejected == 1
+
+
+    def test_csv_rows_keep_their_physical_line_numbers_and_text(self):
+        adapter = SourceAdapterSpec(
+            source="azure_events", format="csv_export", field_map={"ts": "TimeGenerated", "message": "Message"}
+        )
+        rows = ['2024-05-01T09:00:00.000+00:00,"quoted, with a comma"']
+        rows += [f"2024-05-01T09:00:{i:02d}.000+00:00,row {i}" for i in range(1, 11)]
+        rows += ['2024-05-01T09:01:00.000+00:00,"two\nlines"', "a,b,c"]
+        result = parse_text("TimeGenerated,Message\n" + "\n".join(rows) + "\n", adapter)
+        assert result.rejected_lines == (15,)  # the row on line 15, after a cell spanning lines 13 and 14
+        assert [r.raw_text for r in result.records] == rows[:-1]
+        assert result.records[-1].fields["Message"] == "two\nlines"
+
+    def test_a_csv_row_the_csv_module_rejects_is_a_rejected_line(self):
+        adapter = SourceAdapterSpec(
+            source="azure_events", format="csv_export", field_map={"ts": "TimeGenerated", "message": "Message"}, parse_threshold=0.5
+        )
+        oversized = "x" * (csv.field_size_limit() + 1)
+        text = f"TimeGenerated,Message\n2024-05-01T09:00:00.000+00:00,{oversized}\n2024-05-01T09:00:01.000+00:00,ok\n"
+        result = parse_text(text, adapter)
+        assert result.rejected_lines == (2,)
+        assert [r.raw_text for r in result.records] == ["2024-05-01T09:00:01.000+00:00,ok"]
 
 
 class TestNormalizeRecords:

@@ -1,8 +1,10 @@
 import gc
 import io
 import json
+import re
 import tempfile
 import tracemalloc
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from unittest.mock import patch
@@ -31,7 +33,7 @@ from chainscope.model import (
 )
 from chainscope.pipeline import write_ingest_artifacts, write_tag_artifacts
 from chainscope.tagging import decisions_to_jsonl, tag_run
-from conftest import jsonl_layouts, make_event
+from conftest import jsonl_layouts, make_event, reference_parse_timestamp
 
 
 class TestCanonicalizeTs:
@@ -88,6 +90,89 @@ class TestCanonicalizeTs:
         lo_ms = canonicalize_ts(lo.replace(tzinfo=timezone.utc).isoformat())
         hi_ms = canonicalize_ts(hi.replace(tzinfo=timezone.utc).isoformat())
         assert lo_ms <= hi_ms
+
+
+def _two(low, high):
+    return st.integers(low, high).map("{:02d}".format)
+
+
+# ISO text near the canonical form iso_ms renders: every part may stray from
+# it, by a "Z" or compact offset, 0-9 fraction digits, a space separator,
+# surrounding whitespace or an out-of-range field
+NEAR_ISO = st.builds(
+    "{}{}-{}-{}{}{}:{}:{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t"]),
+    st.integers(1, 9999).map("{:04d}".format),
+    _two(0, 13),
+    _two(0, 32),
+    st.sampled_from(["T", " ", "t"]),
+    _two(0, 24),
+    _two(0, 60),
+    _two(0, 61),
+    st.one_of(st.just(""), st.text("0123456789", max_size=9).map(".{}".format)),
+    st.sampled_from(["", "Z", "z", "+00:00", "+0000", "-05:30", "+0530", "+05", "-23:59", "+24:00", "Zx"]),
+    st.sampled_from(["", " ", "\n"]),
+)
+# the canonical forms themselves, with out-of-range fields and offsets too
+CANONICAL = st.one_of(
+    st.integers(-62135596800000, 253402300799999).map(model.iso_ms),
+    st.builds(
+        "{}-{}-{}T{}:{}:{}.{}{}".format,
+        st.integers(0, 9999).map("{:04d}".format),
+        _two(0, 13),
+        _two(0, 32),
+        _two(0, 24),
+        _two(0, 60),
+        _two(0, 61),
+        st.integers(0, 999).map("{:03d}".format),
+        st.sampled_from(["+00:00", "-05:30", "+23:59", "-24:00", "+00:60"]),
+    ),
+    st.integers(-(10**12), 10**12).map(lambda ms: f"{ms / 1000:.3f}"),
+)
+# one small step off the canonical ISO form: the boundary of the parser's shortcut
+OFF_CANONICAL = st.tuples(
+    st.integers(-62135596800000, 253402300799999).map(model.iso_ms),
+    st.sampled_from(
+        [("+00:00", "Z"), ("+00:00", "z"), ("+00:00", "+0000"), ("+00:00", ""), ("+00:00", "+00"), ("T", " "), ("T", "t"),
+         (".", ".0"), (".", ".1234"), (".", ","), ("0", "\u0660"), ("-", "")]
+    ),
+).map(lambda t: t[0].replace(*t[1], 1))
+NEAR_EPOCH = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-", "+", " "]),
+    st.one_of(st.integers(0, 10**14).map(str), st.just(""), st.just("1e11")),
+    st.one_of(st.just(""), st.text("0123456789", max_size=9).map(".{}".format)),
+    st.sampled_from(["", " ", "s"]),
+)
+NEAR_BSD = st.builds(
+    "{} {} {}:{}:{}".format, st.sampled_from(["Jan", "Feb", "may", "Dec"]), st.integers(0, 32).map(str), _two(0, 24), _two(0, 60), _two(0, 61)
+)
+
+
+def parse_outcome(parse, raw, hint, year):
+    try:
+        return parse(raw, format_hint=hint, default_year=year)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offending)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=st.one_of(CANONICAL, OFF_CANONICAL, NEAR_ISO, NEAR_EPOCH, NEAR_BSD, st.text(max_size=12), st.integers(-(10**13), 10**13), st.floats(allow_nan=False)),
+    hint=st.sampled_from([model.TS_AUTO, model.TS_ISO8601, *model.TS_FORMATS, "unknown"]),  # the ISO paths weighted twice
+    year=st.sampled_from([None, 2023, 2024]),
+)
+def test_parse_timestamp_equals_the_reference(raw, hint, year):
+    assert parse_outcome(parse_timestamp, raw, hint, year) == parse_outcome(reference_parse_timestamp, raw, hint, year)
+
+
+def test_a_pattern_re_compiled_before_still_fails():
+    # re.compile returns a cached pattern without parsing it, or warning, again
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FutureWarning)
+        re.compile("[[b]")
+    with pytest.raises(re.error, match="nested set"):
+        model.compile_regex("[[b]")
 
 
 class TestResolveField:

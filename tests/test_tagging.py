@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chainscope.configio import packaged_scenario_ids
 from chainscope.errors import ParseError, RuleError
-from chainscope.model import FieldAliasMap, lowered_extras_view, resolve_field
+from chainscope.model import FieldAliasMap, lowered_extras_view, parse_regex, resolve_field
 from chainscope.tagging import (
     FIRED,
     GATED,
@@ -27,6 +27,7 @@ from chainscope.tagging import (
     decisions_to_jsonl,
     evaluate_rule,
     load_rules,
+    required_literals,
     tag_event,
     tag_run,
 )
@@ -416,6 +417,108 @@ class TestCompiledTaggingEqualsReference:
         decisions, _ = tag_run(events, ruleset, gate=gate, aliases=aliases)
         ordered = sorted(events, key=lambda e: e.sort_key())
         assert decisions == [reference_tag_event(e, ruleset, gate=gate, aliases=aliases) for e in ordered]
+
+
+# --- the required-literal prefilter -------------------------------------------
+
+# re folds these onto ASCII letters under IGNORECASE, str.lower only some of
+# them (U+212A KELVIN SIGN, U+017F LONG S, U+0130 and U+0131, the dotted and
+# dotless i)
+FOLD_SPECIAL = "\u212a\u017f\u0130\u0131"
+# each fold-special character and the ASCII letter re folds it onto, both ways
+FOLD_PAIRS = {"\u212a": "k", "\u017f": "s", "\u0130": "i", "\u0131": "i", "k": "\u212a", "s": "\u017f", "i": "\u0131", "I": "\u0130"}
+
+
+def fold_letters(text):
+    return "".join(FOLD_PAIRS.get(c, c) for c in text)
+
+
+# a text as drawn, with its case swapped, or its letters folded, folding weighted
+# twice: it is what the ASCII rule of the prefilter guards against
+TEXT_FORMS = (str, str.swapcase, fold_letters, fold_letters)
+# (regex atom, a text it matches)
+PATTERN_ATOMS = (
+    *((c, c) for c in ("a", "b", "k", "s", "i", "K", "S", "I", "ab", "Sk", " ", "\u00e9", *FOLD_SPECIAL)),
+    (".", "x"), (r"\b", ""), (r"\s", " "), (r"\w", "w"), ("[ak]", "k"), ("[^s]", "t"), ("^", ""), ("$", ""), (r"\.", "."),
+)
+REPEATS = (("*", 0), ("*", 2), ("+", 1), ("?", 0), ("?", 1), ("{2}", 2), ("{0,2}", 1), ("{1,}", 2), ("+?", 1), ("*?", 0))
+GROUPS = ("(", "(?i:", "(?-i:", "(?s:")
+
+
+def regexes_and_texts():
+    """(regex source, a text the regex usually matches) from literals,
+    metacharacters, alternations, repeats and groups with and without
+    scoped flags; under (?i: the text's case is swapped or its letters folded."""
+
+    def combine(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda parts: tuple(map("".join, zip(*parts)))),
+            st.tuples(st.lists(children, min_size=2, max_size=3), st.integers(0, 2)).map(
+                lambda t: ("(?:" + "|".join(p for p, _ in t[0]) + ")", t[0][t[1] % len(t[0])][1])
+            ),
+            st.tuples(children, st.sampled_from(REPEATS)).map(lambda t: (f"(?:{t[0][0]}){t[1][0]}", t[0][1] * t[1][1])),
+            st.tuples(st.sampled_from(GROUPS), children, st.sampled_from(TEXT_FORMS)).map(
+                lambda t: (f"{t[0]}{t[1][0]})", t[2](t[1][1]) if t[0] == "(?i:" else t[1][1])
+            ),
+        )
+
+    return st.recursive(st.sampled_from(PATTERN_ATOMS), combine, max_leaves=6)
+
+
+@st.composite
+def rules_and_texts(draw):
+    """Patterns, and texts around their matches, as drawn or with the case
+    swapped or the letters folded, so that a search the prefilter wrongly
+    skips shows."""
+    pairs = draw(st.lists(regexes_and_texts(), min_size=1, max_size=3))
+    flags = draw(st.lists(st.sampled_from(["", "(?i)", "(?i)", "(?s)"]), min_size=len(pairs), max_size=len(pairs)))  # IGNORECASE weighted twice
+    around = st.text(" .x\u00e9" + FOLD_SPECIAL, max_size=2)
+    texts = st.tuples(around, st.sampled_from([t for _, t in pairs]), st.sampled_from(TEXT_FORMS), around)
+    texts = texts.map(lambda t: t[0] + t[2](t[1]) + t[3])
+    return [flag + p for flag, (p, _) in zip(flags, pairs)], draw(st.lists(st.tuples(texts, st.none() | texts), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=rules_and_texts())
+def test_prefiltered_decisions_equal_every_search_run(case):
+    """Each pattern is its own rule, so every skipped search shows in the candidates."""
+    patterns, texts = case
+    rules = RuleSet([rule(f"r{i}", "INSTALL", patterns=(p,), fields=("cmdline", "text_blob")) for i, p in enumerate(patterns)])
+    for i, (text, cmdline) in enumerate(texts):
+        event = make_event(event_id=f"e{i}", text_blob=text, cmdline=cmdline)
+        assert tag_event(event, rules) == reference_tag_event(event, rules)
+
+
+@pytest.mark.parametrize(
+    "pattern, literals",
+    [
+        (r"(?i)\b(?:pip3?|npm)\s+install\b", ("install",)),
+        (r"(?i)\b(?:wget|curl|certutil\s+-urlcache)\b", ("-urlcache", "curl", "wget")),
+        (r"Accepted (?:password|publickey) for", ("Accepted p",)),  # re factors the common prefix out
+        (r"(?i)\bconn(?:ect(?:ed|ion)?)?\b", ("conn",)),
+        (r"a+(?:bcd)+", ("bcd",)),
+        ("(?i)x\u212a\u212aelvin", ("elvin",)),  # a non-ASCII literal ends a folded run
+        (r"x*y?", None),
+        (r"(?:ab|.)", None),
+        (r"(?i:ab)cd", None),
+        (r"(?-i:ab)", None),
+    ],
+)
+def test_required_literals(pattern, literals):
+    assert required_literals(parse_regex(pattern))[0] == literals
+
+
+def test_every_packaged_pattern_is_prefiltered(default_rules):
+    assert all(literals for compiled in default_rules for _, literals, _ in compiled.searches)
+
+
+@pytest.mark.parametrize(
+    "pattern, text",
+    [("(?i)kelvin", "\u212aelvin"), ("(?i)\u017ftep", "STEP"), ("(?i)ki", "k\u0130"), ("(?i)i", "\u0131"), ("(?i)\u212a", "k")],
+)
+def test_characters_re_folds_onto_ascii_still_match(pattern, text):
+    rules = RuleSet([rule("r", "INSTALL", patterns=(pattern,))])
+    assert tag_event(make_event(event_id="e", text_blob=text), rules).chosen == StepTag.INSTALL
 
 
 class TestExpectedSteps:
