@@ -472,7 +472,7 @@ def rules_and_texts(draw):
     skips shows."""
     pairs = draw(st.lists(regexes_and_texts(), min_size=1, max_size=3))
     flags = draw(st.lists(st.sampled_from(["", "(?i)", "(?i)", "(?s)"]), min_size=len(pairs), max_size=len(pairs)))  # IGNORECASE weighted twice
-    around = st.text(" .x\u00e9" + FOLD_SPECIAL, max_size=2)
+    around = st.text(" .x", max_size=2) | st.text(" .x\u00e9" + FOLD_SPECIAL, max_size=2)  # ASCII text gets the prefilter
     texts = st.tuples(around, st.sampled_from([t for _, t in pairs]), st.sampled_from(TEXT_FORMS), around)
     texts = texts.map(lambda t: t[0] + t[2](t[1]) + t[3])
     return [flag + p for flag, (p, _) in zip(flags, pairs)], draw(st.lists(st.tuples(texts, st.none() | texts), min_size=1, max_size=3))
