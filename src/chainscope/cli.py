@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .configio import (
@@ -29,10 +29,10 @@ from .configio import (
     load_scenario_spec,
     load_template,
 )
-from .errors import ChainscopeError, ConfigError, ParseError, SanitizeError
+from .errors import ChainscopeError, ConfigError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from .ingest import ingest_scenario
-from .model import events_from_jsonl, events_to_jsonl, object_list, read_json, string_list, write_json, write_jsonl
+from .model import events_from_jsonl, events_to_jsonl, write_jsonl
 from .pipeline import (
     RunParams,
     build_manifest,
@@ -46,7 +46,8 @@ from .pipeline import (
     write_sweep_artifacts,
     write_tag_artifacts,
 )
-from .sanitize import PseudonymMap, is_token, sanitize_dataset, salt_reference
+from .report import write_report
+from .sanitize import read_mappings, sanitize_dataset, write_mappings
 from .synth import generate_scenario, write_scenario
 from .tagging import ExpectedStepSet, decisions_from_jsonl, load_rules, parse_step, tag_run
 
@@ -156,10 +157,8 @@ def _build_parser() -> _Parser:
 
 
 def _split_csv(value: Optional[str], flag: str, kind: str) -> Optional[Tuple[str, ...]]:
-    """The names in a comma-separated flag value, or None when the flag is absent.
-
-    A value that names nothing is a validation error, not an absent flag.
-    """
+    """The names in a comma-separated flag value, or None when the flag is
+    absent; a value that names nothing is a validation error."""
     if value is None:
         return None
     names = tuple(part.strip() for part in value.split(",") if part.strip())
@@ -265,17 +264,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     adapters = load_adapters(args.adapters)
     aliases = load_aliases(args.aliases)
     rules = _load_rules_file(args.rules)
-    budgets = load_budgets(args.budgets)
-    deduped = []
-    seen = set()
-    for budget in budgets:
-        if budget.sources in seen:
+    deduped = {}  # the first budget of each source set
+    for budget in load_budgets(args.budgets):
+        if budget.sources in deduped:
             print(f"warning: duplicate budget {budget.name} ignored", file=sys.stderr)
-            continue
-        seen.add(budget.sources)
-        deduped.append(budget)
+        else:
+            deduped[budget.sources] = budget
     params = _params_from_args(args)
-    result = sweep_scenario(args.scenario_dir, adapters, aliases, rules, deduped, params=params)
+    result = sweep_scenario(args.scenario_dir, adapters, aliases, rules, list(deduped.values()), params=params)
     manifest = build_manifest(
         "sweep",
         {
@@ -290,18 +286,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     write_sweep_artifacts(result, args.out, manifest=manifest)
     sys.stdout.write(result.table)
-    failures = [row for row in result.rows if row.error]
-    for row in failures:
-        print(f"warning: {row.error}", file=sys.stderr)
+    for row in result.rows:
+        if row.error:
+            print(f"warning: {row.error}", file=sys.stderr)
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec_arg = args.spec
-    if Path(spec_arg).exists():
-        spec = load_scenario_spec(Path(spec_arg))
-    else:
-        spec = load_packaged_scenario(spec_arg)
+    spec = load_scenario_spec(Path(args.spec)) if Path(args.spec).exists() else load_packaged_scenario(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     template = None
@@ -331,33 +323,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     tables: Dict[str, List] = {}
     for event in events:
         tables.setdefault(event.source, []).append(event)
-
-    mappings_dir = Path(args.mappings_dir)
-    mappings_dir.mkdir(parents=True, exist_ok=True)
-    salt_ref = salt_reference(salt)
-    persisted = {}
-    for path in sorted(mappings_dir.glob("*.json")):
-        doc = read_json(path)
-        # a file without these keys (written by hand) is taken as this salt's and its name's
-        for key, expected in (("salt_ref", salt_ref), ("category", path.stem)):
-            if key in doc and doc[key] != expected:
-                raise SanitizeError(f"mapping file {path}: {key!r} is {doc[key]!r}, expected {expected!r}")
-        entries = doc.get("mappings", {})
-        if not isinstance(entries, dict):
-            raise ParseError(f"mapping file {path} must be an object whose 'mappings' is an object")
-        for original, token in entries.items():
-            if not isinstance(token, str) or not is_token(token):
-                raise ParseError(f"mapping file {path}: the token of {original!r} is not a PREFIX_DDDDDD token: {token!r}")
-        persisted[path.stem] = entries
-    pmap = PseudonymMap(persisted, salt_ref=salt_ref)
-
+    pmap = read_mappings(args.mappings_dir, policy, salt)
     sanitized, pmap, sanitize_report = sanitize_dataset(tables, policy, salt, pmap)
     merged = sorted((e for events in sanitized.values() for e in events), key=lambda e: e.sort_key())
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(args.out, merged, events_to_jsonl)
-    for category, mapping in pmap.to_dict().items():
-        payload = {"category": category, "salt_ref": pmap.salt_ref, "mappings": mapping}
-        write_json(mappings_dir / f"{category}.json", payload)
+    write_mappings(args.mappings_dir, pmap)
     print(
         f"sanitized {sum(len(v) for v in sanitized.values())} events; "
         f"replacements={dict(sanitize_report.replacements)} -> {args.out}"
@@ -365,62 +336,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
-_METRIC_KEYS = ("tag_cov", "chain_cov", "step_r", "chain_r", "step_p", "chain_p", "reconstructability")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    indir = Path(args.indir)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    sweep_rows = indir / "sweep_aggregates.json"
-    if sweep_rows.exists():
-        table_path = indir / "budget_table.txt"
-        try:
-            text = table_path.read_text(encoding="utf-8") if table_path.exists() else ""
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{table_path} is not valid UTF-8: {exc}")
-        doc = read_json(sweep_rows)
-        out.write_text(text, encoding="utf-8")
-        write_json(out.with_suffix(out.suffix + ".json"), doc)
-        print(f"sweep report -> {out}")
-        return 0
-    metrics_path = indir / "metrics.json"
-    evidence_path = indir / "evidence.json"
-    if not metrics_path.exists() and not evidence_path.exists():
-        raise ConfigError(f"no run artifacts (metrics.json/evidence.json/sweep_aggregates.json) in {indir}")
-    lines: List[str] = []
-    doc: Dict[str, Any] = {}
-    if metrics_path.exists():
-        metrics_doc = read_json(metrics_path)
-        doc["metrics"] = metrics_doc
-        lines.append(f"scenario: {metrics_doc.get('scenario_id', '?')}")
-        lines.append(f"sources: {', '.join(string_list(metrics_path, metrics_doc, 'sources'))}")
-        for key in _METRIC_KEYS:
-            value = metrics_doc.get(key, 0)
-            if not isinstance(value, (int, float)):
-                raise ParseError(f"{metrics_path}: {key!r} must be a number, got {value!r}")
-            lines.append(f"{key}: {value:.3f}")
-        missing_steps = string_list(metrics_path, metrics_doc, "missing_steps")
-        if missing_steps:
-            lines.append("missing: " + ", ".join(missing_steps))
-    if evidence_path.exists():
-        evidence_doc = read_json(evidence_path)
-        doc["evidence"] = evidence_doc
-        lines.append("")
-        sections = object_list(evidence_path, evidence_doc, "sections", ("step", "window", "volume", "sources", "recoverability"))
-        for i, section in enumerate(sections):
-            where = f"sections[{i}]."
-            lines.append(
-                f"[{section['step']}] {section['window']}  volume={section['volume']} "
-                f"sources={','.join(string_list(evidence_path, section, 'sources', where))} ({section['recoverability']})"
-            )
-            for anchor in object_list(evidence_path, section, "anchors", ("when", "source", "excerpt"), where)[:3]:
-                lines.append(f"    {anchor['when']} {anchor['source']}: {anchor['excerpt']}")
-        for missing in object_list(evidence_path, evidence_doc, "missing_steps", ("step", "diagnostic")):
-            lines.append(f"[{missing['step']}] {missing['diagnostic']}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_json(out.with_suffix(out.suffix + ".json"), doc)
-    print(f"report -> {out}")
+    kind = write_report(args.indir, args.out)
+    print(f"{kind} -> {args.out}")
     return 0
 
 
@@ -446,10 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except SystemExit as exc:  # --help/--version
         return int(exc.code or 0)
-    except ChainscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ChainscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -332,7 +332,3 @@ def load_packaged_scenario(name: str) -> ScenarioSpec:
         raise ScenarioError(f"no packaged scenario named {name!r}")
     return scenario_spec_from_doc(yaml.safe_load(text), f"packaged scenario {name}")
 
-
-def packaged_scenario_ids() -> List[str]:
-    root = importlib.resources.files("chainscope").joinpath("config").joinpath("scenarios")
-    return sorted(p.name[: -len(".yml")] for p in root.iterdir() if p.name.endswith(".yml"))

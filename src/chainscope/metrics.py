@@ -17,12 +17,13 @@ fraction of the best chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .graph import Chain
-from .model import NormalizedEvent
+from .model import NormalizedEvent, string_list, typed_value
 from .tagging import ExpectedStepSet, StepTag, TagDecision
 
 CATEGORY_SINGLE = "single"
@@ -238,25 +239,42 @@ def best_rows_by_category(rows: Sequence[SweepRow]) -> Dict[str, SweepRow]:
     return best
 
 
-def run_metrics_to_dict(metrics: RunMetrics) -> Dict:
-    return {
-        "scenario_id": metrics.scenario_id,
-        "sources": sorted(metrics.sources),
-        "tag_cov": metrics.tag_cov,
-        "chain_cov": metrics.chain_cov,
-        "step_p": metrics.step_p,
-        "step_r": metrics.step_r,
-        "chain_p": metrics.chain_p,
-        "chain_r": metrics.chain_r,
-        "reconstructability": metrics.reconstructability,
-        "missing_steps": sorted(s.value for s in metrics.missing_steps),
-        "extra_steps": sorted(s.value for s in metrics.extra_steps),
-        "observed_steps": sorted(s.value for s in metrics.observed_steps),
-        "chain_observed_steps": sorted(s.value for s in metrics.chain_observed_steps),
-        "event_volume": metrics.event_volume,
-        "tagged_step_count": metrics.tagged_step_count,
-        "chain_step_count": metrics.chain_step_count,
-    }
+# metrics.json holds every RunMetrics field under its name; a set is a
+# sorted list, of step names for the step sets
+_RUN_METRICS_KEYS = tuple(f.name for f in fields(RunMetrics))
+_STEP_SETS = frozenset({"missing_steps", "extra_steps", "observed_steps", "chain_observed_steps"})
+_SCALAR_KINDS = {"scenario_id": str, "event_volume": int, "tagged_step_count": int, "chain_step_count": int}  # else float
+
+
+def run_metrics_to_dict(metrics: RunMetrics) -> Dict[str, Any]:
+    doc = {key: getattr(metrics, key) for key in _RUN_METRICS_KEYS}
+    doc["sources"] = sorted(metrics.sources)
+    for key in _STEP_SETS:
+        doc[key] = sorted(s.value for s in doc[key])
+    return doc
+
+
+def run_metrics_from_dict(doc: Mapping[str, Any], origin: Union[str, Path]) -> RunMetrics:
+    """The RunMetrics that run_metrics_to_dict wrote as doc, values taken as they are.
+
+    Each key present must have the type written, and only then must every
+    key be present; anything else raises ParseError naming origin and the key.
+    """
+    values: Dict[str, Any] = {}
+    for key in (key for key in _RUN_METRICS_KEYS if key in doc):
+        if key in _STEP_SETS:
+            try:
+                values[key] = frozenset(map(StepTag, string_list(origin, doc, key)))
+            except ValueError as exc:
+                raise ParseError(f"{origin}: {key!r} must list step tags: {exc}")
+        elif key == "sources":
+            values[key] = frozenset(string_list(origin, doc, key))
+        else:
+            values[key] = typed_value(origin, doc, key, _SCALAR_KINDS.get(key, float))
+    missing = [key for key in _RUN_METRICS_KEYS if key not in values]
+    if missing:
+        raise ParseError(f"{origin} lacks {', '.join(map(repr, missing))}")
+    return RunMetrics(**values)
 
 
 def aggregate_to_dict(agg: AggregateMetrics) -> Dict:

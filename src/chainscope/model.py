@@ -12,7 +12,6 @@ naive flag alongside the value.
 from __future__ import annotations
 
 import collections.abc
-import io
 import json
 import logging
 import re
@@ -91,7 +90,7 @@ _EVENT_FIELDS = frozenset(NormalizedEvent.__slots__) - {"extras"}
 
 # Canonical field superset: the event's own fields and the text-blob
 # candidates. Anything else an adapter preserves lands in `extras` and is
-# reachable through resolve_field via the alias map.
+# reachable through field_resolver via the alias map.
 CANONICAL_FIELDS = _EVENT_FIELDS | frozenset(TEXT_BLOB_CANDIDATES)
 
 
@@ -301,17 +300,6 @@ def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -
                     values[name] = str(found)
                     break
     return values
-
-
-def resolve_field(event: NormalizedEvent, canonical: str, aliases: FieldAliasMap = EMPTY_ALIASES) -> Optional[str]:
-    """Look up a canonical field on an event, falling back to extras aliases.
-
-    Returns the first present value among the canonical field and its
-    aliases, in alias-list order, stringified. Absence is None, never an
-    error. Pure function of its inputs.
-    """
-    resolver = field_resolver(canonical, aliases)
-    return resolve_fields(event, (resolver,))[resolver[0]]
 
 
 def sort_events(events: Iterable[NormalizedEvent]) -> List[NormalizedEvent]:
@@ -597,26 +585,13 @@ def _emit(obj: Any, level: int, write: Callable[[str], Any]) -> None:
     write(json.dumps([] if isinstance(obj, ColumnView) else obj, indent=2, sort_keys=True).replace("\n", "\n" + outer))
 
 
-def dumps_json(doc: Any) -> str:
-    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, mostly C-encoded.
-
-    A ColumnView in doc is dumped as the list of its items.
-
-    The stdlib renders indented JSON in pure Python and holds one string
-    per token until it joins them. Here every flat dict or list (scalar
-    values only) and every slice of up to SLICE_RECORDS flat records is
-    one C encoder call whose item separator already carries the newline
-    and indent.
-    """
-    buffer = io.StringIO()
-    _emit(doc, 0, buffer.write)
-    return buffer.getvalue()
-
-
 def write_json(path: Path, doc: Any) -> None:
-    """Write dumps_json(doc) plus a final newline, streamed piece by piece.
+    """Write exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline,
+    a ColumnView as the list of its items.
 
-    The largest string held is one C-encoded slice, not the document.
+    The stdlib renders indented JSON in pure Python. Here every flat dict
+    or list and every slice of up to SLICE_RECORDS flat records is one C
+    encoder call, written as it comes: the largest string held is one slice.
     """
     with open(path, "w", encoding="utf-8") as out:
         _emit(doc, 0, out.write)
@@ -701,6 +676,17 @@ def string_list(origin: Union[str, Path], doc: Mapping[str, Any], key: str, wher
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ParseError(f"{origin}: {where}{key!r} must be a list of strings, got {values!r}")
     return values
+
+
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def typed_value(origin: Union[str, Path], doc: Mapping[str, Any], key: str, kind: type, where: str = "") -> Any:
+    """doc[key] if it is a kind (str, int or float; an int is a float, a bool neither), else ParseError."""
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ParseError(f"{origin}: {where}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def object_field(origin: Union[str, Path], doc: Mapping[str, Any], key: str, where: str = "") -> Dict[str, Any]:

@@ -1,18 +1,20 @@
-"""The evidence.json document and rendered metric tables.
+"""The evidence.json document, rendered metric tables and the report command.
 
 build_evidence_package builds the document itself, with no record type
-in between. Reports are pure functions of pipeline outputs: identical
-inputs yield byte-identical documents.
+in between, and read_evidence reads it back, checked. write_report renders
+a run or sweep output directory. Reports are pure functions of pipeline
+outputs: identical inputs yield byte-identical documents.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .graph import Chain, EventGraph
-from .metrics import CATEGORY_ORDER, AggregateMetrics
-from .model import NormalizedEvent, iso_ms
+from .metrics import CATEGORY_ORDER, AggregateMetrics, RunMetrics, run_metrics_from_dict, run_metrics_to_dict
+from .model import NormalizedEvent, iso_ms, object_list, read_json, string_list, typed_value, write_json
 from .tagging import NO_STEPS_OBSERVED, StepTag
 
 EXCERPT_LEN = 160
@@ -81,6 +83,84 @@ def build_evidence_package(
     if not tagged:
         doc["flags"] = [NO_STEPS_OBSERVED]
     return doc
+
+
+def read_evidence(path: Path) -> Dict[str, Any]:
+    """evidence.json, checked: each field render_run_report reads has the type
+    build_evidence_package writes, and an absent list is empty; anything
+    else raises ParseError naming the file and the key path."""
+    doc = read_json(path)
+
+    def entries(parent: Mapping[str, Any], key: str, strings: Tuple[str, ...], where: str = "", others: Tuple[str, ...] = ()):
+        """parent[key] as a list of objects holding strings and others, each of strings a string."""
+        found = object_list(path, parent, key, strings + others, where)
+        for i, entry in enumerate(found):
+            for name in strings:
+                typed_value(path, entry, name, str, f"{where}{key}[{i}].")
+        return found
+
+    for i, section in enumerate(entries(doc, "sections", ("step", "window", "recoverability"), others=("volume", "sources"))):
+        typed_value(path, section, "volume", int, f"sections[{i}].")
+        string_list(path, section, "sources", f"sections[{i}].")
+        entries(section, "anchors", ("when", "source", "excerpt"), f"sections[{i}].")
+    entries(doc, "missing_steps", ("step", "diagnostic"))
+    return doc
+
+
+_REPORT_SCORES = ("tag_cov", "chain_cov", "step_r", "chain_r", "step_p", "chain_p", "reconstructability")
+
+
+def render_run_report(metrics: Optional[RunMetrics], evidence: Optional[Mapping[str, Any]]) -> str:
+    """The text report of a run: its scores, then its evidence sections
+    with up to three anchors each, then its missing steps."""
+    lines: List[str] = []
+    if metrics is not None:
+        lines.append(f"scenario: {metrics.scenario_id}")
+        lines.append(f"sources: {', '.join(sorted(metrics.sources))}")
+        lines.extend(f"{key}: {getattr(metrics, key):.3f}" for key in _REPORT_SCORES)
+        if metrics.missing_steps:
+            lines.append("missing: " + ", ".join(sorted(s.value for s in metrics.missing_steps)))
+    if evidence is not None:
+        lines.append("")
+        for section in evidence.get("sections", []):
+            lines.append(
+                f"[{section['step']}] {section['window']}  volume={section['volume']} "
+                f"sources={','.join(section['sources'])} ({section['recoverability']})"
+            )
+            for anchor in section.get("anchors", [])[:3]:
+                lines.append(f"    {anchor['when']} {anchor['source']}: {anchor['excerpt']}")
+        for missing in evidence.get("missing_steps", []):
+            lines.append(f"[{missing['step']}] {missing['diagnostic']}")
+    return "\n".join(lines) + "\n"
+
+
+def write_report(indir: Path, out: Path) -> str:
+    """Render a run or sweep output directory: text to out, JSON to out plus
+    ".json". Returns "report", or "sweep report" for a sweep, whose table
+    and sweep_aggregates.json are copied as they are."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    json_out = out.with_suffix(out.suffix + ".json")
+    aggregates_path = indir / "sweep_aggregates.json"
+    if aggregates_path.exists():
+        doc = read_json(aggregates_path)
+        table_path = indir / "budget_table.txt"
+        try:
+            text = table_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{table_path} is not valid UTF-8: {exc}")
+        out.write_text(text, encoding="utf-8")
+        write_json(json_out, doc)
+        return "sweep report"
+    metrics_path = indir / "metrics.json"
+    evidence_path = indir / "evidence.json"
+    if not metrics_path.exists() and not evidence_path.exists():
+        raise ConfigError(f"no run artifacts (metrics.json/evidence.json/sweep_aggregates.json) in {indir}")
+    metrics = run_metrics_from_dict(read_json(metrics_path), metrics_path) if metrics_path.exists() else None
+    evidence = read_evidence(evidence_path) if evidence_path.exists() else None
+    out.write_text(render_run_report(metrics, evidence), encoding="utf-8")
+    doc = {"metrics": run_metrics_to_dict(metrics) if metrics else None, "evidence": evidence}
+    write_json(json_out, {key: value for key, value in doc.items() if value is not None})
+    return "report"
 
 
 _TABLE_COLUMNS = (

@@ -23,10 +23,11 @@ import hashlib
 import itertools
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
 
-from .errors import SanitizeError
-from .model import NormalizedEvent
+from .errors import ParseError, SanitizeError
+from .model import NormalizedEvent, object_field, read_json, write_json
 
 CATEGORY_NAMES = ("host", "user", "resource", "path", "domain")
 
@@ -108,8 +109,39 @@ class PseudonymMap:
     def to_dict(self) -> Dict[str, Dict[str, str]]:
         return {cat: dict(sorted(entries.items())) for cat, entries in sorted(self._maps.items())}
 
-    def size(self) -> int:
-        return sum(len(m) for m in self._maps.values())
+
+def read_mappings(directory: Path, policy: PseudonymPolicy, salt: bytes) -> PseudonymMap:
+    """The map write_mappings left in directory, one <category>.json per category.
+
+    A file without 'salt_ref' or 'category' (written by hand) is taken as
+    this salt's and its name's. A file of another salt, of another category
+    or of one the policy lacks, or a token that is not PREFIX_DDDDDD with
+    its category's prefix raises, naming the file.
+    """
+    salt_ref = salt_reference(salt)
+    prefixes = {spec.name: spec.prefix for spec in policy.categories}
+    persisted = {}
+    for path in sorted(Path(directory).glob("*.json")):
+        doc = read_json(path)
+        for key, expected in (("salt_ref", salt_ref), ("category", path.stem)):
+            if key in doc and doc[key] != expected:
+                raise SanitizeError(f"mapping file {path}: {key!r} is {doc[key]!r}, expected {expected!r}")
+        prefix = prefixes.get(path.stem)
+        if prefix is None:
+            raise SanitizeError(f"mapping file {path}: the policy has no category {path.stem!r}; it has {sorted(prefixes)}")
+        entries = object_field(path, doc, "mappings")
+        for original, token in entries.items():
+            if not isinstance(token, str) or not is_token(token) or not token.startswith(prefix):
+                raise ParseError(f"mapping file {path}: the token of {original!r} is not a {prefix}DDDDDD token: {token!r}")
+        persisted[path.stem] = entries
+    return PseudonymMap(persisted, salt_ref=salt_ref)
+
+
+def write_mappings(directory: Path, pmap: PseudonymMap) -> None:
+    """Write each category of pmap to directory/<category>.json, as read_mappings reads it."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for category, mapping in pmap.to_dict().items():
+        write_json(Path(directory) / f"{category}.json", {"category": category, "salt_ref": pmap.salt_ref, "mappings": mapping})
 
 
 def salt_reference(salt: bytes) -> str:

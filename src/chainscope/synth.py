@@ -33,7 +33,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ParseError, ScenarioError
+from .errors import ScenarioError
 from .ingest import (
     FORMAT_CSV,
     FORMAT_EVE,
@@ -43,7 +43,7 @@ from .ingest import (
     normalize_records,
     parse_text,
 )
-from .model import NormalizedEvent, encode_compact, iso_ms, object_field, read_json, sort_events, string_list, write_json
+from .model import NormalizedEvent, encode_compact, iso_ms, object_field, read_json, sort_events, string_list, typed_value, write_json
 from .tagging import ExpectedStepSet, StepTag, parse_step
 
 ACTIVITY_SET: Tuple[str, ...] = ("Web", "RemoteAccess", "FileOp", "Update", "Download", "Dev", "API", "Login")
@@ -590,8 +590,7 @@ def write_scenario(data: ScenarioData, out_dir: Path) -> List[Path]:
 
 def load_ground_truth(path: Path) -> GroundTruth:
     doc = read_json(path)
-    if not isinstance(doc.get("scenario_id"), str):
-        raise ParseError(f"{path}: 'scenario_id' must be a string")
+    typed_value(path, doc, "scenario_id", str)
     steps = frozenset(parse_step(s) for s in string_list(path, doc, "expected_steps"))
     expected = None
     if steps:

@@ -73,7 +73,6 @@ FIRED = "fired"
 NO_MATCH = "no-match"
 SOURCE_SKIPPED = "source-skipped"
 GATED = "gated"
-OUTCOMES = (FIRED, NO_MATCH, MISSING_FIELD, PREFILTER_UNUSABLE, SOURCE_SKIPPED, GATED)
 
 
 @dataclass(frozen=True)
@@ -398,20 +397,6 @@ def _outcome(compiled: CompiledRule, values: Mapping[str, Optional[str]], folded
     return NO_MATCH if any_field_present else MISSING_FIELD
 
 
-def evaluate_rule(
-    event: NormalizedEvent,
-    compiled: CompiledRule,
-    aliases: FieldAliasMap = EMPTY_ALIASES,
-    gate: Optional[FrozenSet[StepTag]] = None,
-) -> str:
-    """Evaluate one rule against one event; returns the outcome constant."""
-    skipped = _scope_outcome(compiled, event.source, gate)
-    if skipped is not None:
-        return skipped
-    values = resolve_fields(event, [field_resolver(name, aliases) for name in compiled.fields])
-    return _outcome(compiled, values, _folded(values, compiled.folded_fields))
-
-
 # a source's plan: the resolvers of the fields its rules read, the fields
 # whose lowered text they read, and those rules
 _Plan = Tuple[Tuple[FieldResolver, ...], Tuple[str, ...], Tuple[CompiledRule, ...]]
@@ -467,20 +452,6 @@ class _Tagger:
             chosen=candidates[0].step if candidates else None,
             diagnostics=tuple(diagnostics),
         )
-
-
-def tag_event(
-    event: NormalizedEvent,
-    rules: RuleSet,
-    gate: Optional[Iterable[StepTag]] = None,
-    aliases: FieldAliasMap = EMPTY_ALIASES,
-) -> TagDecision:
-    """Tag one event. All outcomes are decisions plus diagnostics.
-
-    chosen is the max-priority candidate; ties broken by lexicographic
-    rule_id. Gated-out steps never appear in candidates.
-    """
-    return _Tagger(rules, gate, aliases).decide(event)
 
 
 NO_STEPS_OBSERVED = "NO_STEPS_OBSERVED"

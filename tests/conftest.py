@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.resources
 import random
 import re
 from datetime import datetime, timezone
@@ -15,7 +16,6 @@ from chainscope.configio import (
     load_packaged_scenario,
     load_packaged_template,
     load_rules_doc,
-    packaged_scenario_ids,
     packaged_template_ids,
 )
 from chainscope.errors import ParseError, ScenarioError
@@ -31,7 +31,9 @@ from chainscope.model import (
     TS_SYSLOG_BSD,
     NormalizedEvent,
     TsParse,
+    field_resolver,
     parse_timestamp,
+    resolve_fields,
 )
 from chainscope.synth import generate_scenario
 from chainscope.tagging import (
@@ -47,9 +49,18 @@ from chainscope.tagging import (
     ExpectedStepSet,
     StepTag,
     TagDecision,
+    _folded,
+    _outcome,
+    _scope_outcome,
     load_rules,
     parse_step,
 )
+
+
+def packaged_scenario_ids():
+    """The names of the packaged scenarios, sorted."""
+    root = importlib.resources.files("chainscope").joinpath("config", "scenarios")
+    return sorted(p.name[: -len(".yml")] for p in root.iterdir() if p.name.endswith(".yml"))
 
 
 @pytest.fixture(scope="session")
@@ -612,6 +623,21 @@ def reference_evaluate_rule(event, compiled, aliases=EMPTY_ALIASES, gate=None, c
             if regex.search(str(value)):
                 return FIRED
     return NO_MATCH if any_field_present else MISSING_FIELD
+
+
+def resolve_field(event, canonical, aliases=EMPTY_ALIASES):
+    """One canonical field of event, through the resolver tagging compiles."""
+    resolver = field_resolver(canonical, aliases)
+    return resolve_fields(event, (resolver,))[resolver[0]]
+
+
+def evaluate_rule(event, compiled, aliases=EMPTY_ALIASES, gate=None):
+    """The outcome of one compiled rule on one event, by the steps a tagging plan takes."""
+    skipped = _scope_outcome(compiled, event.source, gate)
+    if skipped is not None:
+        return skipped
+    values = resolve_fields(event, [field_resolver(name, aliases) for name in compiled.fields])
+    return _outcome(compiled, values, _folded(values, compiled.folded_fields))
 
 
 def reference_tag_event(event, rules, gate=None, aliases=EMPTY_ALIASES):

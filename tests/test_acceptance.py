@@ -16,7 +16,6 @@ from chainscope.configio import (
     load_packaged_template,
     load_policy,
     load_rules_doc,
-    packaged_scenario_ids,
 )
 from chainscope.graph import build_event_graph, extract_chains
 from chainscope.ingest import ingest_scenario, merge_scenario
@@ -40,7 +39,7 @@ from chainscope.tagging import (
     load_rules,
     tag_run,
 )
-from conftest import make_event, make_random_tagged_table, oracle_chains
+from conftest import make_event, make_random_tagged_table, oracle_chains, packaged_scenario_ids
 from test_metrics import stub_metrics
 
 I, A, D, O, E = StepTag.INSTALL, StepTag.AUTH, StepTag.DOWNLOAD, StepTag.OUTBOUND_CONN, StepTag.EXFIL

@@ -606,6 +606,21 @@ class TestMalformedJsonInputs:
         assert "host.json" in err and "'lin-build-02'" in err
         assert not (tmp_path / "s.jsonl").exists()
 
+    def test_mapping_token_of_another_category_exit_2(self, tmp_path, capsys):
+        assert self.sanitize(tmp_path, {"mappings": {"lin-build-02": "USER_410133"}}) == 2
+        err = capsys.readouterr().err
+        assert "host.json" in err and "'lin-build-02'" in err and "HOST_DDDDDD" in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_mapping_file_of_a_category_the_policy_lacks_exit_2(self, tmp_path, capsys):
+        assert self.sanitize(tmp_path, {"mappings": {}}) == 0
+        (tmp_path / "mappings" / "foo.json").write_text(json.dumps({"mappings": {"x": "FOO_000001"}}))
+        argv = ["sanitize", "--in", str(tmp_path / "events.jsonl"), "--salt-file", str(tmp_path / "salt.txt")]
+        assert main(argv + ["--mappings-dir", str(tmp_path / "mappings"), "--out", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "foo.json" in err and "no category 'foo'" in err
+        assert not (tmp_path / "t.jsonl").exists()
+
     @pytest.mark.parametrize(
         "doc, detail",
         [
@@ -668,10 +683,35 @@ class TestMalformedJsonInputs:
         err = capsys.readouterr().err
         assert "metrics.json" in err and f"{key!r} must be a list of strings" in err
 
-    def test_metrics_score_that_is_not_a_number_exit_2(self, tmp_path, capsys):
-        assert self.report_on(tmp_path, "metrics.json", {"step_r": "high"}) == 2
+    @pytest.mark.parametrize("doc", [{"step_r": "high"}, {"step_r": True}])
+    def test_metrics_score_that_is_not_a_number_exit_2(self, tmp_path, capsys, doc):
+        assert self.report_on(tmp_path, "metrics.json", doc) == 2
         err = capsys.readouterr().err
         assert "metrics.json" in err and "'step_r' must be a number" in err
+
+    def test_metrics_without_its_scores_exit_2(self, tmp_path, capsys):
+        assert self.report_on(tmp_path, "metrics.json", {"scenario_id": "s"}) == 2
+        err = capsys.readouterr().err
+        assert "metrics.json lacks 'sources', 'tag_cov', 'chain_cov'" in err
+
+    @pytest.mark.parametrize(
+        "doc, detail",
+        [
+            ({"sections": [{**SECTION, "volume": "lots"}]}, "sections[0].'volume' must be an integer, got 'lots'"),
+            ({"sections": [{**SECTION, "volume": True}]}, "sections[0].'volume' must be an integer, got True"),
+            ({"sections": [{**SECTION, "recoverability": 7}]}, "sections[0].'recoverability' must be a string, got 7"),
+            (
+                {"sections": [{**SECTION, "anchors": [{"when": "t", "source": "syslog", "excerpt": {"a": 1}}]}]},
+                "sections[0].anchors[0].'excerpt' must be a string, got {'a': 1}",
+            ),
+            ({"missing_steps": [{"step": "EXFIL", "diagnostic": None}]}, "missing_steps[0].'diagnostic' must be a string, got None"),
+        ],
+        ids=["volume-text", "volume-bool", "recoverability-int", "excerpt-object", "diagnostic-null"],
+    )
+    def test_evidence_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, doc, detail):
+        assert self.report_on(tmp_path, "evidence.json", doc) == 2
+        err = capsys.readouterr().err
+        assert "evidence.json" in err and detail in err
 
     @pytest.mark.parametrize(
         "doc, key",
@@ -713,6 +753,14 @@ class TestMalformedJsonInputs:
         (sweep / "budget_table.txt").write_bytes(b"budget \xff\n")
         assert main(["report", "--in", str(sweep), "--out", str(tmp_path / "r.txt")]) == 2
         assert "budget_table.txt" in capsys.readouterr().err
+
+    def test_report_on_a_sweep_without_its_budget_table_exit_2(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        (sweep / "sweep_aggregates.json").write_text("{}\n")
+        assert main(["report", "--in", str(sweep), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "budget_table.txt" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
 
 
 class TestReconstructionFlags:

@@ -10,13 +10,12 @@ from chainscope.configio import (
     load_packaged_template,
     load_policy,
     load_rules_doc,
-    packaged_scenario_ids,
     packaged_template_ids,
 )
 from chainscope.errors import ConfigError, ScenarioError
 from chainscope.synth import ROUTING
 from chainscope.tagging import StepTag, load_rules
-from conftest import expected_from_techniques
+from conftest import expected_from_techniques, packaged_scenario_ids
 
 
 def test_every_generated_source_has_a_packaged_adapter():

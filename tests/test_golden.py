@@ -9,7 +9,9 @@ events; then ``report`` on one run directory and one sweep directory. It
 compares the sha256 of every file written, inputs the test writes itself
 included, with ``tests/golden.json``. Everything runs from one fixed
 working directory with relative paths, so ``manifest.json``, which records
-input paths as given, is stable.
+input paths as given, is stable. A second test reads every run's and every
+sweep row's metrics, and every run's evidence.json, back through their
+readers.
 
 The golden file changes only in a change that lists the files whose bytes
 moved and says why. Never regenerate it to make a failure go away. To write
@@ -27,8 +29,13 @@ import tempfile
 from importlib.resources import files
 from pathlib import Path
 
+import pytest
+
 from chainscope.cli import main
-from chainscope.configio import load_packaged_scenario, packaged_scenario_ids
+from chainscope.configio import load_packaged_scenario
+from chainscope.metrics import run_metrics_from_dict, run_metrics_to_dict
+from chainscope.report import read_evidence
+from conftest import packaged_scenario_ids
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RULES_DENSE = "rules_dense.yml"
@@ -94,13 +101,37 @@ def run_golden_corpus(workdir: Path) -> dict:
     }
 
 
-def test_packaged_scenarios_match_golden_digests(tmp_path, capsys):
-    digests = run_golden_corpus(tmp_path)
-    capsys.readouterr()
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The corpus's working directory and the digests of the files written in it."""
+    workdir = tmp_path_factory.mktemp("golden")
+    return workdir, run_golden_corpus(workdir)
+
+
+def test_packaged_scenarios_match_golden_digests(corpus):
+    _workdir, digests = corpus
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(digests) == sorted(golden), "the set of files written changed"
     changed = sorted(path for path in golden if digests[path] != golden[path])
     assert not changed, f"files whose bytes changed: {changed}"
+
+
+def test_the_readers_accept_every_run_and_sweep(corpus):
+    """run_metrics_from_dict gives back each metrics document as written;
+    read_evidence accepts each evidence.json, dense runs included."""
+    workdir, _digests = corpus
+    documents = [(p, json.loads(p.read_text(encoding="utf-8"))) for p in sorted(workdir.glob("runs/*/*/metrics.json"))]
+    for path in sorted(workdir.glob("sweeps/*/sweep_rows.json")):
+        rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
+        documents.extend((path, row["metrics"]) for row in rows if row.get("metrics"))
+    assert len(documents) > 3 * len(packaged_scenario_ids())
+    for path, doc in documents:
+        back = run_metrics_to_dict(run_metrics_from_dict(doc, path))
+        assert json.dumps(back, sort_keys=True) == json.dumps(doc, sort_keys=True), path
+    evidence = sorted(workdir.glob("runs/*/*/evidence.json"))
+    assert [p.parent.name for p in evidence].count("dense") == len(packaged_scenario_ids())
+    for path in evidence:
+        assert read_evidence(path) == json.loads(path.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

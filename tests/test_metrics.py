@@ -1,13 +1,21 @@
-import pytest
+import json
+import re
 
-from chainscope.errors import ConfigError
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from chainscope.errors import ConfigError, ParseError
 from chainscope.graph import Chain
 from chainscope.metrics import (
     BudgetConfig,
+    RunMetrics,
     aggregate,
     best_rows_by_category,
     categorize_budget,
     compute_run_metrics,
+    run_metrics_from_dict,
+    run_metrics_to_dict,
     select_best_run,
 )
 from chainscope.pipeline import RunParams, budget_sweep
@@ -42,8 +50,6 @@ def chain_of(*steps):
 
 def stub_metrics(scenario="s", step_r=0.5, chain_r=0.5, volume=10, sources=("syslog",), step_p=1.0):
     """Minimal RunMetrics for selection/aggregation tests."""
-    from chainscope.metrics import RunMetrics
-
     return RunMetrics(
         scenario_id=scenario,
         sources=frozenset(sources),
@@ -285,3 +291,60 @@ class TestBudgetSweep:
         assert rows[0].metrics.step_r == pytest.approx(0.5)
         assert rows[1].metrics.step_r == pytest.approx(0.75)
         assert rows[1].metrics.missing_steps == {E}
+
+
+SCORES = st.one_of(st.floats(allow_nan=False), st.integers(-5, 5))
+COUNTS = st.integers(0, 10**6)
+STEP_SETS = st.frozensets(st.sampled_from(list(StepTag)))
+RUN_METRICS = st.builds(
+    RunMetrics,
+    scenario_id=st.text(max_size=8),
+    sources=st.frozensets(st.text(max_size=6), max_size=4),
+    tag_cov=SCORES,
+    chain_cov=SCORES,
+    step_p=SCORES,
+    step_r=SCORES,
+    chain_p=SCORES,
+    chain_r=SCORES,
+    reconstructability=SCORES,
+    missing_steps=STEP_SETS,
+    extra_steps=STEP_SETS,
+    event_volume=COUNTS,
+    tagged_step_count=COUNTS,
+    chain_step_count=COUNTS,
+    observed_steps=STEP_SETS,
+    chain_observed_steps=STEP_SETS,
+)
+
+
+class TestRunMetricsDocument:
+    @given(RUN_METRICS)
+    def test_from_dict_inverts_to_dict_through_json(self, metrics):
+        text = json.dumps(run_metrics_to_dict(metrics), sort_keys=True)
+        back = run_metrics_from_dict(json.loads(text), "metrics.json")
+        assert back == metrics
+        # equal values of another type (1 and 1.0) compare equal but are written otherwise
+        assert json.dumps(run_metrics_to_dict(back), sort_keys=True) == text
+
+    @given(RUN_METRICS, st.data())
+    def test_a_missing_key_is_named(self, metrics, data):
+        doc = run_metrics_to_dict(metrics)
+        key = data.draw(st.sampled_from(sorted(doc)))
+        del doc[key]
+        with pytest.raises(ParseError, match=f"metrics.json lacks '{key}'$"):
+            run_metrics_from_dict(doc, "metrics.json")
+
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            ("scenario_id", 7, "'scenario_id' must be a string, got 7"),
+            ("step_p", None, "'step_p' must be a number, got None"),
+            ("event_volume", 1.0, "'event_volume' must be an integer, got 1.0"),
+            ("chain_step_count", False, "'chain_step_count' must be an integer, got False"),
+            ("extra_steps", ["INSTALL", "install"], "'extra_steps' must list step tags: 'install' is not a valid StepTag"),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_named(self, key, value, detail):
+        doc = {**run_metrics_to_dict(stub_metrics()), key: value}
+        with pytest.raises(ParseError, match=re.escape(f"metrics.json: {detail}")):
+            run_metrics_from_dict(doc, "metrics.json")

@@ -20,20 +20,18 @@ from chainscope.ingest import IngestResult, RawRecord
 from chainscope.model import (
     FieldAliasMap,
     canonicalize_ts,
-    dumps_json,
     event_from_dict,
     event_to_dict,
     events_from_jsonl,
     events_to_jsonl,
     parse_timestamp,
-    resolve_field,
     sort_events,
     write_json,
     write_jsonl,
 )
 from chainscope.pipeline import write_ingest_artifacts, write_tag_artifacts
 from chainscope.tagging import decisions_to_jsonl, tag_run
-from conftest import jsonl_layouts, make_event, reference_parse_timestamp
+from conftest import jsonl_layouts, make_event, reference_parse_timestamp, resolve_field
 
 
 class TestCanonicalizeTs:
@@ -454,11 +452,21 @@ def stdlib_dumps(doc):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-class TestDumpsJson:
+def written_json(doc):
+    """What write_json writes of doc, less its final newline."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        write_json(path, doc)
+        text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n")
+    return text[:-1]
+
+
+class TestWriteJson:
     @settings(max_examples=300, deadline=None)
     @given(DOCUMENTS)
     def test_equals_stdlib_indented_dump(self, doc):
-        assert dumps_json(doc) == stdlib_dumps(doc)
+        assert written_json(doc) == stdlib_dumps(doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -475,20 +483,20 @@ class TestDumpsJson:
         ],
     )
     def test_edge_cases(self, doc):
-        assert dumps_json(doc) == stdlib_dumps(doc)
+        assert written_json(doc) == stdlib_dumps(doc)
 
     def test_deep_nesting(self):
         doc = [{"leaf": 1}, {"leaf": 2}]
         for depth in range(60):
             doc = {f"k{depth}": doc, "n": depth} if depth % 2 else [doc, depth, (depth,)]
-        assert dumps_json(doc) == stdlib_dumps(doc)
+        assert written_json(doc) == stdlib_dumps(doc)
 
     def test_unserializable_raises_like_stdlib(self):
         for doc in ({"a": {1, 2}}, [{"a": object()}], {"a": 1, 2: "mixed keys"}):
             with pytest.raises(TypeError):
                 stdlib_dumps(doc)
             with pytest.raises(TypeError):
-                dumps_json(doc)
+                written_json(doc)
 
 
 # the writers' slice size, patched small so that every boundary case is cheap
@@ -518,7 +526,6 @@ class TestStreamedWriters:
             path = Path(tmp) / "doc.json"
             write_json(path, doc)
             assert path.read_bytes() == (stdlib_dumps(doc) + "\n").encode("utf-8")
-            assert dumps_json(doc) == stdlib_dumps(doc)
 
     @pytest.mark.parametrize("n", SLICED_LENGTHS)
     def test_jsonl_artifacts_equal_one_shot(self, tmp_path, monkeypatch, default_rules, n):

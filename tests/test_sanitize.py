@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope.cli import main
-from chainscope.configio import load_policy, packaged_scenario_ids
+from chainscope.configio import load_policy
 from chainscope.errors import SanitizeError
 from chainscope.model import events_to_jsonl
 from chainscope.sanitize import (
@@ -22,11 +22,13 @@ from chainscope.sanitize import (
     _substitute,
     is_token,
     pseudonymize_value,
+    read_mappings,
     salt_reference,
     sanitize_dataset,
+    write_mappings,
 )
 from chainscope.tagging import tag_run
-from conftest import make_event
+from conftest import make_event, packaged_scenario_ids
 
 SALT = b"test-salt"
 POLICY = load_policy()
@@ -36,10 +38,10 @@ class TestPseudonymizeValue:
     def test_deterministic_and_map_stable(self):
         pmap = PseudonymMap()
         first = pseudonymize_value("user", "alice", SALT, pmap, POLICY)
-        size = pmap.size()
+        mapped = pmap.to_dict()
         second = pseudonymize_value("user", "alice", SALT, pmap, POLICY)
         assert first == second
-        assert pmap.size() == size
+        assert pmap.to_dict() == mapped
 
     def test_matches_independent_hash_oracle(self):
         # oracle: first 8 digest bytes of SHA-256(salt || value), mod 10^6
@@ -53,7 +55,7 @@ class TestPseudonymizeValue:
         assert pseudonymize_value("user", "SYSTEM", SALT, pmap, POLICY) == "SYSTEM"
         assert pseudonymize_value("user", "NT AUTHORITY\\SYSTEM", SALT, pmap, POLICY) == "NT AUTHORITY\\SYSTEM"
         assert pseudonymize_value("user", "S-1-5-18", SALT, pmap, POLICY) == "S-1-5-18"
-        assert pmap.size() == 0
+        assert pmap.to_dict() == {}
 
     def test_unknown_category_rejected(self):
         with pytest.raises(SanitizeError):
@@ -425,6 +427,27 @@ class TestSubstitute:
         # "0" is replaced first; its token holds an "R", which stays as it is
         assert sanitized["syslog"][0].text_blob == tokens["0"] + tokens["R"]
         assert report.replacements == {"resource": 2}
+
+
+# per policy category, distinct originals with distinct token numbers
+MAPPINGS = st.fixed_dictionaries(
+    {
+        spec.name: st.lists(
+            st.tuples(st.text(max_size=12), st.integers(0, 999_999)), max_size=5, unique_by=(lambda e: e[0], lambda e: e[1])
+        ).map(lambda entries, prefix=spec.prefix: {original: f"{prefix}{n:06d}" for original, n in entries})
+        for spec in POLICY.categories
+    }
+)
+
+
+@settings(deadline=None)
+@given(MAPPINGS)
+def test_written_mappings_read_back_as_an_equal_map(mappings):
+    pmap = PseudonymMap(mappings, salt_ref=salt_reference(SALT))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mappings(Path(tmp) / "mappings", pmap)
+        back = read_mappings(Path(tmp) / "mappings", POLICY, SALT)
+    assert (back.to_dict(), back.salt_ref) == (pmap.to_dict(), pmap.salt_ref)
 
 
 @pytest.fixture(scope="module")

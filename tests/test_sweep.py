@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope.cli import main
-from chainscope.configio import load_adapters, packaged_scenario_ids
+from chainscope.configio import load_adapters
 from chainscope.errors import ConfigError
 from chainscope.graph import DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from chainscope.ingest import ingest_scenario, merge_scenario
@@ -25,7 +25,7 @@ from chainscope.metrics import SweepRow, categorize_budget, compute_run_metrics,
 from chainscope.model import events_to_jsonl
 from chainscope.pipeline import GATE_EXPECTED, RunParams, budget_sweep, reconstruct, resolve_expected
 from chainscope.tagging import tag_run
-from conftest import make_scenario_data
+from conftest import make_scenario_data, packaged_scenario_ids
 
 # the seven sources of the benchmark's fixture: a lattice of 2**7 - 1 budgets
 SEVEN_SOURCES = ["auditd", "auth", "azure_port", "suricata", "syslog", "tracee", "zeek"]

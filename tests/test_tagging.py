@@ -1,14 +1,12 @@
 import io
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope.configio import packaged_scenario_ids
 from chainscope.errors import ParseError, RuleError
-from chainscope.model import FieldAliasMap, lowered_extras_view, parse_regex, resolve_field
+from chainscope.model import FieldAliasMap, lowered_extras_view, parse_regex
 from chainscope.tagging import (
     FIRED,
     GATED,
@@ -25,20 +23,21 @@ from chainscope.tagging import (
     TagDecision,
     decisions_from_jsonl,
     decisions_to_jsonl,
-    evaluate_rule,
     load_rules,
     required_literals,
-    tag_event,
     tag_run,
 )
 from conftest import (
+    evaluate_rule,
     expected_from_techniques,
     jsonl_layouts,
     make_event,
     make_scenario_data,
+    packaged_scenario_ids,
     reference_evaluate_rule,
     reference_resolve,
     reference_tag_event,
+    resolve_field,
 )
 
 
@@ -138,12 +137,12 @@ class TestTagEvent:
     def test_pip_install_tagged_install(self):
         ruleset = load_rules(FIVE_RULE_DOC)
         event = make_event(cmdline="pip install colorsapi", text_blob="pip install colorsapi")
-        decision = tag_event(event, ruleset)
+        decision = tag_run([event], ruleset)[0][0]
         assert decision.chosen is StepTag.INSTALL
 
     def test_no_evidence_means_none(self):
         ruleset = load_rules(FIVE_RULE_DOC)
-        decision = tag_event(make_event(text_blob=""), ruleset)
+        decision = tag_run([make_event(text_blob="")], ruleset)[0][0]
         assert decision.candidates == ()
         assert decision.chosen is None
 
@@ -155,7 +154,7 @@ class TestTagEvent:
             ]
         )
         event = make_event(text_blob="curl fetch http://x")
-        decision = tag_event(event, ruleset)
+        decision = tag_run([event], ruleset)[0][0]
         assert decision.chosen is StepTag.DOWNLOAD
         assert {c.rule_id for c in decision.candidates} == {"dl", "conn"}
         assert any(d.kind == MULTI_MATCH for d in decision.diagnostics)
@@ -170,28 +169,28 @@ class TestTagEvent:
                 rule("aa", "EXFIL", priority=5, patterns=["x"]),
             ]
         )
-        decision = tag_event(make_event(text_blob="x"), ruleset)
+        decision = tag_run([make_event(text_blob="x")], ruleset)[0][0]
         assert decision.chosen is StepTag.EXFIL  # rule "aa" wins the tie
 
     def test_gated_steps_never_appear(self):
         ruleset = load_rules(FIVE_RULE_DOC)
         event = make_event(text_blob="accepted password for root pip install x")
-        decision = tag_event(event, ruleset, gate={StepTag.INSTALL})
+        decision = tag_run([event], ruleset, gate={StepTag.INSTALL})[0][0]
         assert {c.step for c in decision.candidates} <= {StepTag.INSTALL}
 
     def test_missing_field_diagnostic(self):
         ruleset = RuleSet([rule("only-cmd", "INSTALL", fields=("cmdline",))])
-        decision = tag_event(make_event(text_blob="whatever"), ruleset)
+        decision = tag_run([make_event(text_blob="whatever")], ruleset)[0][0]
         assert [(d.kind, d.rule_id) for d in decision.diagnostics] == [(MISSING_FIELD, "only-cmd")]
 
     def test_prefilter_unusable_diagnostic(self):
         ruleset = RuleSet([rule("needs-port", "OUTBOUND_CONN", where_any={"dst_port": ("4444",)})])
-        decision = tag_event(make_event(text_blob="conn"), ruleset)
+        decision = tag_run([make_event(text_blob="conn")], ruleset)[0][0]
         assert [(d.kind, d.rule_id) for d in decision.diagnostics] == [(PREFILTER_UNUSABLE, "needs-port")]
 
     def test_prefilter_fail_is_silent_no_match(self):
         ruleset = RuleSet([rule("needs-port", "OUTBOUND_CONN", where_any={"dst_port": ("4444",)})])
-        decision = tag_event(make_event(text_blob="conn", dst_port=443), ruleset)
+        decision = tag_run([make_event(text_blob="conn", dst_port=443)], ruleset)[0][0]
         assert decision.candidates == ()
         assert decision.diagnostics == ()
 
@@ -199,26 +198,26 @@ class TestTagEvent:
         ruleset = RuleSet(
             [rule("strict", "OUTBOUND_CONN", where_all={"dst_port": ("4444",), "proto": ("tcp",)})]
         )
-        assert tag_event(make_event(text_blob="x", dst_port=4444, proto="udp"), ruleset).chosen is None
+        assert tag_run([make_event(text_blob="x", dst_port=4444, proto="udp")], ruleset)[0][0].chosen is None
         assert (
-            tag_event(make_event(text_blob="x", dst_port=4444, proto="tcp"), ruleset).chosen
+            tag_run([make_event(text_blob="x", dst_port=4444, proto="tcp")], ruleset)[0][0].chosen
             is StepTag.OUTBOUND_CONN
         )
 
     def test_where_values_case_insensitive(self):
         ruleset = RuleSet([rule("ci", "AUTH", where_any={"user": ("Admin",)})])
-        assert tag_event(make_event(text_blob="x", user="ADMIN"), ruleset).chosen is StepTag.AUTH
+        assert tag_run([make_event(text_blob="x", user="ADMIN")], ruleset)[0][0].chosen is StepTag.AUTH
 
     def test_source_scoped_rule_skipped(self):
         ruleset = RuleSet([rule("syslog-only", "EXFIL", sources=("syslog",))])
-        assert tag_event(make_event(source="zeek", text_blob="x"), ruleset).chosen is None
-        assert tag_event(make_event(source="syslog", text_blob="x"), ruleset).chosen is StepTag.EXFIL
+        assert tag_run([make_event(source="zeek", text_blob="x")], ruleset)[0][0].chosen is None
+        assert tag_run([make_event(source="syslog", text_blob="x")], ruleset)[0][0].chosen is StepTag.EXFIL
 
     def test_alias_resolution_in_rules(self):
         ruleset = RuleSet([rule("via-alias", "INSTALL", patterns=[r"pip install"], fields=("cmdline",))])
         aliases = FieldAliasMap({"cmdline": ["CommandLine"]})
         event = make_event(extras={"CommandLine": "pip install x"})
-        assert tag_event(event, ruleset, aliases=aliases).chosen is StepTag.INSTALL
+        assert tag_run([event], ruleset, aliases=aliases)[0][0].chosen is StepTag.INSTALL
 
 
 class TestRuleEvaluationOutcomes:
@@ -243,8 +242,8 @@ class TestRuleEvaluationOutcomes:
             rule("b", "DOWNLOAD", patterns=["curl"]),
         ]
         event = make_event(text_blob="curl install")
-        before = tag_event(event, RuleSet(base)).candidates
-        after = tag_event(event, RuleSet(base + [rule("c", "EXFIL", patterns=["zzz"])])).candidates
+        before = tag_run([event], RuleSet(base))[0][0].candidates
+        after = tag_run([event], RuleSet(base + [rule("c", "EXFIL", patterns=["zzz"])]))[0][0].candidates
         assert set(before) <= set(after)
 
 
@@ -403,7 +402,7 @@ class TestCompiledTaggingEqualsReference:
     )
     def test_plans_equal_interpretive_evaluation(self, ruleset, events, aliases, gate):
         for event in events:
-            assert tag_event(event, ruleset, gate=gate, aliases=aliases) == reference_tag_event(
+            assert tag_run([event], ruleset, gate=gate, aliases=aliases)[0][0] == reference_tag_event(
                 event, ruleset, gate=gate, aliases=aliases
             )
             for compiled in ruleset:
@@ -486,7 +485,7 @@ def test_prefiltered_decisions_equal_every_search_run(case):
     rules = RuleSet([rule(f"r{i}", "INSTALL", patterns=(p,), fields=("cmdline", "text_blob")) for i, p in enumerate(patterns)])
     for i, (text, cmdline) in enumerate(texts):
         event = make_event(event_id=f"e{i}", text_blob=text, cmdline=cmdline)
-        assert tag_event(event, rules) == reference_tag_event(event, rules)
+        assert tag_run([event], rules)[0][0] == reference_tag_event(event, rules)
 
 
 @pytest.mark.parametrize(
@@ -518,7 +517,7 @@ def test_every_packaged_pattern_is_prefiltered(default_rules):
 )
 def test_characters_re_folds_onto_ascii_still_match(pattern, text):
     rules = RuleSet([rule("r", "INSTALL", patterns=(pattern,))])
-    assert tag_event(make_event(event_id="e", text_blob=text), rules).chosen == StepTag.INSTALL
+    assert tag_run([make_event(event_id="e", text_blob=text)], rules)[0][0].chosen == StepTag.INSTALL
 
 
 class TestExpectedSteps:
