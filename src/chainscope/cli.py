@@ -312,10 +312,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     policy = load_policy(args.policy)
-    salt_path = args.salt_file or (Path(os.environ["CHAINSCOPE_SALT_FILE"]) if "CHAINSCOPE_SALT_FILE" in os.environ else None)
-    if salt_path is None:
-        raise ConfigError("no salt: pass --salt-file or set CHAINSCOPE_SALT_FILE")
-    salt = Path(salt_path).read_bytes().strip()
+    env = os.environ.get("CHAINSCOPE_SALT_FILE")
+    if args.salt_file is None and not env:  # set but empty names no file
+        raise ConfigError(f"no salt: pass --salt-file or set CHAINSCOPE_SALT_FILE{' (it is empty)' if env == '' else ''}")
+    salt_path = args.salt_file or Path(env)
+    salt = salt_path.read_bytes().strip()
     if not salt:
         raise ConfigError(f"salt file {salt_path} is empty")
     with open(args.infile, "rb") as handle:

@@ -18,7 +18,7 @@ import yaml
 from .errors import ConfigError, ParseError, SanitizeError, ScenarioError
 from .ingest import SourceAdapterSpec
 from .metrics import BudgetConfig, categorize_budget
-from .model import FieldAliasMap, canonicalize_ts, compile_regex, float_value, object_field, object_list, string_list
+from .model import FieldAliasMap, canonicalize_ts, compile_regex, object_field, object_list, string_list, typed_value
 from .sanitize import CategorySpec, PseudonymPolicy
 from .synth import (
     ACTIVE_HOURS_DEFAULT,
@@ -69,46 +69,26 @@ def _required(origin: str, doc: Dict[str, Any], keys: Sequence[str], kind: str) 
             raise ScenarioError(f"{origin}: {kind} missing {key!r}")
 
 
-_KINDS = {int: "an integer", float: "a number"}
-
-
-def _number(origin: str, doc: Mapping[str, Any], key: str, kind: type, default: Any, where: str = "") -> Any:
-    """kind(doc[key]) (absent: kind(default)), else ConfigError naming the file and the key.
-
-    A number must convert exactly (3.7 is not an integer) and a boolean is
-    not a number; a string converts as kind parses it.
-    """
-    value = doc.get(key, default)
-    try:
-        number = kind(value)
-        exact = isinstance(value, str) or (number == value and not isinstance(value, bool))
-    except (TypeError, ValueError):
-        exact = False
-    if not exact:
-        raise ConfigError(f"{origin}: {where}{key!r} must be {_KINDS[kind]}, got {value!r}")
-    return number
-
-
 def load_adapters_doc(doc: Any, origin: str) -> List[SourceAdapterSpec]:
     adapters = []
-    for i, item in enumerate(object_list(origin, _document(origin, doc), "adapters")):
-        try:
-            adapters.append(
-                SourceAdapterSpec(
-                    source=str(item["source"]),
-                    format=str(item["format"]),
-                    field_map={str(k): str(v) for k, v in object_field(origin, item, "field_map", f"adapters[{i}].").items()},
-                    trust_origin=str(item.get("trust_origin", "target")),
-                    ts_format=str(item.get("ts_format", "auto")),
-                    default_year=item.get("default_year"),
-                    file_pattern=item.get("file_pattern"),
-                    parse_threshold=float_value(item.get("parse_threshold", 0.9)),
-                )
+    for i, item in enumerate(object_list(origin, _document(origin, doc), "adapters", ("source", "format"))):
+        where = f"adapters[{i}]."
+        table = object_field(origin, item, "field_map", where)
+        threshold = float(typed_value(origin, item, "parse_threshold", float, where, 0.9))
+        if not 0 <= threshold <= 1:  # NaN too
+            raise ConfigError(f"{origin}: {where}'parse_threshold' must be a number in [0, 1], got {threshold!r}")
+        adapters.append(
+            SourceAdapterSpec(
+                source=typed_value(origin, item, "source", str, where),
+                format=typed_value(origin, item, "format", str, where),
+                field_map={str(k): typed_value(origin, table, k, str, f"{where}field_map.") for k in table},
+                trust_origin=typed_value(origin, item, "trust_origin", str, where, "target"),
+                ts_format=typed_value(origin, item, "ts_format", str, where, "auto"),
+                default_year=item.get("default_year"),  # SourceAdapterSpec checks it
+                file_pattern=typed_value(origin, item, "file_pattern", str, where, None),
+                parse_threshold=threshold,
             )
-        except KeyError as exc:
-            raise ConfigError(f"{origin}: adapter entry missing {exc}: {item!r}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{origin}: malformed adapter entry {item!r}: {exc}")
+        )
     if not adapters:
         raise ConfigError(f"{origin}: adapters document defines no adapters")
     return adapters
@@ -162,8 +142,9 @@ def load_policy(path: Optional[Path] = None) -> PseudonymPolicy:
     categories = []
     for i, item in enumerate(object_list(origin, doc, "categories", ("name", "prefix"))):
         patterns = _regex_list(origin, item, "patterns", f"categories[{i}].")
+        name = typed_value(origin, item, "name", str, f"categories[{i}].")
         try:
-            categories.append(CategorySpec(name=str(item["name"]), prefix=str(item["prefix"]), patterns=patterns))
+            categories.append(CategorySpec(name=name, prefix=item["prefix"], patterns=patterns))
         except SanitizeError as exc:  # an unknown name, or a prefix outside the token grammar
             raise ConfigError(f"{origin}: categories[{i}]: {exc}")
     if not categories:
@@ -187,7 +168,7 @@ def load_budgets(path: Path) -> List[BudgetConfig]:
     origin = str(path)
     doc = _document(origin, load_yaml(path))
     table = object_field(origin, doc, "weights")
-    weights = {str(k): _number(origin, table, k, int, None, "weights.") for k in table}
+    weights = {str(k): typed_value(origin, table, k, int, "weights.") for k in table}
     entries = doc.get("budgets", [])
     if not isinstance(entries, list):
         raise ConfigError(f"{origin}: 'budgets' must be a list, got {type(entries).__name__}")
@@ -236,33 +217,38 @@ def scenario_spec_from_doc(doc: Any, origin: str) -> ScenarioSpec:
     activity_set = ACTIVITY_SET
     if "activity_set" in benign_doc:
         activity_set = tuple(string_list(origin, benign_doc, "activity_set", "benign."))
-    benign = BenignConfig(
-        n_activities=_number(origin, benign_doc, "n_activities", int, 40, "benign."),
-        min_interval_s=_number(origin, benign_doc, "min_interval_s", float, 30, "benign."),
-        max_interval_s=_number(origin, benign_doc, "max_interval_s", float, 300, "benign."),
-        activity_set=activity_set,
-        active_start_s=active[0],
-        active_end_s=active[1],
-    )
-    attack_doc = object_field(origin, doc, "attack")
     try:
         start_ms = canonicalize_ts(str(doc.get("start", "2024-05-01T09:00:00+00:00")))
     except ParseError as exc:
         raise ConfigError(f"{origin}: 'start': {exc}")
-    return ScenarioSpec(
-        scenario_id=str(doc["scenario_id"]),
-        seed=_number(origin, doc, "seed", int, 0),
-        hosts=tuple(
-            HostSpec(name=str(h["name"]), profile=str(h.get("profile", "development")))
-            for h in object_list(origin, doc, "hosts", ("name",))
-        ),
-        sources=tuple(string_list(origin, doc, "sources")),
-        start_ms=start_ms,
-        duration_s=_number(origin, doc, "duration_s", int, 8 * 3600),
-        benign=benign,
-        attack_template=str(attack_doc["template"]) if attack_doc.get("template") else None,
-        attack_start_s=_number(origin, attack_doc, "start_s", int, 2 * 3600, "attack."),
-    )
+    attack_doc = object_field(origin, doc, "attack")
+    try:  # the spec types' own checks, such as min_interval_s <= max_interval_s
+        return ScenarioSpec(
+            scenario_id=typed_value(origin, doc, "scenario_id", str),
+            seed=typed_value(origin, doc, "seed", int, "", 0),
+            hosts=tuple(
+                HostSpec(
+                    name=typed_value(origin, h, "name", str, f"hosts[{i}]."),
+                    profile=typed_value(origin, h, "profile", str, f"hosts[{i}].", "development"),
+                )
+                for i, h in enumerate(object_list(origin, doc, "hosts", ("name",)))
+            ),
+            sources=tuple(string_list(origin, doc, "sources")),
+            start_ms=start_ms,
+            duration_s=typed_value(origin, doc, "duration_s", int, "", 8 * 3600),
+            benign=BenignConfig(
+                n_activities=typed_value(origin, benign_doc, "n_activities", int, "benign.", 40),
+                min_interval_s=float(typed_value(origin, benign_doc, "min_interval_s", float, "benign.", 30)),
+                max_interval_s=float(typed_value(origin, benign_doc, "max_interval_s", float, "benign.", 300)),
+                activity_set=activity_set,
+                active_start_s=active[0],
+                active_end_s=active[1],
+            ),
+            attack_template=typed_value(origin, attack_doc, "template", str, "attack.", None),
+            attack_start_s=typed_value(origin, attack_doc, "start_s", int, "attack.", 2 * 3600),
+        )
+    except ScenarioError as exc:
+        raise ScenarioError(f"{origin}: {exc}")
 
 
 def template_from_doc(doc: Any, origin: str) -> AttackTemplate:
@@ -273,27 +259,30 @@ def template_from_doc(doc: Any, origin: str) -> AttackTemplate:
         where = f"steps[{i}]."
         events = tuple(
             AttackEventSpec(
-                source=str(ev["source"]),
+                source=typed_value(origin, ev, "source", str, f"{where}events[{j}]."),
                 fields={str(k): v for k, v in ev.items() if k not in ("source", "offset_s")},
-                offset_s=_number(origin, ev, "offset_s", float, 0.0, f"{where}events[{j}]."),
+                offset_s=float(typed_value(origin, ev, "offset_s", float, f"{where}events[{j}].", 0)),
             )
             for j, ev in enumerate(object_list(origin, item, "events", ("source",), where))
         )
         steps.append(
             AttackStepSpec(
-                step=parse_step(str(item["step"])),
-                offset_s=_number(origin, item, "offset_s", float, 0.0, where),
+                step=parse_step(typed_value(origin, item, "step", str, where)),
+                offset_s=float(typed_value(origin, item, "offset_s", float, where, 0)),
                 technique_ids=tuple(string_list(origin, item, "technique_ids", where)),
                 events=events,
             )
         )
-    return AttackTemplate(
-        template_id=str(doc["template_id"]),
-        steps=tuple(steps),
-        omit=frozenset(parse_step(s) for s in string_list(origin, doc, "omit")),
-        attack_user=str(doc.get("attack_user", "dev01")),
-        description=str(doc.get("description", "")),
-    )
+    try:  # the template's own checks, such as non-decreasing step offsets
+        return AttackTemplate(
+            template_id=typed_value(origin, doc, "template_id", str),
+            steps=tuple(steps),
+            omit=frozenset(parse_step(s) for s in string_list(origin, doc, "omit")),
+            attack_user=typed_value(origin, doc, "attack_user", str, "", "dev01"),
+            description=typed_value(origin, doc, "description", str, "", ""),
+        )
+    except ScenarioError as exc:
+        raise ScenarioError(f"{origin}: {exc}")
 
 
 def load_template(path: Path) -> AttackTemplate:

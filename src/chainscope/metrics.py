@@ -241,51 +241,60 @@ def best_rows_by_category(rows: Sequence[SweepRow]) -> Dict[str, SweepRow]:
 
 # metrics.json holds every RunMetrics field under its name; a set is a
 # sorted list, of step names for the step sets
-_RUN_METRICS_KEYS = tuple(f.name for f in fields(RunMetrics))
 _STEP_SETS = frozenset({"missing_steps", "extra_steps", "observed_steps", "chain_observed_steps"})
 _SCALAR_KINDS = {"scenario_id": str, "event_volume": int, "tagged_step_count": int, "chain_step_count": int}  # else float
 
 
 def run_metrics_to_dict(metrics: RunMetrics) -> Dict[str, Any]:
-    doc = {key: getattr(metrics, key) for key in _RUN_METRICS_KEYS}
+    doc = {f.name: getattr(metrics, f.name) for f in fields(RunMetrics)}
     doc["sources"] = sorted(metrics.sources)
     for key in _STEP_SETS:
         doc[key] = sorted(s.value for s in doc[key])
     return doc
 
 
-def run_metrics_from_dict(doc: Mapping[str, Any], origin: Union[str, Path]) -> RunMetrics:
-    """The RunMetrics that run_metrics_to_dict wrote as doc, values taken as they are.
+def _from_dict(cls: type, doc: Mapping[str, Any], origin: Union[str, Path], read: Callable[[str], Any], where: str = "") -> Any:
+    """cls from the doc keys that name its fields, each read by read(key); a
+    wrong type is named before a missing key, both by ParseError naming origin."""
+    names = [f.name for f in fields(cls)]
+    values = {key: read(key) for key in names if key in doc}
+    missing = [key for key in names if key not in values]
+    if missing:
+        raise ParseError(f"{origin} lacks {', '.join(where + repr(key) for key in missing)}")
+    return cls(**values)
 
-    Each key present must have the type written, and only then must every
-    key be present; anything else raises ParseError naming origin and the key.
-    """
-    values: Dict[str, Any] = {}
-    for key in (key for key in _RUN_METRICS_KEYS if key in doc):
+
+def run_metrics_from_dict(doc: Mapping[str, Any], origin: Union[str, Path]) -> RunMetrics:
+    """The RunMetrics that run_metrics_to_dict wrote as doc, values taken as they
+    are; anything else raises ParseError naming origin and the key."""
+
+    def read(key: str) -> Any:
         if key in _STEP_SETS:
             try:
-                values[key] = frozenset(map(StepTag, string_list(origin, doc, key)))
+                return frozenset(map(StepTag, string_list(origin, doc, key)))
             except ValueError as exc:
                 raise ParseError(f"{origin}: {key!r} must list step tags: {exc}")
-        elif key == "sources":
-            values[key] = frozenset(string_list(origin, doc, key))
-        else:
-            values[key] = typed_value(origin, doc, key, _SCALAR_KINDS.get(key, float))
-    missing = [key for key in _RUN_METRICS_KEYS if key not in values]
-    if missing:
-        raise ParseError(f"{origin} lacks {', '.join(map(repr, missing))}")
-    return RunMetrics(**values)
+        if key == "sources":
+            return frozenset(string_list(origin, doc, key))
+        return typed_value(origin, doc, key, _SCALAR_KINDS.get(key, float))
+
+    return _from_dict(RunMetrics, doc, origin, read)
 
 
-def aggregate_to_dict(agg: AggregateMetrics) -> Dict:
-    return {
-        "scenarios": list(agg.scenarios),
-        "scenario_count": agg.scenario_count,
-        "tag_cov_wtd": agg.tag_cov_wtd,
-        "chain_cov_wtd": agg.chain_cov_wtd,
-        "step_r_wtd": agg.step_r_wtd,
-        "chain_r_wtd": agg.chain_r_wtd,
-        "step_p_mean": agg.step_p_mean,
-        "chain_p_mean": agg.chain_p_mean,
-        "recon_mean": agg.recon_mean,
-    }
+# sweep_aggregates.json maps each category to its AggregateMetrics fields by name
+def aggregate_to_dict(agg: AggregateMetrics) -> Dict[str, Any]:
+    doc = {f.name: getattr(agg, f.name) for f in fields(AggregateMetrics)}
+    doc["scenarios"] = list(agg.scenarios)
+    return doc
+
+
+def aggregate_from_dict(doc: Mapping[str, Any], origin: Union[str, Path], where: str = "") -> AggregateMetrics:
+    """The AggregateMetrics that aggregate_to_dict wrote as doc, values taken as
+    they are; anything else raises ParseError naming origin and where the key is."""
+
+    def read(key: str) -> Any:
+        if key == "scenarios":
+            return tuple(string_list(origin, doc, key, where))
+        return typed_value(origin, doc, key, int if key == "scenario_count" else float, where)
+
+    return _from_dict(AggregateMetrics, doc, origin, read, where)

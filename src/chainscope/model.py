@@ -356,7 +356,7 @@ def event_to_dict(event: NormalizedEvent) -> Dict[str, Any]:
     }
 
 
-_KIND_NAMES = {str: "a string", int: "an integer"}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 _REQUIRED = object()
 
 
@@ -370,7 +370,7 @@ def _field(group: Mapping[str, Any], key: str, kind: type, default: Any = None) 
     if type(value) is kind or (value is None and default is None):
         return value
     nullable = " or null" if default is None else ""
-    raise TypeError(f"{key!r} must be {_KIND_NAMES[kind]}{nullable}, got {type(value).__name__}")
+    raise TypeError(f"{key!r} must be {_TYPE_NAMES[kind]}{nullable}, got {type(value).__name__}")
 
 
 def _object(data: Mapping[str, Any], key: str) -> Dict[str, Any]:
@@ -637,13 +637,6 @@ def object_list(
     return entries
 
 
-def float_value(value: Any) -> float:
-    """float(value), except that a boolean (YAML's true or false) raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def parse_regex(pattern: str) -> Any:
     """The parse tree of pattern, raising re.error also where re only warns.
 
@@ -678,11 +671,16 @@ def string_list(origin: Union[str, Path], doc: Mapping[str, Any], key: str, wher
     return values
 
 
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+def typed_value(
+    origin: Union[str, Path], doc: Mapping[str, Any], key: str, kind: type, where: str = "", default: Any = _REQUIRED
+) -> Any:
+    """doc[key] (absent: default, if given) if it is a kind, else ParseError naming the file and the key.
 
-
-def typed_value(origin: Union[str, Path], doc: Mapping[str, Any], key: str, kind: type, where: str = "") -> Any:
-    """doc[key] if it is a kind (str, int or float; an int is a float, a bool neither), else ParseError."""
+    kind is str, int or float; an int is a float, kept as it is, a bool is
+    neither, and a string is no number however it reads.
+    """
+    if key not in doc and default is not _REQUIRED:
+        return default
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ParseError(f"{origin}: {where}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")

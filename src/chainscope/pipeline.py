@@ -119,7 +119,6 @@ def reconstruct(
 @dataclass
 class RunResult:
     scenario_id: str
-    params: RunParams
     ingest: IngestResult
     events: List[NormalizedEvent]
     decisions: List[TagDecision]
@@ -167,7 +166,6 @@ def run_scenario(
     )
     return RunResult(
         scenario_id=scenario_id,
-        params=params,
         ingest=ingest_result,
         events=events,
         decisions=decisions,

@@ -13,8 +13,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError, ParseError
 from .graph import Chain, EventGraph
-from .metrics import CATEGORY_ORDER, AggregateMetrics, RunMetrics, run_metrics_from_dict, run_metrics_to_dict
-from .model import NormalizedEvent, iso_ms, object_list, read_json, string_list, typed_value, write_json
+from .metrics import CATEGORY_ORDER, AggregateMetrics, RunMetrics, aggregate_from_dict, aggregate_to_dict, run_metrics_from_dict, run_metrics_to_dict
+from .model import NormalizedEvent, iso_ms, object_field, object_list, read_json, string_list, typed_value, write_json
 from .tagging import NO_STEPS_OBSERVED, StepTag
 
 EXCERPT_LEN = 160
@@ -137,19 +137,23 @@ def render_run_report(metrics: Optional[RunMetrics], evidence: Optional[Mapping[
 def write_report(indir: Path, out: Path) -> str:
     """Render a run or sweep output directory: text to out, JSON to out plus
     ".json". Returns "report", or "sweep report" for a sweep, whose table
-    and sweep_aggregates.json are copied as they are."""
+    is copied as it is and whose sweep_aggregates.json is written as read."""
     out.parent.mkdir(parents=True, exist_ok=True)
     json_out = out.with_suffix(out.suffix + ".json")
     aggregates_path = indir / "sweep_aggregates.json"
     if aggregates_path.exists():
         doc = read_json(aggregates_path)
+        aggregates = {
+            category: aggregate_from_dict(object_field(aggregates_path, doc, category), aggregates_path, f"{category}.")
+            for category in doc
+        }
         table_path = indir / "budget_table.txt"
         try:
             text = table_path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{table_path} is not valid UTF-8: {exc}")
         out.write_text(text, encoding="utf-8")
-        write_json(json_out, doc)
+        write_json(json_out, {category: aggregate_to_dict(agg) for category, agg in aggregates.items()})
         return "sweep report"
     metrics_path = indir / "metrics.json"
     evidence_path = indir / "evidence.json"

@@ -45,7 +45,7 @@ class CategorySpec:
     def __post_init__(self) -> None:
         if self.name not in CATEGORY_NAMES:
             raise SanitizeError(f"unknown category {self.name!r}; valid: {CATEGORY_NAMES}")
-        if not is_token(self.prefix + "0" * TOKEN_DIGITS):  # its tokens must be tokens
+        if not (isinstance(self.prefix, str) and is_token(self.prefix + "0" * TOKEN_DIGITS)):  # its tokens must be tokens
             raise SanitizeError(f"prefix must be ASCII capital letters followed by '_', got {self.prefix!r}")
 
     def compiled(self) -> Tuple[Pattern[str], ...]:

@@ -158,7 +158,7 @@ class AttackTemplate:
     def __post_init__(self) -> None:
         offsets = [s.offset_s for s in self.steps]
         if offsets != sorted(offsets):
-            raise ScenarioError(f"template {self.template_id!r}: step offsets must be non-decreasing")
+            raise ScenarioError(f"template {self.template_id!r}: step offset_s values must be non-decreasing")
         declared = {s.step for s in self.steps}
         stray = self.omit - declared
         if stray:

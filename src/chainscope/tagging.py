@@ -30,13 +30,13 @@ from .model import (
     NormalizedEvent,
     _jsonl_lines,
     field_resolver,
-    float_value,
     object_field,
     object_list,
     parse_regex,
     resolve_fields,
     sort_events,
     string_list,
+    typed_value,
 )
 
 
@@ -101,7 +101,6 @@ class CompiledRule:
     """A StepRule with everything its evaluation needs worked out once."""
 
     rule: StepRule
-    regexes: Tuple[Pattern[str], ...]
     searches: Tuple[Search, ...]
     candidate_fields: Tuple[str, ...]  # lowered
     prefilters: Tuple[Prefilter, ...]  # where_any, then where_all; empty blocks left out
@@ -123,7 +122,6 @@ def _compile_rule(rule: StepRule, regexes: Tuple[Pattern[str], ...], trees: Sequ
     searches = tuple((regex.search, *required_literals(tree)) for regex, tree in zip(regexes, trees))
     return CompiledRule(
         rule=rule,
-        regexes=regexes,
         searches=searches,
         candidate_fields=candidate_fields,
         prefilters=prefilters,
@@ -269,20 +267,18 @@ def load_rules(doc: Mapping[str, Any], origin: str = "rules document") -> RuleSe
             table = object_field(origin, item, key, where)
             return {str(k): tuple(string_list(origin, table, k, f"{where}{key}.")) for k in table}
 
-        try:
-            rule = StepRule(
-                rule_id=str(item["rule_id"]),
-                step=parse_step(str(item["step"])),
-                priority=float_value(item.get("priority", 0)),
+        rules.append(
+            StepRule(
+                rule_id=typed_value(origin, item, "rule_id", str, where),
+                step=parse_step(typed_value(origin, item, "step", str, where)),
+                priority=float(typed_value(origin, item, "priority", float, where, 0)),
                 patterns=tuple(string_list(origin, item, "patterns", where)),
                 candidate_fields=tuple(string_list(origin, item, "candidate_fields", where)),
                 where_any=clauses("where_any"),
                 where_all=clauses("where_all"),
                 sources=tuple(string_list(origin, item, "sources", where)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RuleError(f"{origin}: malformed rule entry {item!r}: {exc}")
-        rules.append(rule)
+        )
     return RuleSet(rules, origin)
 
 

@@ -619,8 +619,8 @@ def reference_evaluate_rule(event, compiled, aliases=EMPTY_ALIASES, gate=None, c
         if value is None:
             continue
         any_field_present = True
-        for regex in compiled.regexes:
-            if regex.search(str(value)):
+        for pattern in rule.patterns:
+            if re.search(pattern, str(value)):
                 return FIRED
     return NO_MATCH if any_field_present else MISSING_FIELD
 

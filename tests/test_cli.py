@@ -484,6 +484,13 @@ class TestSanitizeAndReport:
         )
         assert code == 2
 
+    def test_an_empty_salt_variable_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINSCOPE_SALT_FILE", "")
+        argv = ["sanitize", "--in", str(tmp_path / "events.jsonl"), "--mappings-dir", str(tmp_path / "m")]
+        assert main(argv + ["--out", str(tmp_path / "s.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "CHAINSCOPE_SALT_FILE" in err and "empty" in err, err
+
     def test_report_from_run_dir(self, scenario_dir, tmp_path):
         run = tmp_path / "run"
         assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--gate", "expected", "--out", str(run)]) == 0
@@ -753,6 +760,24 @@ class TestMalformedJsonInputs:
         (sweep / "budget_table.txt").write_bytes(b"budget \xff\n")
         assert main(["report", "--in", str(sweep), "--out", str(tmp_path / "r.txt")]) == 2
         assert "budget_table.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, detail",
+        [
+            ({"x": 1}, "'x' must be an object, got 1"),
+            ({"single": {"scenarios": ["s"]}}, "lacks single.'scenario_count'"),
+            ({"single": {"scenarios": "s"}}, "single.'scenarios' must be a list of strings"),
+        ],
+    )
+    def test_report_on_malformed_sweep_aggregates_exit_2(self, tmp_path, capsys, doc, detail):
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        (sweep / "sweep_aggregates.json").write_text(json.dumps(doc))
+        (sweep / "budget_table.txt").write_text("table\n")
+        assert main(["report", "--in", str(sweep), "--out", str(tmp_path / "r.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "sweep_aggregates.json" in err and detail in err, err
+        assert not (tmp_path / "r.txt").exists()
 
     def test_report_on_a_sweep_without_its_budget_table_exit_2(self, tmp_path, capsys):
         sweep = tmp_path / "sweep"

@@ -1,6 +1,16 @@
 """Packaged config documents: loadability and internal consistency."""
 
+import copy
+import functools
+import importlib.resources
+import operator
+import tempfile
+from pathlib import Path
+
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope.cli import main
 from chainscope.configio import (
@@ -10,9 +20,11 @@ from chainscope.configio import (
     load_packaged_template,
     load_policy,
     load_rules_doc,
+    load_scenario_spec,
+    load_template,
     packaged_template_ids,
 )
-from chainscope.errors import ConfigError, ScenarioError
+from chainscope.errors import ChainscopeError, ConfigError, ParseError, ScenarioError
 from chainscope.synth import ROUTING
 from chainscope.tagging import StepTag, load_rules
 from conftest import expected_from_techniques, packaged_scenario_ids
@@ -81,6 +93,16 @@ def test_every_template_has_a_matching_scenario():
     assert scenario_templates == set(packaged_template_ids())
 
 
+def test_a_number_reads_as_a_float():
+    # the packaged documents write these as YAML integers (min_interval_s: 30,
+    # offset_s: 0), or leave them out
+    spec = load_packaged_scenario("dependency-chain")
+    template = load_packaged_template("dependency-chain")
+    steps = template.steps
+    numbers = [spec.benign.min_interval_s, spec.benign.max_interval_s, *(s.offset_s for s in steps), *(e.offset_s for s in steps for e in s.events)]
+    assert [type(n) for n in numbers] == [float] * len(numbers)
+
+
 def test_unknown_template_is_a_clear_error():
     with pytest.raises(ScenarioError):
         load_packaged_template("does-not-exist")
@@ -107,22 +129,33 @@ def test_missing_config_file_names_path(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "setting, detail",
+    "setting, error, detail",
     [
-        ('default_year: "2023"', "default_year must be an integer"),
-        ("default_year: true", "default_year must be an integer"),
-        ("ts_format: isoo", "unknown ts_format 'isoo'"),
-        ('parse_threshold: "high"', "malformed adapter entry"),
-        ("parse_threshold: true", "malformed adapter entry .*expected a number, got True"),
+        ('default_year: "2023"', ConfigError, "default_year must be an integer"),
+        ("default_year: true", ConfigError, "default_year must be an integer"),
+        ("ts_format: isoo", ConfigError, "unknown ts_format 'isoo'"),
+        ('parse_threshold: "high"', ParseError, r"adapters\[0\]\.'parse_threshold' must be a number, got 'high'"),
+        ("parse_threshold: true", ParseError, r"adapters\[0\]\.'parse_threshold' must be a number, got True"),
+        # each of these was read as text or taken as it was, and changed or broke the run;
+        # YAML's last value of a repeated key replaces the entry's own source or field_map
+        ("source: null", ParseError, r"adapters\[0\]\.'source' must be a string, got None"),
+        ("file_pattern: 5", ParseError, r"adapters\[0\]\.'file_pattern' must be a string, got 5"),
+        ("field_map: {ts: null, message: message}", ParseError, r"adapters\[0\]\.field_map\.'ts' must be a string, got None"),
+        ('parse_threshold: "nan"', ParseError, r"adapters\[0\]\.'parse_threshold' must be a number, got 'nan'"),
+        ("parse_threshold: .nan", ConfigError, r"adapters\[0\]\.'parse_threshold' must be a number in \[0, 1\], got nan"),
+        ("parse_threshold: 1.5", ConfigError, r"adapters\[0\]\.'parse_threshold' must be a number in \[0, 1\], got 1.5"),
+        ("parse_threshold: -0.5", ConfigError, r"adapters\[0\]\.'parse_threshold' must be a number in \[0, 1\], got -0.5"),
+        # null is a value, not an absent key, so it never takes the default
+        ("trust_origin: null", ParseError, r"adapters\[0\]\.'trust_origin' must be a string, got None"),
     ],
 )
-def test_malformed_adapter_setting_is_a_config_error(tmp_path, setting, detail):
+def test_malformed_adapter_setting_is_a_config_error(tmp_path, setting, error, detail):
     path = tmp_path / "adapters.yml"
     path.write_text(
         "adapters:\n  - source: syslog\n    format: syslog_line\n"
         f"    field_map: {{ts: ts, message: message}}\n    {setting}\n"
     )
-    with pytest.raises(ConfigError, match=detail):
+    with pytest.raises(error, match=detail):
         load_adapters(path)
 
 
@@ -170,6 +203,12 @@ ADAPTER = "adapters:\n  - {source: syslog, format: syslog_line, %s}\n"
     [
         ("adapters: syslog\n", "'adapters' must be a list"),
         (ADAPTER % "field_map: [ts, message]", "adapters[0].'field_map' must be an object"),
+        ("adapters:\n  - {source: null, format: syslog_line, field_map: {ts: ts, message: message}}\n", "adapters[0].'source' must be a string"),
+        (ADAPTER % "field_map: {ts: ts, message: message}, file_pattern: 5", "adapters[0].'file_pattern' must be a string"),
+        (ADAPTER % "field_map: {ts: null, message: message}", "adapters[0].field_map.'ts' must be a string"),
+        (ADAPTER % "field_map: {ts: ts, message: message}, parse_threshold: 'nan'", "adapters[0].'parse_threshold' must be a number"),
+        (ADAPTER % "field_map: {ts: ts, message: message}, parse_threshold: 1.5", "adapters[0].'parse_threshold' must be a number in [0, 1]"),
+        ("adapters:\n  - {format: syslog_line, field_map: {ts: ts, message: message}}\n", "adapters[0] lacks 'source'"),
     ],
 )
 def test_malformed_adapters_document(tmp_path, capsys, text, key):
@@ -197,6 +236,9 @@ def test_malformed_aliases_document(tmp_path, capsys, text, key):
         (RULE % "where_any: {dst_port: '4444'}", "rules[0].where_any.'dst_port' must be a list of strings"),
         (RULE % "where_all: [dst_port]", "rules[0].'where_all' must be an object"),
         ("rules: [install]\n", "rules[0] must be an object"),
+        ("rules:\n  - {rule_id: null, step: INSTALL, patterns: [pip], candidate_fields: [text_blob]}\n", "rules[0].'rule_id' must be a string"),
+        ("rules:\n  - {rule_id: r, step: 5, patterns: [pip], candidate_fields: [text_blob]}\n", "rules[0].'step' must be a string"),
+        (RULE % "priority: '3'", "rules[0].'priority' must be a number, got '3'"),
         ("rules:\n  - {rule_id: r, step: INSTALL, patterns: [pip, '('], candidate_fields: [text_blob]}\n",
          "rules[0].patterns[1] of rule 'r' is not a valid regular expression"),
         # re only warns of a possible nested set; a rule pattern must not be ambiguous
@@ -214,6 +256,7 @@ def test_malformed_rules_document(tmp_path, capsys, text, key):
         (CATEGORY % "patterns: '/home/(x)'", "categories[0].'patterns' must be a list of strings"),
         (CATEGORY % "patterns: []" + "retain_literals: root\n", "'retain_literals' must be a list of strings"),
         ("categories:\n  - {prefix: HOST_}\n", "categories[0] lacks 'name'"),
+        ("categories:\n  - {name: null, prefix: HOST_}\n", "categories[0].'name' must be a string"),
     ],
 )
 def test_malformed_policy_document(tmp_path, capsys, text, key):
@@ -266,12 +309,18 @@ def test_malformed_budgets_document(tmp_path, capsys, text, key):
         (SPEC.replace("seed: 1", "seed: 3.7"), "'seed' must be an integer"),
         (SPEC.replace("seed: 1", "seed: true"), "'seed' must be an integer"),
         (SPEC.replace("hosts: [{name: h1}]", "hosts: [h1]"), "hosts[0] must be an object"),
+        (SPEC.replace("hosts: [{name: h1}]", "hosts: [{name: null}]"), "hosts[0].'name' must be a string, got None"),
+        (SPEC.replace("hosts: [{name: h1}]", "hosts: [{name: h1, profile: 3}]"), "hosts[0].'profile' must be a string"),
+        (SPEC.replace("seed: 1", 'seed: "104"'), "'seed' must be an integer, got '104'"),
+        (SPEC.replace("scenario_id: mini", "scenario_id: 5"), "'scenario_id' must be a string"),
+        (SPEC + "attack: {template: [t]}\n", "attack.'template' must be a string"),
         (SPEC.replace("n_activities: 5", "n_activities: 5, activity_set: Web"), "benign.'activity_set' must be a list of strings"),
         (SPEC.replace("n_activities: 5", "n_activities: many"), "benign.'n_activities' must be an integer"),
         (SPEC + "duration_s: long\n", "'duration_s' must be an integer"),
         (SPEC + "attack: {template: t, start_s: later}\n", "attack.'start_s' must be an integer"),
         (SPEC.replace("n_activities: 5", "active_hours: ['9:xx', '19:00']"), "bad active-hours time"),
         (SPEC + "start: yesterday\n", "'start'"),
+        (SPEC.replace("n_activities: 5", "n_activities: 5, min_interval_s: 400"), "min_interval_s must be <= max_interval_s"),
         ("scenario_id: mini\nhosts: [{name: h1}]\n", "missing 'sources'"),
     ],
 )
@@ -288,7 +337,100 @@ def test_malformed_scenario_spec(tmp_path, capsys, text, key):
         (STEP.replace("message: x", "message: x, offset_s: soon"), "steps[0].events[0].'offset_s' must be a number"),
         (STEP.replace("events: [{source: syslog, message: x}]", "events: {source: syslog}"), "steps[0].'events' must be a list"),
         ("template_id: t\n", "missing 'steps'"),
+        (STEP.replace("template_id: t", "template_id: 7"), "'template_id' must be a string"),
+        (STEP.replace("step: INSTALL", "step: null"), "steps[0].'step' must be a string"),
+        (STEP.replace("source: syslog", "source: [syslog]"), "steps[0].events[0].'source' must be a string"),
+        (STEP + "attack_user: 3\n", "'attack_user' must be a string"),
+        (STEP.replace("    technique_ids", "    offset_s: 60\n    technique_ids") + STEP[STEP.index("  - step"):].replace("INSTALL", "AUTH"),
+         "step offset_s values must be non-decreasing"),
+        (STEP + "description: {a: b}\n", "'description' must be a string"),
     ],
 )
 def test_malformed_attack_template(tmp_path, capsys, text, key):
     assert_names_file_and_key(tmp_path, capsys, "template", text, key)
+
+
+# --- no config value reaches an internal error ------------------------------
+# One scalar of a packaged document is replaced with a value of another YAML
+# type. The loader either reads the document or names the file and the key;
+# a run on it exits 0 or 2, never 3.
+
+PACKAGED_DOCUMENTS = {
+    kind: yaml.safe_load(importlib.resources.files("chainscope").joinpath("config", name).read_text(encoding="utf-8"))
+    for kind, name in {
+        "adapters": "adapters.yml",
+        "rules": "rules.yml",
+        "policy": "sanitize_policy.yml",
+        "spec": "scenarios/dependency-chain.yml",
+        "template": "templates/dependency-chain.yml",
+    }.items()
+}
+YAML_VALUES = (None, True, 7, 2.5, "text", ["x"], {"k": "v"})
+LOADERS = {
+    "adapters": load_adapters,
+    "rules": lambda path: load_rules(load_rules_doc(path), str(path)),
+    "policy": load_policy,
+    "spec": load_scenario_spec,
+    "template": load_template,
+}
+
+
+def scalar_paths(doc, path=()):
+    """The path (keys and list indices) of every scalar in doc."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [found for key, value in items for found in scalar_paths(value, path + (key,))]
+    return [path]
+
+
+@st.composite
+def retyped_documents(draw):
+    """(kind, document, the innermost key above the replaced scalar)."""
+    kind = draw(st.sampled_from(sorted(PACKAGED_DOCUMENTS)))
+    doc = copy.deepcopy(PACKAGED_DOCUMENTS[kind])
+    *parents, last = draw(st.sampled_from(scalar_paths(doc)))
+    holder = functools.reduce(operator.getitem, parents, doc)
+    holder[last] = draw(st.sampled_from([v for v in YAML_VALUES if type(v) is not type(holder[last])]))
+    return kind, doc, next(k for k in reversed((*parents, last)) if isinstance(k, str))
+
+
+@settings(max_examples=100, deadline=None)
+@given(retyped_documents())
+def test_a_retyped_config_value_is_read_or_named(case):
+    kind, doc, key = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.yml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        try:
+            LOADERS[kind](path)
+        except ChainscopeError as exc:
+            assert str(path) in str(exc) and key in str(exc), exc
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A small synthesized scenario, its evaluate run and a salt file."""
+    root = tmp_path_factory.mktemp("small")
+    (root / "spec.yml").write_text(SPEC.replace("[syslog]", "[syslog, zeek]") + "attack: {template: dependency-chain}\n")
+    assert main(["synth", "--spec", str(root / "spec.yml"), "--out", str(root / "scenario")]) == 0
+    assert main(["evaluate", "--scenario-dir", str(root / "scenario"), "--out", str(root / "run")]) == 0
+    (root / "salt.txt").write_text("salt\n")
+    return root
+
+
+@settings(max_examples=20, deadline=None)
+@given(retyped_documents())
+def test_a_retyped_config_value_never_exits_3(small_run, case):
+    kind, doc, _key = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / f"{kind}.yml", str(Path(tmp) / "out")
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        argv = {
+            "adapters": ["evaluate", "--scenario-dir", str(small_run / "scenario"), "--adapters", str(path)],
+            "rules": ["evaluate", "--scenario-dir", str(small_run / "scenario"), "--rules", str(path)],
+            "policy": ["sanitize", "--in", str(small_run / "run" / "events.jsonl"), "--policy", str(path),
+                       "--salt-file", str(small_run / "salt.txt"), "--mappings-dir", str(Path(tmp) / "m")],
+            "spec": ["synth", "--spec", str(path)],
+            "template": ["synth", "--spec", str(small_run / "spec.yml"), "--template", str(path)],
+        }[kind]
+        assert main(argv + ["--out", out]) in (0, 2)

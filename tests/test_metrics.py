@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from chainscope.errors import ConfigError, ParseError
 from chainscope.graph import Chain
 from chainscope.metrics import (
+    AggregateMetrics,
     BudgetConfig,
     RunMetrics,
     aggregate,
+    aggregate_from_dict,
+    aggregate_to_dict,
     best_rows_by_category,
     categorize_budget,
     compute_run_metrics,
@@ -348,3 +351,48 @@ class TestRunMetricsDocument:
         doc = {**run_metrics_to_dict(stub_metrics()), key: value}
         with pytest.raises(ParseError, match=re.escape(f"metrics.json: {detail}")):
             run_metrics_from_dict(doc, "metrics.json")
+
+
+AGGREGATES = st.builds(
+    AggregateMetrics,
+    scenarios=st.lists(st.text(max_size=8), max_size=3).map(tuple),
+    scenario_count=COUNTS,
+    tag_cov_wtd=SCORES,
+    chain_cov_wtd=SCORES,
+    step_r_wtd=SCORES,
+    chain_r_wtd=SCORES,
+    step_p_mean=SCORES,
+    chain_p_mean=SCORES,
+    recon_mean=SCORES,
+)
+
+
+class TestAggregateDocument:
+    @given(AGGREGATES)
+    def test_from_dict_inverts_to_dict_through_json(self, agg):
+        text = json.dumps(aggregate_to_dict(agg))
+        back = aggregate_from_dict(json.loads(text), "sweep_aggregates.json", "single.")
+        assert back == agg
+        assert json.dumps(aggregate_to_dict(back)) == text
+
+    @given(AGGREGATES, st.data())
+    def test_a_missing_key_is_named(self, agg, data):
+        doc = aggregate_to_dict(agg)
+        key = data.draw(st.sampled_from(sorted(doc)))
+        del doc[key]
+        with pytest.raises(ParseError, match=re.escape(f"sweep_aggregates.json lacks single.'{key}'") + "$"):
+            aggregate_from_dict(doc, "sweep_aggregates.json", "single.")
+
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            ("scenarios", "s", "single.'scenarios' must be a list of strings, got 's'"),
+            ("scenario_count", 1.0, "single.'scenario_count' must be an integer, got 1.0"),
+            ("step_r_wtd", None, "single.'step_r_wtd' must be a number, got None"),
+            ("recon_mean", True, "single.'recon_mean' must be a number, got True"),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_named(self, key, value, detail):
+        doc = {**aggregate_to_dict(aggregate({"s": (stub_metrics(), 2)})), key: value}
+        with pytest.raises(ParseError, match=re.escape(f"sweep_aggregates.json: {detail}")):
+            aggregate_from_dict(doc, "sweep_aggregates.json", "single.")

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -109,8 +110,27 @@ class TestLoadRules:
     @pytest.mark.parametrize("priority", [True, False, "high"])
     def test_non_numeric_priority(self, priority):
         doc = {"rules": [{"rule_id": "r", "step": "INSTALL", "priority": priority, "patterns": ["x"], "candidate_fields": ["text_blob"]}]}
-        with pytest.raises(RuleError, match="malformed rule entry"):
+        with pytest.raises(ParseError, match=re.escape(f"rules document: rules[0].'priority' must be a number, got {priority!r}")):
             load_rules(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            ("rule_id", None, "'rule_id' must be a string, got None"),  # was a rule named "None"
+            ("rule_id", 7, "'rule_id' must be a string, got 7"),
+            ("step", None, "'step' must be a string, got None"),
+            ("step", ["INSTALL"], "'step' must be a string, got ['INSTALL']"),
+        ],
+    )
+    def test_wrongly_typed_rule_scalar_is_named(self, key, value, detail):
+        entry = {"rule_id": "r", "step": "INSTALL", "priority": 1, "patterns": ["x"], "candidate_fields": ["text_blob"]}
+        with pytest.raises(ParseError, match=re.escape(f"rules.yml: rules[0].{detail}")):
+            load_rules({"rules": [{**entry, key: value}]}, "rules.yml")
+
+    def test_integer_priority_reads_as_a_float(self):
+        entry = {"rule_id": "r", "step": "INSTALL", "priority": 3, "patterns": ["x"], "candidate_fields": ["text_blob"]}
+        (rule,) = load_rules({"rules": [entry]}).rules
+        assert type(rule.priority) is float and rule.priority == 3.0
 
     def test_duplicate_rule_id(self):
         entry = {"rule_id": "dup", "step": "INSTALL", "priority": 1, "patterns": ["x"], "candidate_fields": ["text_blob"]}
