@@ -77,18 +77,21 @@ def load_adapters_doc(doc: Any, origin: str) -> List[SourceAdapterSpec]:
         threshold = float(typed_value(origin, item, "parse_threshold", float, where, 0.9))
         if not 0 <= threshold <= 1:  # NaN too
             raise ConfigError(f"{origin}: {where}'parse_threshold' must be a number in [0, 1], got {threshold!r}")
-        adapters.append(
-            SourceAdapterSpec(
-                source=typed_value(origin, item, "source", str, where),
-                format=typed_value(origin, item, "format", str, where),
-                field_map={str(k): typed_value(origin, table, k, str, f"{where}field_map.") for k in table},
-                trust_origin=typed_value(origin, item, "trust_origin", str, where, "target"),
-                ts_format=typed_value(origin, item, "ts_format", str, where, "auto"),
-                default_year=item.get("default_year"),  # SourceAdapterSpec checks it
-                file_pattern=typed_value(origin, item, "file_pattern", str, where, None),
-                parse_threshold=threshold,
+        try:  # the adapter's own checks, such as a known format and ts_format
+            adapters.append(
+                SourceAdapterSpec(
+                    source=typed_value(origin, item, "source", str, where),
+                    format=typed_value(origin, item, "format", str, where),
+                    field_map={str(k): typed_value(origin, table, k, str, f"{where}field_map.") for k in table},
+                    trust_origin=typed_value(origin, item, "trust_origin", str, where, "target"),
+                    ts_format=typed_value(origin, item, "ts_format", str, where, "auto"),
+                    default_year=item.get("default_year"),  # SourceAdapterSpec checks it
+                    file_pattern=typed_value(origin, item, "file_pattern", str, where, None),
+                    parse_threshold=threshold,
+                )
             )
-        )
+        except ConfigError as exc:
+            raise ConfigError(f"{origin}: adapters[{i}]: {exc}")
     if not adapters:
         raise ConfigError(f"{origin}: adapters document defines no adapters")
     return adapters
@@ -267,7 +270,7 @@ def template_from_doc(doc: Any, origin: str) -> AttackTemplate:
         )
         steps.append(
             AttackStepSpec(
-                step=parse_step(typed_value(origin, item, "step", str, where)),
+                step=parse_step(typed_value(origin, item, "step", str, where), f"{origin}: {where}'step': "),
                 offset_s=float(typed_value(origin, item, "offset_s", float, where, 0)),
                 technique_ids=tuple(string_list(origin, item, "technique_ids", where)),
                 events=events,
@@ -277,7 +280,9 @@ def template_from_doc(doc: Any, origin: str) -> AttackTemplate:
         return AttackTemplate(
             template_id=typed_value(origin, doc, "template_id", str),
             steps=tuple(steps),
-            omit=frozenset(parse_step(s) for s in string_list(origin, doc, "omit")),
+            omit=frozenset(
+                parse_step(name, f"{origin}: omit[{j}]: ") for j, name in enumerate(string_list(origin, doc, "omit"))
+            ),
             attack_user=typed_value(origin, doc, "attack_user", str, "", "dev01"),
             description=typed_value(origin, doc, "description", str, "", ""),
         )

@@ -15,8 +15,9 @@ gap -- and each node's predecessors are kept in compressed sparse row
 form: an offset per node into one array of source positions, built once
 per graph, so every extract_chains call (one per sweep budget) reads
 them without scanning the edges. EventGraph.edges is a read-only view
-that builds an Edge when one is read, and graph_to_dict's records are
-built a slice at a time while graph.json is written.
+that builds an Edge when one is read, and write_graph_json writes
+graph.json from the columns, encoding each event id once and holding one
+slice of records at a time.
 
 build_event_graph does not test every pair inside the window. It files
 each node in keyed buckets -- host, user, pid, ppid, destination endpoint
@@ -38,8 +39,8 @@ brute-force enumeration oracle in tests/conftest.py; extract_chains
 reaches the same result with a dynamic program over (node,
 projected-sequence) states, which stays polynomial because there are at
 most 325 distinct sequences over the five-step alphabet. Sequences are
-coded as ints, and a table built once maps (sequence, step) to the
-extended sequence, so a DP state is named by the code node * 326 +
+coded as ints, and a table built on first use maps (sequence, step) to
+the extended sequence, so a DP state is named by the code node * 326 +
 sequence and a path is a chain of such parent codes. The states are kept
 node by node, as a tuple of sequences and a tuple of ranks per node and
 the parent codes in one array, so the DP holds no Python object per
@@ -48,26 +49,47 @@ rank folds a path's first_ts and length into one int, first_ts * (nodes
 + 1) - length, which orders paths by the first two tie rules at once,
 and ranks are shared per distinct value. A code is resolved to its
 position by scanning its node's few sequences, which only path walks
-need. The back-to-front tie-break matters
-for throughput: two candidate paths for one state almost always arrive
-through different predecessors, so the comparison resolves without
-walking whole paths. In place of a subgraph, extract_chains takes the
-node positions to use: an edge depends only on its two events and
-positions keep their order, so that equals the graph built on their events.
+need. The back-to-front tie-break matters for throughput: two candidate
+paths for one state almost always arrive through different predecessors,
+so the comparison resolves without walking whole paths. In place of a
+subgraph, extract_chains takes the node positions to use: an edge
+depends only on its two events and positions keep their order, so that
+equals the graph built on their events.
+
+With a top_k, the DP drops every state that cannot change the returned
+chains. A reverse pass gives each node the mask of the steps on it and
+on every kept node reachable from it. A state's completions -- its
+sequence followed by any order of any subset of those steps it lacks --
+hold every sequence a path through it can end with, at a span no smaller
+than the state's. The DP keeps per sequence the smallest span stored so
+far; once top_k sequences are stored, the bound K is the top_k-th
+smallest (-score, span) pair among them. A state is kept only if some
+completion has (-score, span) <= K and is not stored yet or is stored
+with a span >= the state's. Along a path the completions only shrink and
+the span only grows, while K and the stored spans only fall, so every
+state on a returned chain's best path is kept, with its best candidate,
+and the chains equal the first top_k of the unpruned DP. Both tests are
+non-strict, so ties still reach the back-to-front rule. On the
+benchmark's dense 13k fixture (seed 13: 5,021 nodes, 26,987 edges) the
+DP keeps 1,356 of the 113,352 states, and the unpruned DP (top_k None,
+which the oracle tests use) keeps them all.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
 from typing import Any, DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import EventIdError
-from .model import ColumnView, NormalizedEvent
+from .model import SLICE_RECORDS, ColumnView, NormalizedEvent
 from .tagging import StepTag, TagDecision
 
 DEFAULT_WINDOW_MS = 10 * 60 * 1000
@@ -330,24 +352,38 @@ def chain_order_key(chain: Chain, rev_indexes: Tuple[int, ...]) -> Tuple:
     return (-chain.score, chain.span_ms, chain.first_ts, rev_indexes)
 
 
-# Step sequences are coded as ints, 0 being the empty one: _EXTEND[c][k]
-# is the code of sequence k after a node with step code c, which is k
-# itself when the step already occurs in it.
+# Step sequences are coded as ints, 0 being the empty one. A step's code
+# is its position in StepTag and its bit in a step mask is 1 << code.
 _STEP_CODES = {step: code for code, step in enumerate(StepTag)}
+# 326: the empty sequence and the 325 orders of the non-empty step subsets
+_NSEQ = sum(math.perm(len(StepTag), k) for k in range(len(StepTag) + 1))
 
 
-def _sequence_table() -> Tuple[Tuple[int, ...], ...]:
+@lru_cache(maxsize=None)
+def _sequence_tables() -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """(extend, masks): extend[c][k] is the code of sequence k after a node
+    with step code c, which is k itself when the step already occurs in it;
+    masks[k] is the step mask of sequence k."""
     sequences: List[Tuple[StepTag, ...]] = [()]
     for seq in sequences:  # grows while iterating: breadth-first by length
         sequences.extend(seq + (step,) for step in StepTag if step not in seq)
     codes = {seq: k for k, seq in enumerate(sequences)}
-    return tuple(
+    extend = tuple(
         tuple(k if step in seq else codes[seq + (step,)] for k, seq in enumerate(sequences)) for step in StepTag
     )
+    return extend, tuple(sum(1 << _STEP_CODES[step] for step in seq) for seq in sequences)
 
 
-_EXTEND = _sequence_table()
-_NSEQ = len(_EXTEND[0])  # 326: the empty sequence and 325 non-empty ones
+@lru_cache(maxsize=None)
+def _completions(seq: int, rest: int) -> Tuple[int, ...]:
+    """The codes of seq followed by any order of any subset of the steps in
+    mask rest (none of which occurs in seq), longest first."""
+    extend, masks = _sequence_tables()
+    found = [seq]
+    for code in found:  # grows while iterating: breadth-first by length
+        found.extend(extend[c][code] for c in range(len(StepTag)) if rest >> c & 1 and not masks[code] >> c & 1)
+    found.reverse()
+    return tuple(found)
 
 
 def extract_chains(
@@ -378,9 +414,24 @@ def extract_chains(
     nodes = [v for v in range(n) if kept[v]]  # the DP visits nodes in ascending order
     ts = [node.ts for node in graph.nodes]
     pred_offsets, pred_sources = graph.pred_offsets, graph.pred_sources
+    extend_by, masks = _sequence_tables()
+    steps = [_STEP_CODES[step] for step in graph.steps]
     # A path of first_ts f and length l ranks f * scale - l: a larger rank
     # is a later start, then a shorter path.
     scale = n + 1
+
+    if top_k is not None:
+        # reach[v]: the steps of v and of every kept node reachable from it
+        reach = [0] * n
+        for v in reversed(nodes):
+            r = reach[v] = reach[v] | 1 << steps[v]
+            for u in pred_sources[pred_offsets[v] : pred_offsets[v + 1]]:
+                reach[u] |= r
+        # per sequence the smallest span of a stored state (none: inf), and
+        # the sorted (-score, span) pairs of the stored sequences
+        best_span: List[float] = [math.inf] * _NSEQ
+        pairs: List[Tuple[int, int]] = []
+        bound: Optional[Tuple[int, int]] = None  # the top_k-th pair, once there are top_k
 
     # The (node, sequence) states, node by node: seqs_of[v] holds the
     # sequences of v's states and ranks_of[v] the ranks of their best
@@ -411,7 +462,7 @@ def extract_chains(
         return False
 
     for v in nodes:
-        extend = _EXTEND[_STEP_CODES[graph.steps[v]]]
+        extend = extend_by[steps[v]]
         # the candidates for v's states, by sequence: the rank of the path
         # up to the predecessor (the path to v ranks one less), and the
         # predecessor's state
@@ -434,6 +485,40 @@ def extract_chains(
                 ):
                     rank_of[seq] = rank
                     via[seq] = base + seq_u
+        if top_k is not None:
+            # keep a state only if some completion by the steps reachable
+            # from v scores at least need and is not stored with a smaller
+            # span (see the module docstring). The test reads a candidate's
+            # span only, which is smallest for the best candidate, so a
+            # kept state keeps its unpruned best candidate.
+            reach_v = reach[v]
+            spans = []  # (sequence, span) of v's kept states
+            for seq, rank in list(rank_of.items()):
+                span = ts[v] + (-rank // scale)  # ts[v] - first_ts
+                need = 0
+                if bound is not None:
+                    need = -bound[0] if span <= bound[1] else 1 - bound[0]
+                reaches = False
+                for code in _completions(seq, reach_v & ~masks[seq]):
+                    if masks[code].bit_count() < need:
+                        break
+                    if best_span[code] >= span:
+                        reaches = True
+                        break
+                if reaches:
+                    spans.append((seq, span))
+                else:
+                    del rank_of[seq], via[seq]
+            for seq, span in spans:
+                old = best_span[seq]
+                if span < old:
+                    score = -masks[seq].bit_count()
+                    if old != math.inf:
+                        del pairs[bisect_left(pairs, (score, old))]
+                    insort(pairs, (score, span))
+                    best_span[seq] = span
+            if len(pairs) >= top_k:
+                bound = pairs[top_k - 1]
         seqs_of[v] = tuple(rank_of)
         # a stored 0 is falsy, but setdefault then returns that same 0
         ranks_of[v] = tuple([lowered.get(rank) or lowered.setdefault(rank, rank - 1) for rank in rank_of.values()])
@@ -495,22 +580,34 @@ def chain_to_dict(chain: Chain) -> Dict:
     }
 
 
-def graph_to_dict(graph: EventGraph) -> Dict:
-    """The graph.json document: nodes, and edges with their endpoints as event ids.
+def write_graph_json(path: Path, graph: EventGraph) -> None:
+    """Write graph.json: the nodes, and the edges with their endpoints as event ids.
 
-    Its node and edge records are ColumnViews, built only as write_json
-    renders them.
+    The bytes are json.dumps(doc, indent=2, sort_keys=True) and a newline
+    for doc = {"edges": [{"dst", "gap_ms", "join_reason", "src"}, ...],
+    "nodes": [{"event_id", "step", "ts"}, ...], "window_ms"}. Each event id
+    is encoded once, and records are rendered SLICE_RECORDS at a time, so
+    the largest string held is one slice.
     """
-    ids = [node.event_id for node in graph.nodes]
-
-    def node_record(node: NormalizedEvent, step: StepTag) -> Dict[str, Any]:
-        return {"event_id": node.event_id, "ts": node.ts, "step": step.value}
-
-    def edge_record(src: int, dst: int, reason: int, gap_ms: int) -> Dict[str, Any]:
-        return {"src": ids[src], "dst": ids[dst], "join_reason": JOIN_REASONS[reason], "gap_ms": gap_ms}
-
-    return {
-        "window_ms": graph.window_ms,
-        "nodes": ColumnView(node_record, graph.nodes, graph.steps),
-        "edges": ColumnView(edge_record, graph.edge_src, graph.edge_dst, graph.edge_reason, graph.edge_gap),
-    }
+    ids = [encode_basestring_ascii(node.event_id) for node in graph.nodes]
+    reasons = [encode_basestring_ascii(reason) for reason in JOIN_REASONS]
+    steps = {step: encode_basestring_ascii(step.value) for step in StepTag}
+    edges = (
+        f'    {{\n      "dst": {ids[d]},\n      "gap_ms": {g},\n'
+        f'      "join_reason": {reasons[r]},\n      "src": {ids[s]}\n    }}'
+        for s, d, r, g in zip(graph.edge_src, graph.edge_dst, graph.edge_reason, graph.edge_gap)
+    )
+    nodes = (
+        f'    {{\n      "event_id": {node_id},\n      "step": {steps[step]},\n      "ts": {node.ts}\n    }}'
+        for node_id, node, step in zip(ids, graph.nodes, graph.steps)
+    )
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("{\n")
+        for key, records in (("edges", edges), ("nodes", nodes)):
+            out.write(f'  "{key}": [')
+            separator = "\n"
+            while chunk := list(islice(records, SLICE_RECORDS)):
+                out.write(separator + ",\n".join(chunk))
+                separator = ",\n"
+            out.write("],\n" if separator == "\n" else "\n  ],\n")
+        out.write(f'  "window_ms": {graph.window_ms}\n}}\n')

@@ -484,7 +484,7 @@ def events_from_jsonl(source: Union[str, IO[bytes]]) -> List[NormalizedEvent]:
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
-# Records rendered per C encoder call by the JSON and JSONL writers. It
+# Records rendered per call by the JSON, JSONL and graph.json writers. It
 # bounds the largest string a writer holds (a slice of graph.json's edges
 # or of events.jsonl), not the output, which never depends on it.
 SLICE_RECORDS = 1024
@@ -494,8 +494,6 @@ class ColumnView(collections.abc.Sequence):
     """A read-only sequence whose item k is make(column[k], ...) over parallel columns.
 
     Items exist only while they are used: a slice is a tuple of new items.
-    write_json renders a view as a JSON list, SLICE_RECORDS items at a
-    time, so a document can hold records that are never all built at once.
     A view equals a tuple, or another view, of equal items.
     """
 
@@ -557,9 +555,9 @@ def _emit(obj: Any, level: int, write: Callable[[str], Any]) -> None:
             separator = ",\n"
         write("\n" + outer + "}")
         return
-    if isinstance(obj, (list, tuple, ColumnView)) and obj:
+    if isinstance(obj, (list, tuple)) and obj:
         if _SCALAR_TYPES.issuperset(map(type, obj)):
-            flat = _flat_encoder(level + 1).encode(obj[:] if isinstance(obj, ColumnView) else obj)
+            flat = _flat_encoder(level + 1).encode(obj)
             write("[\n" + inner + flat[1:-1] + "\n" + outer + "]")
             return
         separator = "[\n"
@@ -582,12 +580,11 @@ def _emit(obj: Any, level: int, write: Callable[[str], Any]) -> None:
         write("\n" + outer + "]")
         return
     # empty containers, non-str keys and anything the stdlib rejects
-    write(json.dumps([] if isinstance(obj, ColumnView) else obj, indent=2, sort_keys=True).replace("\n", "\n" + outer))
+    write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer))
 
 
 def write_json(path: Path, doc: Any) -> None:
-    """Write exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline,
-    a ColumnView as the list of its items.
+    """Write exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
 
     The stdlib renders indented JSON in pure Python. Here every flat dict
     or list and every slice of up to SLICE_RECORDS flat records is one C

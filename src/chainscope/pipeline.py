@@ -8,11 +8,12 @@ and ambiguity.json are built once, as the documents themselves, and
 written as they are. A sweep shares the work its budgets have in common:
 each event is tagged once, one graph is built over the union of the
 budgets' sources, and only chains and metrics run per budget, on that
-graph restricted to the positions of the budget's nodes; a sweep row has
-no ambiguity. Every row is identical to a separate run on the budget's
-sources. Artifacts are deterministic functions of the inputs: JSON
-documents are dumped with sorted keys and no generation timestamps, so
-re-running with the same manifest reproduces them byte-identically.
+graph restricted to the positions of the budget's nodes (chains once per
+distinct set of positions); a sweep row has no ambiguity. Every row is
+identical to a separate run on the budget's sources. Artifacts are
+deterministic functions of the inputs: JSON documents are dumped with
+sorted keys and no generation timestamps, so re-running with the same
+manifest reproduces them byte-identically.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,7 +37,7 @@ from .graph import (
     chain_ambiguity,
     chain_to_dict,
     extract_chains,
-    graph_to_dict,
+    write_graph_json,
 )
 from .ingest import IngestResult, SourceAdapterSpec, ingest_scenario, merge_scenario
 from .metrics import (
@@ -201,31 +203,27 @@ def build_manifest(command: str, args: Mapping[str, Any], input_paths: Iterable[
     }
 
 
-def _write(
-    out_dir: Path, name: str, payload: Any, to_jsonl: Optional[Callable[[Sequence[Any]], str]] = None
-) -> Path:
-    """Write records through to_jsonl, text as is and anything else as sorted, indented JSON."""
+def _write(out_dir: Path, name: str, payload: Any, write: Callable[[Path, Any], None] = write_json) -> Path:
+    """Write text as is and anything else through write, by default as sorted, indented JSON."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    if to_jsonl is not None:
-        write_jsonl(path, payload, to_jsonl)
-    elif isinstance(payload, str):
+    if isinstance(payload, str):
         path.write_text(payload, encoding="utf-8")
     else:
-        write_json(path, payload)
+        write(path, payload)
     return path
 
 
 def write_ingest_artifacts(ingest: IngestResult, events: Sequence[NormalizedEvent], out_dir: Path) -> List[Path]:
     return [
-        _write(out_dir, "events.jsonl", events, events_to_jsonl),
+        _write(out_dir, "events.jsonl", events, partial(write_jsonl, to_jsonl=events_to_jsonl)),
         _write(out_dir, "ingest_report.json", ingest.report()),
     ]
 
 
 def write_tag_artifacts(decisions: Sequence[TagDecision], run_diag: RunDiagnostics, out_dir: Path) -> List[Path]:
     return [
-        _write(out_dir, "decisions.jsonl", decisions, decisions_to_jsonl),
+        _write(out_dir, "decisions.jsonl", decisions, partial(write_jsonl, to_jsonl=decisions_to_jsonl)),
         _write(out_dir, "run_diag.json", run_diag_to_dict(run_diag)),
     ]
 
@@ -234,7 +232,7 @@ def write_reconstruct_artifacts(
     graph: EventGraph, chains: Sequence[Chain], ambiguity: Mapping[str, Any], out_dir: Path
 ) -> List[Path]:
     return [
-        _write(out_dir, "graph.json", graph_to_dict(graph)),
+        _write(out_dir, "graph.json", graph, write_graph_json),
         _write(out_dir, "chains.json", [chain_to_dict(c) for c in chains]),
         _write(out_dir, "ambiguity.json", ambiguity),
     ]
@@ -269,7 +267,8 @@ def budget_sweep(
     budgets; only the available source set varies. Each event is tagged
     once, one graph is built over the union of the budgets' sources, and
     each budget runs only chains and metrics, on that graph restricted to
-    the positions of its adapters' nodes. Rows equal a separate merge, tag
+    the positions of its adapters' nodes; budgets that keep the same
+    positions share one chain extraction. Rows equal a separate merge, tag
     and reconstruct per budget: a decision depends only on its event, an
     edge only on its two events. A budget naming an unavailable source
     becomes an error row and the sweep goes on. The union is merged once,
@@ -292,6 +291,9 @@ def budget_sweep(
         tagged.append((table, decisions))
     graph = build_event_graph(union, [memo[event.event_id] for event in union], window_ms=params.window_ms)
     node_adapters = [adapter_of[node.event_id] for node in graph.nodes]
+    # budgets often keep the same nodes (sources that tag nothing add none),
+    # and their chains are a function of the kept positions
+    chains_of: Dict[Tuple[int, ...], List[Chain]] = {}
     scored = iter(tagged)
     rows: List[SweepRow] = []
     for budget in budgets:
@@ -301,8 +303,12 @@ def budget_sweep(
             rows.append(SweepRow(budget=budget, metrics=None, error=message))
             continue
         table, decisions = next(scored)
-        nodes = [i for i, adapter in enumerate(node_adapters) if adapter in budget.sources]
-        chains = extract_chains(graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms, nodes=nodes)
+        nodes = tuple(i for i, adapter in enumerate(node_adapters) if adapter in budget.sources)
+        chains = chains_of.get(nodes)
+        if chains is None:
+            chains = chains_of[nodes] = extract_chains(
+                graph, top_k=params.top_k, gap_threshold_ms=params.gap_ms, nodes=nodes
+            )
         metrics = compute_run_metrics(decisions, chains, expected, table, sources=sorted(budget.sources))
         rows.append(SweepRow(budget=budget, metrics=metrics))
     return rows

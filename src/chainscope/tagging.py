@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import IO, Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Pattern, Sequence, Set, Tuple, Union
 
 from .errors import ConfigError, ParseError, RuleError
@@ -56,11 +57,12 @@ class StepTag(str, Enum):
 STEP_TAGS: Tuple[StepTag, ...] = tuple(StepTag)
 
 
-def parse_step(name: str) -> StepTag:
+def parse_step(name: str, where: str = "") -> StepTag:
+    """The step named name, in any case; where (such as "rules.yml: rules[2].'step': ") prefixes the error."""
     try:
         return StepTag(name.strip().upper())
     except ValueError:
-        raise ConfigError(f"unknown step tag {name!r}; valid: {[s.value for s in STEP_TAGS]}")
+        raise ConfigError(f"{where}unknown step tag {name!r}; valid: {[s.value for s in STEP_TAGS]}")
 
 
 # diagnostics kinds
@@ -206,26 +208,27 @@ def required_literals(tree: Any) -> Tuple[Optional[Tuple[str, ...]], bool]:
 class RuleSet:
     """Validated, compiled collection of StepRules.
 
-    A pattern that does not compile is named by its entry in origin, the
-    document the rules were read from.
+    An invalid rule is named by its entry in origin, the document the
+    rules were read from.
     """
 
     def __init__(self, rules: Sequence[StepRule], origin: str = "rules"):
         seen: Set[str] = set()
         compiled: List[CompiledRule] = []
         for i, rule in enumerate(rules):
+            where = f"{origin}: rules[{i}]:"
             if rule.rule_id in seen:
-                raise RuleError(f"duplicate rule_id {rule.rule_id!r}")
+                raise RuleError(f"{where} duplicate rule_id {rule.rule_id!r}")
             seen.add(rule.rule_id)
             if not rule.patterns:
-                raise RuleError(f"rule {rule.rule_id!r} has no patterns")
+                raise RuleError(f"{where} rule {rule.rule_id!r} has no patterns")
             if not math.isfinite(rule.priority):
-                raise RuleError(f"rule {rule.rule_id!r} has non-finite priority")
+                raise RuleError(f"{where} rule {rule.rule_id!r} has non-finite priority")
             if not rule.candidate_fields:
-                raise RuleError(f"rule {rule.rule_id!r} has no candidate fields")
+                raise RuleError(f"{where} rule {rule.rule_id!r} has no candidate fields")
             for name in (*rule.candidate_fields, *rule.where_any, *rule.where_all):
                 if name.lower() not in CANONICAL_FIELDS:
-                    raise RuleError(f"rule {rule.rule_id!r} references non-canonical field {name!r}")
+                    raise RuleError(f"{where} rule {rule.rule_id!r} references non-canonical field {name!r}")
             regexes, trees = [], []
             for j, pattern in enumerate(rule.patterns):
                 try:
@@ -270,7 +273,7 @@ def load_rules(doc: Mapping[str, Any], origin: str = "rules document") -> RuleSe
         rules.append(
             StepRule(
                 rule_id=typed_value(origin, item, "rule_id", str, where),
-                step=parse_step(typed_value(origin, item, "step", str, where)),
+                step=parse_step(typed_value(origin, item, "step", str, where), f"{origin}: {where}'step': "),
                 priority=float(typed_value(origin, item, "priority", float, where, 0)),
                 patterns=tuple(string_list(origin, item, "patterns", where)),
                 candidate_fields=tuple(string_list(origin, item, "candidate_fields", where)),
@@ -301,10 +304,6 @@ class TagDecision:
     candidates: Tuple[Candidate, ...]
     chosen: Optional[StepTag]
     diagnostics: Tuple[Diagnostic, ...]
-
-    def matched_steps(self) -> FrozenSet[StepTag]:
-        """The per-event matched tag set (distinct candidate steps)."""
-        return frozenset(c.step for c in self.candidates)
 
 
 @dataclass(frozen=True)
@@ -505,10 +504,11 @@ def tag_run(
     matched = 0
     multi = 0
     for decision in decisions:
-        steps = decision.matched_steps()
-        if steps:
+        candidates = decision.candidates
+        if candidates:
             matched += 1
-            if len(steps) > 1:
+            first = candidates[0].step
+            if any(c.step is not first for c in candidates):
                 multi += 1
         if decision.chosen is not None:
             step_counts[decision.chosen.value] += 1
@@ -558,7 +558,25 @@ _encode_decision = json.JSONEncoder(sort_keys=True).encode
 
 
 def decisions_to_jsonl(decisions: Iterable[TagDecision]) -> str:
-    return "".join(_encode_decision(decision_to_dict(d)) + "\n" for d in decisions)
+    """Each decision_to_dict as one line of JSON with sorted keys.
+
+    event_id sorts last, so a line is the text before the id, encoded once
+    per distinct (candidates, chosen, diagnostics), then the id and "}".
+    Candidates and diagnostics are told apart by identity, not equality,
+    as equal values such as the priorities 1 and 1.0 encode differently;
+    tag_run shares one of each per rule.
+    """
+    heads: Dict[Tuple[Any, ...], str] = {}
+    lines = []
+    for d in decisions:
+        shape = (tuple(map(id, d.candidates)), d.chosen, tuple(map(id, d.diagnostics)))
+        head = heads.get(shape)
+        if head is None:
+            doc = decision_to_dict(d)
+            doc["event_id"] = ""
+            head = heads[shape] = _encode_decision(doc)[: -len('""}')]
+        lines.append(head + encode_basestring_ascii(d.event_id) + "}\n")
+    return "".join(lines)
 
 
 def decisions_from_jsonl(source: Union[str, IO[bytes]]) -> List[TagDecision]:

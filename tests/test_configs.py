@@ -209,6 +209,9 @@ ADAPTER = "adapters:\n  - {source: syslog, format: syslog_line, %s}\n"
         (ADAPTER % "field_map: {ts: ts, message: message}, parse_threshold: 'nan'", "adapters[0].'parse_threshold' must be a number"),
         (ADAPTER % "field_map: {ts: ts, message: message}, parse_threshold: 1.5", "adapters[0].'parse_threshold' must be a number in [0, 1]"),
         ("adapters:\n  - {format: syslog_line, field_map: {ts: ts, message: message}}\n", "adapters[0] lacks 'source'"),
+        # the adapter's own checks
+        (ADAPTER % "field_map: {ts: ts, message: message}, ts_format: isoo", "adapters[0]: adapter 'syslog': unknown ts_format 'isoo'"),
+        (ADAPTER.replace("syslog_line", "syslog_lines") % "field_map: {ts: ts, message: message}", "adapters[0]: adapter 'syslog': unknown format"),
     ],
 )
 def test_malformed_adapters_document(tmp_path, capsys, text, key):
@@ -244,6 +247,9 @@ def test_malformed_aliases_document(tmp_path, capsys, text, key):
         # re only warns of a possible nested set; a rule pattern must not be ambiguous
         ("rules:\n  - {rule_id: r, step: INSTALL, patterns: ['[[a]'], candidate_fields: [text_blob]}\n",
          "rules[0].patterns[0] of rule 'r' is not a valid regular expression"),
+        # values of the right type that name no step, or repeat a rule
+        (RULE.replace("step: INSTALL", "step: FOO") % "priority: 1", "rules[0].'step': unknown step tag 'FOO'"),
+        (RULE % "priority: 1" + RULE[len("rules:\n"):] % "priority: 2", "rules[1]: duplicate rule_id 'r'"),
     ],
 )
 def test_malformed_rules_document(tmp_path, capsys, text, key):
@@ -344,6 +350,8 @@ def test_malformed_scenario_spec(tmp_path, capsys, text, key):
         (STEP.replace("    technique_ids", "    offset_s: 60\n    technique_ids") + STEP[STEP.index("  - step"):].replace("INSTALL", "AUTH"),
          "step offset_s values must be non-decreasing"),
         (STEP + "description: {a: b}\n", "'description' must be a string"),
+        (STEP.replace("step: INSTALL", "step: FOO"), "steps[0].'step': unknown step tag 'FOO'"),
+        (STEP + "omit: [AUTH, FOO]\n", "omit[1]: unknown step tag 'FOO'"),
     ],
 )
 def test_malformed_attack_template(tmp_path, capsys, text, key):

@@ -4,6 +4,7 @@ import random
 import tempfile
 import tracemalloc
 from array import array
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainscope import model
+from chainscope import graph as graph_module
 from chainscope.errors import EventIdError
 from chainscope.graph import (
     DEFAULT_WINDOW_MS,
@@ -19,10 +20,9 @@ from chainscope.graph import (
     build_event_graph,
     chain_ambiguity,
     extract_chains,
-    graph_to_dict,
     join_reason,
+    write_graph_json,
 )
-from chainscope.model import write_json
 from chainscope.tagging import StepTag, TagDecision
 from conftest import make_event, make_random_tagged_table, oracle_chains
 
@@ -179,21 +179,78 @@ class TestTiedTimestamps:
         assert extract_chains(graph, top_k=None, gap_threshold_ms=MIN) == want
 
 
+SIX_HOURS = 6 * 3600 * 1000
+
+
+class TestTopKPruning:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        keep_seed=st.integers(min_value=0, max_value=10**6),
+        minutes=st.integers(min_value=1, max_value=13),
+        alphabet=st.integers(min_value=1, max_value=5),
+        window_min=st.integers(min_value=1, max_value=4),
+    )
+    def test_top_k_equals_the_unpruned_prefix_and_the_oracle(self, seed, keep_seed, minutes, alphabet, window_min):
+        events, decisions = make_random_tagged_table(seed, max_events=30)
+        # the six hours of the table squeezed onto a few minutes and steps:
+        # equal timestamps, spans and (score, span) pairs occur often
+        base = min((e.ts for e in events), default=0)
+        events = [replace(e, ts=base + (e.ts - base) * minutes // SIX_HOURS * MIN) for e in events]
+        steps = list(StepTag)
+        decisions = [replace(d, chosen=steps[steps.index(d.chosen) % alphabet]) for d in decisions]
+        rng = random.Random(keep_seed)
+        density = rng.random()
+        keep = {e.event_id for e in events if rng.random() < density}
+        graph = build_event_graph(events, decisions, window_ms=window_min * MIN)
+        nodes = [i for i, node in enumerate(graph.nodes) if node.event_id in keep]
+        unpruned = extract_chains(graph, top_k=None, gap_threshold_ms=MIN, nodes=nodes)
+        oracle = oracle_chains(
+            [e for e in events if e.event_id in keep],
+            [d for d in decisions if d.event_id in keep],
+            window_ms=window_min * MIN,
+            gap_threshold_ms=MIN,
+        )
+        assert unpruned == oracle
+        for k in range(1, 7):
+            assert extract_chains(graph, top_k=k, gap_threshold_ms=MIN, nodes=nodes) == oracle[:k], k
+
+    def test_a_later_shorter_path_of_equal_span_is_kept(self):
+        # DOWNLOAD, AUTH, INSTALL has two paths of span 2 and first_ts 0:
+        # e00 e02 e04 e06, stored first, and e00 e02 e07, one node shorter,
+        # which ends at the same minute and wins. At e07 its (score, span)
+        # equals both the sequence's stored pair and the top-2 bound.
+        install, download, auth = StepTag.INSTALL, StepTag.DOWNLOAD, StepTag.AUTH
+        rows = [("e00", 0, "h1", None, download), ("e02", 1, "h1", None, auth), ("e04", 1, "h1", "u2", download)]
+        rows += [("e06", 2, "h3", "u2", install), ("e07", 2, "h1", None, install)]
+        events = [make_event(event_id=i, ts=t * MIN, host=host, user=user) for i, t, host, user, _ in rows]
+        graph = build_event_graph(events, [tag(e, row[4]) for e, row in zip(events, rows)], window_ms=2 * MIN)
+        top = extract_chains(graph, top_k=2, gap_threshold_ms=MIN)
+        assert top == extract_chains(graph, top_k=None, gap_threshold_ms=MIN)[:2]
+        assert top[1].supporting_events == (("e00",), ("e02",), ("e07",))
+
+
+# event id characters that JSON escapes, and non-ASCII ones it writes as \u escapes
+ID_TEXT = st.text(alphabet=st.sampled_from(['"', "\\", "\n", "/", "\x7f", "é", "✓", "𝄞", "a"]), max_size=3)
+
+
 class TestGraphJson:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
         size=st.integers(min_value=0, max_value=50),
         window_min=st.integers(min_value=1, max_value=40),
+        prefix=ID_TEXT,
     )
-    @example(seed=0, size=0, window_min=10)  # no nodes
-    @example(seed=0, size=1, window_min=10)  # one node, no edges
-    def test_streamed_text_equals_stdlib_dump(self, seed, size, window_min):
+    @example(seed=0, size=0, window_min=10, prefix="")  # no nodes
+    @example(seed=0, size=1, window_min=10, prefix="")  # one node, no edges
+    def test_streamed_text_equals_stdlib_dump(self, seed, size, window_min, prefix):
         events, decisions = make_random_tagged_table(seed)
-        graph = build_event_graph(events[:size], decisions[:size], window_ms=window_min * MIN)
-        doc = graph_to_dict(graph)
+        events = [replace(e, event_id=prefix + e.event_id) for e in events[:size]]
+        decisions = [replace(d, event_id=prefix + d.event_id) for d in decisions[:size]]
+        graph = build_event_graph(events, decisions, window_ms=window_min * MIN)
         ids = [node.event_id for node in graph.nodes]
-        materialised = {
+        doc = {
             "window_ms": window_min * MIN,
             "nodes": [{"event_id": n.event_id, "ts": n.ts, "step": s.value} for n, s in zip(graph.nodes, graph.steps)],
             "edges": [
@@ -201,12 +258,11 @@ class TestGraphJson:
                 for e in graph.edges
             ],
         }
-        assert {**doc, "nodes": list(doc["nodes"]), "edges": list(doc["edges"])} == materialised
         # slices of three records, so that graphs of a few edges cross slice boundaries
-        with patch.object(model, "SLICE_RECORDS", 3), tempfile.TemporaryDirectory() as tmp:
+        with patch.object(graph_module, "SLICE_RECORDS", 3), tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "graph.json"
-            write_json(path, doc)
-            assert path.read_text(encoding="utf-8") == json.dumps(materialised, indent=2, sort_keys=True) + "\n"
+            write_graph_json(path, graph)
+            assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def two_thousand_node_graph():
@@ -251,7 +307,8 @@ class TestMemory:
         assert states > 50_000
         tracemalloc.start()
         try:
-            extract_chains(graph)
+            # unpruned, so that every state is held
+            extract_chains(graph, top_k=None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
