@@ -61,13 +61,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the most milliseconds a time may round to: an edge gap, at most the
+# window, is stored in a signed 64-bit array
+_MAX_MS = 2**63 - 1
+
+
 def _seconds(least_ms: int) -> Callable[[str], float]:
-    """argparse type: a time in seconds that rounds to at least least_ms milliseconds."""
+    """argparse type: a time in seconds that rounds to least_ms to _MAX_MS milliseconds."""
 
     def seconds(text: str) -> float:
         value = float(text)
-        if not math.isfinite(value) or round(value * 1000) < least_ms:
-            raise argparse.ArgumentTypeError(f"must round to at least {least_ms} ms, got {text!r}")
+        if not math.isfinite(value) or not least_ms <= round(value * 1000) <= _MAX_MS:
+            raise argparse.ArgumentTypeError(f"must round to {least_ms} to {_MAX_MS} ms, got {text!r}")
         return value
 
     return seconds

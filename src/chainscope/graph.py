@@ -14,8 +14,8 @@ arrays -- source and target positions, a code into JOIN_REASONS and the
 gap -- and each node's predecessors are kept in compressed sparse row
 form: an offset per node into one array of source positions, built once
 per graph, so every extract_chains call (one per sweep budget) reads
-them without scanning the edges. EventGraph.edges is a read-only view
-that builds an Edge when one is read, and write_graph_json writes
+them without scanning the edges. EventGraph.edges builds a tuple of
+Edge from the columns on every read, and write_graph_json writes
 graph.json from the columns, encoding each event id once and holding one
 slice of records at a time.
 
@@ -89,7 +89,7 @@ from pathlib import Path
 from typing import Any, DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import EventIdError
-from .model import SLICE_RECORDS, ColumnView, NormalizedEvent
+from .model import SLICE_RECORDS, NormalizedEvent
 from .tagging import StepTag, TagDecision
 
 DEFAULT_WINDOW_MS = 10 * 60 * 1000
@@ -138,9 +138,9 @@ class EventGraph:
     pred_sources: "array[int]"
 
     @property
-    def edges(self) -> ColumnView:
-        """The edges as a read-only sequence of Edge, each built on access."""
-        return ColumnView(_edge, self.edge_src, self.edge_dst, self.edge_reason, self.edge_gap)
+    def edges(self) -> Tuple[Edge, ...]:
+        """The edges as Edge objects, built from the columns on every read."""
+        return tuple(map(_edge, self.edge_src, self.edge_dst, self.edge_reason, self.edge_gap))
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,12 @@ naive flag alongside the value.
 
 from __future__ import annotations
 
-import collections.abc
 import json
 import logging
 import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Pattern, Sequence, Tuple, TypeVar, Union
@@ -482,116 +478,16 @@ def events_from_jsonl(source: Union[str, IO[bytes]]) -> List[NormalizedEvent]:
 
 # --- indented JSON documents ----------------------------------------------
 
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-
-# Records rendered per call by the JSON, JSONL and graph.json writers. It
-# bounds the largest string a writer holds (a slice of graph.json's edges
-# or of events.jsonl), not the output, which never depends on it.
+# Records rendered per call by the JSONL and graph.json writers. It bounds
+# the largest string a writer holds (a slice of graph.json's edges or of
+# events.jsonl), not the output, which never depends on it.
 SLICE_RECORDS = 1024
 
 
-class ColumnView(collections.abc.Sequence):
-    """A read-only sequence whose item k is make(column[k], ...) over parallel columns.
-
-    Items exist only while they are used: a slice is a tuple of new items.
-    A view equals a tuple, or another view, of equal items.
-    """
-
-    __slots__ = ("_make", "_columns")
-
-    def __init__(self, make: Callable[..., Any], *columns: Sequence[Any]) -> None:
-        self._make = make
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, k: Any) -> Any:
-        if isinstance(k, slice):
-            return tuple(map(self._make, *(column[k] for column in self._columns)))
-        return self._make(*(column[k] for column in self._columns))
-
-    def __iter__(self) -> Iterator[Any]:
-        return map(self._make, *self._columns)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, ColumnView)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-@lru_cache(maxsize=None)
-def _flat_encoder(level: int) -> json.JSONEncoder:
-    """C-accelerated encoder whose item separator starts a line at ``level``."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": "))
-
-
-def _flat_records(items: Sequence[Any]) -> bool:
-    """Whether every item is a non-empty dict of str keys and scalar values."""
-    return (
-        set(map(type, items)) == {dict}
-        and all(items)
-        and set(map(type, chain.from_iterable(items))) == {str}
-        and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values, items))))
-    )
-
-
-def _emit(obj: Any, level: int, write: Callable[[str], Any]) -> None:
-    if type(obj) in _SCALAR_TYPES:
-        write(json.dumps(obj))
-        return
-    outer, inner, deeper = "  " * level, "  " * (level + 1), "  " * (level + 2)
-    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
-        if _SCALAR_TYPES.issuperset(map(type, obj.values())):
-            flat = _flat_encoder(level + 1).encode(obj)
-            write("{\n" + inner + flat[1:-1] + "\n" + outer + "}")
-            return
-        separator = "{\n"
-        for key, value in sorted(obj.items()):
-            write(separator + inner + encode_basestring_ascii(key) + ": ")
-            _emit(value, level + 1, write)
-            separator = ",\n"
-        write("\n" + outer + "}")
-        return
-    if isinstance(obj, (list, tuple)) and obj:
-        if _SCALAR_TYPES.issuperset(map(type, obj)):
-            flat = _flat_encoder(level + 1).encode(obj)
-            write("[\n" + inner + flat[1:-1] + "\n" + outer + "]")
-            return
-        separator = "[\n"
-        for start in range(0, len(obj), SLICE_RECORDS):
-            items = obj[start : start + SLICE_RECORDS]
-            if _flat_records(items):
-                # one encoder call renders every record of the slice at the
-                # deeper indent; a newline can only come from a separator
-                # (strings escape it), so "},\n<deeper>{" occurs exactly at
-                # the record boundaries
-                flat = _flat_encoder(level + 2).encode(items)
-                flat = flat.replace("},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper)
-                write(separator + inner + "{\n" + deeper + flat[2:-2] + "\n" + inner + "}")
-                separator = ",\n"
-                continue
-            for item in items:
-                write(separator + inner)
-                _emit(item, level + 1, write)
-                separator = ",\n"
-        write("\n" + outer + "]")
-        return
-    # empty containers, non-str keys and anything the stdlib rejects
-    write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer))
-
-
 def write_json(path: Path, doc: Any) -> None:
-    """Write exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
-
-    The stdlib renders indented JSON in pure Python. Here every flat dict
-    or list and every slice of up to SLICE_RECORDS flat records is one C
-    encoder call, written as it comes: the largest string held is one slice.
-    """
+    """Write exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w", encoding="utf-8") as out:
-        _emit(doc, 0, out.write)
+        json.dump(doc, out, indent=2, sort_keys=True)
         out.write("\n")
 
 

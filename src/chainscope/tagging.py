@@ -29,6 +29,8 @@ from .model import (
     FieldAliasMap,
     FieldResolver,
     NormalizedEvent,
+    _REQUIRED,
+    _field,
     _jsonl_lines,
     field_resolver,
     object_field,
@@ -542,14 +544,42 @@ def decision_to_dict(decision: TagDecision) -> Dict[str, Any]:
     }
 
 
+def _objects(doc: Mapping[str, Any], key: str) -> List[Dict[str, Any]]:
+    """doc[key] as a list of objects; anything else raises TypeError naming the key."""
+    values = doc[key]
+    if type(values) is not list or any(type(value) is not dict for value in values):
+        raise TypeError(f"{key!r} must be a list of objects, got {values!r:.60}")
+    return values
+
+
+def _candidate_from_dict(doc: Mapping[str, Any]) -> Candidate:
+    step, rule_id, priority = _field(doc, "step", str, _REQUIRED), _field(doc, "rule_id", str, _REQUIRED), doc["priority"]
+    if type(priority) not in (int, float):  # kept as read: 1 and 1.0 encode differently
+        raise TypeError(f"'priority' must be a number, got {type(priority).__name__}")
+    return Candidate(step=StepTag(step), rule_id=rule_id, priority=priority)
+
+
 def decision_from_dict(doc: Mapping[str, Any]) -> TagDecision:
+    """Build a decision from its ``decision_to_dict`` form.
+
+    A value of the wrong JSON type raises TypeError naming its key:
+    event_id, and each candidate's step and rule_id and each diagnostic's
+    kind, are strings; chosen is a string or null; a diagnostic's rule_id
+    is a string or absent; candidates and diagnostics are lists of
+    objects; a priority is an int or a float, never a bool.
+    """
+    event_id = _field(doc, "event_id", str, _REQUIRED)
+    if "chosen" not in doc:
+        raise KeyError("chosen")
+    chosen = _field(doc, "chosen", str)
     return TagDecision(
-        event_id=doc["event_id"],
-        candidates=tuple(
-            Candidate(step=StepTag(c["step"]), rule_id=c["rule_id"], priority=c["priority"]) for c in doc["candidates"]
+        event_id=event_id,
+        candidates=tuple(map(_candidate_from_dict, _objects(doc, "candidates"))),
+        chosen=StepTag(chosen) if chosen is not None else None,
+        diagnostics=tuple(
+            Diagnostic(kind=_field(d, "kind", str, _REQUIRED), rule_id=_field(d, "rule_id", str))
+            for d in _objects(doc, "diagnostics")
         ),
-        chosen=StepTag(doc["chosen"]) if doc["chosen"] is not None else None,
-        diagnostics=tuple(Diagnostic(kind=d["kind"], rule_id=d.get("rule_id")) for d in doc["diagnostics"]),
     )
 
 

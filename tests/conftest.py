@@ -57,6 +57,25 @@ from chainscope.tagging import (
 )
 
 
+# the two benign rules of bench/benign_rules.yml, appended to the packaged
+# rule list: routine session and flow lines become graph nodes
+BENIGN_RULES = r"""
+  - rule_id: zz-benign-auth
+    step: AUTH
+    priority: 2
+    patterns:
+      - '(?i)session opened for user'
+    candidate_fields: [text_blob]
+
+  - rule_id: zz-benign-flow
+    step: OUTBOUND_CONN
+    priority: 1
+    patterns:
+      - '(?i)\bflow tcp\b'
+    candidate_fields: [text_blob]
+"""
+
+
 def packaged_scenario_ids():
     """The names of the packaged scenarios, sorted."""
     root = importlib.resources.files("chainscope").joinpath("config", "scenarios")

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from chainscope.model import events_to_jsonl
 from chainscope.sanitize import salt_reference
 from chainscope.synth import load_ground_truth
 from chainscope.tagging import StepTag, TagDecision, decisions_to_jsonl
-from conftest import make_event
+from conftest import BENIGN_RULES, make_event
 
 
 @pytest.fixture()
@@ -160,69 +161,53 @@ class TestEvaluateCommand:
         assert metrics["step_r"] == pytest.approx(0.5)  # INSTALL and DOWNLOAD only
 
 
+def run_stage_commands(scenario_dir, out, rules, tag_flags=()):
+    """ingest, tag (given the expected steps of the ground truth) and
+    reconstruct scenario_dir under out; {artifact name: directory holding it}."""
+    expected = load_ground_truth(scenario_dir / "ground_truth.json").expected
+    steps = ",".join(sorted(s.value for s in expected.steps))
+    ingested, tagged, recon = out / "ingested", out / "tagged", out / "recon"
+    assert main(["ingest", "--scenario-dir", str(scenario_dir), "--out", str(ingested)]) == 0
+    tag = ["tag", "--events", str(ingested / "events.jsonl"), "--rules", str(rules), *tag_flags]
+    assert main(tag + ["--expected-steps", steps, "--out", str(tagged)]) == 0
+    reconstruct = ["reconstruct", "--events", str(ingested / "events.jsonl"), "--decisions", str(tagged / "decisions.jsonl")]
+    assert main(reconstruct + ["--out", str(recon)]) == 0
+    return {
+        "events.jsonl": ingested,
+        "ingest_report.json": ingested,
+        "decisions.jsonl": tagged,
+        "run_diag.json": tagged,
+        "graph.json": recon,
+        "chains.json": recon,
+        "ambiguity.json": recon,
+    }
+
+
 class TestStageCommands:
     def test_ingest_tag_reconstruct_pipeline(self, scenario_dir, tmp_path):
-        stage1 = tmp_path / "ingested"
-        assert main(["ingest", "--scenario-dir", str(scenario_dir), "--out", str(stage1)]) == 0
-        report = json.loads((stage1 / "ingest_report.json").read_text())
+        rules_path = files("chainscope").joinpath("config", "rules.yml")
+        stages = run_stage_commands(scenario_dir, tmp_path, rules_path, ["--gate", "expected"])
+        report = json.loads((stages["ingest_report.json"] / "ingest_report.json").read_text())
         assert report["total_rejected"] == 0
         assert report["total_records"] > 0
-
-        stage2 = tmp_path / "tagged"
-        from importlib.resources import files
-
-        rules_path = files("chainscope").joinpath("config").joinpath("rules.yml")
-        expected = load_ground_truth(scenario_dir / "ground_truth.json").expected
-        assert (
-            main(
-                [
-                    "tag",
-                    "--events",
-                    str(stage1 / "events.jsonl"),
-                    "--rules",
-                    str(rules_path),
-                    "--gate",
-                    "expected",
-                    "--expected-steps",
-                    ",".join(sorted(s.value for s in expected.steps)),
-                    "--out",
-                    str(stage2),
-                ]
-            )
-            == 0
-        )
-        assert (stage2 / "decisions.jsonl").exists()
-
-        stage3 = tmp_path / "recon"
-        assert (
-            main(
-                [
-                    "reconstruct",
-                    "--events",
-                    str(stage1 / "events.jsonl"),
-                    "--decisions",
-                    str(stage2 / "decisions.jsonl"),
-                    "--out",
-                    str(stage3),
-                ]
-            )
-            == 0
-        )
-        chains = json.loads((stage3 / "chains.json").read_text())
+        chains = json.loads((stages["chains.json"] / "chains.json").read_text())
         assert chains[0]["steps"] == ["OUTBOUND_CONN", "INSTALL", "DOWNLOAD"]
 
         # the stage commands write the same bytes as evaluate
         run = tmp_path / "run"
         assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--gate", "expected", "--out", str(run)]) == 0
-        stages = {
-            "events.jsonl": stage1,
-            "ingest_report.json": stage1,
-            "decisions.jsonl": stage2,
-            "run_diag.json": stage2,
-            "graph.json": stage3,
-            "chains.json": stage3,
-            "ambiguity.json": stage3,
-        }
+        for name, stage in stages.items():
+            assert (stage / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_dense_stage_commands_equal_evaluate(self, scenario_dir, tmp_path):
+        rules_path = tmp_path / "rules_dense.yml"
+        rules_path.write_text(files("chainscope").joinpath("config", "rules.yml").read_text() + BENIGN_RULES)
+        stages = run_stage_commands(scenario_dir, tmp_path, rules_path)
+        graph = json.loads((stages["graph.json"] / "graph.json").read_text())
+        # a graph of tens of nodes and hundreds of edges, not the packaged rules' few
+        assert len(graph["nodes"]) >= 50 and len(graph["edges"]) >= 200
+        run = tmp_path / "run"
+        assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--rules", str(rules_path), "--out", str(run)]) == 0
         for name, stage in stages.items():
             assert (stage / name).read_bytes() == (run / name).read_bytes(), name
 
@@ -243,6 +228,30 @@ class TestStageCommands:
         assert offender in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "line, offender",
+        [
+            ('{"event_id":["a"],"candidates":[],"chosen":null,"diagnostics":[]}', "'event_id' must be a string"),
+            (
+                '{"event_id":"a","candidates":[{"priority":"high","rule_id":"r","step":"INSTALL"}],'
+                '"chosen":"INSTALL","diagnostics":[]}',
+                "'priority' must be a number",
+            ),
+            ('{"event_id":"a","candidates":[],"chosen":null,"diagnostics":[{"kind":5}]}', "'kind' must be a string"),
+        ],
+    )
+    def test_reconstruct_rejects_mistyped_decision(self, tmp_path, capsys, line, offender):
+        events_path = tmp_path / "events.jsonl"
+        events_path.write_text(events_to_jsonl([make_event(event_id="a", ts=1_000)]))
+        decisions_path = tmp_path / "decisions.jsonl"
+        decisions_path.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = main(["reconstruct", "--events", str(events_path), "--decisions", str(decisions_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "decisions line 1: TypeError" in err and offender in err
+        assert not out.exists()
 
     def test_reconstruct_rejects_malformed_events_line(self, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
@@ -791,12 +800,29 @@ class TestMalformedJsonInputs:
 class TestReconstructionFlags:
     @pytest.mark.parametrize(
         "flag, value",
-        [("--topk", "0"), ("--topk", "-2"), ("--window", "0"), ("--window", "0.0004"), ("--window", "-1"), ("--window", "nan"), ("--gap", "-1"), ("--gap", "inf")],
+        [("--topk", "0"), ("--topk", "-2"), ("--window", "0"), ("--window", "0.0004"), ("--window", "-1"), ("--window", "nan"), ("--window", "1e17"), ("--gap", "-1"), ("--gap", "inf")],
     )
     def test_out_of_range_value_is_a_usage_error_naming_the_flag(self, scenario_dir, tmp_path, capsys, flag, value):
         argv = ["evaluate", "--scenario-dir", str(scenario_dir), flag, value, "--out", str(tmp_path / "run")]
         assert main(argv) == 1
         assert f"argument {flag}" in capsys.readouterr().err
+
+    # 9.3e18 ms is over 2**63 - 1, the most an edge gap can hold, and so is
+    # 1e17 s; 9.2e18 ms and 9.22e15 s are under it
+    @pytest.mark.parametrize("window, far, code", [("1e17", 9_300_000_000_000_000_000, 1), ("9.22e15", 9_200_000_000_000_000_000, 0)])
+    def test_window_is_bounded_by_the_64_bit_edge_gap(self, tmp_path, capsys, window, far, code):
+        events = [make_event(event_id="a", ts=0, host="h"), make_event(event_id="b", ts=far, host="h")]
+        (tmp_path / "events.jsonl").write_text(events_to_jsonl(events))
+        (tmp_path / "decisions.jsonl").write_text(
+            decisions_to_jsonl(TagDecision(event_id=e.event_id, candidates=(), chosen=StepTag.INSTALL, diagnostics=()) for e in events)
+        )
+        argv = ["reconstruct", "--events", str(tmp_path / "events.jsonl"), "--decisions", str(tmp_path / "decisions.jsonl")]
+        assert main(argv + ["--window", window, "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert "argument --window" in capsys.readouterr().err
+        else:
+            graph = json.loads((tmp_path / "out" / "graph.json").read_text())
+            assert [edge["gap_ms"] for edge in graph["edges"]] == [far]
 
     def test_smallest_values_are_accepted(self, scenario_dir, tmp_path):
         argv = ["evaluate", "--scenario-dir", str(scenario_dir), "--topk", "1", "--window", "0.001", "--gap", "0"]

@@ -35,29 +35,12 @@ from chainscope.cli import main
 from chainscope.configio import load_packaged_scenario
 from chainscope.metrics import run_metrics_from_dict, run_metrics_to_dict
 from chainscope.report import read_evidence
-from conftest import packaged_scenario_ids
+from conftest import BENIGN_RULES, packaged_scenario_ids
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RULES_DENSE = "rules_dense.yml"
 RUNS = {"default": [], "gated": ["--gate", "expected"], "dense": ["--rules", RULES_DENSE]}
 SALT = "salt.txt"
-# the two benign rules of bench/benign_rules.yml, appended to the packaged
-# rule list: routine session and flow lines become graph nodes
-BENIGN_RULES = r"""
-  - rule_id: zz-benign-auth
-    step: AUTH
-    priority: 2
-    patterns:
-      - '(?i)session opened for user'
-    candidate_fields: [text_blob]
-
-  - rule_id: zz-benign-flow
-    step: OUTBOUND_CONN
-    priority: 1
-    patterns:
-      - '(?i)\bflow tcp\b'
-    candidate_fields: [text_blob]
-"""
 
 
 def write_lattice_budgets(path: Path, sources) -> None:

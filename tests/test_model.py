@@ -7,7 +7,6 @@ import tracemalloc
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -502,31 +501,9 @@ class TestWriteJson:
 # the writers' slice size, patched small so that every boundary case is cheap
 SLICE = 3
 SLICED_LENGTHS = (0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1)
-RECORD = st.dictionaries(st.text(max_size=4), SCALARS, min_size=1, max_size=4)
-SLICED_RECORDS = st.sampled_from(SLICED_LENGTHS).flatmap(lambda n: st.lists(RECORD, min_size=n, max_size=n))
-# records with other documents among them: a slice may hold both kinds
-MIXED_ITEMS = st.sampled_from(SLICED_LENGTHS).flatmap(
-    lambda n: st.lists(st.one_of(RECORD, DOCUMENTS), min_size=n, max_size=n)
-)
-SLICED_DOCUMENTS = st.one_of(
-    SLICED_RECORDS,
-    st.dictionaries(
-        st.text(max_size=4),
-        st.one_of(SLICED_RECORDS, MIXED_ITEMS, st.dictionaries(st.text(max_size=3), SLICED_RECORDS, max_size=2)),
-        max_size=3,
-    ),
-)
 
 
 class TestStreamedWriters:
-    @settings(max_examples=200, deadline=None)
-    @given(SLICED_DOCUMENTS)
-    def test_write_json_equals_stdlib_dump(self, doc):
-        with patch.object(model, "SLICE_RECORDS", SLICE), tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "doc.json"
-            write_json(path, doc)
-            assert path.read_bytes() == (stdlib_dumps(doc) + "\n").encode("utf-8")
-
     @pytest.mark.parametrize("n", SLICED_LENGTHS)
     def test_jsonl_artifacts_equal_one_shot(self, tmp_path, monkeypatch, default_rules, n):
         monkeypatch.setattr(model, "SLICE_RECORDS", SLICE)

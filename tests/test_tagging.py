@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 
@@ -552,8 +553,9 @@ class TestExpectedSteps:
 
 
 STEPS = st.sampled_from(list(StepTag))
-# a few fixed priorities make ties between candidates common
-PRIORITIES = st.sampled_from([0.0, 5.0, 10.0]) | st.floats(allow_nan=False, allow_infinity=False)
+# a few fixed priorities make ties between candidates common; an integer
+# priority encodes unlike the equal float
+PRIORITIES = st.sampled_from([0.0, 5.0, 10.0, 5]) | st.floats(allow_nan=False, allow_infinity=False) | st.integers()
 DECISIONS = st.builds(
     TagDecision,
     event_id=st.text(),
@@ -574,7 +576,34 @@ class TestDecisionsJsonl:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(DECISIONS, max_size=5))
     def test_round_trip(self, decisions):
-        assert decisions_from_jsonl(decisions_to_jsonl(decisions)) == decisions
+        text = decisions_to_jsonl(decisions)
+        assert decisions_from_jsonl(text) == decisions
+        assert decisions_to_jsonl(decisions_from_jsonl(text)) == text
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"event_id": 7}, "event_id"),
+            ({"chosen": 1}, "chosen"),
+            ({"candidates": {}}, "candidates"),
+            ({"candidates": [["INSTALL"]]}, "candidates"),
+            ({"candidates": [{"step": 1, "rule_id": "r", "priority": 1}]}, "step"),
+            ({"candidates": [{"step": "INSTALL", "rule_id": None, "priority": 1}]}, "rule_id"),
+            ({"candidates": [{"step": "INSTALL", "rule_id": "r", "priority": True}]}, "priority"),
+            ({"candidates": [{"step": "INSTALL", "rule_id": "r", "priority": "1"}]}, "priority"),
+            ({"diagnostics": None}, "diagnostics"),
+            ({"diagnostics": [{"kind": None}]}, "kind"),
+            ({"diagnostics": [{"kind": "MULTI_MATCH", "rule_id": 3}]}, "rule_id"),
+        ],
+    )
+    def test_value_of_wrong_type_names_its_key(self, fields, key):
+        line = json.dumps({"event_id": "a", "candidates": [], "chosen": None, "diagnostics": [], **fields})
+        with pytest.raises(ParseError, match=f"decisions line 1: TypeError: '{key}' must be"):
+            decisions_from_jsonl(line + "\n")
+
+    def test_absent_chosen_is_malformed(self):
+        with pytest.raises(ParseError, match="decisions line 1: KeyError: 'chosen'"):
+            decisions_from_jsonl('{"event_id": "a", "candidates": [], "diagnostics": []}\n')
 
     def test_malformed_line_names_its_number(self):
         text = decisions_to_jsonl([TagDecision(event_id="a", candidates=(), chosen=None, diagnostics=())])
