@@ -32,7 +32,7 @@ from .configio import (
 from .errors import ChainscopeError, ConfigError
 from .graph import DEFAULT_GAP_MS, DEFAULT_TOP_K, DEFAULT_WINDOW_MS
 from .ingest import ingest_scenario
-from .model import events_from_jsonl, events_to_jsonl, write_jsonl
+from .model import events_from_jsonl, events_to_jsonl, sort_events, write_jsonl
 from .pipeline import (
     RunParams,
     build_manifest,
@@ -331,7 +331,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         tables.setdefault(event.source, []).append(event)
     pmap = read_mappings(args.mappings_dir, policy, salt)
     sanitized, pmap, sanitize_report = sanitize_dataset(tables, policy, salt, pmap)
-    merged = sorted((e for events in sanitized.values() for e in events), key=lambda e: e.sort_key())
+    merged = sort_events(e for events in sanitized.values() for e in events)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(args.out, merged, events_to_jsonl)
     write_mappings(args.mappings_dir, pmap)

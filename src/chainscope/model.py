@@ -11,15 +11,18 @@ naive flag alongside the value.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Pattern, Sequence, Tuple, TypeVar, Union
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConfigError, ParseError
 
@@ -39,7 +42,44 @@ TRUST_ORIGINS = (TRUST_ATTACKER, TRUST_TARGET)
 # Candidate fields concatenated into text_blob, in this fixed order.
 TEXT_BLOB_CANDIDATES = ("raw", "message", "cmdline")
 
+# The epoch milliseconds iso_ms can render, 0001-01-01T00:00:00.000 to
+# 9999-12-31T23:59:59.999 UTC: parse_timestamp and the events.jsonl reader
+# reject a ts outside them.
+TS_MIN_MS = -62135596800000
+TS_MAX_MS = 253402300799999
 
+
+def _init_through_slots(cls: type) -> type:
+    """Give a frozen slotted dataclass an ``__init__`` that sets each slot
+    through its member descriptor instead of ``object.__setattr__`` by name.
+
+    Parameters, defaults, default factories, the ``__post_init__`` call and
+    the error messages of a bad call stay the dataclass's; an instance is
+    built in about half the time.
+    """
+    namespace: Dict[str, Any] = {"MISSING": dataclasses.MISSING}
+    params, body = [], []
+    for f in dataclasses.fields(cls):
+        name, value = f.name, f.name
+        if f.default is not dataclasses.MISSING:
+            namespace[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+        elif f.default_factory is not dataclasses.MISSING:
+            namespace[f"_factory_{name}"] = f.default_factory
+            params.append(f"{name}=MISSING")
+            value = f"_factory_{name}() if {name} is MISSING else {name}"
+        else:
+            params.append(name)
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        body.append(f"    _set_{name}(self, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}    self.__post_init__()\n", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_init_through_slots
 @dataclass(frozen=True, slots=True)
 class NormalizedEvent:
     """One canonical telemetry record, flat: its process fields (pid, ppid,
@@ -172,7 +212,15 @@ def _parse_iso(raw: str) -> TsParse:
     naive = dt.tzinfo is None
     if naive:
         dt = dt.replace(tzinfo=timezone.utc)
-    return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=naive)
+    return TsParse(ts_ms=_in_range(dt.timestamp() * 1000, raw), tz_naive=naive)
+
+
+def _in_range(ms: float, raw: str) -> int:
+    """ms rounded to an integer, or ParseError when that is outside TS_MIN_MS..TS_MAX_MS."""
+    ts_ms = round(ms) if math.isfinite(ms) else TS_MAX_MS + 1  # a long enough epoch string reads as inf
+    if not TS_MIN_MS <= ts_ms <= TS_MAX_MS:
+        raise ParseError(f"timestamp {raw!r} is outside the years 1-9999", offending=raw)
+    return ts_ms
 
 
 def _pad_fraction(match: "re.Match[str]") -> str:
@@ -184,8 +232,7 @@ def _parse_epoch(text: str, millis: Optional[bool]) -> TsParse:
     value = float(text)
     if millis is None:
         millis = abs(value) >= 1e11
-    ts_ms = round(value) if millis else round(value * 1000)
-    return TsParse(ts_ms=ts_ms, tz_naive=False)
+    return TsParse(ts_ms=_in_range(value if millis else value * 1000, text), tz_naive=False)
 
 
 def _parse_bsd(raw: str, default_year: Optional[int]) -> TsParse:
@@ -379,6 +426,44 @@ def _object(data: Mapping[str, Any], key: str) -> Dict[str, Any]:
     return value
 
 
+# (group, key, kind, default) of the fields _raise_bad_field checks, in its order: the group is
+# the record itself ("") or its "process" or "network" object, and the default is _field's
+_FIELD_CHECKS = (
+    ("", "event_id", str, _REQUIRED),
+    ("", "ts", int, _REQUIRED),
+    ("", "scenario_id", str, ""),
+    ("", "source", str, _REQUIRED),
+    ("", "trust_origin", str, _REQUIRED),
+    ("", "host", str, None),
+    ("", "user", str, None),
+    ("process", "pid", int, None),
+    ("process", "ppid", int, None),
+    ("process", "image", str, None),
+    ("process", "cmdline", str, None),
+    ("network", "src_ip", str, None),
+    ("network", "src_port", int, None),
+    ("network", "dst_ip", str, None),
+    ("network", "dst_port", int, None),
+    ("network", "proto", str, None),
+    ("", "text_blob", str, ""),
+)
+
+
+def _raise_bad_field(data: Mapping[str, Any]) -> NoReturn:
+    """Raise the error of the first field of data that event_from_dict's
+    check rejects: a group that is not an object, an extras value that is
+    not a string, then each field of _FIELD_CHECKS in turn (KeyError or
+    TypeError naming the key), and last a ts outside the years 1-9999
+    (ValueError)."""
+    groups = {"": data, "process": _object(data, "process"), "network": _object(data, "network")}
+    for key, value in _object(data, "extras").items():
+        if type(value) is not str:
+            raise TypeError(f"'extras' value {key!r} must be a string, got {type(value).__name__}")
+    for group, key, kind, default in _FIELD_CHECKS:
+        _field(groups[group], key, kind, default)
+    raise ValueError(f"'ts' {data['ts']} is outside the years 1-9999")
+
+
 def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = None) -> NormalizedEvent:
     """Build an event from its ``event_to_dict`` form.
 
@@ -389,37 +474,68 @@ def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = 
     and trust_origin are strings, and so are scenario_id and text_blob when
     present; ts is an integer; the other fields are strings or integers as
     in NormalizedEvent, or null; ``process``, ``network`` and ``extras``
-    are objects or null, and the values of ``extras`` are strings.
+    are objects or null, and the values of ``extras`` are strings. A ts
+    outside TS_MIN_MS..TS_MAX_MS raises ValueError.
+
+    Every field is fetched once and checked in one expression; only a
+    record that fails it is walked field by field, by _raise_bad_field.
     """
-    if shared is None:
-        shared = {}
-
-    def share(value: Any) -> Any:
-        return shared.setdefault(value, value) if isinstance(value, str) else value
-
-    proc, net, extras = _object(data, "process"), _object(data, "network"), _object(data, "extras")
-    for key, value in extras.items():
-        if type(value) is not str:
-            raise TypeError(f"'extras' value {key!r} must be a string, got {type(value).__name__}")
+    get = data.get
+    event_id, ts, scenario_id, source, trust_origin = (
+        get("event_id"), get("ts"), get("scenario_id", ""), get("source"), get("trust_origin")
+    )
+    host, user, text_blob, proc, net, extras = get("host"), get("user"), get("text_blob", ""), get("process"), get("network"), get("extras")
+    pid = ppid = image = cmdline = src_ip = src_port = dst_ip = dst_port = proto = None
+    if type(proc) is dict:
+        pid, ppid, image, cmdline = proc.get("pid"), proc.get("ppid"), proc.get("image"), proc.get("cmdline")
+    if type(net) is dict:
+        src_ip, src_port, dst_ip, dst_port, proto = (
+            net.get("src_ip"), net.get("src_port"), net.get("dst_ip"), net.get("dst_port"), net.get("proto")
+        )
+    if not (
+        type(event_id) is str
+        and type(ts) is int
+        and TS_MIN_MS <= ts <= TS_MAX_MS
+        and type(scenario_id) is str
+        and type(source) is str
+        and type(trust_origin) is str
+        and (host is None or type(host) is str)
+        and (user is None or type(user) is str)
+        and type(text_blob) is str
+        and (proc is None or type(proc) is dict)
+        and (pid is None or type(pid) is int)
+        and (ppid is None or type(ppid) is int)
+        and (image is None or type(image) is str)
+        and (cmdline is None or type(cmdline) is str)
+        and (net is None or type(net) is dict)
+        and (src_ip is None or type(src_ip) is str)
+        and (src_port is None or type(src_port) is int)
+        and (dst_ip is None or type(dst_ip) is str)
+        and (dst_port is None or type(dst_port) is int)
+        and (proto is None or type(proto) is str)
+        and (extras is None if type(extras) is not dict else not extras or all(type(v) is str for v in extras.values()))
+    ):
+        _raise_bad_field(data)
+    share = (shared if shared is not None else {}).setdefault
     return NormalizedEvent(
-        event_id=_field(data, "event_id", str, _REQUIRED),
-        ts=_field(data, "ts", int, _REQUIRED),
-        scenario_id=share(_field(data, "scenario_id", str, "")),
-        source=share(_field(data, "source", str, _REQUIRED)),
-        trust_origin=share(_field(data, "trust_origin", str, _REQUIRED)),
-        host=share(_field(data, "host", str)),
-        user=share(_field(data, "user", str)),
-        pid=_field(proc, "pid", int),
-        ppid=_field(proc, "ppid", int),
-        image=share(_field(proc, "image", str)),
-        cmdline=_field(proc, "cmdline", str),
-        src_ip=share(_field(net, "src_ip", str)),
-        src_port=_field(net, "src_port", int),
-        dst_ip=share(_field(net, "dst_ip", str)),
-        dst_port=_field(net, "dst_port", int),
-        proto=share(_field(net, "proto", str)),
-        text_blob=_field(data, "text_blob", str, ""),
-        extras={share(k): v for k, v in extras.items()},
+        event_id,
+        ts,
+        share(scenario_id, scenario_id),
+        share(source, source),
+        share(trust_origin, trust_origin),
+        host if host is None else share(host, host),
+        user if user is None else share(user, user),
+        pid,
+        ppid,
+        image if image is None else share(image, image),
+        cmdline,
+        src_ip if src_ip is None else share(src_ip, src_ip),
+        src_port,
+        dst_ip if dst_ip is None else share(dst_ip, dst_ip),
+        dst_port,
+        proto if proto is None else share(proto, proto),
+        text_blob,
+        {share(k, k): v for k, v in extras.items()} if extras else {},
     )
 
 
@@ -427,8 +543,62 @@ def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = 
 encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _event_line(e: NormalizedEvent) -> str:
+    """``encode_compact(event_to_dict(e))``, put together from the fields.
+
+    Strings go through json's own escaper; an integer field that is not
+    exactly an int, extras that are not a dict, or a value the escaper
+    rejects (TypeError) send the event through event_to_dict and the
+    encoder instead.
+    """
+    ts, pid, ppid, src_port, dst_port, extras = e.ts, e.pid, e.ppid, e.src_port, e.dst_port, e.extras
+    if (
+        type(ts) is int
+        and (pid is None or type(pid) is int)
+        and (ppid is None or type(ppid) is int)
+        and (src_port is None or type(src_port) is int)
+        and (dst_port is None or type(dst_port) is int)
+        and type(extras) is dict
+    ):
+        esc = encode_basestring_ascii
+        host, user, image, cmdline, src_ip, dst_ip, proto = e.host, e.user, e.image, e.cmdline, e.src_ip, e.dst_ip, e.proto
+        try:
+            proc = []
+            if pid is not None:
+                proc.append(f'"pid":{pid}')
+            if ppid is not None:
+                proc.append(f'"ppid":{ppid}')
+            if image is not None:
+                proc.append(f'"image":{esc(image)}')
+            if cmdline is not None:
+                proc.append(f'"cmdline":{esc(cmdline)}')
+            net = []
+            if src_ip is not None:
+                net.append(f'"src_ip":{esc(src_ip)}')
+            if src_port is not None:
+                net.append(f'"src_port":{src_port}')
+            if dst_ip is not None:
+                net.append(f'"dst_ip":{esc(dst_ip)}')
+            if dst_port is not None:
+                net.append(f'"dst_port":{dst_port}')
+            if proto is not None:
+                net.append(f'"proto":{esc(proto)}')
+            pairs = ",".join([f"{esc(k)}:{esc(v)}" for k, v in sorted(extras.items())]) if extras else ""
+            return (
+                f'{{"event_id":{esc(e.event_id)},"ts":{ts},"scenario_id":{esc(e.scenario_id)},'
+                f'"source":{esc(e.source)},"trust_origin":{esc(e.trust_origin)},'
+                f'"host":{"null" if host is None else esc(host)},"user":{"null" if user is None else esc(user)},'
+                f'"process":{"{" + ",".join(proc) + "}" if proc else "null"},'
+                f'"network":{"{" + ",".join(net) + "}" if net else "null"},"text_blob":{esc(e.text_blob)},'
+                f'"extras":{{{pairs}}}}}'
+            )
+        except TypeError:
+            pass
+    return encode_compact(event_to_dict(e))
+
+
 def events_to_jsonl(events: Iterable[NormalizedEvent]) -> str:
-    lines = [encode_compact(event_to_dict(e)) for e in events]
+    lines = [_event_line(e) for e in events]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -456,6 +626,11 @@ def _jsonl_lines(source: Union[str, IO[bytes]], kind: str) -> Iterator[Tuple[int
             yield lineno, line
 
 
+# the scanner json.loads runs, without its checks around the value; a line it
+# cannot read whole goes to json.loads, for json's own error message
+_scan_once = json.JSONDecoder().scan_once
+
+
 def events_from_jsonl(source: Union[str, IO[bytes]]) -> List[NormalizedEvent]:
     """Parse events.jsonl from its text or from a file opened in binary mode.
 
@@ -470,7 +645,13 @@ def events_from_jsonl(source: Union[str, IO[bytes]]) -> List[NormalizedEvent]:
         if not line:
             continue
         try:
-            events.append(event_from_dict(json.loads(line), shared))
+            try:
+                doc, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):  # not one JSON value: json.loads raises with its own message
+                doc = json.loads(line)
+            events.append(event_from_dict(doc, shared))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"events line {lineno}: {type(exc).__name__}: {exc}", offending=line)
     return events

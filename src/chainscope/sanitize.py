@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Pattern, Sequence, Set, Tuple
 
 from .errors import ParseError, SanitizeError
-from .model import NormalizedEvent, object_field, read_json, write_json
+from .model import NormalizedEvent, object_field, parse_regex, read_json, write_json
+from .tagging import required_literals
 
 CATEGORY_NAMES = ("host", "user", "resource", "path", "domain")
 
@@ -206,13 +207,27 @@ class SanitizeReport:
         return sum(self.replacements.values())
 
 
-def _collect_identifiers(
-    tables: Mapping[str, Sequence[NormalizedEvent]], policy: PseudonymPolicy
-) -> Dict[str, Set[str]]:
-    """First pass: gather every identifier per category across all sources.
+def _distinct_values(tables: Mapping[str, Sequence[NormalizedEvent]]) -> Tuple[Set[Optional[str]], Set[Optional[str]], Set[str]]:
+    """Every distinct host, user and non-empty text (image, cmdline,
+    text_blob and extras values) across all sources."""
+    hosts = {e.host for events in tables.values() for e in events}
+    users = {e.user for events in tables.values() for e in events}
+    texts = {e.text_blob for events in tables.values() for e in events}
+    texts |= {e.cmdline for events in tables.values() for e in events}
+    texts |= {e.image for events in tables.values() for e in events}
+    texts |= {v for events in tables.values() for e in events for v in e.extras.values()}
+    texts -= {None, ""}
+    return hosts, users, texts
 
-    Each distinct host, user and text is examined once: the result sets do
-    not depend on how often or in which event a value occurs.
+
+def _collect_identifiers(
+    hosts: Set[Optional[str]], users: Set[Optional[str]], texts: Set[str], policy: PseudonymPolicy
+) -> Dict[str, Set[str]]:
+    """First pass: gather every identifier per category from the distinct
+    values of ``_distinct_values``.
+
+    A pattern runs only on the texts that hold one of its required literals
+    (``tagging.required_literals``); a text without any cannot match.
     """
     found: Dict[str, Set[str]] = {spec.name: set() for spec in policy.categories}
     retain = policy.compiled_retain()
@@ -222,21 +237,22 @@ def _collect_identifiers(
             return False
         return not any(p.match(value) for p in retain)
 
-    hosts: Set[Optional[str]] = set()
-    users: Set[Optional[str]] = set()
-    texts: Set[str] = set()
-    for events in tables.values():
-        for event in events:
-            hosts.add(event.host)
-            users.add(event.user)
-            texts.update((event.text_blob or "", event.cmdline or "", event.image or ""))
-            texts.update(str(v) for v in event.extras.values())
     for name, values in (("host", hosts), ("user", users)):
         if name in found:
             found[name].update(v for v in values if v and keep(v))
     for spec in policy.categories:
-        for pattern in spec.compiled():
-            for text in texts:
+        scanned = texts
+        if spec.name == "domain":  # a kept domain ends with a rewrite suffix, so its text holds one
+            scanned = {t for suffix in policy.domain_rewrite_suffixes for t in texts if suffix in t}
+        for source, pattern in zip(spec.patterns, spec.compiled()):
+            literals, fold = required_literals(parse_regex(source))
+            if literals is None:
+                candidates = scanned
+            elif fold:  # as tagging's prefilter: lowered literals, looked for in lowered ASCII text only
+                candidates = {t for literal in literals for t in scanned if not t.isascii() or literal in t.lower()}
+            else:
+                candidates = {t for literal in literals for t in scanned if literal in t}
+            for text in candidates:
                 for match in pattern.finditer(text):
                     value = match.group(1) if match.groups() else match.group(0)
                     if spec.name == "domain" and not _domain_rewritable(value, policy):
@@ -303,7 +319,8 @@ def sanitize_dataset(
     if not pmap.salt_ref:
         pmap.salt_ref = salt_reference(salt)
 
-    identifiers = _collect_identifiers(tables, policy)
+    hosts, users, texts = _distinct_values(tables)
+    identifiers = _collect_identifiers(hosts, users, texts, policy)
     tokens: Dict[str, str] = {}
     cat_of: Dict[str, str] = {}
     mapped_counts: Dict[str, int] = {}
@@ -316,7 +333,26 @@ def sanitize_dataset(
     # longest-first so "alice-laptop" is rewritten before "alice"
     ordered = sorted(tokens.items(), key=lambda item: (-len(item[0]), item[0]))
 
+    # each distinct text is rewritten once: the texts that change, with their
+    # rewrite and its per-category replacements, counted again per occurrence
+    rewritten: Dict[str, Tuple[str, Tuple[Tuple[str, int], ...]]] = {}
+    for text in texts:
+        found: Dict[str, int] = {}
+        new = _substitute(text, ordered, found, cat_of)
+        if new is not text:
+            rewritten[text] = (new, tuple(found.items()))
+
     counts: Dict[str, int] = {}
+
+    def rewrite(text: Optional[str]) -> Optional[str]:
+        """text's rewrite, counted, or text itself when nothing in it changes."""
+        hit = rewritten.get(text)
+        if hit is None:
+            return text
+        for category, n in hit[1]:
+            counts[category] = counts.get(category, 0) + n
+        return hit[0]
+
     sanitized: Dict[str, List[NormalizedEvent]] = {}
     for source, events in tables.items():
         out: List[NormalizedEvent] = []
@@ -329,15 +365,11 @@ def sanitize_dataset(
             if user is not None and user in tokens:
                 counts[cat_of[user]] = counts.get(cat_of[user], 0) + 1
                 user = tokens[user]
-            image = _substitute(event.image, ordered, counts, cat_of) if event.image else event.image
-            cmdline = _substitute(event.cmdline, ordered, counts, cat_of) if event.cmdline else event.cmdline
-            text_blob = _substitute(event.text_blob, ordered, counts, cat_of) if event.text_blob else event.text_blob
+            image, cmdline, text_blob = rewrite(event.image), rewrite(event.cmdline), rewrite(event.text_blob)
             extras = event.extras
-            if extras:
-                new_extras = {k: _substitute(v, ordered, counts, cat_of) for k, v in extras.items()}
-                if new_extras != dict(extras):
-                    extras = new_extras
-            # _substitute returns its argument itself when nothing matched
+            if extras and not rewritten.keys().isdisjoint(extras.values()):
+                extras = {k: rewrite(v) for k, v in extras.items()}
+            # rewrite returns its argument itself when nothing changed
             if (
                 host is event.host
                 and user is event.user
@@ -350,24 +382,24 @@ def sanitize_dataset(
             else:
                 out.append(
                     NormalizedEvent(
-                        event_id=event.event_id,
-                        ts=event.ts,
-                        scenario_id=event.scenario_id,
-                        source=event.source,
-                        trust_origin=event.trust_origin,
-                        host=host,
-                        user=user,
-                        pid=event.pid,
-                        ppid=event.ppid,
-                        image=image,
-                        cmdline=cmdline,
-                        src_ip=event.src_ip,
-                        src_port=event.src_port,
-                        dst_ip=event.dst_ip,
-                        dst_port=event.dst_port,
-                        proto=event.proto,
-                        text_blob=text_blob,
-                        extras=extras,
+                        event.event_id,
+                        event.ts,
+                        event.scenario_id,
+                        event.source,
+                        event.trust_origin,
+                        host,
+                        user,
+                        event.pid,
+                        event.ppid,
+                        image,
+                        cmdline,
+                        event.src_ip,
+                        event.src_port,
+                        event.dst_ip,
+                        event.dst_port,
+                        event.proto,
+                        text_blob,
+                        extras,
                     )
                 )
         sanitized[source] = out

@@ -32,6 +32,7 @@ from chainscope.model import (
     NormalizedEvent,
     TsParse,
     field_resolver,
+    iso_ms,
     parse_timestamp,
     resolve_fields,
 )
@@ -411,7 +412,17 @@ def _reference_iso(raw):
     naive = dt.tzinfo is None
     if naive:
         dt = dt.replace(tzinfo=timezone.utc)
-    return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=naive)
+    return TsParse(ts_ms=_reference_renderable(dt.timestamp() * 1000, raw), tz_naive=naive)
+
+
+def _reference_renderable(ms, raw):
+    """ms rounded, if iso_ms can render it; else the ParseError of a timestamp out of range."""
+    try:
+        ts_ms = round(ms)
+        iso_ms(ts_ms)
+    except (OverflowError, ValueError):
+        raise ParseError(f"timestamp {raw!r} is outside the years 1-9999", offending=raw)
+    return ts_ms
 
 
 def _reference_epoch(raw, millis):
@@ -420,7 +431,7 @@ def _reference_epoch(raw, millis):
     value = float(raw)
     if millis is None:
         millis = abs(value) >= 1e11
-    return TsParse(ts_ms=round(value) if millis else round(value * 1000), tz_naive=False)
+    return TsParse(ts_ms=_reference_renderable(value if millis else value * 1000, raw.strip()), tz_naive=False)
 
 
 def _reference_bsd(raw, default_year):
@@ -471,6 +482,67 @@ def reference_parse_timestamp(raw, format_hint=TS_AUTO, default_year=None):
     except ParseError:
         pass
     return _reference_bsd(text, default_year)
+
+
+_REFERENCE_TYPE_NAMES = {str: "a string", int: "an integer"}
+_REQUIRED = object()
+
+
+def _reference_field(group, key, kind, default=None):
+    value = group[key] if default is _REQUIRED else group.get(key, default)
+    if type(value) is kind or (value is None and default is None):
+        return value
+    nullable = " or null" if default is None else ""
+    raise TypeError(f"{key!r} must be {_REFERENCE_TYPE_NAMES[kind]}{nullable}, got {type(value).__name__}")
+
+
+def _reference_object(data, key):
+    value = data.get(key)
+    if value is None:
+        return {}
+    if type(value) is not dict:
+        raise TypeError(f"{key!r} must be an object, got {type(value).__name__}")
+    return value
+
+
+def reference_event_from_dict(data, shared=None):
+    """model.event_from_dict field by field, as it was before it checked
+    every field in one expression, and with the range of ts it checks now."""
+    if shared is None:
+        shared = {}
+
+    def share(value):
+        return shared.setdefault(value, value) if isinstance(value, str) else value
+
+    proc, net, extras = _reference_object(data, "process"), _reference_object(data, "network"), _reference_object(data, "extras")
+    for key, value in extras.items():
+        if type(value) is not str:
+            raise TypeError(f"'extras' value {key!r} must be a string, got {type(value).__name__}")
+    fields = dict(
+        event_id=_reference_field(data, "event_id", str, _REQUIRED),
+        ts=_reference_field(data, "ts", int, _REQUIRED),
+        scenario_id=share(_reference_field(data, "scenario_id", str, "")),
+        source=share(_reference_field(data, "source", str, _REQUIRED)),
+        trust_origin=share(_reference_field(data, "trust_origin", str, _REQUIRED)),
+        host=share(_reference_field(data, "host", str)),
+        user=share(_reference_field(data, "user", str)),
+        pid=_reference_field(proc, "pid", int),
+        ppid=_reference_field(proc, "ppid", int),
+        image=share(_reference_field(proc, "image", str)),
+        cmdline=_reference_field(proc, "cmdline", str),
+        src_ip=share(_reference_field(net, "src_ip", str)),
+        src_port=_reference_field(net, "src_port", int),
+        dst_ip=share(_reference_field(net, "dst_ip", str)),
+        dst_port=_reference_field(net, "dst_port", int),
+        proto=share(_reference_field(net, "proto", str)),
+        text_blob=_reference_field(data, "text_blob", str, ""),
+        extras={share(k): v for k, v in extras.items()},
+    )
+    try:
+        iso_ms(fields["ts"])
+    except (OverflowError, ValueError):
+        raise ValueError(f"'ts' {fields['ts']} is outside the years 1-9999")
+    return NormalizedEvent(**fields)
 
 
 def reference_lookup(record, lowered_fields, canonical, lowered_map, aliases):

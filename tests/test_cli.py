@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chainscope import model
 from chainscope.cli import _build_parser, main
 from chainscope.model import events_to_jsonl
 from chainscope.sanitize import salt_reference
@@ -550,6 +551,35 @@ class TestSanitizeAndReport:
         assert str(budgets) in json.loads((out / "manifest.json").read_text())["input_digests"]
 
 
+class TestTimestampsOutOfRange:
+    def test_an_epoch_past_the_year_9999_is_quarantined(self, scenario_dir, tmp_path):
+        # read as milliseconds, 1e16 falls in the year 318857, which evidence.json cannot render
+        line = {"ts": 10**16, "host": "lin-build-02", "id.orig_h": "10.0.0.44", "id.orig_p": 45215, "id.resp_h": "203.0.113.9",
+                "id.resp_p": 443, "proto": "tcp", "message": "flow tcp 10.0.0.44:45215 -> 203.0.113.9:443 established"}
+        with open(scenario_dir / "zeek.jsonl", "a", encoding="utf-8") as out:
+            out.write(json.dumps(line) + "\n")
+        rules_path = tmp_path / "rules_dense.yml"
+        rules_path.write_text(files("chainscope").joinpath("config", "rules.yml").read_text() + BENIGN_RULES)
+        run = tmp_path / "run"
+        assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--rules", str(rules_path), "--out", str(run)]) == 0
+        report = json.loads((run / "ingest_report.json").read_text())
+        assert report["total_quarantined"] == 1
+        assert [s["quarantined"] for s in report["sources"] if s["source"] == "zeek"] == [1]
+
+    @pytest.mark.parametrize("command", ["sanitize", "reconstruct"])
+    def test_an_events_line_out_of_range_exit_2_naming_the_line(self, tmp_path, capsys, command):
+        events = tmp_path / "events.jsonl"
+        events.write_text(events_to_jsonl([make_event(event_id="a")]) + '{"event_id":"b","ts":10000000000000000,"source":"s","trust_origin":"target"}\n')
+        (tmp_path / "salt.txt").write_text("salt\n")
+        (tmp_path / "decisions.jsonl").write_text("")
+        argv = {
+            "sanitize": ["sanitize", "--in", str(events), "--salt-file", str(tmp_path / "salt.txt"), "--mappings-dir", str(tmp_path / "m")],
+            "reconstruct": ["reconstruct", "--events", str(events), "--decisions", str(tmp_path / "decisions.jsonl")],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "events line 2: ValueError: 'ts' 10000000000000000 is outside the years 1-9999" in capsys.readouterr().err
+
+
 class TestMalformedJsonInputs:
     def test_corrupt_ground_truth_exit_2(self, scenario_dir, tmp_path, capsys):
         (scenario_dir / "ground_truth.json").write_text('{"scenario_id": ')
@@ -807,11 +837,12 @@ class TestReconstructionFlags:
         assert main(argv) == 1
         assert f"argument {flag}" in capsys.readouterr().err
 
-    # 9.3e18 ms is over 2**63 - 1, the most an edge gap can hold, and so is
-    # 1e17 s; 9.2e18 ms and 9.22e15 s are under it
-    @pytest.mark.parametrize("window, far, code", [("1e17", 9_300_000_000_000_000_000, 1), ("9.22e15", 9_200_000_000_000_000_000, 0)])
+    # 1e17 s is over 2**63 - 1 ms, the most an edge gap can hold, and 9.22e15 s
+    # is under it; the widest gap events.jsonl can hold, from the year 1 to
+    # the year 9999, is far under both
+    @pytest.mark.parametrize("window, far, code", [("1e17", model.TS_MAX_MS, 1), ("9.22e15", model.TS_MAX_MS, 0)])
     def test_window_is_bounded_by_the_64_bit_edge_gap(self, tmp_path, capsys, window, far, code):
-        events = [make_event(event_id="a", ts=0, host="h"), make_event(event_id="b", ts=far, host="h")]
+        events = [make_event(event_id="a", ts=model.TS_MIN_MS, host="h"), make_event(event_id="b", ts=far, host="h")]
         (tmp_path / "events.jsonl").write_text(events_to_jsonl(events))
         (tmp_path / "decisions.jsonl").write_text(
             decisions_to_jsonl(TagDecision(event_id=e.event_id, candidates=(), chosen=StepTag.INSTALL, diagnostics=()) for e in events)
@@ -822,7 +853,7 @@ class TestReconstructionFlags:
             assert "argument --window" in capsys.readouterr().err
         else:
             graph = json.loads((tmp_path / "out" / "graph.json").read_text())
-            assert [edge["gap_ms"] for edge in graph["edges"]] == [far]
+            assert [edge["gap_ms"] for edge in graph["edges"]] == [far - model.TS_MIN_MS]
 
     def test_smallest_values_are_accepted(self, scenario_dir, tmp_path):
         argv = ["evaluate", "--scenario-dir", str(scenario_dir), "--topk", "1", "--window", "0.001", "--gap", "0"]

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainscope import configio
 from chainscope.cli import main
 from chainscope.configio import (
     load_adapters,
@@ -118,6 +119,28 @@ def test_adapters_loadable_from_a_directory(tmp_path):
     )
     adapters = load_adapters(tmp_path)
     assert [a.source for a in adapters] == ["syslog", "auditd"]
+
+
+PACKAGED_YAML = sorted(
+    str(path.relative_to(Path(str(importlib.resources.files("chainscope")))))
+    for path in Path(str(importlib.resources.files("chainscope").joinpath("config"))).rglob("*.yml")
+)
+
+
+@pytest.mark.parametrize("name", PACKAGED_YAML)
+def test_packaged_document_loads_alike_with_libyaml_and_pure_python(name):
+    text = importlib.resources.files("chainscope").joinpath(name).read_text(encoding="utf-8")
+    # repr tells 1 from 1.0 and True, which == does not
+    assert repr(yaml.load(text, Loader=configio._LOADER)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("text", ["rules: [", "rules:\n  - a\n - b\n", "a: 'open", "\tkey: tab", "a: *nowhere"])
+def test_malformed_yaml_exit_2_naming_the_file(tmp_path, capsys, text):
+    (tmp_path / "rules.yml").write_text(text, encoding="utf-8")
+    (tmp_path / "events.jsonl").write_text("")
+    argv = ["tag", "--events", str(tmp_path / "events.jsonl"), "--rules", str(tmp_path / "rules.yml"), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert f"malformed YAML in {tmp_path / 'rules.yml'}" in capsys.readouterr().err
 
 
 def test_missing_config_file_names_path(tmp_path):

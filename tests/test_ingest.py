@@ -144,6 +144,13 @@ class TestNormalizeRecords:
         # fixed candidate order: raw, message, cmdline
         assert result.events[0].text_blob == "a message run this"
 
+    @pytest.mark.parametrize("ts", ["10000000000000000", "-62135596800001", "253402300800000", "1" + "0" * 400])
+    def test_timestamp_outside_the_years_1_to_9999_quarantined(self, ts):
+        records = self._records(f'ts={ts} host=h1 msg="far"\nts=1714554000.000 host=h1 msg="ok"\n', KV_ADAPTER)
+        result = normalize_records(records, KV_ADAPTER, scenario_id="s")
+        assert [e.text_blob for e in result.events] == ["ok"]
+        assert [(q.ordinal, q.reason) for q in result.quarantined] == [(0, f"bad timestamp: {ts!r}")]
+
     def test_record_without_timestamp_quarantined(self):
         adapter = SourceAdapterSpec(
             source="auditd",
@@ -242,6 +249,7 @@ class TestNormalizeRecords:
             ),
             ({"ts": True}, [], "'ts' must be an integer, got bool"),
             ({"ts": 2.9}, [], "'ts' must be an integer, got float"),
+            ({"ts": 10**16}, [], "'ts' 10000000000000000 is outside the years 1-9999"),
             ({"extras": {"k": 5}}, [{"extras": {"k": "5"}}], "'extras' value 'k' must be a string, got int"),
             ({"extras": ["k"]}, [{"extras": None}], "'extras' must be an object, got list"),
         ],

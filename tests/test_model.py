@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import gc
 import io
 import json
 import re
 import tempfile
 import tracemalloc
+import types
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,7 +21,9 @@ from chainscope.graph import build_event_graph
 from chainscope.ingest import IngestResult, RawRecord
 from chainscope.model import (
     FieldAliasMap,
+    NormalizedEvent,
     canonicalize_ts,
+    encode_compact,
     event_from_dict,
     event_to_dict,
     events_from_jsonl,
@@ -30,7 +35,7 @@ from chainscope.model import (
 )
 from chainscope.pipeline import write_ingest_artifacts, write_tag_artifacts
 from chainscope.tagging import decisions_to_jsonl, tag_run
-from conftest import jsonl_layouts, make_event, reference_parse_timestamp, resolve_field
+from conftest import jsonl_layouts, make_event, reference_event_from_dict, reference_parse_timestamp, resolve_field
 
 
 class TestCanonicalizeTs:
@@ -533,3 +538,248 @@ def test_per_event_classes_hold_no_dict(default_rules):
     assert len({type(obj) for obj in instances}) == 6
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+# --- the events.jsonl codec against its field-by-field reference ------------
+
+# few values, so that equal strings recur across the records of one read
+CODEC_STRINGS = st.sampled_from(["h1", "build-02", "10.0.0.1", "tcp", "café", "\U0001f600", ""])
+CODEC_EVENTS = st.lists(
+    st.builds(
+        make_event,
+        event_id=st.sampled_from(["a", "b", "syslog:000:000001"]),
+        ts=st.sampled_from([model.TS_MIN_MS, -1, 0, model.TS_MAX_MS]) | st.integers(model.TS_MIN_MS, model.TS_MAX_MS),
+        source=st.sampled_from(["syslog", "zeek"]),
+        scenario_id=st.sampled_from(["", "bulk"]),
+        trust_origin=st.sampled_from(model.TRUST_ORIGINS),
+        host=st.none() | CODEC_STRINGS,
+        user=st.none() | CODEC_STRINGS,
+        pid=st.none() | st.integers(-(2**70), 2**70),
+        ppid=st.none() | st.integers(0, 9),
+        image=st.none() | CODEC_STRINGS,
+        cmdline=st.none() | CODEC_STRINGS,
+        src_ip=st.none() | CODEC_STRINGS,
+        src_port=st.none() | st.integers(0, 65535),
+        dst_ip=st.none() | CODEC_STRINGS,
+        dst_port=st.none() | st.integers(0, 65535),
+        proto=st.none() | CODEC_STRINGS,
+        text_blob=CODEC_STRINGS,
+        extras=st.dictionaries(CODEC_STRINGS, CODEC_STRINGS, max_size=3),
+    ),
+    min_size=1,
+    max_size=5,
+)
+# what a key of one record becomes: dropped, null, or a value of another JSON type
+MUTATIONS = ("drop", None, False, True, 2.5, "7", [], ["x"], {}, {"pid": "x"})
+
+
+def _key_paths(doc):
+    """(group, key) of every key a mutation may touch, present or not: group
+    is None for the record itself, else the name of the object holding key."""
+    paths = [(None, key) for key in doc]
+    for group, names in (("process", PROCESS_FIELDS), ("network", NETWORK_FIELDS)):
+        if isinstance(doc[group], dict):
+            paths += [(group, name) for name in names]
+    paths += [("extras", key) for key in doc["extras"]]
+    return paths
+
+
+def _mutated(doc, group, key, mutation):
+    doc = copy.deepcopy(doc)
+    container = doc if group is None else doc[group]
+    if mutation == "drop":
+        container.pop(key, None)
+    else:
+        container[key] = mutation
+    return doc
+
+
+def _read(read, doc, shared):
+    try:
+        return read(doc, shared)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_reads_alike(docs):
+    """Read docs in turn with the reader and with the reference, each with
+    its own shared dict, up to the first bad record, as a read stops there:
+    equal events holding the very same objects, or the same error."""
+    got_shared, want_shared = {}, {}
+    for doc in docs:
+        got = _read(event_from_dict, doc, got_shared)
+        want = _read(reference_event_from_dict, doc, want_shared)
+        assert got == want
+        if not isinstance(want, NormalizedEvent):
+            return
+        for name in NormalizedEvent.__slots__:
+            if name != "extras":
+                assert getattr(got, name) is getattr(want, name), name
+        assert [(id(k), id(v)) for k, v in got.extras.items()] == [(id(k), id(v)) for k, v in want.extras.items()]
+
+
+class TestEventCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), CODEC_EVENTS)
+    def test_reader_equals_the_reference(self, data, events):
+        # a JSON round trip gives every record its own copy of equal strings
+        docs = [json.loads(encode_compact(event_to_dict(e))) for e in events]
+        _assert_reads_alike(docs)
+        # every key of one record dropped, nulled or retyped in turn
+        i = data.draw(st.integers(0, len(docs) - 1))
+        for group, key in _key_paths(docs[i]):
+            for mutation in MUTATIONS:
+                _assert_reads_alike([*docs[:i], _mutated(docs[i], group, key, mutation), *docs[i + 1 :]])
+
+    @pytest.mark.parametrize("doc", [[], "text", 7, None])
+    def test_a_record_that_is_no_object_fails_alike(self, doc):
+        assert _read(event_from_dict, doc, {}) == _read(reference_event_from_dict, doc, {})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                make_event,
+                event_id=st.text(st.characters(exclude_categories=())),
+                ts=st.integers(-(2**80), 2**80),
+                host=st.none() | st.text(st.characters(exclude_categories=())),
+                pid=st.none() | st.integers(-(2**80), 2**80),
+                image=st.none() | st.text(),
+                cmdline=st.none() | st.sampled_from(['"\\\n\t\x00\x1f\x7f', " 𐏿\U0001f600", "café"]),
+                src_ip=st.none() | st.text(max_size=3),
+                src_port=st.none() | st.integers(-(2**40), 2**40),
+                dst_port=st.none() | st.integers(0, 65535),
+                proto=st.none() | st.just("tcp"),
+                text_blob=st.text(st.characters(exclude_categories=())),
+                extras=st.dictionaries(st.text(st.characters(exclude_categories=())), st.text(), max_size=3),
+            ),
+            max_size=4,
+        )
+    )
+    def test_writer_equals_the_encoder(self, events):
+        assert events_to_jsonl(events) == "".join(encode_compact(event_to_dict(e)) + "\n" for e in events)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"ts": True},
+            {"pid": False},
+            {"src_port": 2.0},
+            {"dst_port": "443"},
+            {"host": type("Name", (str,), {})("h")},
+            {"image": 7},
+            {"extras": types.MappingProxyType({"b": "2", "a": "1"})},
+            {"extras": {"k": 5}},
+            {"extras": {"k": None}},
+            {"extras": {1: "v"}},
+            {"extras": {"b": "x", 1: "v"}},
+            {"event_id": None},
+        ],
+    )
+    def test_a_value_that_is_no_plain_str_or_int_writes_as_the_encoder_does(self, fields):
+        event = dataclasses.replace(make_event(host=None, pid=1), **fields)
+
+        def written(render):
+            try:
+                return render()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert written(lambda: events_to_jsonl([event])) == written(lambda: encode_compact(event_to_dict(event)) + "\n")
+
+
+class TestEventConstruction:
+    def test_keyword_positional_and_default_construction_agree(self):
+        values = dict(zip(NormalizedEvent.__slots__, ("a", 5, "s", "syslog", "target", "h", "u", 1, 2, "i", "c", "1.2.3.4", 3, "5.6.7.8", 4, "tcp", "t", {"k": "v"})))
+        assert NormalizedEvent(**values) == NormalizedEvent(*values.values())
+        for name, value in values.items():
+            assert getattr(NormalizedEvent(**values), name) is value
+        first, second = NormalizedEvent("a", 5, "s", "syslog", "target"), NormalizedEvent("a", 5, "s", "syslog", "target")
+        assert (first.host, first.pid, first.text_blob, first.extras) == (None, None, "", {})
+        assert first.extras is not second.extras  # a fresh dict per event
+
+    def test_is_frozen_and_holds_no_dict(self):
+        event = make_event()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.host = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.host
+        assert not hasattr(event, "__dict__")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"trust_origin": "unknown"}, "trust_origin must be one of ('attacker', 'target'), got 'unknown'"),
+            ({"source": ""}, "source must be a non-empty stream name"),
+            ({"ts": "1"}, "ts must be an integer epoch-millisecond value, got str"),
+            ({"ts": 1.0}, "ts must be an integer epoch-millisecond value, got float"),
+        ],
+    )
+    def test_post_init_messages(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            make_event(**fields)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(make_event(), **fields)
+        assert str(info.value) == message
+
+    def test_a_bad_call_names_the_class(self):
+        with pytest.raises(TypeError, match=re.escape("NormalizedEvent.__init__() missing 1 required positional argument: 'trust_origin'")):
+            NormalizedEvent("a", 1, "s", "syslog")
+        with pytest.raises(TypeError, match=re.escape("NormalizedEvent.__init__() got an unexpected keyword argument 'nope'")):
+            NormalizedEvent("a", 1, "s", "syslog", "target", nope=1)
+
+    def test_replace_builds_the_changed_event(self):
+        event = make_event(pid=7, extras={"k": "v"})
+        changed = dataclasses.replace(event, host="h2", pid=None)
+        assert changed == make_event(host="h2", extras={"k": "v"})
+        assert changed.extras is event.extras
+
+
+# --- the range of ts ----------------------------------------------------------
+
+
+class TestTimestampRange:
+    def test_the_range_is_what_iso_ms_renders(self):
+        assert model.iso_ms(model.TS_MIN_MS) == "1-01-01T00:00:00.000+00:00"
+        assert model.iso_ms(model.TS_MAX_MS) == "9999-12-31T23:59:59.999+00:00"
+        for outside in (model.TS_MIN_MS - 1, model.TS_MAX_MS + 1):
+            with pytest.raises(ValueError):
+                model.iso_ms(outside)
+
+    @pytest.mark.parametrize(
+        "raw, hint, ts",
+        [
+            (str(model.TS_MAX_MS), model.TS_AUTO, model.TS_MAX_MS),
+            (str(model.TS_MIN_MS), model.TS_AUTO, model.TS_MIN_MS),
+            ("253402300799.999", model.TS_EPOCH_SECONDS, model.TS_MAX_MS),
+            ("0001-01-01T00:00:00Z", model.TS_ISO8601, model.TS_MIN_MS),
+            ("9999-12-31T23:59:59.999+00:00", model.TS_AUTO, model.TS_MAX_MS),
+        ],
+    )
+    def test_the_ends_of_the_range_parse(self, raw, hint, ts):
+        assert parse_timestamp(raw, format_hint=hint).ts_ms == ts
+
+    @pytest.mark.parametrize(
+        "raw, hint",
+        [
+            (str(model.TS_MAX_MS + 1), model.TS_AUTO),
+            (str(model.TS_MIN_MS - 1), model.TS_AUTO),
+            ("10000000000000000", model.TS_AUTO),
+            (10000000000000000, model.TS_AUTO),
+            ("1" + "0" * 400, model.TS_EPOCH_MILLIS),  # reads as an infinite float
+            ("253402300800", model.TS_EPOCH_SECONDS),
+            ("0001-01-01T00:00:00+05:00", model.TS_ISO8601),
+            ("9999-12-31T23:59:59-00:01", model.TS_ISO8601),
+        ],
+    )
+    def test_outside_the_range_is_a_parse_error(self, raw, hint):
+        with pytest.raises(ParseError, match="outside the years 1-9999"):
+            parse_timestamp(raw, format_hint=hint)
+
+    @pytest.mark.parametrize("ts", [model.TS_MAX_MS + 1, model.TS_MIN_MS - 1, 10**16, -(10**30)])
+    def test_events_reader_names_the_line_of_a_ts_out_of_range(self, ts):
+        line = f'{{"event_id":"b","ts":{ts},"source":"s","trust_origin":"target"}}'
+        text = events_to_jsonl([make_event(event_id="a", ts=model.TS_MAX_MS)]) + line + "\n"
+        with pytest.raises(ParseError, match=re.escape(f"events line 2: ValueError: 'ts' {ts} is outside the years 1-9999")):
+            events_from_jsonl(text)

@@ -6,7 +6,7 @@ from pathlib import Path
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainscope.cli import main
@@ -343,9 +343,23 @@ SANITIZE_EVENTS = st.lists(
 )
 
 
+# one text holding two originals, a user in a home path and a host name
+REPEATED = "/home/alice/.cache sync to buildbox"
+
+
 class TestSanitizeEqualsReference:
     @settings(max_examples=150, deadline=None)
     @given(st.dictionaries(st.sampled_from(["syslog", "zeek", "azure_events"]), SANITIZE_EVENTS, max_size=3))
+    # a text rewritten once, but counted at each of its occurrences, across fields, events and sources
+    @example(
+        {
+            "syslog": [
+                make_event(host="buildbox", text_blob=REPEATED, cmdline=REPEATED),
+                make_event(host=None, text_blob=REPEATED, extras={"path": REPEATED, "Image": REPEATED}),
+            ],
+            "zeek": [make_event(host=None, image=REPEATED, text_blob=REPEATED)],
+        }
+    )
     def test_tables_map_and_report(self, tables):
         got = sanitize_dataset(tables, POLICY, SALT, PseudonymMap(salt_ref=salt_reference(SALT)))
         want = reference_sanitize_dataset(tables, POLICY, SALT, PseudonymMap(salt_ref=salt_reference(SALT)))
