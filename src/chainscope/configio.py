@@ -18,7 +18,7 @@ import yaml
 from .errors import ConfigError, ParseError, SanitizeError, ScenarioError
 from .ingest import SourceAdapterSpec
 from .metrics import BudgetConfig, categorize_budget
-from .model import FieldAliasMap, canonicalize_ts, compile_regex, object_field, object_list, string_list, typed_value
+from .model import FieldAliasMap, compile_regex, object_field, object_list, parse_timestamp, string_list, typed_value
 from .sanitize import CategorySpec, PseudonymPolicy
 from .synth import (
     ACTIVE_HOURS_DEFAULT,
@@ -46,9 +46,14 @@ def load_yaml(path: Path) -> Any:
         raise ConfigError(f"malformed YAML in {path}: {exc}")
 
 
-def _packaged(name: str) -> Any:
-    ref = importlib.resources.files("chainscope").joinpath("config").joinpath(name)
-    return yaml.load(ref.read_text(encoding="utf-8"), Loader=_LOADER)
+def _packaged(*parts: str) -> Any:
+    """The packaged resource config/<parts...>."""
+    return importlib.resources.files("chainscope").joinpath("config", *parts)
+
+
+def _packaged_yaml(*parts: str) -> Any:
+    """The packaged YAML document config/<parts...>; FileNotFoundError when there is none."""
+    return yaml.load(_packaged(*parts).read_text(encoding="utf-8"), Loader=_LOADER)
 
 
 def _document(origin: str, doc: Any) -> Dict[str, Any]:
@@ -63,7 +68,7 @@ def _document(origin: str, doc: Any) -> Dict[str, Any]:
 def _load(path: Optional[Path], packaged: str) -> Tuple[str, Dict[str, Any]]:
     """(origin, document) of a config file, or of the packaged default when path is None."""
     origin = f"packaged {packaged}" if path is None else str(path)
-    return origin, _document(origin, _packaged(packaged) if path is None else load_yaml(path))
+    return origin, _document(origin, _packaged_yaml(packaged) if path is None else load_yaml(path))
 
 
 def _required(origin: str, doc: Dict[str, Any], keys: Sequence[str], kind: str) -> None:
@@ -127,7 +132,7 @@ def load_aliases(path: Optional[Path] = None) -> FieldAliasMap:
 
 
 def load_rules_doc(path: Optional[Path] = None) -> Dict[str, Any]:
-    return load_yaml(path) if path else _packaged("rules.yml")
+    return load_yaml(path) if path else _packaged_yaml("rules.yml")
 
 
 def _regex_list(origin: str, doc: Mapping[str, Any], key: str, where: str = "") -> Tuple[str, ...]:
@@ -224,7 +229,7 @@ def scenario_spec_from_doc(doc: Any, origin: str) -> ScenarioSpec:
     if "activity_set" in benign_doc:
         activity_set = tuple(string_list(origin, benign_doc, "activity_set", "benign."))
     try:
-        start_ms = canonicalize_ts(str(doc.get("start", "2024-05-01T09:00:00+00:00")))
+        start_ms = parse_timestamp(str(doc.get("start", "2024-05-01T09:00:00+00:00"))).ts_ms
     except ParseError as exc:
         raise ConfigError(f"{origin}: 'start': {exc}")
     attack_doc = object_field(origin, doc, "attack")
@@ -298,34 +303,20 @@ def load_template(path: Path) -> AttackTemplate:
 
 
 def packaged_template_ids() -> List[str]:
-    root = importlib.resources.files("chainscope").joinpath("config").joinpath("templates")
-    return sorted(p.name[: -len(".yml")] for p in root.iterdir() if p.name.endswith(".yml"))
+    return sorted(p.name[: -len(".yml")] for p in _packaged("templates").iterdir() if p.name.endswith(".yml"))
 
 
 def load_packaged_template(template_id: str) -> AttackTemplate:
-    ref = (
-        importlib.resources.files("chainscope")
-        .joinpath("config")
-        .joinpath("templates")
-        .joinpath(f"{template_id}.yml")
-    )
     try:
-        text = ref.read_text(encoding="utf-8")
+        doc = _packaged_yaml("templates", f"{template_id}.yml")
     except FileNotFoundError:
         raise ScenarioError(f"no packaged attack template named {template_id!r}; available: {packaged_template_ids()}")
-    return template_from_doc(yaml.load(text, Loader=_LOADER), f"packaged template {template_id}")
+    return template_from_doc(doc, f"packaged template {template_id}")
 
 
 def load_packaged_scenario(name: str) -> ScenarioSpec:
-    ref = (
-        importlib.resources.files("chainscope")
-        .joinpath("config")
-        .joinpath("scenarios")
-        .joinpath(f"{name}.yml")
-    )
     try:
-        text = ref.read_text(encoding="utf-8")
+        doc = _packaged_yaml("scenarios", f"{name}.yml")
     except FileNotFoundError:
         raise ScenarioError(f"no packaged scenario named {name!r}")
-    return scenario_spec_from_doc(yaml.load(text, Loader=_LOADER), f"packaged scenario {name}")
-
+    return scenario_spec_from_doc(doc, f"packaged scenario {name}")

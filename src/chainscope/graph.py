@@ -562,10 +562,11 @@ def chain_ambiguity(chains: Sequence[Chain], k: int = DEFAULT_TOP_K) -> Dict[str
     m = min(k, len(chains))
     top = [float(c.score) for c in chains[:m]]
     margin = float(chains[0].score - chains[1].score) if len(chains) >= 2 else None
-    total = sum(top)
+    # math.fsum: correctly rounded, so the same bits in any order and on any Python
+    total = math.fsum(top)
     entropy = 0.0
     if m >= 2 and total > 0:
-        entropy = -sum(w * math.log(w) for w in (s / total for s in top) if w > 0) / math.log(m)
+        entropy = -math.fsum(w * math.log(w) for w in (s / total for s in top) if w > 0) / math.log(m)
     return {"top2_margin": margin, "entropy_topk": entropy, "k": m}
 
 

@@ -76,7 +76,6 @@ class RawRecord:
     For a prenormalized record the fields are the decoded canonical record.
     """
 
-    source: str
     ordinal: int
     fields: Mapping[str, Any]
     raw_text: str
@@ -119,7 +118,6 @@ class SourceAdapterSpec:
 
 @dataclass(frozen=True)
 class ParseResult:
-    source: str
     records: Tuple[RawRecord, ...]
     rejected_lines: Tuple[int, ...]  # 1-based line numbers
 
@@ -201,17 +199,12 @@ def _parse_kv_line(line: str) -> Optional[Dict[str, str]]:
     return {key: quoted if quoted else bare for key, quoted, bare in pairs}
 
 
-def parse_stream(path: Path, adapter: SourceAdapterSpec) -> ParseResult:
-    """Parse one raw log file into RawRecords.
-
-    Raises OSError on unreadable files and FormatMismatchError when fewer
-    than ``adapter.parse_threshold`` of the non-blank lines parse.
-    """
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
-    return parse_text(text, adapter, origin=str(path))
-
-
 def parse_text(text: str, adapter: SourceAdapterSpec, origin: str = "<memory>") -> ParseResult:
+    """Parse one raw log text into RawRecords.
+
+    Raises FormatMismatchError, naming origin, when fewer than
+    ``adapter.parse_threshold`` of the non-blank lines parse.
+    """
     records: List[RawRecord] = []
     rejected: List[int] = []
 
@@ -233,7 +226,7 @@ def parse_text(text: str, adapter: SourceAdapterSpec, origin: str = "<memory>") 
                 rejected.append(lineno)
                 ordinal += 1
                 continue
-            records.append(RawRecord(source=adapter.source, ordinal=ordinal, fields=fields, raw_text=line))
+            records.append(RawRecord(ordinal=ordinal, fields=fields, raw_text=line))
             ordinal += 1
 
     total = len(records) + len(rejected)
@@ -246,7 +239,7 @@ def parse_text(text: str, adapter: SourceAdapterSpec, origin: str = "<memory>") 
             )
     if rejected:
         logger.warning("%s: %d unparseable line(s) rejected for source %s", origin, len(rejected), adapter.source)
-    return ParseResult(source=adapter.source, records=tuple(records), rejected_lines=tuple(rejected))
+    return ParseResult(records=tuple(records), rejected_lines=tuple(rejected))
 
 
 def _csv_rows(text: str) -> Iterator[Tuple[int, str, Optional[List[str]]]]:
@@ -282,7 +275,7 @@ def _parse_csv(text: str, adapter: SourceAdapterSpec, records: List[RawRecord], 
             ordinal += 1
             continue
         fields = {key: value for key, value in zip(header, row) if value != ""}
-        records.append(RawRecord(source=adapter.source, ordinal=ordinal, fields=fields, raw_text=raw_text))
+        records.append(RawRecord(ordinal=ordinal, fields=fields, raw_text=raw_text))
         ordinal += 1
 
 
@@ -618,7 +611,7 @@ def ingest_scenario(
         quarantined = 0
         naive = 0
         for file_ordinal, path in enumerate(paths):
-            parsed = parse_stream(path, adapter)
+            parsed = parse_text(path.read_text(encoding="utf-8", errors="replace"), adapter, origin=str(path))
             rejected += parsed.n_rejected
             result = normalize_records(
                 parsed.records, adapter, aliases, scenario_id=scenario_id, file_ordinal=file_ordinal, origin=str(path)

@@ -17,9 +17,10 @@ fraction of the best chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import ConfigError, ParseError
 from .graph import Chain
@@ -90,10 +91,6 @@ class RunMetrics:
     observed_steps: FrozenSet[StepTag] = frozenset()
     chain_observed_steps: FrozenSet[StepTag] = frozenset()
 
-    @property
-    def source_set_name(self) -> str:
-        return "+".join(sorted(self.sources))
-
 
 def default_reconstructability(chain_cov: float, best_chain: Optional[Chain]) -> float:
     """Mean of chain coverage and the best chain's unflagged-transition share.
@@ -156,21 +153,6 @@ def compute_run_metrics(
     )
 
 
-def select_best_run(runs: Sequence[RunMetrics]) -> RunMetrics:
-    """Best run: max StepR, tie-break by ChainR, then event volume.
-
-    Remaining ties go to the lexicographically smallest source-set name so
-    selection is fully deterministic.
-    """
-    if not runs:
-        raise ConfigError("select_best_run requires at least one run")
-    scenario = runs[0].scenario_id
-    for run in runs:
-        if run.scenario_id != scenario:
-            raise ConfigError(f"runs span scenarios {scenario!r} and {run.scenario_id!r}")
-    return min(runs, key=lambda r: (-r.step_r, -r.chain_r, -r.event_volume, r.source_set_name))
-
-
 @dataclass(frozen=True)
 class AggregateMetrics:
     scenarios: Tuple[str, ...]
@@ -196,11 +178,13 @@ def aggregate(per_scenario: Mapping[str, Tuple[RunMetrics, int]]) -> AggregateMe
     if total_weight <= 0:
         raise ConfigError("total expected-step weight must be positive")
 
+    # math.fsum is correctly rounded, so neither the scenario order nor the
+    # Python version (3.12 made sum() of floats compensated) moves a bit
     def wtd(metric: Callable[[RunMetrics], float]) -> float:
-        return sum(e_s * metric(m) for m, e_s in per_scenario.values()) / total_weight
+        return math.fsum(e_s * metric(m) for m, e_s in per_scenario.values()) / total_weight
 
     def mean(metric: Callable[[RunMetrics], float]) -> float:
-        return sum(metric(m) for m, _ in per_scenario.values()) / len(per_scenario)
+        return math.fsum(metric(m) for m, _ in per_scenario.values()) / len(per_scenario)
 
     return AggregateMetrics(
         scenarios=tuple(sorted(per_scenario)),
@@ -223,19 +207,17 @@ class SweepRow:
 
 
 def best_rows_by_category(rows: Sequence[SweepRow]) -> Dict[str, SweepRow]:
-    """Pick the best valid row per budget category via select_best_run."""
-    grouped: Dict[str, List[SweepRow]] = {}
-    for row in rows:
-        if row.metrics is None:
-            continue
-        grouped.setdefault(row.budget.category, []).append(row)
+    """The best scored row per budget category: max StepR, then ChainR, then
+    event volume, then the smallest budget name; of equal ranks the first."""
     best: Dict[str, SweepRow] = {}
-    for category, members in grouped.items():
-        winner = select_best_run([row.metrics for row in members])
-        for row in members:
-            if row.metrics is winner:
-                best[category] = row
-                break
+    ranks: Dict[str, Tuple[float, float, int, str]] = {}
+    for row in rows:
+        m = row.metrics
+        if m is None:
+            continue
+        category, rank = row.budget.category, (-m.step_r, -m.chain_r, -m.event_volume, row.budget.name)
+        if category not in ranks or rank < ranks[category]:
+            best[category], ranks[category] = row, rank
     return best
 
 

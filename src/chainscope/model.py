@@ -4,16 +4,14 @@ Every other module consumes NormalizedEvent tables produced here. The
 single time basis is UTC epoch milliseconds (integer), which gives a
 total (ts, event_id) ordering and preserves sub-second sensor precision.
 
-Timezone-naive timestamps are interpreted as UTC; callers that need to
-surface this (ingest does) can use ``parse_timestamp`` which reports the
-naive flag alongside the value.
+Timezone-naive timestamps are interpreted as UTC; ``parse_timestamp``
+reports the naive flag alongside the value, and ingest counts them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import math
 import re
 import warnings
@@ -30,8 +28,6 @@ try:  # the regular expression parser: re._parser from Python 3.11, sre_parse be
     from re import _parser as _sre_parser
 except ImportError:  # pragma: no cover - Python 3.10
     import sre_parse as _sre_parser  # type: ignore[no-redef]
-
-logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -116,9 +112,6 @@ class NormalizedEvent:
             raise ValueError("source must be a non-empty stream name")
         if not isinstance(self.ts, int):
             raise ValueError(f"ts must be an integer epoch-millisecond value, got {type(self.ts).__name__}")
-
-    def sort_key(self) -> Tuple[int, str]:
-        return (self.ts, self.event_id)
 
 
 # The fields an event holds itself: every slot but extras.
@@ -236,7 +229,8 @@ def _parse_epoch(text: str, millis: Optional[bool]) -> TsParse:
 
 
 def _parse_bsd(raw: str, default_year: Optional[int]) -> TsParse:
-    m = _BSD_SYSLOG_RE.match(raw.strip())
+    """raw is stripped."""
+    m = _BSD_SYSLOG_RE.match(raw)
     if not m:
         raise ParseError(f"unparseable BSD syslog timestamp: {raw!r}", offending=raw)
     if default_year is None:
@@ -279,22 +273,8 @@ def parse_timestamp(raw: Union[str, int, float], format_hint: str = TS_AUTO, def
         return _parse_epoch(text, millis=None if format_hint == TS_AUTO else format_hint == TS_EPOCH_MILLIS)
     if format_hint != TS_AUTO:
         raise ParseError(f"unparseable epoch timestamp: {text!r}", offending=text)
-    try:
-        return _parse_iso(text)
-    except ParseError:
-        pass
-    return _parse_bsd(text, default_year)
-
-
-def canonicalize_ts(raw: Union[str, int, float], format_hint: str = TS_AUTO, default_year: Optional[int] = None) -> int:
-    """Normalize a raw timestamp to UTC epoch milliseconds.
-
-    Raises ParseError (carrying the offending string) on unparseable input.
-    """
-    parsed = parse_timestamp(raw, format_hint=format_hint, default_year=default_year)
-    if parsed.tz_naive:
-        logger.debug("timezone-naive timestamp %r interpreted as UTC", raw)
-    return parsed.ts_ms
+    # no BSD-shaped text is ISO-8601, so its shape picks the one parser whose error it gets
+    return _parse_bsd(text, default_year) if _BSD_SYSLOG_RE.match(text) else _parse_iso(text)
 
 
 def _text_blob(event: NormalizedEvent) -> Optional[str]:
@@ -311,11 +291,6 @@ def field_resolver(canonical: str, aliases: FieldAliasMap = EMPTY_ALIASES) -> Fi
     name = canonical.lower()
     getter = _text_blob if name == "text_blob" else attrgetter(name) if name in _EVENT_FIELDS else None
     return name, getter, aliases.lookup_keys(name)
-
-
-def lowered_extras_view(event: NormalizedEvent) -> Dict[str, str]:
-    """Case-folded extras, reusable across many resolve calls on one event."""
-    return {k.lower(): v for k, v in event.extras.items()}
 
 
 def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -> Dict[str, Optional[str]]:
@@ -336,7 +311,7 @@ def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -
         values[name] = None
         if event.extras:
             if view is None:
-                view = lowered_extras_view(event)
+                view = {k.lower(): v for k, v in event.extras.items()}
             for key in keys:
                 found = view.get(key)
                 if found is not None and found != "":
@@ -346,7 +321,7 @@ def resolve_fields(event: NormalizedEvent, resolvers: Iterable[FieldResolver]) -
 
 
 def sort_events(events: Iterable[NormalizedEvent]) -> List[NormalizedEvent]:
-    """The events in (ts, event_id) order; the key is sort_key, read in C."""
+    """The events in (ts, event_id) order; the key is read in C."""
     return sorted(events, key=attrgetter("ts", "event_id"))
 
 

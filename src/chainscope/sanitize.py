@@ -85,9 +85,11 @@ class PseudonymMap:
         self.salt_ref = salt_ref
         for category, entries in (mappings or {}).items():
             for original, token in entries.items():
-                self._insert(category, original, token)
+                self.add(category, original, token)
 
-    def _insert(self, category: str, original: str, token: str) -> None:
+    def add(self, category: str, original: str, token: str) -> None:
+        """Map original to token in category; a second token for original,
+        or a token another original holds, raises SanitizeError."""
         cat_map = self._maps.setdefault(category, {})
         used = self._used.setdefault(category, set())
         existing = cat_map.get(original)
@@ -103,9 +105,6 @@ class PseudonymMap:
 
     def token_used(self, category: str, token: str) -> bool:
         return token in self._used.get(category, set())
-
-    def add(self, category: str, original: str, token: str) -> None:
-        self._insert(category, original, token)
 
     def to_dict(self) -> Dict[str, Dict[str, str]]:
         return {cat: dict(sorted(entries.items())) for cat, entries in sorted(self._maps.items())}

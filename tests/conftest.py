@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.resources
 import random
 import re
 from datetime import datetime, timezone
@@ -10,6 +9,7 @@ import pytest
 import yaml
 from hypothesis import strategies as st
 
+from chainscope.cli import main
 from chainscope.configio import (
     load_adapters,
     load_aliases,
@@ -36,7 +36,7 @@ from chainscope.model import (
     parse_timestamp,
     resolve_fields,
 )
-from chainscope.synth import generate_scenario
+from chainscope.synth import generate_scenario, load_ground_truth
 from chainscope.tagging import (
     FIRED,
     GATED,
@@ -56,31 +56,29 @@ from chainscope.tagging import (
     load_rules,
     parse_step,
 )
+from golden_corpus import packaged_scenario_ids
 
 
-# the two benign rules of bench/benign_rules.yml, appended to the packaged
-# rule list: routine session and flow lines become graph nodes
-BENIGN_RULES = r"""
-  - rule_id: zz-benign-auth
-    step: AUTH
-    priority: 2
-    patterns:
-      - '(?i)session opened for user'
-    candidate_fields: [text_blob]
-
-  - rule_id: zz-benign-flow
-    step: OUTBOUND_CONN
-    priority: 1
-    patterns:
-      - '(?i)\bflow tcp\b'
-    candidate_fields: [text_blob]
-"""
-
-
-def packaged_scenario_ids():
-    """The names of the packaged scenarios, sorted."""
-    root = importlib.resources.files("chainscope").joinpath("config", "scenarios")
-    return sorted(p.name[: -len(".yml")] for p in root.iterdir() if p.name.endswith(".yml"))
+def run_stage_commands(scenario_dir, out, rules, tag_flags=()):
+    """ingest, tag (given the expected steps of the ground truth) and
+    reconstruct scenario_dir under out; {artifact name: directory holding it}."""
+    expected = load_ground_truth(scenario_dir / "ground_truth.json").expected
+    steps = ",".join(sorted(s.value for s in expected.steps))
+    ingested, tagged, recon = out / "ingested", out / "tagged", out / "recon"
+    assert main(["ingest", "--scenario-dir", str(scenario_dir), "--out", str(ingested)]) == 0
+    tag = ["tag", "--events", str(ingested / "events.jsonl"), "--rules", str(rules), *tag_flags]
+    assert main(tag + ["--expected-steps", steps, "--out", str(tagged)]) == 0
+    reconstruct = ["reconstruct", "--events", str(ingested / "events.jsonl"), "--decisions", str(tagged / "decisions.jsonl")]
+    assert main(reconstruct + ["--out", str(recon)]) == 0
+    return {
+        "events.jsonl": ingested,
+        "ingest_report.json": ingested,
+        "decisions.jsonl": tagged,
+        "run_diag.json": tagged,
+        "graph.json": recon,
+        "chains.json": recon,
+        "ambiguity.json": recon,
+    }
 
 
 @pytest.fixture(scope="session")
@@ -457,7 +455,8 @@ def _reference_bsd(raw, default_year):
 
 def reference_parse_timestamp(raw, format_hint=TS_AUTO, default_year=None):
     """parse_timestamp as it was before it skipped the rewrites of canonical
-    text: every ISO rewrite applied, and an epoch matched twice."""
+    text: every ISO rewrite applied, and an epoch matched twice. In auto
+    mode, BSD-shaped text goes to the BSD parser and any other to ISO."""
     if isinstance(raw, bool):
         raise ParseError(f"unparseable timestamp: {raw!r}", offending=str(raw))
     if isinstance(raw, (int, float)):
@@ -477,11 +476,9 @@ def reference_parse_timestamp(raw, format_hint=TS_AUTO, default_year=None):
         raise ParseError(f"unknown timestamp format hint: {format_hint!r}", offending=raw)
     if _REFERENCE_EPOCH_RE.match(text):
         return _reference_epoch(text, millis=None)
-    try:
-        return _reference_iso(text)
-    except ParseError:
-        pass
-    return _reference_bsd(text, default_year)
+    if _REFERENCE_BSD_RE.match(text):
+        return _reference_bsd(text, default_year)
+    return _reference_iso(text)
 
 
 _REFERENCE_TYPE_NAMES = {str: "a string", int: "an integer"}

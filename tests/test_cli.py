@@ -14,7 +14,8 @@ from chainscope.model import events_to_jsonl
 from chainscope.sanitize import salt_reference
 from chainscope.synth import load_ground_truth
 from chainscope.tagging import StepTag, TagDecision, decisions_to_jsonl
-from conftest import BENIGN_RULES, make_event
+from conftest import make_event, run_stage_commands
+from golden_corpus import BENIGN_RULES
 
 
 @pytest.fixture()
@@ -160,28 +161,6 @@ class TestEvaluateCommand:
         assert code == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["step_r"] == pytest.approx(0.5)  # INSTALL and DOWNLOAD only
-
-
-def run_stage_commands(scenario_dir, out, rules, tag_flags=()):
-    """ingest, tag (given the expected steps of the ground truth) and
-    reconstruct scenario_dir under out; {artifact name: directory holding it}."""
-    expected = load_ground_truth(scenario_dir / "ground_truth.json").expected
-    steps = ",".join(sorted(s.value for s in expected.steps))
-    ingested, tagged, recon = out / "ingested", out / "tagged", out / "recon"
-    assert main(["ingest", "--scenario-dir", str(scenario_dir), "--out", str(ingested)]) == 0
-    tag = ["tag", "--events", str(ingested / "events.jsonl"), "--rules", str(rules), *tag_flags]
-    assert main(tag + ["--expected-steps", steps, "--out", str(tagged)]) == 0
-    reconstruct = ["reconstruct", "--events", str(ingested / "events.jsonl"), "--decisions", str(tagged / "decisions.jsonl")]
-    assert main(reconstruct + ["--out", str(recon)]) == 0
-    return {
-        "events.jsonl": ingested,
-        "ingest_report.json": ingested,
-        "decisions.jsonl": tagged,
-        "run_diag.json": tagged,
-        "graph.json": recon,
-        "chains.json": recon,
-        "ambiguity.json": recon,
-    }
 
 
 class TestStageCommands:

@@ -391,7 +391,7 @@ class TestBuildEventGraph:
                 src, dst = graph.nodes[edge.src], graph.nodes[edge.dst]
                 assert src.event_id != dst.event_id
                 assert edge.src < edge.dst
-                assert src.sort_key() < dst.sort_key()
+                assert (src.ts, src.event_id) < (dst.ts, dst.event_id)
                 assert 0 <= edge.gap_ms == dst.ts - src.ts <= graph.window_ms
 
     def test_widening_window_never_removes_edges(self, random_tagged_table):
@@ -536,3 +536,11 @@ class TestChainAmbiguity:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             chain_ambiguity([], k=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=2, max_size=8))
+    @example([1, 2, 3])  # with a plain sum(): 0.920619835714305 in this order, 0.9206198357143047 reversed
+    def test_the_chain_order_moves_no_bit_of_the_entropy(self, scores):
+        chains = [self.chain(score) for score in scores]
+        k = len(chains)
+        assert chain_ambiguity(chains, k)["entropy_topk"] == chain_ambiguity(chains[::-1], k)["entropy_topk"]

@@ -16,7 +16,6 @@ from chainscope.ingest import (
     ingest_scenario,
     merge_scenario,
     normalize_records,
-    parse_stream,
     parse_text,
 )
 from chainscope.model import FieldAliasMap, parse_timestamp
@@ -35,22 +34,18 @@ SYSLOG_ADAPTER = SourceAdapterSpec(
 
 
 class TestParseStream:
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "auditd.log"
-        path.write_text("")
-        result = parse_stream(path, KV_ADAPTER)
+    def test_empty_file(self):
+        result = parse_text("", KV_ADAPTER)
         assert result.records == ()
         assert result.n_rejected == 0
 
-    def test_kv_audit_matches_hand_parsed_oracle(self, tmp_path):
+    def test_kv_audit_matches_hand_parsed_oracle(self):
         lines = [
             'type=EXECVE ts=1714554000.000 host=h1 uid=dev01 pid=10 exe="/usr/bin/ls" cmd="ls -la /tmp"',
             "type=CONNECT ts=1714554001.500 host=h1 uid=dev01 pid=11",
             'type=WRITE ts=1714554002.250 host=h2 uid=ops01 pid=12 msg="file write /etc/hosts"',
         ]
-        path = tmp_path / "auditd.log"
-        path.write_text("\n".join(lines) + "\n")
-        result = parse_stream(path, KV_ADAPTER)
+        result = parse_text("\n".join(lines) + "\n", KV_ADAPTER)
         assert result.n_rejected == 0
         expected_fields = [
             {"type": "EXECVE", "ts": "1714554000.000", "host": "h1", "uid": "dev01", "pid": "10", "exe": "/usr/bin/ls", "cmd": "ls -la /tmp"},
@@ -61,11 +56,9 @@ class TestParseStream:
         assert [r.ordinal for r in result.records] == [0, 1, 2]
         assert [r.raw_text for r in result.records] == lines
 
-    def test_format_mismatch_below_threshold(self, tmp_path):
-        path = tmp_path / "auditd.log"
-        path.write_text("completely unstructured line\n" * 10)
-        with pytest.raises(FormatMismatchError):
-            parse_stream(path, KV_ADAPTER)
+    def test_format_mismatch_below_threshold(self):
+        with pytest.raises(FormatMismatchError, match="^auditd.log: parse rate 0.000"):
+            parse_text("completely unstructured line\n" * 10, KV_ADAPTER, origin="auditd.log")
 
     def test_rejects_counted_not_dropped_silently(self):
         text = "2024-05-01T09:00:00.000+00:00 h1 app: ok\n???\n2024-05-01T09:00:02.000+00:00 h1 app: ok\n"
@@ -326,7 +319,7 @@ def normalize_cases(draw):
         shape = draw(st.sampled_from(shapes))
         fields = {key: draw(st.sampled_from(RAW_VALUES)) for key in shape}
         raw_text = draw(st.sampled_from(("", "raw line", "2024-05-01T09:00:00Z")))
-        records.append(RawRecord(source="src", ordinal=ordinal, fields=fields, raw_text=raw_text))
+        records.append(RawRecord(ordinal=ordinal, fields=fields, raw_text=raw_text))
     return adapter, draw(alias_maps(SOURCE_KEYS)), records
 
 
@@ -432,7 +425,7 @@ class TestScenarioIngestion:
         result = ingest_scenario(tmp_path, adapters, aliases, scenario_id="s", sources=["auth"])
         assert set(result.events_by_source) == {"auth"}
 
-    def test_prenormalized_pass_through(self, tmp_path, aliases):
+    def test_prenormalized_pass_through(self, aliases):
         adapter = SourceAdapterSpec(source="replay", format="prenormalized")
         record = {
             "event_id": "replay:000:000000",
@@ -443,9 +436,7 @@ class TestScenarioIngestion:
             "host": "c2-box",
             "text_blob": "operator tasking issued",
         }
-        path = tmp_path / "replay.jsonl"
-        path.write_text(json.dumps(record) + "\n")
-        parsed = parse_stream(path, adapter)
+        parsed = parse_text(json.dumps(record) + "\n", adapter)
         result = normalize_records(parsed.records, adapter, aliases, scenario_id="s")
         event = result.events[0]
         assert event.trust_origin == "attacker"  # record value wins over adapter default

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainscope.errors import ConfigError, ParseError
@@ -11,6 +11,7 @@ from chainscope.metrics import (
     AggregateMetrics,
     BudgetConfig,
     RunMetrics,
+    SweepRow,
     aggregate,
     aggregate_from_dict,
     aggregate_to_dict,
@@ -19,7 +20,6 @@ from chainscope.metrics import (
     compute_run_metrics,
     run_metrics_from_dict,
     run_metrics_to_dict,
-    select_best_run,
 )
 from chainscope.pipeline import RunParams, budget_sweep
 from chainscope.synth import generate_scenario
@@ -154,32 +154,40 @@ class TestCategorizeBudget:
             BudgetConfig(sources=frozenset())
 
 
-class TestSelectBestRun:
+def sweep_row(sources=("syslog",), **metrics):
+    return SweepRow(budget=categorize_budget(sources), metrics=stub_metrics(sources=sources, **metrics))
+
+
+class TestBestRowsByCategory:
     def test_higher_step_recall_wins(self):
-        a, b = stub_metrics(step_r=0.5), stub_metrics(step_r=0.25)
-        assert select_best_run([b, a]) is a
+        a, b = sweep_row(("zeek",), step_r=0.5), sweep_row(("auditd",), step_r=0.25)
+        assert best_rows_by_category([b, a]) == {"single": a}
 
     def test_chain_recall_breaks_tie(self):
-        a, b = stub_metrics(step_r=0.5, chain_r=0.5), stub_metrics(step_r=0.5, chain_r=0.25)
-        assert select_best_run([b, a]) is a
+        a, b = sweep_row(("zeek",), step_r=0.5, chain_r=0.5), sweep_row(("auditd",), step_r=0.5, chain_r=0.25)
+        assert best_rows_by_category([b, a]) == {"single": a}
 
     def test_volume_breaks_remaining_tie(self):
-        a = stub_metrics(step_r=0.5, chain_r=0.5, volume=100)
-        b = stub_metrics(step_r=0.5, chain_r=0.5, volume=200)
-        assert select_best_run([a, b]) is b
+        a = sweep_row(("auditd",), step_r=0.5, chain_r=0.5, volume=100)
+        b = sweep_row(("zeek",), step_r=0.5, chain_r=0.5, volume=200)
+        assert best_rows_by_category([a, b]) == {"single": b}
 
-    def test_source_name_is_final_tiebreak(self):
-        a = stub_metrics(sources=("zeek",))
-        b = stub_metrics(sources=("auditd",))
-        assert select_best_run([a, b]) is b
+    def test_budget_name_is_final_tiebreak(self):
+        a, b = sweep_row(("zeek",)), sweep_row(("auditd",))
+        assert best_rows_by_category([a, b]) == {"single": b}
 
-    def test_mixed_scenarios_rejected(self):
-        with pytest.raises(ConfigError):
-            select_best_run([stub_metrics(scenario="x"), stub_metrics(scenario="y")])
+    def test_of_equal_ranks_the_first_wins(self):
+        a, b = sweep_row(("zeek",)), sweep_row(("zeek",))
+        assert best_rows_by_category([a, b])["single"] is a
+        assert best_rows_by_category([b, a])["single"] is b
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            select_best_run([])
+    def test_each_category_and_only_scored_rows(self):
+        single, combo = sweep_row(("zeek",), step_r=0.25), sweep_row(("auditd", "zeek"), step_r=0.25)
+        failed = SweepRow(budget=categorize_budget(["syslog"]), metrics=None, error="no files")
+        assert best_rows_by_category([failed, combo, single]) == {"combo": combo, "single": single}
+
+    def test_no_rows_no_best(self):
+        assert best_rows_by_category([]) == {}
 
 
 class TestAggregate:
@@ -221,6 +229,14 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             aggregate({})
+
+    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.integers(1, 5)), min_size=2, max_size=7))
+    @example([(0.1, 0.1, 0.1, 1), (0.2, 0.2, 0.2, 1), (0.3, 0.3, 0.3, 1)])  # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+    def test_the_scenario_order_moves_no_bit(self, values):
+        per_scenario = [
+            (f"s{i}", (stub_metrics(scenario=f"s{i}", step_r=r, chain_r=c, step_p=p), w)) for i, (r, c, p, w) in enumerate(values)
+        ]
+        assert aggregate(dict(per_scenario)) == aggregate(dict(reversed(per_scenario)))
 
 
 RULES = load_rules(

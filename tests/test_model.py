@@ -22,7 +22,6 @@ from chainscope.ingest import IngestResult, RawRecord
 from chainscope.model import (
     FieldAliasMap,
     NormalizedEvent,
-    canonicalize_ts,
     encode_compact,
     event_from_dict,
     event_to_dict,
@@ -38,29 +37,30 @@ from chainscope.tagging import decisions_to_jsonl, tag_run
 from conftest import jsonl_layouts, make_event, reference_event_from_dict, reference_parse_timestamp, resolve_field
 
 
-class TestCanonicalizeTs:
+class TestParseTimestamp:
     def test_epoch_identity(self):
-        assert canonicalize_ts("1970-01-01T00:00:00Z") == 0
+        assert parse_timestamp("1970-01-01T00:00:00Z").ts_ms == 0
 
     def test_known_instant_matches_calendar_oracle(self):
         # datetime(2024, 5, 1, 13, 22, tzinfo=utc).timestamp() * 1000
-        assert canonicalize_ts("2024-05-01 13:22:00+00:00") == 1714569720000
+        assert parse_timestamp("2024-05-01 13:22:00+00:00").ts_ms == 1714569720000
 
     def test_rejects_garbage(self):
-        with pytest.raises(ParseError) as err:
-            canonicalize_ts("not-a-time")
+        # text that is not BSD-shaped gets the ISO parser's error
+        with pytest.raises(ParseError, match="unparseable ISO-8601 timestamp: 'not-a-time'") as err:
+            parse_timestamp("not-a-time")
         assert err.value.offending == "not-a-time"
 
     def test_millisecond_fraction(self):
-        assert canonicalize_ts("2024-05-01T13:22:00.123+00:00") == 1714569720123
+        assert parse_timestamp("2024-05-01T13:22:00.123+00:00").ts_ms == 1714569720123
 
     def test_compact_offset_and_six_digit_fraction(self):
-        assert canonicalize_ts("2024-05-01T13:22:00.123456+0000") == 1714569720123
+        assert parse_timestamp("2024-05-01T13:22:00.123456+0000").ts_ms == 1714569720123
 
     def test_epoch_seconds_and_millis(self):
-        assert canonicalize_ts("1714569720.123") == 1714569720123
-        assert canonicalize_ts("1714569720123") == 1714569720123
-        assert canonicalize_ts(1714569720.123) == 1714569720123
+        assert parse_timestamp("1714569720.123").ts_ms == 1714569720123
+        assert parse_timestamp("1714569720123").ts_ms == 1714569720123
+        assert parse_timestamp(1714569720.123).ts_ms == 1714569720123
 
     def test_naive_treated_as_utc(self):
         parsed = parse_timestamp("2024-05-01 13:22:00")
@@ -69,12 +69,12 @@ class TestCanonicalizeTs:
 
     def test_bsd_syslog_needs_year(self):
         with pytest.raises(ParseError):
-            canonicalize_ts("May  1 13:22:00", format_hint="syslog_bsd")
-        assert canonicalize_ts("May  1 13:22:00", format_hint="syslog_bsd", default_year=2024) == 1714569720000
+            parse_timestamp("May  1 13:22:00", format_hint="syslog_bsd")
+        assert parse_timestamp("May  1 13:22:00", format_hint="syslog_bsd", default_year=2024).ts_ms == 1714569720000
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
-            canonicalize_ts("   ")
+            parse_timestamp("   ")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -89,8 +89,8 @@ class TestCanonicalizeTs:
     )
     def test_order_preserving(self, a, b):
         lo, hi = sorted([a, b])
-        lo_ms = canonicalize_ts(lo.replace(tzinfo=timezone.utc).isoformat())
-        hi_ms = canonicalize_ts(hi.replace(tzinfo=timezone.utc).isoformat())
+        lo_ms = parse_timestamp(lo.replace(tzinfo=timezone.utc).isoformat()).ts_ms
+        hi_ms = parse_timestamp(hi.replace(tzinfo=timezone.utc).isoformat()).ts_ms
         assert lo_ms <= hi_ms
 
 
@@ -533,7 +533,7 @@ def test_per_event_classes_hold_no_dict(default_rules):
     assert candidates and diagnostics and graph.edges
     # the graph's nodes are the tagged events themselves
     assert [id(node) for node in graph.nodes] == [id(event) for event in events]
-    record = RawRecord(source="syslog", ordinal=0, fields={}, raw_text="")
+    record = RawRecord(ordinal=0, fields={}, raw_text="")
     instances = [events[0], record, decisions[0], candidates[0], diagnostics[0], graph.edges[0]]
     assert len({type(obj) for obj in instances}) == 6
     for obj in instances:
@@ -770,6 +770,7 @@ class TestTimestampRange:
             ("1" + "0" * 400, model.TS_EPOCH_MILLIS),  # reads as an infinite float
             ("253402300800", model.TS_EPOCH_SECONDS),
             ("0001-01-01T00:00:00+05:00", model.TS_ISO8601),
+            ("0001-01-01T00:00:00+05:00", model.TS_AUTO),  # ISO-shaped: the ISO parser's error
             ("9999-12-31T23:59:59-00:01", model.TS_ISO8601),
         ],
     )

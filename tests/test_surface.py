@@ -3,7 +3,9 @@
 A public top-level function or class of ``src/chainscope`` that no other
 code in ``src/`` names, as a name or an attribute, exists only for the tests
 or the benchmark. Reference helpers of that kind belong in
-``tests/conftest.py``.
+``tests/conftest.py``. The same holds for a public method or property of a
+class in ``src/``, except that the benchmark's own code (``bench/*.py``)
+counts as a caller too: it reads a few views that the package does not.
 
 Two stdlib lint checks catch what a deletion leaves behind: a top-level
 import that binds no name its module uses, and a private top-level
@@ -11,11 +13,13 @@ function, class or assignment that nothing in ``src/`` names.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import chainscope
 
 PACKAGE = Path(chainscope.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -51,6 +55,29 @@ def test_every_public_definition_is_referenced_from_src():
         if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and not statement.name.startswith("_")
     ]
     assert unreferenced(definitions, body_by_module) == []
+
+
+def name_counts(node):
+    """How often each name is read in node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_method_and_property_is_referenced_from_src_or_bench():
+    body_by_module = modules()
+    callers = [ast.Module(body=body, type_ignores=[]) for body in body_by_module.values()]
+    callers += [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(BENCH.glob("*.py"))]
+    counts = sum(map(name_counts, callers), Counter())
+    unused = [
+        f"{module}.{cls.name}.{method.name}"
+        for module, body in body_by_module.items()
+        for cls in body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("_")
+        # a method's references to itself (recursion) do not count
+        if counts[method.name] == name_counts(method)[method.name]
+    ]
+    assert unused == []
 
 
 def test_every_private_definition_is_referenced_from_src():

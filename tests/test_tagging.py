@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope.errors import ParseError, RuleError
-from chainscope.model import FieldAliasMap, lowered_extras_view, parse_regex
+from chainscope.model import FieldAliasMap, parse_regex
 from chainscope.tagging import (
     FIRED,
     GATED,
@@ -432,10 +432,10 @@ class TestCompiledTaggingEqualsReference:
                 )
             for name in RULE_FIELDS:
                 assert resolve_field(event, name, aliases) == reference_resolve(
-                    event, name.lower(), aliases, lowered_extras_view(event)
+                    event, name.lower(), aliases, {k.lower(): v for k, v in event.extras.items()}
                 )
         decisions, _ = tag_run(events, ruleset, gate=gate, aliases=aliases)
-        ordered = sorted(events, key=lambda e: e.sort_key())
+        ordered = sorted(events, key=lambda e: (e.ts, e.event_id))
         assert decisions == [reference_tag_event(e, ruleset, gate=gate, aliases=aliases) for e in ordered]
 
 
