@@ -21,8 +21,6 @@ from .metrics import BudgetConfig, categorize_budget
 from .model import FieldAliasMap, compile_regex, object_field, object_list, parse_timestamp, string_list, typed_value
 from .sanitize import CategorySpec, PseudonymPolicy
 from .synth import (
-    ACTIVE_HOURS_DEFAULT,
-    ACTIVITY_SET,
     AttackEventSpec,
     AttackStepSpec,
     AttackTemplate,
@@ -77,25 +75,36 @@ def _required(origin: str, doc: Dict[str, Any], keys: Sequence[str], kind: str) 
             raise ScenarioError(f"{origin}: {kind} missing {key!r}")
 
 
+def _present(origin: str, doc: Mapping[str, Any], where: str = "", **kinds: type) -> Dict[str, Any]:
+    """{key: typed_value(...)} of each key of kinds that doc holds, a float kind read as a float.
+
+    A key doc lacks is left out, so that the spec dataclass's own default applies.
+    """
+    values = {}
+    for key, kind in kinds.items():
+        if key in doc:
+            value = typed_value(origin, doc, key, kind, where)
+            values[key] = float(value) if kind is float else value
+    return values
+
+
 def load_adapters_doc(doc: Any, origin: str) -> List[SourceAdapterSpec]:
     adapters = []
     for i, item in enumerate(object_list(origin, _document(origin, doc), "adapters", ("source", "format"))):
         where = f"adapters[{i}]."
         table = object_field(origin, item, "field_map", where)
-        threshold = float(typed_value(origin, item, "parse_threshold", float, where, 0.9))
-        if not 0 <= threshold <= 1:  # NaN too
-            raise ConfigError(f"{origin}: {where}'parse_threshold' must be a number in [0, 1], got {threshold!r}")
+        threshold = _present(origin, item, where, parse_threshold=float)
+        if threshold and not 0 <= threshold["parse_threshold"] <= 1:  # NaN too
+            raise ConfigError(f"{origin}: {where}'parse_threshold' must be a number in [0, 1], got {threshold['parse_threshold']!r}")
         try:  # the adapter's own checks, such as a known format and ts_format
             adapters.append(
                 SourceAdapterSpec(
                     source=typed_value(origin, item, "source", str, where),
                     format=typed_value(origin, item, "format", str, where),
                     field_map={str(k): typed_value(origin, table, k, str, f"{where}field_map.") for k in table},
-                    trust_origin=typed_value(origin, item, "trust_origin", str, where, "target"),
-                    ts_format=typed_value(origin, item, "ts_format", str, where, "auto"),
                     default_year=item.get("default_year"),  # SourceAdapterSpec checks it
-                    file_pattern=typed_value(origin, item, "file_pattern", str, where, None),
-                    parse_threshold=threshold,
+                    **_present(origin, item, where, trust_origin=str, ts_format=str, file_pattern=str),
+                    **threshold,
                 )
             )
         except ConfigError as exc:
@@ -200,8 +209,6 @@ def load_budgets(path: Path) -> List[BudgetConfig]:
 
 
 def _parse_active_hours(origin: str, value: Any) -> Tuple[int, int]:
-    if value is None:
-        return ACTIVE_HOURS_DEFAULT
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ScenarioError(f"{origin}: active_hours must be a [start, end] pair, got {value!r}")
 
@@ -224,39 +231,33 @@ def scenario_spec_from_doc(doc: Any, origin: str) -> ScenarioSpec:
     doc = _document(origin, doc)
     _required(origin, doc, ("scenario_id", "hosts", "sources"), "scenario spec")
     benign_doc = object_field(origin, doc, "benign")
-    active = _parse_active_hours(origin, benign_doc.get("active_hours"))
-    activity_set = ACTIVITY_SET
+    benign = {}
+    if benign_doc.get("active_hours") is not None:
+        benign["active_start_s"], benign["active_end_s"] = _parse_active_hours(origin, benign_doc["active_hours"])
     if "activity_set" in benign_doc:
-        activity_set = tuple(string_list(origin, benign_doc, "activity_set", "benign."))
-    try:
-        start_ms = parse_timestamp(str(doc.get("start", "2024-05-01T09:00:00+00:00"))).ts_ms
-    except ParseError as exc:
-        raise ConfigError(f"{origin}: 'start': {exc}")
+        benign["activity_set"] = tuple(string_list(origin, benign_doc, "activity_set", "benign."))
+    start = {}
+    if "start" in doc:
+        try:
+            start["start_ms"] = parse_timestamp(str(doc["start"])).ts_ms
+        except ParseError as exc:
+            raise ConfigError(f"{origin}: 'start': {exc}")
     attack_doc = object_field(origin, doc, "attack")
     try:  # the spec types' own checks, such as min_interval_s <= max_interval_s
         return ScenarioSpec(
             scenario_id=typed_value(origin, doc, "scenario_id", str),
             seed=typed_value(origin, doc, "seed", int, "", 0),
             hosts=tuple(
-                HostSpec(
-                    name=typed_value(origin, h, "name", str, f"hosts[{i}]."),
-                    profile=typed_value(origin, h, "profile", str, f"hosts[{i}].", "development"),
-                )
+                HostSpec(name=typed_value(origin, h, "name", str, f"hosts[{i}]."), **_present(origin, h, f"hosts[{i}].", profile=str))
                 for i, h in enumerate(object_list(origin, doc, "hosts", ("name",)))
             ),
             sources=tuple(string_list(origin, doc, "sources")),
-            start_ms=start_ms,
-            duration_s=typed_value(origin, doc, "duration_s", int, "", 8 * 3600),
+            **start,
+            **_present(origin, doc, duration_s=int),
             benign=BenignConfig(
-                n_activities=typed_value(origin, benign_doc, "n_activities", int, "benign.", 40),
-                min_interval_s=float(typed_value(origin, benign_doc, "min_interval_s", float, "benign.", 30)),
-                max_interval_s=float(typed_value(origin, benign_doc, "max_interval_s", float, "benign.", 300)),
-                activity_set=activity_set,
-                active_start_s=active[0],
-                active_end_s=active[1],
+                **_present(origin, benign_doc, "benign.", n_activities=int, min_interval_s=float, max_interval_s=float), **benign
             ),
-            attack_template=typed_value(origin, attack_doc, "template", str, "attack.", None),
-            attack_start_s=typed_value(origin, attack_doc, "start_s", int, "attack.", 2 * 3600),
+            **{f"attack_{key}": value for key, value in _present(origin, attack_doc, "attack.", template=str, start_s=int).items()},
         )
     except ScenarioError as exc:
         raise ScenarioError(f"{origin}: {exc}")
@@ -272,7 +273,7 @@ def template_from_doc(doc: Any, origin: str) -> AttackTemplate:
             AttackEventSpec(
                 source=typed_value(origin, ev, "source", str, f"{where}events[{j}]."),
                 fields={str(k): v for k, v in ev.items() if k not in ("source", "offset_s")},
-                offset_s=float(typed_value(origin, ev, "offset_s", float, f"{where}events[{j}].", 0)),
+                **_present(origin, ev, f"{where}events[{j}].", offset_s=float),
             )
             for j, ev in enumerate(object_list(origin, item, "events", ("source",), where))
         )
@@ -291,8 +292,7 @@ def template_from_doc(doc: Any, origin: str) -> AttackTemplate:
             omit=frozenset(
                 parse_step(name, f"{origin}: omit[{j}]: ") for j, name in enumerate(string_list(origin, doc, "omit"))
             ),
-            attack_user=typed_value(origin, doc, "attack_user", str, "", "dev01"),
-            description=typed_value(origin, doc, "description", str, "", ""),
+            **_present(origin, doc, attack_user=str, description=str),
         )
     except ScenarioError as exc:
         raise ScenarioError(f"{origin}: {exc}")

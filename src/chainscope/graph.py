@@ -200,25 +200,23 @@ def build_event_graph(
     """
     if window_ms <= 0:
         raise ValueError("window_ms must be positive")
-    event_ids: Set[str] = set()
+    # event id -> the step its decision chose (None: none), or undecided until a decision names it
+    undecided = object()
+    steps: Dict[str, Any] = {}
     for event in events:
-        if event.event_id in event_ids:
+        if event.event_id in steps:
             raise EventIdError(f"duplicate event id {event.event_id!r}")
-        event_ids.add(event.event_id)
-    chosen: Dict[str, StepTag] = {}
-    decided: Set[str] = set()
+        steps[event.event_id] = undecided
     for decision in decisions:
-        if decision.event_id not in event_ids:
+        if decision.event_id not in steps:
             raise EventIdError(f"decision for unknown event id {decision.event_id!r}")
-        if decision.event_id in decided:
+        if steps[decision.event_id] is not undecided:
             raise EventIdError(f"repeated decision for event id {decision.event_id!r}")
-        decided.add(decision.event_id)
-        if decision.chosen is not None:
-            chosen[decision.event_id] = decision.chosen
-    if len(decided) < len(event_ids):
-        missing = next(e.event_id for e in events if e.event_id not in decided)
+        steps[decision.event_id] = decision.chosen
+    if len(decisions) < len(steps):
+        missing = next(e.event_id for e in events if steps[e.event_id] is undecided)
         raise EventIdError(f"no decision for event id {missing!r}")
-    nodes = sorted((e for e in events if e.event_id in chosen), key=lambda e: (e.ts, e.event_id))
+    nodes = sorted((e for e in events if steps[e.event_id] is not None), key=lambda e: (e.ts, e.event_id))
     ts = [node.ts for node in nodes]
     buckets, partners = _candidate_buckets(nodes, ts)
     src, dst, reasons, gaps = array("i"), array("i"), array("B"), array("q")
@@ -247,7 +245,7 @@ def build_event_graph(
             preds[j].append(i)
     return EventGraph(
         nodes=tuple(nodes),
-        steps=tuple(chosen[node.event_id] for node in nodes),
+        steps=tuple(steps[node.event_id] for node in nodes),
         window_ms=window_ms,
         edge_src=src,
         edge_dst=dst,

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Pattern, Sequence, Tuple, TypeVar, Union
+from typing import IO, Any, Callable, Dict, Iterable, List, Mapping, NoReturn, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConfigError, ParseError
 
@@ -81,7 +81,7 @@ class NormalizedEvent:
     """One canonical telemetry record, flat: its process fields (pid, ppid,
     image, cmdline) and network fields (src_ip, src_port, dst_ip, dst_port,
     proto) are slots of the event itself. Only events.jsonl groups them,
-    in ``event_to_dict`` and ``event_from_dict``.
+    in ``_event_line`` and ``event_from_dict``.
 
     Immutable after construction; safe to share between workers.
     """
@@ -250,16 +250,11 @@ def _parse_bsd(raw: str, default_year: Optional[int]) -> TsParse:
     return TsParse(ts_ms=round(dt.timestamp() * 1000), tz_naive=True, year_supplied=True)
 
 
-def parse_timestamp(raw: Union[str, int, float], format_hint: str = TS_AUTO, default_year: Optional[int] = None) -> TsParse:
-    """Parse a raw timestamp into epoch milliseconds plus a tz-naive flag.
+def parse_timestamp(raw: str, format_hint: str = TS_AUTO, default_year: Optional[int] = None) -> TsParse:
+    """Parse a raw timestamp text into epoch milliseconds plus a tz-naive flag.
 
     Naive inputs are interpreted as UTC; ingest counts and reports them.
     """
-    if not isinstance(raw, str):
-        if isinstance(raw, bool):
-            raise ParseError(f"unparseable timestamp: {raw!r}", offending=str(raw))
-        if isinstance(raw, (int, float)):
-            raw = repr(raw)
     text = raw.strip()
     if not text:
         raise ParseError("empty timestamp", offending=raw)
@@ -334,57 +329,18 @@ def iso_ms(ts_ms: int) -> str:
 # --- canonical table serialization (line-delimited records) ---------------
 
 
-def event_to_dict(event: NormalizedEvent) -> Dict[str, Any]:
-    """The on-disk form: process and network fields nested in two groups,
-    each null exactly when all of its fields are None."""
-    proc: Optional[Dict[str, Any]] = None
-    if event.pid is not None or event.ppid is not None or event.image is not None or event.cmdline is not None:
-        proc = {k: v for k, v in (("pid", event.pid), ("ppid", event.ppid), ("image", event.image), ("cmdline", event.cmdline)) if v is not None}
-    net: Optional[Dict[str, Any]] = None
-    if (
-        event.src_ip is not None
-        or event.src_port is not None
-        or event.dst_ip is not None
-        or event.dst_port is not None
-        or event.proto is not None
-    ):
-        net = {
-            k: v
-            for k, v in (
-                ("src_ip", event.src_ip),
-                ("src_port", event.src_port),
-                ("dst_ip", event.dst_ip),
-                ("dst_port", event.dst_port),
-                ("proto", event.proto),
-            )
-            if v is not None
-        }
-    return {
-        "event_id": event.event_id,
-        "ts": event.ts,
-        "scenario_id": event.scenario_id,
-        "source": event.source,
-        "trust_origin": event.trust_origin,
-        "host": event.host,
-        "user": event.user,
-        "process": proc,
-        "network": net,
-        "text_blob": event.text_blob,
-        "extras": dict(sorted(event.extras.items())),
-    }
-
-
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
-_REQUIRED = object()
+# the default of a record_field or typed_value key that must be present
+REQUIRED = object()
 
 
-def _field(group: Mapping[str, Any], key: str, kind: type, default: Any = None) -> Any:
-    """group[key], or default when the key is absent (_REQUIRED: KeyError).
+def record_field(group: Mapping[str, Any], key: str, kind: type, default: Any = None) -> Any:
+    """group[key], or default when the key is absent (REQUIRED: KeyError).
 
     The value must be exactly of kind -- a JSON boolean is no integer --
     or null where the default is None; otherwise TypeError names the key.
     """
-    value = group[key] if default is _REQUIRED else group.get(key, default)
+    value = group[key] if default is REQUIRED else group.get(key, default)
     if type(value) is kind or (value is None and default is None):
         return value
     nullable = " or null" if default is None else ""
@@ -402,13 +358,13 @@ def _object(data: Mapping[str, Any], key: str) -> Dict[str, Any]:
 
 
 # (group, key, kind, default) of the fields _raise_bad_field checks, in its order: the group is
-# the record itself ("") or its "process" or "network" object, and the default is _field's
+# the record itself ("") or its "process" or "network" object, and the default is record_field's
 _FIELD_CHECKS = (
-    ("", "event_id", str, _REQUIRED),
-    ("", "ts", int, _REQUIRED),
+    ("", "event_id", str, REQUIRED),
+    ("", "ts", int, REQUIRED),
     ("", "scenario_id", str, ""),
-    ("", "source", str, _REQUIRED),
-    ("", "trust_origin", str, _REQUIRED),
+    ("", "source", str, REQUIRED),
+    ("", "trust_origin", str, REQUIRED),
     ("", "host", str, None),
     ("", "user", str, None),
     ("process", "pid", int, None),
@@ -435,12 +391,12 @@ def _raise_bad_field(data: Mapping[str, Any]) -> NoReturn:
         if type(value) is not str:
             raise TypeError(f"'extras' value {key!r} must be a string, got {type(value).__name__}")
     for group, key, kind, default in _FIELD_CHECKS:
-        _field(groups[group], key, kind, default)
+        record_field(groups[group], key, kind, default)
     raise ValueError(f"'ts' {data['ts']} is outside the years 1-9999")
 
 
 def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = None) -> NormalizedEvent:
-    """Build an event from its ``event_to_dict`` form.
+    """Build an event from its events.jsonl record.
 
     With ``shared`` (one dict per read), equal string values of the fields
     ``normalize_records`` shares (source, scenario id, trust origin, host,
@@ -519,57 +475,56 @@ encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _event_line(e: NormalizedEvent) -> str:
-    """``encode_compact(event_to_dict(e))``, put together from the fields.
+    """e's events.jsonl record, as compact JSON: the process and network
+    fields nested in two groups, each null exactly when all of its fields
+    are None, and the extras sorted by key.
 
-    Strings go through json's own escaper; an integer field that is not
-    exactly an int, extras that are not a dict, or a value the escaper
-    rejects (TypeError) send the event through event_to_dict and the
-    encoder instead.
+    Strings go through json's own escaper, which raises TypeError for a
+    value that is no str. An integer field that is not exactly an int (a
+    bool, a float) raises TypeError naming the event and the field, as the
+    reader would reject the line.
     """
-    ts, pid, ppid, src_port, dst_port, extras = e.ts, e.pid, e.ppid, e.src_port, e.dst_port, e.extras
-    if (
+    ts, pid, ppid, src_port, dst_port = e.ts, e.pid, e.ppid, e.src_port, e.dst_port
+    if not (
         type(ts) is int
         and (pid is None or type(pid) is int)
         and (ppid is None or type(ppid) is int)
         and (src_port is None or type(src_port) is int)
         and (dst_port is None or type(dst_port) is int)
-        and type(extras) is dict
     ):
-        esc = encode_basestring_ascii
-        host, user, image, cmdline, src_ip, dst_ip, proto = e.host, e.user, e.image, e.cmdline, e.src_ip, e.dst_ip, e.proto
-        try:
-            proc = []
-            if pid is not None:
-                proc.append(f'"pid":{pid}')
-            if ppid is not None:
-                proc.append(f'"ppid":{ppid}')
-            if image is not None:
-                proc.append(f'"image":{esc(image)}')
-            if cmdline is not None:
-                proc.append(f'"cmdline":{esc(cmdline)}')
-            net = []
-            if src_ip is not None:
-                net.append(f'"src_ip":{esc(src_ip)}')
-            if src_port is not None:
-                net.append(f'"src_port":{src_port}')
-            if dst_ip is not None:
-                net.append(f'"dst_ip":{esc(dst_ip)}')
-            if dst_port is not None:
-                net.append(f'"dst_port":{dst_port}')
-            if proto is not None:
-                net.append(f'"proto":{esc(proto)}')
-            pairs = ",".join([f"{esc(k)}:{esc(v)}" for k, v in sorted(extras.items())]) if extras else ""
-            return (
-                f'{{"event_id":{esc(e.event_id)},"ts":{ts},"scenario_id":{esc(e.scenario_id)},'
-                f'"source":{esc(e.source)},"trust_origin":{esc(e.trust_origin)},'
-                f'"host":{"null" if host is None else esc(host)},"user":{"null" if user is None else esc(user)},'
-                f'"process":{"{" + ",".join(proc) + "}" if proc else "null"},'
-                f'"network":{"{" + ",".join(net) + "}" if net else "null"},"text_blob":{esc(e.text_blob)},'
-                f'"extras":{{{pairs}}}}}'
-            )
-        except TypeError:
-            pass
-    return encode_compact(event_to_dict(e))
+        name = next(n for n in ("ts", "pid", "ppid", "src_port", "dst_port") if type(getattr(e, n)) not in (int, type(None)))
+        raise TypeError(f"event {e.event_id!r}: {name!r} must be an integer, got {type(getattr(e, name)).__name__}")
+    esc = encode_basestring_ascii
+    host, user, image, cmdline, src_ip, dst_ip, proto, extras = e.host, e.user, e.image, e.cmdline, e.src_ip, e.dst_ip, e.proto, e.extras
+    proc = []
+    if pid is not None:
+        proc.append(f'"pid":{pid}')
+    if ppid is not None:
+        proc.append(f'"ppid":{ppid}')
+    if image is not None:
+        proc.append(f'"image":{esc(image)}')
+    if cmdline is not None:
+        proc.append(f'"cmdline":{esc(cmdline)}')
+    net = []
+    if src_ip is not None:
+        net.append(f'"src_ip":{esc(src_ip)}')
+    if src_port is not None:
+        net.append(f'"src_port":{src_port}')
+    if dst_ip is not None:
+        net.append(f'"dst_ip":{esc(dst_ip)}')
+    if dst_port is not None:
+        net.append(f'"dst_port":{dst_port}')
+    if proto is not None:
+        net.append(f'"proto":{esc(proto)}')
+    pairs = ",".join([f"{esc(k)}:{esc(v)}" for k, v in sorted(extras.items())]) if extras else ""
+    return (
+        f'{{"event_id":{esc(e.event_id)},"ts":{ts},"scenario_id":{esc(e.scenario_id)},'
+        f'"source":{esc(e.source)},"trust_origin":{esc(e.trust_origin)},'
+        f'"host":{"null" if host is None else esc(host)},"user":{"null" if user is None else esc(user)},'
+        f'"process":{"{" + ",".join(proc) + "}" if proc else "null"},'
+        f'"network":{"{" + ",".join(net) + "}" if net else "null"},"text_blob":{esc(e.text_blob)},'
+        f'"extras":{{{pairs}}}}}'
+    )
 
 
 def events_to_jsonl(events: Iterable[NormalizedEvent]) -> str:
@@ -577,59 +532,56 @@ def events_to_jsonl(events: Iterable[NormalizedEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _jsonl_lines(source: Union[str, IO[bytes]], kind: str) -> Iterator[Tuple[int, str]]:
-    """Yield ``(lineno, line)`` exactly as ``enumerate(text.splitlines(), 1)``.
-
-    ``source`` is the text or a file opened in binary mode. A file is read
-    one physical line at a time; each is decoded and split again with
-    ``str.splitlines``, so lines and their numbers match the text's. A line
-    that is not valid UTF-8 raises ParseError naming ``kind`` and the line.
-    """
-    if isinstance(source, str):
-        yield from enumerate(source.splitlines(), start=1)
-        return
-    lineno = 0
-    for raw in source:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{kind} line {lineno + 1}: {type(exc).__name__}: {exc}", offending=raw.decode("utf-8", "replace")
-            )
-        for line in text.splitlines():
-            lineno += 1
-            yield lineno, line
-
-
 # the scanner json.loads runs, without its checks around the value; a line it
 # cannot read whole goes to json.loads, for json's own error message
 _scan_once = json.JSONDecoder().scan_once
 
 
-def events_from_jsonl(source: Union[str, IO[bytes]]) -> List[NormalizedEvent]:
-    """Parse events.jsonl from its text or from a file opened in binary mode.
+def read_jsonl(source: Union[str, IO[bytes]], kind: str, record: Callable[[Any], T]) -> List[T]:
+    """record(doc) of the JSON document on each non-blank line of a .jsonl artifact.
 
-    A file is read line by line, and equal identity values are shared
-    across the events (see ``event_from_dict``). A malformed line raises
-    ParseError naming its line number.
+    ``source`` is the text or a file opened in binary mode. A file is read
+    one physical line at a time; each is decoded and split again with
+    ``str.splitlines``, so lines and their numbers match the text's. A line
+    that is not valid UTF-8 or JSON, or whose document record rejects
+    (AttributeError, KeyError, TypeError, ValueError), raises
+    ParseError("<kind> line N: Exc: msg").
     """
-    events = []
-    shared: Dict[str, str] = {}
-    for lineno, line in _jsonl_lines(source, "events"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
+    records = []
+    lineno = 0
+    for block in (source,) if isinstance(source, str) else source:
+        if not isinstance(block, str):
             try:
-                doc, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line):  # not one JSON value: json.loads raises with its own message
-                doc = json.loads(line)
-            events.append(event_from_dict(doc, shared))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"events line {lineno}: {type(exc).__name__}: {exc}", offending=line)
-    return events
+                block = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    f"{kind} line {lineno + 1}: {type(exc).__name__}: {exc}", offending=block.decode("utf-8", "replace")
+                )
+        for line in block.splitlines():
+            lineno += 1
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                try:
+                    doc, end = _scan_once(line, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(line):  # not one JSON value: json.loads raises with its own message
+                    doc = json.loads(line)
+                records.append(record(doc))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{kind} line {lineno}: {type(exc).__name__}: {exc}", offending=line)
+    return records
+
+
+def events_from_jsonl(source: Union[str, IO[bytes]]) -> List[NormalizedEvent]:
+    """Parse events.jsonl from its text or from a file opened in binary mode (see read_jsonl).
+
+    Equal identity values are shared across the events (see ``event_from_dict``).
+    """
+    shared: Dict[str, str] = {}
+    return read_jsonl(source, "events", lambda doc: event_from_dict(doc, shared))
 
 
 # --- indented JSON documents ----------------------------------------------
@@ -721,14 +673,14 @@ def string_list(origin: Union[str, Path], doc: Mapping[str, Any], key: str, wher
 
 
 def typed_value(
-    origin: Union[str, Path], doc: Mapping[str, Any], key: str, kind: type, where: str = "", default: Any = _REQUIRED
+    origin: Union[str, Path], doc: Mapping[str, Any], key: str, kind: type, where: str = "", default: Any = REQUIRED
 ) -> Any:
     """doc[key] (absent: default, if given) if it is a kind, else ParseError naming the file and the key.
 
     kind is str, int or float; an int is a float, kept as it is, a bool is
     neither, and a string is no number however it reads.
     """
-    if key not in doc and default is not _REQUIRED:
+    if key not in doc and default is not REQUIRED:
         return default
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):

@@ -238,7 +238,7 @@ def write_reconstruct_artifacts(
     ]
 
 
-def write_run_artifacts(result: RunResult, out_dir: Path, manifest: Optional[Mapping[str, Any]] = None) -> List[Path]:
+def write_run_artifacts(result: RunResult, out_dir: Path, manifest: Mapping[str, Any]) -> List[Path]:
     """Write the full artifact set for one run; returns written paths."""
     written = [
         *write_ingest_artifacts(result.ingest, result.events, out_dir),
@@ -248,8 +248,7 @@ def write_run_artifacts(result: RunResult, out_dir: Path, manifest: Optional[Map
     if result.metrics is not None:
         written.append(_write(out_dir, "metrics.json", run_metrics_to_dict(result.metrics)))
     written.append(_write(out_dir, "evidence.json", result.evidence))
-    if manifest is not None:
-        written.append(_write(out_dir, "manifest.json", dict(manifest)))
+    written.append(_write(out_dir, "manifest.json", dict(manifest)))
     return written
 
 
@@ -331,12 +330,11 @@ def sweep_scenario(
     rules: RuleSet,
     budgets: Sequence[BudgetConfig],
     params: RunParams = RunParams(),
-    expected: Optional[ExpectedStepSet] = None,
 ) -> SweepResult:
-    """Score every source budget of one scenario through budget_sweep."""
-    expected, scenario_id = resolve_expected(scenario_dir, expected)
+    """Score every source budget of one scenario, whose ground_truth.json gives the expected steps, through budget_sweep."""
+    expected, scenario_id = resolve_expected(scenario_dir)
     if expected is None:
-        raise ConfigError("sweep requires ground truth or an explicit expected step set")
+        raise ConfigError("sweep requires the scenario's ground truth")
     ingest_result = ingest_scenario(scenario_dir, adapters, aliases, scenario_id=scenario_id)
     rows = budget_sweep(ingest_result.events_by_source, rules, expected, budgets, aliases=aliases, params=params)
     # ingest gives every adapter a table, so a budget naming a source the
@@ -364,7 +362,7 @@ def sweep_scenario(
     )
 
 
-def write_sweep_artifacts(result: SweepResult, out_dir: Path, manifest: Optional[Mapping[str, Any]] = None) -> List[Path]:
+def write_sweep_artifacts(result: SweepResult, out_dir: Path, manifest: Mapping[str, Any]) -> List[Path]:
     rows_doc = []
     for row in result.rows:
         entry: Dict[str, Any] = {
@@ -381,7 +379,7 @@ def write_sweep_artifacts(result: SweepResult, out_dir: Path, manifest: Optional
             if without_files:
                 entry["sources_without_files"] = without_files
         rows_doc.append(entry)
-    written = [
+    return [
         _write(out_dir, "sweep_rows.json", {"scenario_id": result.scenario_id, "rows": rows_doc}),
         _write(
             out_dir,
@@ -389,7 +387,5 @@ def write_sweep_artifacts(result: SweepResult, out_dir: Path, manifest: Optional
             {category: aggregate_to_dict(agg) for category, agg in sorted(result.aggregates.items())},
         ),
         _write(out_dir, "budget_table.txt", result.table),
+        _write(out_dir, "manifest.json", dict(manifest)),
     ]
-    if manifest is not None:
-        written.append(_write(out_dir, "manifest.json", dict(manifest)))
-    return written

@@ -22,20 +22,20 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Pattern, Sequence, Set, Tuple, Union
 
-from .errors import ConfigError, ParseError, RuleError
+from .errors import ConfigError, RuleError
 from .model import (
     CANONICAL_FIELDS,
     EMPTY_ALIASES,
     FieldAliasMap,
+    REQUIRED,
     FieldResolver,
     NormalizedEvent,
-    _REQUIRED,
-    _field,
-    _jsonl_lines,
     field_resolver,
     object_field,
     object_list,
     parse_regex,
+    read_jsonl,
+    record_field,
     resolve_fields,
     sort_events,
     string_list,
@@ -553,7 +553,7 @@ def _objects(doc: Mapping[str, Any], key: str) -> List[Dict[str, Any]]:
 
 
 def _candidate_from_dict(doc: Mapping[str, Any]) -> Candidate:
-    step, rule_id, priority = _field(doc, "step", str, _REQUIRED), _field(doc, "rule_id", str, _REQUIRED), doc["priority"]
+    step, rule_id, priority = record_field(doc, "step", str, REQUIRED), record_field(doc, "rule_id", str, REQUIRED), doc["priority"]
     if type(priority) not in (int, float):  # kept as read: 1 and 1.0 encode differently
         raise TypeError(f"'priority' must be a number, got {type(priority).__name__}")
     return Candidate(step=StepTag(step), rule_id=rule_id, priority=priority)
@@ -568,16 +568,16 @@ def decision_from_dict(doc: Mapping[str, Any]) -> TagDecision:
     is a string or absent; candidates and diagnostics are lists of
     objects; a priority is an int or a float, never a bool.
     """
-    event_id = _field(doc, "event_id", str, _REQUIRED)
+    event_id = record_field(doc, "event_id", str, REQUIRED)
     if "chosen" not in doc:
         raise KeyError("chosen")
-    chosen = _field(doc, "chosen", str)
+    chosen = record_field(doc, "chosen", str)
     return TagDecision(
         event_id=event_id,
         candidates=tuple(map(_candidate_from_dict, _objects(doc, "candidates"))),
         chosen=StepTag(chosen) if chosen is not None else None,
         diagnostics=tuple(
-            Diagnostic(kind=_field(d, "kind", str, _REQUIRED), rule_id=_field(d, "rule_id", str))
+            Diagnostic(kind=record_field(d, "kind", str, REQUIRED), rule_id=record_field(d, "rule_id", str))
             for d in _objects(doc, "diagnostics")
         ),
     )
@@ -610,19 +610,8 @@ def decisions_to_jsonl(decisions: Iterable[TagDecision]) -> str:
 
 
 def decisions_from_jsonl(source: Union[str, IO[bytes]]) -> List[TagDecision]:
-    """Parse decisions.jsonl from its text or from a file opened in binary mode, line by line.
-
-    A malformed line raises ParseError naming its line number.
-    """
-    decisions = []
-    for lineno, line in _jsonl_lines(source, "decisions"):
-        if not line.strip():
-            continue
-        try:
-            decisions.append(decision_from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"decisions line {lineno}: {type(exc).__name__}: {exc}", offending=line)
-    return decisions
+    """Parse decisions.jsonl from its text or from a file opened in binary mode (see read_jsonl)."""
+    return read_jsonl(source, "decisions", decision_from_dict)
 
 
 def run_diag_to_dict(diag: RunDiagnostics) -> Dict[str, Any]:

@@ -457,10 +457,6 @@ def reference_parse_timestamp(raw, format_hint=TS_AUTO, default_year=None):
     """parse_timestamp as it was before it skipped the rewrites of canonical
     text: every ISO rewrite applied, and an epoch matched twice. In auto
     mode, BSD-shaped text goes to the BSD parser and any other to ISO."""
-    if isinstance(raw, bool):
-        raise ParseError(f"unparseable timestamp: {raw!r}", offending=str(raw))
-    if isinstance(raw, (int, float)):
-        raw = repr(raw)
     text = raw.strip()
     if not text:
         raise ParseError("empty timestamp", offending=raw)
@@ -500,6 +496,27 @@ def _reference_object(data, key):
     if type(value) is not dict:
         raise TypeError(f"{key!r} must be an object, got {type(value).__name__}")
     return value
+
+
+def reference_event_to_dict(event):
+    """An event's events.jsonl record, which model._event_line writes as
+    compact JSON: process and network fields nested in two groups, each null
+    exactly when all of its fields are None, and the extras sorted by key."""
+    proc = {k: getattr(event, k) for k in ("pid", "ppid", "image", "cmdline") if getattr(event, k) is not None}
+    net = {k: getattr(event, k) for k in ("src_ip", "src_port", "dst_ip", "dst_port", "proto") if getattr(event, k) is not None}
+    return {
+        "event_id": event.event_id,
+        "ts": event.ts,
+        "scenario_id": event.scenario_id,
+        "source": event.source,
+        "trust_origin": event.trust_origin,
+        "host": event.host,
+        "user": event.user,
+        "process": proc or None,
+        "network": net or None,
+        "text_blob": event.text_blob,
+        "extras": dict(sorted(event.extras.items())),
+    }
 
 
 def reference_event_from_dict(data, shared=None):

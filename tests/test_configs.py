@@ -26,7 +26,8 @@ from chainscope.configio import (
     packaged_template_ids,
 )
 from chainscope.errors import ChainscopeError, ConfigError, ParseError, ScenarioError
-from chainscope.synth import ROUTING
+from chainscope.ingest import SourceAdapterSpec
+from chainscope.synth import ROUTING, AttackEventSpec, AttackStepSpec, AttackTemplate, HostSpec, ScenarioSpec
 from chainscope.tagging import StepTag, load_rules
 from conftest import expected_from_techniques, packaged_scenario_ids
 
@@ -102,6 +103,44 @@ def test_a_number_reads_as_a_float():
     steps = template.steps
     numbers = [spec.benign.min_interval_s, spec.benign.max_interval_s, *(s.offset_s for s in steps), *(e.offset_s for s in steps for e in s.events)]
     assert [type(n) for n in numbers] == [float] * len(numbers)
+
+
+def test_a_document_of_required_keys_loads_as_the_dataclass_defaults(tmp_path):
+    # every optional key takes the default its spec dataclass declares
+    (tmp_path / "adapters.yml").write_text("adapters:\n  - {source: s, format: prenormalized}\n")
+    (tmp_path / "spec.yml").write_text("scenario_id: mini\nhosts: [{name: h1}]\nsources: [s]\n")
+    (tmp_path / "template.yml").write_text("template_id: t\nsteps: [{step: INSTALL, events: [{source: s}]}]\n")
+    assert load_adapters(tmp_path / "adapters.yml") == [SourceAdapterSpec(source="s", format="prenormalized")]
+    assert load_scenario_spec(tmp_path / "spec.yml") == ScenarioSpec(scenario_id="mini", seed=0, hosts=(HostSpec(name="h1"),), sources=("s",))
+    step = AttackStepSpec(step=StepTag.INSTALL, offset_s=0.0, technique_ids=(), events=(AttackEventSpec(source="s", fields={}),))
+    assert load_template(tmp_path / "template.yml") == AttackTemplate(template_id="t", steps=(step,))
+
+
+_MINI_ADAPTER = "adapters:\n  - {source: s, format: prenormalized, %s}\n"
+_MINI_SPEC = "scenario_id: mini\nhosts: [{name: h1}]\nsources: [s]\n%s\n"
+_MINI_TEMPLATE = "template_id: t\nsteps: [{step: INSTALL, events: [{source: s}]}]\n%s\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        *(("adapters", _MINI_ADAPTER % f"{key}: null", f"adapters[0].'{key}' must be {expected}, got None")
+          for key, expected in (("trust_origin", "a string"), ("ts_format", "a string"), ("file_pattern", "a string"), ("parse_threshold", "a number"))),
+        ("spec", _MINI_SPEC % "start: null", "'start': unparseable ISO-8601 timestamp: 'None'"),
+        ("spec", _MINI_SPEC % "duration_s: null", "'duration_s' must be an integer, got None"),
+        ("spec", _MINI_SPEC.replace("{name: h1}", "{name: h1, profile: null}") % "", "hosts[0].'profile' must be a string, got None"),
+        ("spec", _MINI_SPEC % "attack: {template: null}", "attack.'template' must be a string, got None"),
+        ("spec", _MINI_SPEC % "attack: {start_s: null}", "attack.'start_s' must be an integer, got None"),
+        ("spec", _MINI_SPEC % "benign: {n_activities: null}", "benign.'n_activities' must be an integer, got None"),
+        ("spec", _MINI_SPEC % "benign: {min_interval_s: null}", "benign.'min_interval_s' must be a number, got None"),
+        ("spec", _MINI_SPEC % "benign: {max_interval_s: null}", "benign.'max_interval_s' must be a number, got None"),
+        ("template", _MINI_TEMPLATE % "attack_user: null", "'attack_user' must be a string, got None"),
+        ("template", _MINI_TEMPLATE % "description: null", "'description' must be a string, got None"),
+        ("template", _MINI_TEMPLATE.replace("{source: s}", "{source: s, offset_s: null}") % "", "steps[0].events[0].'offset_s' must be a number, got None"),
+    ],
+)
+def test_a_present_null_takes_no_default(tmp_path, capsys, kind, text, message):
+    assert_names_file_and_key(tmp_path, capsys, kind, text, message)
 
 
 def test_unknown_template_is_a_clear_error():

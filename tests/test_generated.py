@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chainscope.cli import main
-from chainscope.configio import load_adapters, load_packaged_template, packaged_template_ids
-from chainscope.ingest import merge_scenario
+from chainscope.configio import load_adapters, load_packaged_template, load_policy, packaged_template_ids
+from chainscope.ingest import ingest_scenario, merge_scenario
+from chainscope.model import events_from_jsonl, events_to_jsonl, sort_events
+from chainscope.sanitize import sanitize_dataset
 from chainscope.synth import PROFILE_ACTIVITIES, BenignConfig, HostSpec, ScenarioSpec, generate_scenario, write_scenario
 from chainscope.tagging import decisions_to_jsonl, load_rules, tag_run
 from conftest import run_stage_commands
@@ -71,3 +73,19 @@ def test_the_stage_commands_write_evaluates_bytes(data):
         assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--rules", str(rules), "--out", str(run)]) == 0
         for name, stage in stages.items():
             assert (stage / name).read_bytes() == (run / name).read_bytes(), name
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=small_scenarios())
+def test_the_ingested_and_sanitized_tables_encode_and_read_back(aliases, data):
+    # the events.jsonl writer refuses a value it cannot write; the tables
+    # the commands write never hold one
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scenario(data, Path(tmp))
+        merged = ingest_scenario(Path(tmp), load_adapters(), aliases).merged()
+    tables = {}
+    for event in merged:
+        tables.setdefault(event.source, []).append(event)
+    sanitized, _pmap, _report = sanitize_dataset(tables, load_policy(), b"salt")
+    for table in (merged, sort_events(e for events in sanitized.values() for e in events)):
+        assert events_from_jsonl(events_to_jsonl(table)) == table

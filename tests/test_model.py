@@ -24,7 +24,6 @@ from chainscope.model import (
     NormalizedEvent,
     encode_compact,
     event_from_dict,
-    event_to_dict,
     events_from_jsonl,
     events_to_jsonl,
     parse_timestamp,
@@ -33,8 +32,8 @@ from chainscope.model import (
     write_jsonl,
 )
 from chainscope.pipeline import write_ingest_artifacts, write_tag_artifacts
-from chainscope.tagging import decisions_to_jsonl, tag_run
-from conftest import jsonl_layouts, make_event, reference_event_from_dict, reference_parse_timestamp, resolve_field
+from chainscope.tagging import decisions_from_jsonl, decisions_to_jsonl, tag_run
+from conftest import jsonl_layouts, make_event, reference_event_from_dict, reference_event_to_dict, reference_parse_timestamp, resolve_field
 
 
 class TestParseTimestamp:
@@ -60,7 +59,6 @@ class TestParseTimestamp:
     def test_epoch_seconds_and_millis(self):
         assert parse_timestamp("1714569720.123").ts_ms == 1714569720123
         assert parse_timestamp("1714569720123").ts_ms == 1714569720123
-        assert parse_timestamp(1714569720.123).ts_ms == 1714569720123
 
     def test_naive_treated_as_utc(self):
         parsed = parse_timestamp("2024-05-01 13:22:00")
@@ -160,7 +158,7 @@ def parse_outcome(parse, raw, hint, year):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    raw=st.one_of(CANONICAL, OFF_CANONICAL, NEAR_ISO, NEAR_EPOCH, NEAR_BSD, st.text(max_size=12), st.integers(-(10**13), 10**13), st.floats(allow_nan=False)),
+    raw=st.one_of(CANONICAL, OFF_CANONICAL, NEAR_ISO, NEAR_EPOCH, NEAR_BSD, st.text(max_size=12), st.integers(-(10**13), 10**13).map(repr), st.floats(allow_nan=False).map(repr)),
     hint=st.sampled_from([model.TS_AUTO, model.TS_ISO8601, *model.TS_FORMATS, "unknown"]),  # the ISO paths weighted twice
     year=st.sampled_from([None, 2023, 2024]),
 )
@@ -300,8 +298,8 @@ class TestEventOrderingAndSerialization:
                 assert (doc[group] is None) == (not present)
                 assert doc[group] == (present or None)
 
-    def test_dict_field_names(self):
-        doc = event_to_dict(make_event(pid=1, dst_port=80))
+    def test_record_field_names(self):
+        doc = json.loads(events_to_jsonl([make_event(pid=1, dst_port=80)]))
         assert list(doc) == [
             "event_id",
             "ts",
@@ -375,6 +373,14 @@ class TestEventsJsonlReader:
         raw = events_to_jsonl([make_event(event_id="a")]).encode() + b"\n" + b'{"host": "\xff"}\n'
         with pytest.raises(ParseError, match="events line 3: UnicodeDecodeError"):
             events_from_jsonl(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("bad", ["{", "not json", '{"a": 1} x', "\ufeff{}"])
+    def test_both_readers_report_a_line_that_is_no_json_alike(self, bad):
+        # events.jsonl and decisions.jsonl are read by one loop, model.read_jsonl
+        text = '\n  \n' + bad + "\n"
+        message, offending = _parse_error(events_from_jsonl, io.BytesIO(text.encode("utf-8")))
+        assert message.startswith("events line 3: JSONDecodeError: ")
+        assert _parse_error(decisions_from_jsonl, text) == (message.replace("events", "decisions", 1), offending)
 
     def test_one_read_shares_equal_values(self):
         events = [
@@ -623,7 +629,7 @@ class TestEventCodec:
     @given(st.data(), CODEC_EVENTS)
     def test_reader_equals_the_reference(self, data, events):
         # a JSON round trip gives every record its own copy of equal strings
-        docs = [json.loads(encode_compact(event_to_dict(e))) for e in events]
+        docs = [json.loads(encode_compact(reference_event_to_dict(e))) for e in events]
         _assert_reads_alike(docs)
         # every key of one record dropped, nulled or retyped in turn
         i = data.draw(st.integers(0, len(docs) - 1))
@@ -657,35 +663,35 @@ class TestEventCodec:
         )
     )
     def test_writer_equals_the_encoder(self, events):
-        assert events_to_jsonl(events) == "".join(encode_compact(event_to_dict(e)) + "\n" for e in events)
+        assert events_to_jsonl(events) == "".join(encode_compact(reference_event_to_dict(e)) + "\n" for e in events)
 
     @pytest.mark.parametrize(
         "fields",
+        [{"host": type("Name", (str,), {})("h")}, {"extras": types.MappingProxyType({"b": "2", "a": "1"})}],
+    )
+    def test_a_str_subclass_or_a_read_only_mapping_writes_as_the_reference(self, fields):
+        event = dataclasses.replace(make_event(host=None, pid=1), **fields)
+        assert events_to_jsonl([event]) == encode_compact(reference_event_to_dict(event)) + "\n"
+
+    @pytest.mark.parametrize(
+        "fields, message",
         [
-            {"ts": True},
-            {"pid": False},
-            {"src_port": 2.0},
-            {"dst_port": "443"},
-            {"host": type("Name", (str,), {})("h")},
-            {"image": 7},
-            {"extras": types.MappingProxyType({"b": "2", "a": "1"})},
-            {"extras": {"k": 5}},
-            {"extras": {"k": None}},
-            {"extras": {1: "v"}},
-            {"extras": {"b": "x", 1: "v"}},
-            {"event_id": None},
+            ({"ts": True}, "event 'e1': 'ts' must be an integer, got bool"),
+            ({"pid": False}, "event 'e1': 'pid' must be an integer, got bool"),
+            ({"src_port": 2.0}, "event 'e1': 'src_port' must be an integer, got float"),
+            ({"dst_port": "443"}, "event 'e1': 'dst_port' must be an integer, got str"),
+            ({"image": 7}, "int"),
+            ({"extras": {"k": 5}}, "int"),
+            ({"extras": {"k": None}}, "NoneType"),
+            ({"extras": {1: "v"}}, "int"),
+            ({"extras": {"b": "x", 1: "v"}}, "'<' not supported"),
+            ({"event_id": None}, "NoneType"),
         ],
     )
-    def test_a_value_that_is_no_plain_str_or_int_writes_as_the_encoder_does(self, fields):
-        event = dataclasses.replace(make_event(host=None, pid=1), **fields)
-
-        def written(render):
-            try:
-                return render()
-            except Exception as exc:
-                return type(exc), str(exc)
-
-        assert written(lambda: events_to_jsonl([event])) == written(lambda: encode_compact(event_to_dict(event)) + "\n")
+    def test_a_value_that_is_no_plain_str_or_int_raises(self, fields, message):
+        event = dataclasses.replace(make_event(event_id="e1", host=None, pid=1), **fields)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            events_to_jsonl([event])
 
 
 class TestEventConstruction:
@@ -766,7 +772,6 @@ class TestTimestampRange:
             (str(model.TS_MAX_MS + 1), model.TS_AUTO),
             (str(model.TS_MIN_MS - 1), model.TS_AUTO),
             ("10000000000000000", model.TS_AUTO),
-            (10000000000000000, model.TS_AUTO),
             ("1" + "0" * 400, model.TS_EPOCH_MILLIS),  # reads as an infinite float
             ("253402300800", model.TS_EPOCH_SECONDS),
             ("0001-01-01T00:00:00+05:00", model.TS_ISO8601),

@@ -9,7 +9,8 @@ counts as a caller too: it reads a few views that the package does not.
 
 Two stdlib lint checks catch what a deletion leaves behind: a top-level
 import that binds no name its module uses, and a private top-level
-function, class or assignment that nothing in ``src/`` names.
+function, class or assignment that nothing in ``src/`` names. A private
+name stays inside its module: no module of ``src/`` imports another's.
 """
 
 import ast
@@ -123,3 +124,15 @@ def test_every_top_level_import_is_used():
                 if bound not in used:
                     unused.append(f"{module}: {bound}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = [
+        f"{module}: {node.module or ''}.{alias.name}"
+        for module, body in modules().items()
+        for node in ast.walk(ast.Module(body=body, type_ignores=[]))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("chainscope"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert imported == []
