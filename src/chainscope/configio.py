@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import re
+from datetime import date
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -238,8 +239,10 @@ def scenario_spec_from_doc(doc: Any, origin: str) -> ScenarioSpec:
         benign["activity_set"] = tuple(string_list(origin, benign_doc, "activity_set", "benign."))
     start = {}
     if "start" in doc:
+        # an unquoted YAML timestamp loads as a datetime, or a date
+        value = doc["start"] if isinstance(doc["start"], date) else typed_value(origin, doc, "start", str)
         try:
-            start["start_ms"] = parse_timestamp(str(doc["start"])).ts_ms
+            start["start_ms"] = parse_timestamp(str(value)).ts_ms
         except ParseError as exc:
             raise ConfigError(f"{origin}: 'start': {exc}")
     attack_doc = object_field(origin, doc, "attack")

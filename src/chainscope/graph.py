@@ -20,14 +20,20 @@ graph.json from the columns, encoding each event id once and holding one
 slice of records at a time.
 
 build_event_graph does not test every pair inside the window. It files
-each node in keyed buckets -- host, user, pid, ppid, destination endpoint
-and unordered endpoint pair -- and takes a node's candidate partners from
-the buckets a later partner must share with it, cut to the window by
-bisection. A same-host candidate is always a shared_host edge; any other
-candidate goes through join_reason, whose fixed priority decides the
-reason. Every accepted pair shares at least one of these keys, so the
-edge set and its (source, target) position order equal those of a full
-scan of the window.
+each node in keyed buckets -- host, user, pid, ppid and destination
+endpoint -- and takes a node's candidate partners from the buckets a
+later partner must be filed in, cut to the window by bisection. For an
+unordered endpoint pair that is the bucket of either of the node's
+endpoints, since a partner's destination is one of them, and no bucket
+is keyed by a whole flow. A same-host candidate is always a shared_host
+edge; any other candidate goes through join_reason, whose fixed priority
+decides the reason. Every accepted pair meets in one of these buckets,
+so the edge set and its (source, target) position order equal those of a
+full scan of the window. The nodes are joined from the last one back,
+each filed after its own join, so a bucket holds only later nodes: their
+positions, descending, and their negated timestamps, ascending, in two
+arrays. Nothing is held per node but its entries in the buckets, and the
+predecessor rows are counted and filled from the finished edge columns.
 
 Chains are path projections: walk any forward path, record each step tag
 at its first occurrence, and you get an ordered step sequence. Distinct
@@ -79,14 +85,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import EventIdError
 from .model import SLICE_RECORDS, NormalizedEvent
@@ -218,31 +223,43 @@ def build_event_graph(
         raise EventIdError(f"no decision for event id {missing!r}")
     nodes = sorted((e for e in events if steps[e.event_id] is not None), key=lambda e: (e.ts, e.event_id))
     ts = [node.ts for node in nodes]
-    buckets, partners = _candidate_buckets(nodes, ts)
     src, dst, reasons, gaps = array("i"), array("i"), array("B"), array("q")
-    preds: List[List[int]] = [[] for _ in nodes]
-    for i, a in enumerate(nodes):
-        limit = ts[i] + window_ms
-        same_host: List[int] = []
-        if a.host is not None:
-            same_host = _later_within(buckets[("host", a.host)], i, limit)
+    # joined from the last node back, so a bucket holds only later nodes;
+    # edges go in by descending (src, dst), and the columns are reversed after
+    buckets: Dict[JoinKey, Bucket] = {}
+    no_bucket: Bucket = (array("i"), array("q"))  # ("host", None) is never filed
+    for i in range(len(nodes) - 1, -1, -1):
+        a = nodes[i]
+        filed, wanted = _join_keys(a)
+        ts_a = ts[i]
+        limit = -(ts_a + window_ms)
+        same_host = _within(buckets.get(("host", a.host), no_bucket), limit)
         others: Set[int] = set()
-        for bucket in partners[i]:
-            others.update(_later_within(bucket, i, limit))
+        for key in wanted:
+            bucket = buckets.get(key)
+            if bucket is not None:
+                others.update(_within(bucket, limit))
         others.difference_update(same_host)
         targets, codes = same_host, bytes(len(same_host))  # code 0 is JOIN_SHARED_HOST
         if others:
             joined = [(j, 0) for j in same_host]
             joined.extend((j, _REASON_CODES[r]) for j in others if (r := join_reason(a, nodes[j])) is not None)
-            joined.sort()
+            joined.sort(reverse=True)
             targets, codes = [j for j, _code in joined], bytes(code for _j, code in joined)
-        ts_a = ts[i]
         src.extend(repeat(i, len(targets)))
         dst.extend(targets)
         reasons.frombytes(codes)
         gaps.extend([ts[j] - ts_a for j in targets])
-        for j in targets:
-            preds[j].append(i)
+        for key in filed:
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = (array("i"), array("q"))
+            bucket[0].append(i)
+            bucket[1].append(-ts_a)
+    del buckets  # before the predecessor columns are allocated
+    for column in (src, dst, reasons, gaps):
+        column.reverse()
+    pred_offsets, pred_sources = _predecessors(len(nodes), src, dst)
     return EventGraph(
         nodes=tuple(nodes),
         steps=tuple(steps[node.event_id] for node in nodes),
@@ -251,32 +268,38 @@ def build_event_graph(
         edge_dst=dst,
         edge_reason=reasons,
         edge_gap=gaps,
-        pred_offsets=array("q", accumulate(map(len, preds), initial=0)),
-        pred_sources=array("i", chain.from_iterable(preds)),
+        pred_offsets=pred_offsets,
+        pred_sources=pred_sources,
     )
 
 
-# A bucket holds the ascending positions, and their timestamps, of the
-# nodes filed under one join key.
+# A bucket holds the positions, descending, and the negated timestamps,
+# ascending, of the nodes filed under one join key.
 JoinKey = Tuple[str, object]
-Bucket = Tuple[List[int], List[int]]
+Bucket = Tuple["array[int]", "array[int]"]
 
 
 def _join_keys(node: NormalizedEvent) -> Tuple[List[JoinKey], List[JoinKey]]:
     """Keys the node is filed under, and keys a later partner is filed under.
 
-    Every pair join_reason accepts shares a host, a user, a pid/ppid link,
-    a destination endpoint or an unordered endpoint pair, so the buckets
-    of the second list plus the node's host bucket hold all its edges.
+    Every pair join_reason accepts shares a host, a user, a pid/ppid link
+    or a destination endpoint, or one's destination is the other's source
+    (an unordered endpoint pair: a partner's destination is one of the
+    node's two endpoints), so the buckets of the second list plus the
+    node's host bucket hold all its edges.
     """
-    shared: List[JoinKey] = []
+    filed: List[JoinKey] = []
     if node.user is not None:
-        shared.append(("user", node.user))
-    if node.dst_ip is not None and node.dst_port is not None:
-        shared.append(("dst", (node.dst_ip, node.dst_port)))
-    if node.src_ip is not None and node.dst_ip is not None:
-        shared.append(("ends", frozenset(((node.src_ip, node.src_port), (node.dst_ip, node.dst_port)))))
-    filed, wanted = list(shared), shared
+        filed.append(("user", node.user))
+    wanted = list(filed)
+    if node.dst_ip is not None:
+        # a later b joins when b.dst == a.dst with a port, or when both have
+        # two ips and {b.src, b.dst} == {a.src, a.dst}: then b.dst is a.dst or a.src
+        if node.dst_port is not None or node.src_ip is not None:
+            filed.append(("dst", (node.dst_ip, node.dst_port)))
+            wanted.append(("dst", (node.dst_ip, node.dst_port)))
+        if node.src_ip is not None:
+            wanted.append(("dst", (node.src_ip, node.src_port)))
     if node.host is not None:
         filed.append(("host", node.host))
     if node.pid is not None:
@@ -289,24 +312,25 @@ def _join_keys(node: NormalizedEvent) -> Tuple[List[JoinKey], List[JoinKey]]:
     return filed, wanted
 
 
-def _candidate_buckets(
-    nodes: Sequence[NormalizedEvent], ts: Sequence[int]
-) -> Tuple[Dict[JoinKey, Bucket], List[List[Bucket]]]:
-    """Every join key's bucket, and per node the buckets of its later partners."""
-    keys = [_join_keys(node) for node in nodes]
-    members: DefaultDict[JoinKey, List[int]] = defaultdict(list)
-    for i, (filed, _wanted) in enumerate(keys):
-        for key in filed:
-            members[key].append(i)
-    buckets = {key: (positions, [ts[i] for i in positions]) for key, positions in members.items()}
-    return buckets, [[buckets[key] for key in wanted if key in buckets] for _filed, wanted in keys]
-
-
-def _later_within(bucket: Bucket, i: int, limit: int) -> List[int]:
-    """Positions in the bucket after node i whose ts is at most limit."""
+def _within(bucket: Bucket, limit: int) -> "array[int]":
+    """The positions in the bucket whose negated ts is at least limit, descending."""
     positions, stamps = bucket
-    lo = bisect_right(positions, i)
-    return positions[lo : bisect_right(stamps, limit, lo)]
+    return positions[bisect_left(stamps, limit) :]
+
+
+def _predecessors(n: int, src: "array[int]", dst: "array[int]") -> Tuple["array[int]", "array[int]"]:
+    """The CSR offsets and sources of each node's predecessors, ascending:
+    a counting sort of the (src, dst)-ordered edges on dst."""
+    indegree = array("q", bytes(8 * n))
+    for j in dst:
+        indegree[j] += 1
+    offsets = array("q", accumulate(indegree, initial=0))
+    cursor = array("q", offsets)  # the next free slot of each node
+    sources = array("i", bytes(4 * len(src)))
+    for i, j in zip(src, dst):
+        sources[cursor[j]] = i
+        cursor[j] += 1
+    return offsets, sources
 
 
 # --- chain extraction -------------------------------------------------------

@@ -7,7 +7,9 @@ reported, never silently dropped from the accounting, and a file is only
 rejected wholesale when its parse rate falls below the adapter threshold
 (default 0.9). Records without any usable timestamp are quarantined with
 a diagnostic instead of failing the run, which preserves genuine
-observability gaps in the output table.
+observability gaps in the output table. A file is read line by line:
+each record is parsed and normalized as its line is read, so nothing
+holds a file's text or its parsed records, only its events.
 
 Supported formats:
 
@@ -25,7 +27,6 @@ byte-identical tables regardless of scheduling.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import re
@@ -69,18 +70,6 @@ MAX_FILES_PER_SOURCE = 1_000
 MAX_RECORDS_PER_FILE = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class RawRecord:
-    """One parsed record, field map plus byte-exact original text.
-
-    For a prenormalized record the fields are the decoded canonical record.
-    """
-
-    ordinal: int
-    fields: Mapping[str, Any]
-    raw_text: str
-
-
 @dataclass(frozen=True)
 class SourceAdapterSpec:
     """Declarative description of one telemetry stream."""
@@ -117,24 +106,17 @@ class SourceAdapterSpec:
 
 
 @dataclass(frozen=True)
-class ParseResult:
-    records: Tuple[RawRecord, ...]
-    rejected_lines: Tuple[int, ...]  # 1-based line numbers
-
-    @property
-    def n_rejected(self) -> int:
-        return len(self.rejected_lines)
-
-
-@dataclass(frozen=True)
 class Quarantine:
     ordinal: int
     reason: str
 
 
 @dataclass(frozen=True)
-class NormalizeResult:
-    events: Tuple[NormalizedEvent, ...]
+class ReadResult:
+    """One file's events, in record order, and what it left out."""
+
+    events: List[NormalizedEvent]
+    rejected_lines: Tuple[int, ...]  # 1-based line numbers
     quarantined: Tuple[Quarantine, ...]
     naive_ts_count: int
 
@@ -199,72 +181,73 @@ def _parse_kv_line(line: str) -> Optional[Dict[str, str]]:
     return {key: quoted if quoted else bare for key, quoted, bare in pairs}
 
 
-def parse_text(text: str, adapter: SourceAdapterSpec, origin: str = "<memory>") -> ParseResult:
-    """Parse one raw log text into RawRecords.
+# for a prenormalized record the fields are the decoded canonical record
+_LINE_PARSERS: Mapping[str, Callable[[str], Optional[Dict[str, Any]]]] = {
+    FORMAT_SYSLOG: _parse_syslog_line,
+    FORMAT_EVE: _parse_eve_line,
+    FORMAT_KV: _parse_kv_line,
+    FORMAT_PRENORMALIZED: _parse_json_object,
+}
 
-    Raises FormatMismatchError, naming origin, when fewer than
-    ``adapter.parse_threshold`` of the non-blank lines parse.
+# one parsed record: its ordinal, its field map and its byte-exact original text
+_Record = Tuple[int, Mapping[str, Any], str]
+
+
+def _line_records(
+    lines: Iterable[str], parse_line: Callable[[str], Optional[Dict[str, Any]]], rejected: List[int]
+) -> Iterator[_Record]:
+    """Each parsed record of a line-per-record file, as its lines are read.
+
+    Each physical line is split again with str.splitlines, so lines and
+    their numbers match those of the whole text. A blank line is skipped;
+    every other line takes the next ordinal, and one that does not parse
+    goes to rejected by its line number.
     """
-    records: List[RawRecord] = []
-    rejected: List[int] = []
-
-    if adapter.format == FORMAT_CSV:
-        _parse_csv(text, adapter, records, rejected)
-    else:
-        parse_line = {
-            FORMAT_SYSLOG: _parse_syslog_line,
-            FORMAT_EVE: _parse_eve_line,
-            FORMAT_KV: _parse_kv_line,
-            FORMAT_PRENORMALIZED: _parse_json_object,
-        }[adapter.format]
-        ordinal = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
+    lineno = ordinal = 0
+    for block in lines:
+        for line in block.splitlines():
+            lineno += 1
             if not line.strip():
                 continue
             fields = parse_line(line)
             if fields is None:
                 rejected.append(lineno)
-                ordinal += 1
-                continue
-            records.append(RawRecord(ordinal=ordinal, fields=fields, raw_text=line))
+            else:
+                yield ordinal, fields, line
             ordinal += 1
 
-    total = len(records) + len(rejected)
-    if total > 0:
-        rate = len(records) / total
-        if rate < adapter.parse_threshold:
-            raise FormatMismatchError(
-                f"{origin}: parse rate {rate:.3f} below threshold {adapter.parse_threshold} "
-                f"for adapter {adapter.source!r} ({len(rejected)}/{total} lines rejected)"
-            )
-    if rejected:
-        logger.warning("%s: %d unparseable line(s) rejected for source %s", origin, len(rejected), adapter.source)
-    return ParseResult(records=tuple(records), rejected_lines=tuple(rejected))
 
-
-def _csv_rows(text: str) -> Iterator[Tuple[int, str, Optional[List[str]]]]:
-    """Each row of a CSV text: the number of its first physical line, its
+def _csv_rows(lines: Iterable[str]) -> Iterator[Tuple[int, str, Optional[List[str]]]]:
+    """Each row of a CSV file: the number of its first physical line, its
     physical text without the final line end, and its cells, or None when
-    the csv module rejects it. A quoted cell may span several lines."""
-    lines = io.StringIO(text).readlines()
-    reader = csv.reader(lines)
-    end = 0
+    the csv module rejects it. A quoted cell may span several lines; only
+    the current row's lines are held."""
+    held: List[str] = []
+
+    def feed() -> Iterator[str]:
+        for line in lines:
+            held.append(line)
+            yield line
+
+    reader = csv.reader(feed())
+    lineno = 1
     while True:
-        start = end
         try:
             row: Optional[List[str]] = next(reader)
         except StopIteration:
             return
         except csv.Error:  # such as a field over csv.field_size_limit()
             row = None
-        end = reader.line_num
-        yield start + 1, "".join(lines[start:end]).removesuffix("\n").removesuffix("\r"), row
+        yield lineno, "".join(held).removesuffix("\n").removesuffix("\r"), row
+        lineno += len(held)
+        held.clear()
 
 
-def _parse_csv(text: str, adapter: SourceAdapterSpec, records: List[RawRecord], rejected: List[int]) -> None:
+def _csv_records(lines: Iterable[str], rejected: List[int]) -> Iterator[_Record]:
+    """Each parsed record of a CSV export under its header row, as its lines are read."""
     header: Optional[List[str]] = None
     ordinal = 0
-    for lineno, raw_text, row in _csv_rows(text):
+    for lineno, raw_text, row in _csv_rows(lines):
         if row is not None and all(not cell.strip() for cell in row):
             continue
         if header is None and row is not None:
@@ -272,10 +255,8 @@ def _parse_csv(text: str, adapter: SourceAdapterSpec, records: List[RawRecord], 
             continue
         if row is None or header is None or len(row) != len(header):
             rejected.append(lineno)
-            ordinal += 1
-            continue
-        fields = {key: value for key, value in zip(header, row) if value != ""}
-        records.append(RawRecord(ordinal=ordinal, fields=fields, raw_text=raw_text))
+        else:
+            yield ordinal, {key: value for key, value in zip(header, row) if value != ""}, raw_text
         ordinal += 1
 
 
@@ -382,32 +363,78 @@ def _event_ids(source: str, file_ordinal: int, origin: str) -> Callable[[int], s
     return event_id
 
 
-def normalize_records(
-    records: Sequence[RawRecord],
+def read_lines(
+    lines: Iterable[str],
     adapter: SourceAdapterSpec,
     aliases: FieldAliasMap = EMPTY_ALIASES,
     scenario_id: str = "",
     file_ordinal: int = 0,
     origin: str = "<memory>",
-) -> NormalizeResult:
-    """Convert RawRecords into NormalizedEvents.
+) -> ReadResult:
+    """Parse and normalize one raw file, given as its physical lines, line by line.
 
-    Records lacking any parseable timestamp are quarantined (with the
-    offending ordinal and reason) and excluded from the table; everything
-    else gets a valid ts and source. text_blob concatenates the present
-    candidates among raw/message/cmdline, in that order, joined by one
-    space. Equal identity values (host, user, image, IPs, proto) and
-    extras keys become one shared string object. An event id that would
-    outgrow its padding raises EventIdError naming origin. A year-less BSD
-    syslog timestamp more than half a year earlier than the previous one
-    rolls ``default_year`` forward, for it and for the records after it.
+    Each record becomes a NormalizedEvent as its line is read; nothing
+    holds the file's text or its parsed records. A record lacking any
+    parseable timestamp is quarantined (with its ordinal and the reason)
+    and left out of the events; every other gets a valid ts and source.
+    text_blob concatenates the present candidates among raw/message/
+    cmdline, in that order, joined by one space. Equal identity values
+    (host, user, image, IPs, proto) and extras keys become one shared
+    string object. A year-less BSD syslog timestamp more than half a year
+    earlier than the previous one rolls ``default_year`` forward, for it
+    and for the records after it.
+
+    Raises FormatMismatchError, naming origin, when fewer than
+    ``adapter.parse_threshold`` of the non-blank lines parse, and then
+    EventIdError, naming origin, when an event id would outgrow its
+    padding.
     """
-    event_id = _event_ids(adapter.source, file_ordinal, origin)
-    if adapter.format == FORMAT_PRENORMALIZED:
-        return _normalize_prenormalized(records, adapter, scenario_id, event_id)
-
+    rejected: List[int] = []
+    if adapter.format == FORMAT_CSV:
+        records = _csv_records(lines, rejected)
+    else:
+        records = _line_records(lines, _LINE_PARSERS[adapter.format], rejected)
     events: List[NormalizedEvent] = []
     quarantined: List[Quarantine] = []
+    event_id = _event_ids(adapter.source, file_ordinal, origin)
+    try:
+        if adapter.format == FORMAT_PRENORMALIZED:
+            naive = _normalize_canonical(records, adapter, scenario_id, event_id, events, quarantined)
+        else:
+            naive = _normalize(records, adapter, aliases, scenario_id, event_id, events, quarantined)
+    except EventIdError:
+        # the parse rate goes first: count the records not yet read
+        parsed = len(events) + len(quarantined) + 1 + sum(1 for _ in records)
+        _check_parse_rate(adapter, origin, parsed, rejected)
+        raise
+    _check_parse_rate(adapter, origin, len(events) + len(quarantined), rejected)
+    if naive:
+        logger.warning("source %s: %d timezone-naive timestamp(s) interpreted as UTC", adapter.source, naive)
+    return ReadResult(events=events, rejected_lines=tuple(rejected), quarantined=tuple(quarantined), naive_ts_count=naive)
+
+
+def _check_parse_rate(adapter: SourceAdapterSpec, origin: str, parsed: int, rejected: Sequence[int]) -> None:
+    """Raise FormatMismatchError when too few lines parse, else log the rejected ones."""
+    total = parsed + len(rejected)
+    if total > 0 and parsed / total < adapter.parse_threshold:
+        raise FormatMismatchError(
+            f"{origin}: parse rate {parsed / total:.3f} below threshold {adapter.parse_threshold} "
+            f"for adapter {adapter.source!r} ({len(rejected)}/{total} lines rejected)"
+        )
+    if rejected:
+        logger.warning("%s: %d unparseable line(s) rejected for source %s", origin, len(rejected), adapter.source)
+
+
+def _normalize(
+    records: Iterable[_Record],
+    adapter: SourceAdapterSpec,
+    aliases: FieldAliasMap,
+    scenario_id: str,
+    event_id: Callable[[int], str],
+    events: List[NormalizedEvent],
+    quarantined: List[Quarantine],
+) -> int:
+    """Append each record's event to events, or its Quarantine to quarantined; return the naive-ts count."""
     naive = 0
     plan = _adapter_plan(adapter, aliases)
     # records of one file come in a few key layouts; resolve each layout once
@@ -419,21 +446,20 @@ def normalize_records(
     last_bsd_ts: Optional[int] = None
     source, trust_origin, ts_format = adapter.source, adapter.trust_origin, adapter.ts_format
 
-    for record in records:
-        fields = record.fields
+    for ordinal, fields, raw_text in records:
         shape = tuple(fields)
         layout = shapes.get(shape)
         if layout is None:
             layout = shapes[shape] = _shape_plan(shape, plan, shared)
         ts_keys, reads, extras_keys = layout
-        raw_ts = record.raw_text if ts_keys is None else None
+        raw_ts = raw_text if ts_keys is None else None
         for key in ts_keys or ():
             value = fields[key]
             if value is not None and value != "":
                 raw_ts = value
                 break
         if raw_ts is None:
-            quarantined.append(Quarantine(ordinal=record.ordinal, reason="no timestamp field"))
+            quarantined.append(Quarantine(ordinal=ordinal, reason="no timestamp field"))
             continue
         try:
             parsed = parse_timestamp(raw_ts, format_hint=ts_format, default_year=year)
@@ -443,7 +469,7 @@ def normalize_records(
                     parsed = parse_timestamp(raw_ts, format_hint=ts_format, default_year=year)
                 last_bsd_ts = parsed.ts_ms
         except ParseError as exc:
-            quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad timestamp: {exc.offending!r}"))
+            quarantined.append(Quarantine(ordinal=ordinal, reason=f"bad timestamp: {exc.offending!r}"))
             continue
         if parsed.tz_naive:
             naive += 1
@@ -451,7 +477,7 @@ def normalize_records(
         values: List[Any] = [None] * len(_VALUE_FIELDS)
         for slot, keys, convert in reads:
             if keys is None:
-                value = record.raw_text
+                value = raw_text
             else:
                 for key in keys:
                     value = fields[key]
@@ -463,7 +489,7 @@ def normalize_records(
         host, user, pid, ppid, image, cmdline, src_ip, src_port, dst_ip, dst_port, proto, _, _ = values
         events.append(
             NormalizedEvent(
-                event_id=event_id(record.ordinal),
+                event_id=event_id(ordinal),
                 ts=parsed.ts_ms,
                 scenario_id=scenario_id,
                 source=source,
@@ -484,31 +510,33 @@ def normalize_records(
                 extras={k: str(fields[k]) for k in extras_keys},
             )
         )
-    if naive:
-        logger.warning("source %s: %d timezone-naive timestamp(s) interpreted as UTC", adapter.source, naive)
-    return NormalizeResult(events=tuple(events), quarantined=tuple(quarantined), naive_ts_count=naive)
+    return naive
 
 
-def _normalize_prenormalized(
-    records: Sequence[RawRecord], adapter: SourceAdapterSpec, scenario_id: str, event_id: Callable[[int], str]
-) -> NormalizeResult:
-    events: List[NormalizedEvent] = []
-    quarantined: List[Quarantine] = []
+def _normalize_canonical(
+    records: Iterable[_Record],
+    adapter: SourceAdapterSpec,
+    scenario_id: str,
+    event_id: Callable[[int], str],
+    events: List[NormalizedEvent],
+    quarantined: List[Quarantine],
+) -> int:
+    """_normalize for prenormalized records, which never have a naive ts."""
     shared: Dict[str, str] = {}
-    for record in records:
+    for ordinal, fields, _raw_text in records:
         try:
-            data = dict(record.fields)
+            data = dict(fields)
             data.setdefault("source", adapter.source)
             data.setdefault("trust_origin", adapter.trust_origin)
             data.setdefault("scenario_id", scenario_id)
             if "event_id" not in data:
-                data["event_id"] = event_id(record.ordinal)
+                data["event_id"] = event_id(ordinal)
             if "ts" not in data:
                 raise KeyError("ts")
             events.append(event_from_dict(data, shared))
         except (ValueError, KeyError, TypeError) as exc:
-            quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad canonical record: {exc}"))
-    return NormalizeResult(events=tuple(events), quarantined=tuple(quarantined), naive_ts_count=0)
+            quarantined.append(Quarantine(ordinal=ordinal, reason=f"bad canonical record: {exc}"))
+    return 0
 
 
 def merge_scenario(tables: Sequence[Sequence[NormalizedEvent]]) -> List[NormalizedEvent]:
@@ -589,8 +617,9 @@ def ingest_scenario(
     """Ingest every file in a scenario directory matching adapter patterns.
 
     Files per source are processed in sorted-name order; the position
-    supplies the file ordinal used in event ids. sources, when given,
-    restricts ingest to those adapters, and each must name one.
+    supplies the file ordinal used in event ids. Each file is read line
+    by line (read_lines), so only its events are held. sources, when
+    given, restricts ingest to those adapters, and each must name one.
     """
     scenario_dir = Path(scenario_dir)
     if scenario_id is None:
@@ -611,11 +640,9 @@ def ingest_scenario(
         quarantined = 0
         naive = 0
         for file_ordinal, path in enumerate(paths):
-            parsed = parse_text(path.read_text(encoding="utf-8", errors="replace"), adapter, origin=str(path))
-            rejected += parsed.n_rejected
-            result = normalize_records(
-                parsed.records, adapter, aliases, scenario_id=scenario_id, file_ordinal=file_ordinal, origin=str(path)
-            )
+            with path.open(encoding="utf-8", errors="replace") as lines:
+                result = read_lines(lines, adapter, aliases, scenario_id, file_ordinal, origin=str(path))
+            rejected += len(result.rejected_lines)
             if result.quarantined:
                 first, count = result.quarantined[0], len(result.quarantined)
                 message = "%s: %d record(s) quarantined for source %r; first at ordinal %d: %s"

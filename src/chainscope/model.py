@@ -399,7 +399,7 @@ def event_from_dict(data: Mapping[str, Any], shared: Optional[Dict[str, str]] = 
     """Build an event from its events.jsonl record.
 
     With ``shared`` (one dict per read), equal string values of the fields
-    ``normalize_records`` shares (source, scenario id, trust origin, host,
+    ``ingest.read_lines`` shares (source, scenario id, trust origin, host,
     user, image, IPs, proto and extras keys) become one object. A value of
     the wrong JSON type raises TypeError naming its key: event_id, source
     and trust_origin are strings, and so are scenario_id and text_blob when

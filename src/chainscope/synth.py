@@ -31,7 +31,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
 from .ingest import (
@@ -40,8 +40,7 @@ from .ingest import (
     FORMAT_KV,
     FORMAT_SYSLOG,
     SourceAdapterSpec,
-    normalize_records,
-    parse_text,
+    read_lines,
 )
 from .model import NormalizedEvent, encode_compact, iso_ms, object_field, read_json, sort_events, string_list, typed_value, write_json
 from .tagging import ExpectedStepSet, StepTag, parse_step
@@ -474,16 +473,18 @@ def _render_line(adapter: SourceAdapterSpec, draft: DraftEvent) -> str:
     return ",".join(_csv_quote(_csv_cell(canonical, fields, draft, message)) for canonical in adapter.field_map)
 
 
-def _file_text(adapter: SourceAdapterSpec, lines: Sequence[str]) -> str:
-    """One source's raw file: its lines, under a header row for a CSV export."""
-    header = ",".join(adapter.field_map.values()) + "\n" if adapter.format == FORMAT_CSV else ""
-    return header + "\n".join(lines) + ("\n" if lines else "")
+def _file_lines(adapter: SourceAdapterSpec, lines: Sequence[str]) -> Iterator[str]:
+    """One source's raw file, line by line: its lines, under a header row for a CSV export."""
+    if adapter.format == FORMAT_CSV:
+        yield ",".join(adapter.field_map.values()) + "\n"
+    for line in lines:
+        yield f"{line}\n"
 
 
 def _drafts_to_tables(
     drafts: Sequence[DraftEvent], scenario_id: str
 ) -> Tuple[Dict[str, Tuple[NormalizedEvent, ...]], Dict[str, str], Dict[str, Tuple[str, ...]]]:
-    """Render drafts to raw lines, re-parse them, and label the result.
+    """Render drafts to raw lines, read them back as ingest reads a file, and label the result.
 
     Returns the tables, the labels and the rendered lines per source.
     """
@@ -497,10 +498,9 @@ def _drafts_to_tables(
         items.sort(key=lambda d: d.ts)
         adapter = _adapter_for(source)
         lines = raw_lines[source] = tuple(_render_line(adapter, d) for d in items)
-        parsed = parse_text(_file_text(adapter, lines), adapter, origin=f"synth:{source}")
-        if parsed.n_rejected:
-            raise ScenarioError(f"internal renderer error: {parsed.n_rejected} rejected line(s) for {source}")
-        result = normalize_records(parsed.records, adapter, scenario_id=scenario_id, file_ordinal=0)
+        result = read_lines(_file_lines(adapter, lines), adapter, scenario_id=scenario_id, origin=f"synth:{source}")
+        if result.rejected_lines:
+            raise ScenarioError(f"internal renderer error: {len(result.rejected_lines)} rejected line(s) for {source}")
         if result.quarantined:
             raise ScenarioError(f"internal renderer error: quarantined records for {source}")
         if len(result.events) != len(items):
@@ -569,7 +569,7 @@ def write_scenario(data: ScenarioData, out_dir: Path) -> List[Path]:
     for source in sorted(data.raw_lines):
         adapter = _adapter_for(source)
         path = out_dir / f"{source}.{FORMAT_FILE_EXT[adapter.format]}"
-        path.write_text(_file_text(adapter, data.raw_lines[source]), encoding="utf-8")
+        path.write_text("".join(_file_lines(adapter, data.raw_lines[source])), encoding="utf-8")
         written.append(path)
     gt = data.ground_truth
     gt_doc = {

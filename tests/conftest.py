@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import random
 import re
 from datetime import datetime, timezone
@@ -18,9 +20,10 @@ from chainscope.configio import (
     load_rules_doc,
     packaged_template_ids,
 )
-from chainscope.errors import ParseError, ScenarioError
+from chainscope.errors import EventIdError, FormatMismatchError, ParseError, ScenarioError
 from chainscope.graph import Chain
-from chainscope.ingest import RAW_TEXT_KEY, NormalizeResult, Quarantine
+from chainscope import ingest
+from chainscope.ingest import FORMAT_CSV, FORMAT_PRENORMALIZED, RAW_TEXT_KEY, Quarantine, ReadResult
 from chainscope.model import (
     EMPTY_ALIASES,
     TEXT_BLOB_CANDIDATES,
@@ -31,12 +34,13 @@ from chainscope.model import (
     TS_SYSLOG_BSD,
     NormalizedEvent,
     TsParse,
+    event_from_dict,
     field_resolver,
     iso_ms,
     parse_timestamp,
     resolve_fields,
 )
-from chainscope.synth import generate_scenario, load_ground_truth
+from chainscope.synth import BenignConfig, HostSpec, ScenarioSpec, generate_scenario, load_ground_truth, write_scenario
 from chainscope.tagging import (
     FIRED,
     GATED,
@@ -202,6 +206,26 @@ def make_random_tagged_table(seed, max_events=50):
             TagDecision(event_id=event.event_id, candidates=(), chosen=rng.choice(steps), diagnostics=())
         )
     return events, decisions
+
+
+@pytest.fixture(scope="session")
+def bulk_scenario_dir(tmp_path_factory):
+    """The raw files of a generated scenario of about 3,600 events on all seven
+    packaged sources: the benchmark's spec at 4 hosts and 400 activities each."""
+    spec = ScenarioSpec(
+        scenario_id="bulk",
+        seed=13,
+        hosts=tuple(HostSpec(name=f"host{i:02d}") for i in range(4)),
+        sources=("syslog", "auth", "auditd", "zeek", "suricata", "tracee", "azure_port"),
+        start_ms=1714521600000,
+        duration_s=90 * 3600,
+        benign=BenignConfig(n_activities=400, min_interval_s=30, max_interval_s=300, active_start_s=0, active_end_s=86399),
+        attack_template="dependency-chain",
+        attack_start_s=7200,
+    )
+    out = tmp_path_factory.mktemp("bulk")
+    write_scenario(generate_scenario(spec, load_packaged_template(spec.attack_template)), out)
+    return out
 
 
 def make_scenario_data(name, seed):
@@ -578,13 +602,27 @@ def reference_lookup(record, lowered_fields, canonical, lowered_map, aliases):
     return None
 
 
-def reference_normalize_records(records, adapter, aliases=EMPTY_ALIASES, scenario_id="", file_ordinal=0):
-    """normalize_records for a non-prenormalized adapter, one lookup at a time (no year rollover)."""
+def reference_event_id(source, file_ordinal, ordinal, origin):
+    if file_ordinal >= ingest.MAX_FILES_PER_SOURCE or ordinal >= ingest.MAX_RECORDS_PER_FILE:
+        raise EventIdError(
+            f"{origin}: event id overflow for source {source!r} (file ordinal {file_ordinal}, record ordinal "
+            f"{ordinal}); ids hold at most {ingest.MAX_FILES_PER_SOURCE} files per source and "
+            f"{ingest.MAX_RECORDS_PER_FILE} records per file"
+        )
+    return f"{source}:{file_ordinal:03d}:{ordinal:06d}"
+
+
+def reference_normalize_records(records, adapter, aliases=EMPTY_ALIASES, scenario_id="", file_ordinal=0, origin="<memory>"):
+    """The second phase of the two-phase ingest path: RawRecords into
+    (events, quarantines, naive-ts count), one lookup at a time."""
+    if adapter.format == FORMAT_PRENORMALIZED:
+        return reference_normalize_canonical(records, adapter, scenario_id, file_ordinal, origin)
     str_fields = ("host", "user", "image", "cmdline", "src_ip", "dst_ip", "proto")
     int_fields = ("pid", "ppid", "src_port", "dst_port")
     events, quarantined, naive = [], [], 0
     lowered_map = {k.lower(): v for k, v in adapter.field_map.items()}
     used_source_keys = {v.lower() for v in lowered_map.values()}
+    year, last_bsd_ts = adapter.default_year, None
     for record in records:
         lowered_fields = {k.lower(): v for k, v in record.fields.items()}
         raw_ts = reference_lookup(record, lowered_fields, "ts", lowered_map, aliases)
@@ -592,7 +630,13 @@ def reference_normalize_records(records, adapter, aliases=EMPTY_ALIASES, scenari
             quarantined.append(Quarantine(ordinal=record.ordinal, reason="no timestamp field"))
             continue
         try:
-            parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=adapter.default_year)
+            parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=year)
+            # a year-less timestamp more than 183 days behind the last one is in the next year
+            if parsed.year_supplied and last_bsd_ts is not None and last_bsd_ts - parsed.ts_ms > 183 * 86_400_000:
+                year += 1
+                parsed = parse_timestamp(raw_ts, format_hint=adapter.ts_format, default_year=year)
+            if parsed.year_supplied:
+                last_bsd_ts = parsed.ts_ms
         except ParseError as exc:
             quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad timestamp: {exc.offending!r}"))
             continue
@@ -610,7 +654,7 @@ def reference_normalize_records(records, adapter, aliases=EMPTY_ALIASES, scenari
                 ints[name] = None
         events.append(
             NormalizedEvent(
-                event_id=f"{adapter.source}:{file_ordinal:03d}:{record.ordinal:06d}",
+                event_id=reference_event_id(adapter.source, file_ordinal, record.ordinal, origin),
                 ts=parsed.ts_ms,
                 scenario_id=scenario_id,
                 source=adapter.source,
@@ -630,7 +674,95 @@ def reference_normalize_records(records, adapter, aliases=EMPTY_ALIASES, scenari
                 extras={k: str(v) for k, v in sorted(record.fields.items()) if k.lower() not in used_source_keys},
             )
         )
-    return NormalizeResult(events=tuple(events), quarantined=tuple(quarantined), naive_ts_count=naive)
+    return events, quarantined, naive
+
+
+def reference_normalize_canonical(records, adapter, scenario_id, file_ordinal, origin):
+    """reference_normalize_records for decoded canonical records, with the adapter's defaults."""
+    events, quarantined = [], []
+    for record in records:
+        defaults = {"source": adapter.source, "trust_origin": adapter.trust_origin, "scenario_id": scenario_id}
+        data = {**defaults, **record.fields}
+        if "event_id" not in data:
+            data["event_id"] = reference_event_id(adapter.source, file_ordinal, record.ordinal, origin)
+        try:
+            if "ts" not in data:
+                raise KeyError("ts")
+            events.append(event_from_dict(data))
+        except (ValueError, KeyError, TypeError) as exc:
+            quarantined.append(Quarantine(ordinal=record.ordinal, reason=f"bad canonical record: {exc}"))
+    return events, quarantined, 0
+
+
+@dataclasses.dataclass(frozen=True)
+class RawRecord:
+    """One parsed record of the two-phase path: its field map and its byte-exact original text."""
+
+    ordinal: int
+    fields: Mapping
+    raw_text: str
+
+
+def reference_csv_records(text):
+    """(line number, RawRecord fields and raw text, or None) per CSV row of a whole text."""
+    lines = io.StringIO(text).readlines()
+    reader = csv.reader(lines)
+    end = 0
+    while True:
+        start = end
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            row = None
+        end = reader.line_num
+        yield start + 1, "".join(lines[start:end]).removesuffix("\n").removesuffix("\r"), row
+
+
+def parse_text(text, adapter, origin="<memory>"):
+    """The first phase of the two-phase ingest path: a whole raw text into
+    (RawRecords, rejected line numbers), or FormatMismatchError naming origin
+    when fewer than adapter.parse_threshold of the non-blank lines parse."""
+    records, rejected, ordinal = [], [], 0
+    if adapter.format == FORMAT_CSV:
+        header = None
+        for lineno, raw_text, row in reference_csv_records(text):
+            if row is not None and all(not cell.strip() for cell in row):
+                continue
+            if header is None and row is not None:
+                header = [cell.strip() for cell in row]
+                continue
+            if row is None or header is None or len(row) != len(header):
+                rejected.append(lineno)
+            else:
+                records.append(RawRecord(ordinal, {k: v for k, v in zip(header, row) if v != ""}, raw_text))
+            ordinal += 1
+    else:
+        parse_line = ingest._LINE_PARSERS[adapter.format]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            fields = parse_line(line)
+            if fields is None:
+                rejected.append(lineno)
+            else:
+                records.append(RawRecord(ordinal, fields, line))
+            ordinal += 1
+    total = len(records) + len(rejected)
+    if total > 0 and len(records) / total < adapter.parse_threshold:
+        raise FormatMismatchError(
+            f"{origin}: parse rate {len(records) / total:.3f} below threshold {adapter.parse_threshold} "
+            f"for adapter {adapter.source!r} ({len(rejected)}/{total} lines rejected)"
+        )
+    return records, rejected
+
+
+def reference_read(text, adapter, aliases=EMPTY_ALIASES, scenario_id="", file_ordinal=0, origin="<memory>"):
+    """ingest.read_lines over a whole text in two phases: parse_text, then reference_normalize_records."""
+    records, rejected = parse_text(text, adapter, origin)
+    events, quarantined, naive = reference_normalize_records(records, adapter, aliases, scenario_id, file_ordinal, origin)
+    return ReadResult(events=events, rejected_lines=tuple(rejected), quarantined=tuple(quarantined), naive_ts_count=naive)
 
 
 REFERENCE_GETTERS = {

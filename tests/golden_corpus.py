@@ -58,6 +58,7 @@ BENIGN_RULES = r"""
       - '(?i)\bflow tcp\b'
     candidate_fields: [text_blob]
 """
+DENSE_RULES_TEXT = importlib.resources.files("chainscope").joinpath("config", "rules.yml").read_text(encoding="utf-8") + BENIGN_RULES
 
 
 def packaged_scenario_ids():
@@ -86,8 +87,7 @@ def run_golden_corpus(workdir: Path) -> dict:
     os.chdir(workdir)
     try:
         Path(SALT).write_text("golden-corpus-salt\n", encoding="utf-8")
-        packaged_rules = importlib.resources.files("chainscope").joinpath("config", "rules.yml").read_text(encoding="utf-8")
-        Path(RULES_DENSE).write_text(packaged_rules + BENIGN_RULES, encoding="utf-8")
+        Path(RULES_DENSE).write_text(DENSE_RULES_TEXT, encoding="utf-8")
         names = packaged_scenario_ids()
         for name in names:
             scenario = f"scenarios/{name}"

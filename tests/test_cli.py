@@ -15,7 +15,7 @@ from chainscope.sanitize import salt_reference
 from chainscope.synth import load_ground_truth
 from chainscope.tagging import StepTag, TagDecision, decisions_to_jsonl
 from conftest import make_event, run_stage_commands
-from golden_corpus import BENIGN_RULES
+from golden_corpus import DENSE_RULES_TEXT
 
 
 @pytest.fixture()
@@ -181,7 +181,7 @@ class TestStageCommands:
 
     def test_dense_stage_commands_equal_evaluate(self, scenario_dir, tmp_path):
         rules_path = tmp_path / "rules_dense.yml"
-        rules_path.write_text(files("chainscope").joinpath("config", "rules.yml").read_text() + BENIGN_RULES)
+        rules_path.write_text(DENSE_RULES_TEXT)
         stages = run_stage_commands(scenario_dir, tmp_path, rules_path)
         graph = json.loads((stages["graph.json"] / "graph.json").read_text())
         # a graph of tens of nodes and hundreds of edges, not the packaged rules' few
@@ -538,7 +538,7 @@ class TestTimestampsOutOfRange:
         with open(scenario_dir / "zeek.jsonl", "a", encoding="utf-8") as out:
             out.write(json.dumps(line) + "\n")
         rules_path = tmp_path / "rules_dense.yml"
-        rules_path.write_text(files("chainscope").joinpath("config", "rules.yml").read_text() + BENIGN_RULES)
+        rules_path.write_text(DENSE_RULES_TEXT)
         run = tmp_path / "run"
         assert main(["evaluate", "--scenario-dir", str(scenario_dir), "--rules", str(rules_path), "--out", str(run)]) == 0
         report = json.loads((run / "ingest_report.json").read_text())

@@ -126,7 +126,8 @@ _MINI_TEMPLATE = "template_id: t\nsteps: [{step: INSTALL, events: [{source: s}]}
     [
         *(("adapters", _MINI_ADAPTER % f"{key}: null", f"adapters[0].'{key}' must be {expected}, got None")
           for key, expected in (("trust_origin", "a string"), ("ts_format", "a string"), ("file_pattern", "a string"), ("parse_threshold", "a number"))),
-        ("spec", _MINI_SPEC % "start: null", "'start': unparseable ISO-8601 timestamp: 'None'"),
+        ("spec", _MINI_SPEC % "start: null", "'start' must be a string, got None"),
+        ("spec", _MINI_SPEC % "start: 5", "'start' must be a string, got 5"),
         ("spec", _MINI_SPEC % "duration_s: null", "'duration_s' must be an integer, got None"),
         ("spec", _MINI_SPEC.replace("{name: h1}", "{name: h1, profile: null}") % "", "hosts[0].'profile' must be a string, got None"),
         ("spec", _MINI_SPEC % "attack: {template: null}", "attack.'template' must be a string, got None"),
@@ -141,6 +142,19 @@ _MINI_TEMPLATE = "template_id: t\nsteps: [{step: INSTALL, events: [{source: s}]}
 )
 def test_a_present_null_takes_no_default(tmp_path, capsys, kind, text, message):
     assert_names_file_and_key(tmp_path, capsys, kind, text, message)
+
+
+@pytest.mark.parametrize(
+    "start, start_ms",
+    [
+        ("2024-05-01T00:00:00Z", 1714521600000),  # a YAML timestamp, loaded as a datetime
+        ("2024-05-01 02:00:00+02:00", 1714521600000),
+        ("'2024-05-01T00:00:00.000+00:00'", 1714521600000),  # a string
+    ],
+)
+def test_start_is_a_string_or_a_yaml_timestamp(tmp_path, start, start_ms):
+    (tmp_path / "spec.yml").write_text(_MINI_SPEC % f"start: {start}")
+    assert load_scenario_spec(tmp_path / "spec.yml").start_ms == start_ms
 
 
 def test_unknown_template_is_a_clear_error():

@@ -10,7 +10,6 @@ checks a relation that must hold for every input, not a value.
 
 import random
 import tempfile
-from importlib.resources import files
 from pathlib import Path
 
 import yaml
@@ -25,9 +24,7 @@ from chainscope.sanitize import sanitize_dataset
 from chainscope.synth import PROFILE_ACTIVITIES, BenignConfig, HostSpec, ScenarioSpec, generate_scenario, write_scenario
 from chainscope.tagging import decisions_to_jsonl, load_rules, tag_run
 from conftest import run_stage_commands
-from golden_corpus import BENIGN_RULES
-
-DENSE_RULES_TEXT = files("chainscope").joinpath("config", "rules.yml").read_text(encoding="utf-8") + BENIGN_RULES
+from golden_corpus import DENSE_RULES_TEXT
 HOSTS = ("lin-build-01", "lin-build-02", "win-dev-07", "mac-ops-03")
 
 

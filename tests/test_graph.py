@@ -9,6 +9,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +24,10 @@ from chainscope.graph import (
     join_reason,
     write_graph_json,
 )
-from chainscope.tagging import StepTag, TagDecision
+from chainscope.ingest import ingest_scenario
+from chainscope.tagging import StepTag, TagDecision, load_rules, tag_run
 from conftest import make_event, make_random_tagged_table, oracle_chains
+from golden_corpus import DENSE_RULES_TEXT
 
 MIN = 60 * 1000
 
@@ -291,6 +294,29 @@ class TestMemory:
         for v in range(n):
             want = [edge.src for edge in graph.edges if edge.dst == v]
             assert list(graph.pred_sources[offsets[v] : offsets[v + 1]]) == want
+
+    def test_predecessor_rows_ascend(self):
+        graph = two_thousand_node_graph()
+        rows = [[] for _ in graph.nodes]
+        for src, dst in zip(graph.edge_src, graph.edge_dst):
+            rows[dst].append(src)
+        assert max(map(len, rows)) > 1
+        offsets = graph.pred_offsets
+        assert [list(graph.pred_sources[offsets[v] : offsets[v + 1]]) for v in range(len(rows))] == [sorted(r) for r in rows]
+
+    def test_the_build_holds_the_graph_not_per_node_lists(self, bulk_scenario_dir, adapters, aliases):
+        events = ingest_scenario(bulk_scenario_dir, adapters, aliases).merged()
+        decisions, _diag = tag_run(events, load_rules(yaml.safe_load(DENSE_RULES_TEXT)), aliases=aliases)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = build_event_graph(events, decisions)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graph.nodes) > 1_000 and len(graph.edge_src) > 5_000
+        # the id check and the buckets pass; lists per node would take several times the graph
+        assert peak - held < 1.5 * held, (peak, held)
 
     def test_chain_dp_peak_per_state(self):
         graph = two_thousand_node_graph()

@@ -1,25 +1,28 @@
 import csv
+import gc
+import io
 import json
 import os
+import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainscope.errors import ConfigError, EventIdError, FormatMismatchError, ParseError
+from chainscope import ingest
 from chainscope.ingest import (
     RAW_TEXT_KEY,
-    RawRecord,
     SourceAdapterSpec,
     ingest_scenario,
     merge_scenario,
-    normalize_records,
-    parse_text,
+    read_lines,
 )
-from chainscope.model import FieldAliasMap, parse_timestamp
-from conftest import make_event, reference_normalize_records
+from chainscope.model import EMPTY_ALIASES, FieldAliasMap, parse_timestamp
+from conftest import make_event, reference_read
 
 KV_ADAPTER = SourceAdapterSpec(
     source="auditd",
@@ -33,11 +36,21 @@ SYSLOG_ADAPTER = SourceAdapterSpec(
 )
 
 
+def read(text, adapter, aliases=EMPTY_ALIASES, **kwargs):
+    """read_lines over a text's physical lines, as a file is read."""
+    return read_lines(io.StringIO(text), adapter, aliases, **kwargs)
+
+
+def with_raw(adapter, canonical="src_ip"):
+    """The adapter with one more field that reads the record's raw text."""
+    return replace(adapter, field_map={**adapter.field_map, canonical: RAW_TEXT_KEY})
+
+
 class TestParseStream:
     def test_empty_file(self):
-        result = parse_text("", KV_ADAPTER)
-        assert result.records == ()
-        assert result.n_rejected == 0
+        result = read("", KV_ADAPTER)
+        assert result.events == []
+        assert result.rejected_lines == ()
 
     def test_kv_audit_matches_hand_parsed_oracle(self):
         lines = [
@@ -45,20 +58,19 @@ class TestParseStream:
             "type=CONNECT ts=1714554001.500 host=h1 uid=dev01 pid=11",
             'type=WRITE ts=1714554002.250 host=h2 uid=ops01 pid=12 msg="file write /etc/hosts"',
         ]
-        result = parse_text("\n".join(lines) + "\n", KV_ADAPTER)
-        assert result.n_rejected == 0
-        expected_fields = [
-            {"type": "EXECVE", "ts": "1714554000.000", "host": "h1", "uid": "dev01", "pid": "10", "exe": "/usr/bin/ls", "cmd": "ls -la /tmp"},
-            {"type": "CONNECT", "ts": "1714554001.500", "host": "h1", "uid": "dev01", "pid": "11"},
-            {"type": "WRITE", "ts": "1714554002.250", "host": "h2", "uid": "ops01", "pid": "12", "msg": "file write /etc/hosts"},
+        result = read("\n".join(lines) + "\n", with_raw(KV_ADAPTER))
+        assert result.rejected_lines == ()
+        assert [(e.ts, e.host, e.user, e.pid, e.image, e.cmdline, e.text_blob, dict(e.extras)) for e in result.events] == [
+            (1714554000000, "h1", "dev01", 10, "/usr/bin/ls", "ls -la /tmp", "ls -la /tmp", {"type": "EXECVE"}),
+            (1714554001500, "h1", "dev01", 11, None, None, "", {"type": "CONNECT"}),
+            (1714554002250, "h2", "ops01", 12, None, None, "file write /etc/hosts", {"type": "WRITE"}),
         ]
-        assert [dict(r.fields) for r in result.records] == expected_fields
-        assert [r.ordinal for r in result.records] == [0, 1, 2]
-        assert [r.raw_text for r in result.records] == lines
+        assert [e.event_id for e in result.events] == ["auditd:000:000000", "auditd:000:000001", "auditd:000:000002"]
+        assert [e.src_ip for e in result.events] == lines
 
     def test_format_mismatch_below_threshold(self):
         with pytest.raises(FormatMismatchError, match="^auditd.log: parse rate 0.000"):
-            parse_text("completely unstructured line\n" * 10, KV_ADAPTER, origin="auditd.log")
+            read("completely unstructured line\n" * 10, KV_ADAPTER, origin="auditd.log")
 
     def test_rejects_counted_not_dropped_silently(self):
         text = "2024-05-01T09:00:00.000+00:00 h1 app: ok\n???\n2024-05-01T09:00:02.000+00:00 h1 app: ok\n"
@@ -68,9 +80,11 @@ class TestParseStream:
             field_map=SYSLOG_ADAPTER.field_map,
             parse_threshold=0.5,
         )
-        result = parse_text(text, adapter)
-        assert len(result.records) == 2
+        result = read(text, adapter)
+        assert len(result.events) == 2
         assert result.rejected_lines == (2,)
+        # the rejected line still takes its ordinal
+        assert [e.event_id for e in result.events] == ["syslog:000:000000", "syslog:000:000002"]
 
     def test_eve_json_flattens_nested_keys(self):
         adapter = SourceAdapterSpec(
@@ -79,9 +93,9 @@ class TestParseStream:
             field_map={"ts": "timestamp", "message": "alert.signature"},
         )
         line = json.dumps({"timestamp": "2024-05-01T09:00:00.000+0000", "alert": {"signature": "beacon", "severity": 2}})
-        result = parse_text(line + "\n", adapter)
-        assert result.records[0].fields["alert.signature"] == "beacon"
-        assert result.records[0].fields["alert.severity"] == "2"
+        (event,) = read(line + "\n", adapter).events
+        assert event.text_blob == "beacon"
+        assert event.extras == {"alert.severity": "2"}
 
     def test_csv_header_and_row_mismatch(self):
         adapter = SourceAdapterSpec(
@@ -91,11 +105,9 @@ class TestParseStream:
             parse_threshold=0.5,
         )
         text = "TimeGenerated,Message\n2024-05-01T09:00:00.000+00:00,hello\nonlyonecell\n"
-        result = parse_text(text, adapter)
-        assert len(result.records) == 1
-        assert result.records[0].fields == {"TimeGenerated": "2024-05-01T09:00:00.000+00:00", "Message": "hello"}
-        assert result.n_rejected == 1
-
+        result = read(text, adapter)
+        assert [(e.ts, e.text_blob, e.extras) for e in result.events] == [(1714554000000, "hello", {})]
+        assert result.rejected_lines == (3,)
 
     def test_csv_rows_keep_their_physical_line_numbers_and_text(self):
         adapter = SourceAdapterSpec(
@@ -104,10 +116,10 @@ class TestParseStream:
         rows = ['2024-05-01T09:00:00.000+00:00,"quoted, with a comma"']
         rows += [f"2024-05-01T09:00:{i:02d}.000+00:00,row {i}" for i in range(1, 11)]
         rows += ['2024-05-01T09:01:00.000+00:00,"two\nlines"', "a,b,c"]
-        result = parse_text("TimeGenerated,Message\n" + "\n".join(rows) + "\n", adapter)
+        result = read("TimeGenerated,Message\n" + "\n".join(rows) + "\n", with_raw(adapter))
         assert result.rejected_lines == (15,)  # the row on line 15, after a cell spanning lines 13 and 14
-        assert [r.raw_text for r in result.records] == rows[:-1]
-        assert result.records[-1].fields["Message"] == "two\nlines"
+        assert [e.src_ip for e in result.events] == rows[:-1]
+        assert result.events[-1].text_blob == "two\nlines"
 
     def test_a_csv_row_the_csv_module_rejects_is_a_rejected_line(self):
         adapter = SourceAdapterSpec(
@@ -115,32 +127,24 @@ class TestParseStream:
         )
         oversized = "x" * (csv.field_size_limit() + 1)
         text = f"TimeGenerated,Message\n2024-05-01T09:00:00.000+00:00,{oversized}\n2024-05-01T09:00:01.000+00:00,ok\n"
-        result = parse_text(text, adapter)
+        result = read(text, with_raw(adapter))
         assert result.rejected_lines == (2,)
-        assert [r.raw_text for r in result.records] == ["2024-05-01T09:00:01.000+00:00,ok"]
+        assert [e.src_ip for e in result.events] == ["2024-05-01T09:00:01.000+00:00,ok"]
 
 
 class TestNormalizeRecords:
-    def _records(self, text, adapter=SYSLOG_ADAPTER):
-        return parse_text(text, adapter).records
-
     def test_single_candidate_message(self):
-        records = self._records("2024-05-01T09:00:00.000+00:00 h1 app: just a message\n")
-        result = normalize_records(records, SYSLOG_ADAPTER, scenario_id="s")
+        result = read("2024-05-01T09:00:00.000+00:00 h1 app: just a message\n", SYSLOG_ADAPTER, scenario_id="s")
         assert result.events[0].text_blob == "just a message"
 
     def test_text_blob_candidate_order_message_then_cmdline(self):
-        records = self._records(
-            'type=EXECVE ts=1714554000.000 host=h1 cmd="run this" msg="a message"\n', KV_ADAPTER
-        )
-        result = normalize_records(records, KV_ADAPTER, scenario_id="s")
+        result = read('type=EXECVE ts=1714554000.000 host=h1 cmd="run this" msg="a message"\n', KV_ADAPTER, scenario_id="s")
         # fixed candidate order: raw, message, cmdline
         assert result.events[0].text_blob == "a message run this"
 
     @pytest.mark.parametrize("ts", ["10000000000000000", "-62135596800001", "253402300800000", "1" + "0" * 400])
     def test_timestamp_outside_the_years_1_to_9999_quarantined(self, ts):
-        records = self._records(f'ts={ts} host=h1 msg="far"\nts=1714554000.000 host=h1 msg="ok"\n', KV_ADAPTER)
-        result = normalize_records(records, KV_ADAPTER, scenario_id="s")
+        result = read(f'ts={ts} host=h1 msg="far"\nts=1714554000.000 host=h1 msg="ok"\n', KV_ADAPTER, scenario_id="s")
         assert [e.text_blob for e in result.events] == ["ok"]
         assert [(q.ordinal, q.reason) for q in result.quarantined] == [(0, f"bad timestamp: {ts!r}")]
 
@@ -150,15 +154,13 @@ class TestNormalizeRecords:
             format="kv_audit",
             field_map={"ts": "when", "message": "msg"},
         )
-        records = self._records('msg="no clock here" host=h1\n', KV_ADAPTER)
-        result = normalize_records(records, adapter, scenario_id="s")
-        assert result.events == ()
+        result = read('msg="no clock here" host=h1\n', adapter, scenario_id="s")
+        assert result.events == []
         assert len(result.quarantined) == 1
         assert "timestamp" in result.quarantined[0].reason
 
     def test_event_identity_from_source_file_line(self):
-        records = self._records("2024-05-01T09:00:00.000+00:00 h1 app: m\n")
-        result = normalize_records(records, SYSLOG_ADAPTER, scenario_id="s", file_ordinal=2)
+        result = read("2024-05-01T09:00:00.000+00:00 h1 app: m\n", SYSLOG_ADAPTER, scenario_id="s", file_ordinal=2)
         assert result.events[0].event_id == "syslog:002:000000"
 
     def test_unmapped_fields_land_in_extras_and_resolve_via_alias(self):
@@ -168,44 +170,67 @@ class TestNormalizeRecords:
             field_map={"ts": "TimeGenerated", "message": "Message"},
         )
         text = "TimeGenerated,Message,UserName\n2024-05-01T09:00:00.000+00:00,hi,alice\n"
-        records = parse_text(text, adapter).records
         aliases = FieldAliasMap({"user": ["UserName"]})
-        result = normalize_records(records, adapter, aliases, scenario_id="s")
-        event = result.events[0]
+        event = read(text, adapter, aliases, scenario_id="s").events[0]
         assert event.user == "alice"  # alias fallback fills the structured field
         assert "UserName" in event.extras
 
     def test_equal_values_share_one_string(self):
-        records = self._records(
+        text = (
             'type=EXECVE ts=1714554000.000 host=build-01 uid=ci exe="/usr/bin/pip" cmd="pip install a"\n'
-            'type=EXECVE ts=1714554001.000 host=build-01 uid=ci exe="/usr/bin/pip" cmd="pip install b"\n',
-            KV_ADAPTER,
+            'type=EXECVE ts=1714554001.000 host=build-01 uid=ci exe="/usr/bin/pip" cmd="pip install b"\n'
         )
-        first, second = normalize_records(records, KV_ADAPTER, scenario_id="s").events
+        first, second = read(text, KV_ADAPTER, scenario_id="s").events
         assert first.host == "build-01" and first.host is second.host
         assert first.user is second.user and first.image is second.image
         assert [k for k in first.extras] == ["type"] and next(iter(first.extras)) is next(iter(second.extras))
 
-    @pytest.mark.parametrize("file_ordinal, ordinal", [(1_000, 0), (0, 1_000_000)])
-    def test_event_id_overflow_names_source_and_file(self, file_ordinal, ordinal):
-        record = replace(self._records("2024-05-01T09:00:00.000+00:00 h1 app: m\n")[0], ordinal=ordinal)
+    # a file of at most two records stands in for one of a million: its third record overflows
+    @pytest.mark.parametrize("file_ordinal, skipped", [(1_000, 0), (0, 2)])
+    def test_event_id_overflow_names_source_and_file(self, monkeypatch, file_ordinal, skipped):
+        monkeypatch.setattr(ingest, "MAX_RECORDS_PER_FILE", 2)
+        text = "???\n" * skipped + "2024-05-01T09:00:00.000+00:00 h1 app: m\n"
+        adapter = replace(SYSLOG_ADAPTER, parse_threshold=0.0)
         with pytest.raises(EventIdError, match=r"syslog/x\.log: event id overflow for source 'syslog'"):
-            normalize_records([record], SYSLOG_ADAPTER, file_ordinal=file_ordinal, origin="syslog/x.log")
+            read(text, adapter, file_ordinal=file_ordinal, origin="syslog/x.log")
         # one less in each ordinal still fits
-        widest = replace(record, ordinal=min(ordinal, 999_999))
-        event = normalize_records([widest], SYSLOG_ADAPTER, file_ordinal=min(file_ordinal, 999)).events[0]
-        assert event.event_id == f"syslog:{min(file_ordinal, 999):03d}:{min(ordinal, 999_999):06d}"
+        widest = read(text.removeprefix("???\n"), adapter, file_ordinal=min(file_ordinal, 999)).events[0]
+        assert widest.event_id == f"syslog:{min(file_ordinal, 999):03d}:{max(skipped - 1, 0):06d}"
 
-    @pytest.mark.parametrize("file_ordinal, ordinal", [(1_000, 0), (0, 1_000_000)])
-    def test_prenormalized_default_id_overflow(self, file_ordinal, ordinal):
-        adapter = SourceAdapterSpec(source="replay", format="prenormalized")
-        line = json.dumps({"ts": 1714554000000, "text_blob": "x"})
-        record = replace(parse_text(line, adapter).records[0], ordinal=ordinal)
+    @pytest.mark.parametrize("file_ordinal, skipped", [(1_000, 0), (0, 2)])
+    def test_prenormalized_default_id_overflow(self, monkeypatch, file_ordinal, skipped):
+        monkeypatch.setattr(ingest, "MAX_RECORDS_PER_FILE", 2)
+        adapter = SourceAdapterSpec(source="replay", format="prenormalized", parse_threshold=0.0)
+        text = "[]\n" * skipped + json.dumps({"ts": 1714554000000, "text_blob": "x"})
         with pytest.raises(EventIdError, match="replay.jsonl: event id overflow for source 'replay'"):
-            normalize_records([record], adapter, file_ordinal=file_ordinal, origin="replay.jsonl")
+            read(text, adapter, file_ordinal=file_ordinal, origin="replay.jsonl")
         # a record that carries its own id needs no default
-        named = replace(parse_text(json.dumps({"event_id": "r1", "ts": 1}), adapter).records[0], ordinal=ordinal)
-        assert normalize_records([named], adapter, file_ordinal=file_ordinal).events[0].event_id == "r1"
+        named = read("[]\n" * skipped + json.dumps({"event_id": "r1", "ts": 1}), adapter, file_ordinal=file_ordinal).events[0]
+        assert named.event_id == "r1"
+
+    def test_the_id_limits_are_the_widest_padded_ordinals(self):
+        # unpatched limits: the widest ids fill {file:03d}:{record:06d}, and one more overflows
+        assert ingest._event_ids("syslog", 999, "x")(999_999) == "syslog:999:999999"
+        with pytest.raises(EventIdError, match=r"^x: event id overflow .*\(file ordinal 999, record ordinal 1000000\)"):
+            ingest._event_ids("syslog", 999, "x")(1_000_000)
+        assert ingest._event_ids("syslog", 999, "x")(0) == "syslog:999:000000"
+        with pytest.raises(EventIdError, match=r"^x: event id overflow .*\(file ordinal 1000, record ordinal 0\)"):
+            ingest._event_ids("syslog", 1_000, "x")(0)
+
+    def test_an_overflow_after_a_passed_parse_rate_still_warns_of_rejected_lines(self, monkeypatch, caplog):
+        monkeypatch.setattr(ingest, "MAX_RECORDS_PER_FILE", 2)
+        text = "???\n" * 2 + "2024-05-01T09:00:00.000+00:00 h1 app: m\n" + "???\n"
+        with pytest.raises(EventIdError, match=r"^x\.log: event id overflow"):
+            read(text, replace(SYSLOG_ADAPTER, parse_threshold=0.25), origin="x.log")
+        assert "x.log: 3 unparseable line(s) rejected for source syslog" in caplog.text
+
+    def test_a_failed_parse_rate_goes_before_an_event_id_overflow(self):
+        # the first event overflows, but the rate is checked over the whole file first
+        text = "2024-05-01T09:00:00.000+00:00 h1 app: m\n" + "???\n" * 3
+        with pytest.raises(FormatMismatchError, match=r"^x\.log: parse rate 0\.250 .* \(3/4 lines rejected\)"):
+            read(text, SYSLOG_ADAPTER, file_ordinal=1_000, origin="x.log")
+        with pytest.raises(EventIdError, match=r"^x\.log: event id overflow"):
+            read(text, replace(SYSLOG_ADAPTER, parse_threshold=0.25), file_ordinal=1_000, origin="x.log")
 
     def test_prenormalized_line_is_decoded_once(self, monkeypatch):
         adapter = SourceAdapterSpec(source="replay", format="prenormalized")
@@ -214,10 +239,8 @@ class TestNormalizeRecords:
         decoded = []
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda text, *args, **kwargs: decoded.append(text) or loads(text, *args, **kwargs))
-        parsed = parse_text(line, adapter)
-        # the record keeps the decoded object, not flattened strings such as 'process.pid': '3'
-        assert parsed.records[0].fields == obj
-        event = normalize_records(parsed.records, adapter).events[0]
+        # the decoded object is read as it is, not as flattened strings such as 'process.pid': '3'
+        event = read(line, adapter).events[0]
         assert (event.pid, event.image) == (3, "/bin/sh")
         assert decoded == [line]
 
@@ -255,14 +278,12 @@ class TestNormalizeRecords:
         result = ingest_scenario(tmp_path, [adapter], scenario_id="s")
         assert result.report()["total_quarantined"] == 1
         assert [e.ts for e in result.events_by_source["replay"]] == [record["ts"] for record in records[1:]]
-        parsed = parse_text("\n".join(lines), adapter)
-        (quarantine,) = normalize_records(parsed.records, adapter).quarantined
+        (quarantine,) = read("\n".join(lines), adapter).quarantined
         assert quarantine.ordinal == 0
         assert quarantine.reason == f"bad canonical record: {reason}"
 
     def test_int_coercion(self):
-        records = self._records("2024-05-01T09:00:00.000+00:00 h1 app[123]: m\n")
-        result = normalize_records(records, SYSLOG_ADAPTER, scenario_id="s")
+        result = read("2024-05-01T09:00:00.000+00:00 h1 app[123]: m\n", SYSLOG_ADAPTER, scenario_id="s")
         assert result.events[0].pid == 123
 
     def test_trust_origin_default_applied(self):
@@ -272,8 +293,7 @@ class TestNormalizeRecords:
             field_map=SYSLOG_ADAPTER.field_map,
             trust_origin="attacker",
         )
-        records = self._records("2024-05-01T09:00:00.000+00:00 c2 app: m\n")
-        result = normalize_records(records, adapter, scenario_id="s")
+        result = read("2024-05-01T09:00:00.000+00:00 c2 app: m\n", adapter, scenario_id="s")
         assert result.events[0].trust_origin == "attacker"
 
 
@@ -301,7 +321,7 @@ def alias_maps(keys):
 
 @st.composite
 def normalize_cases(draw):
-    """An adapter (random field map, _raw included), an alias map, and records in a few key layouts."""
+    """An adapter (random field map, _raw included), an alias map, and key=value lines in a few key layouts."""
     source_key = st.sampled_from((*SOURCE_KEYS, RAW_TEXT_KEY))
     canonical_key = st.sampled_from(CANONICAL).flatmap(lambda c: st.sampled_from((c, c.upper(), c.title())))
     field_map = draw(st.dictionaries(canonical_key, source_key, max_size=6))
@@ -313,25 +333,172 @@ def normalize_cases(draw):
     adapter = SourceAdapterSpec(
         source="src", format="kv_audit", field_map=field_map, default_year=draw(st.sampled_from((None, 2024)))
     )
-    shapes = draw(st.lists(st.lists(st.sampled_from(SOURCE_KEYS), unique=True, max_size=6), min_size=1, max_size=3))
-    records = []
-    for ordinal in range(draw(st.integers(min_value=0, max_value=8))):
+    shapes = draw(st.lists(st.lists(st.sampled_from(SOURCE_KEYS), unique=True, min_size=1, max_size=6), min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
         shape = draw(st.sampled_from(shapes))
-        fields = {key: draw(st.sampled_from(RAW_VALUES)) for key in shape}
-        raw_text = draw(st.sampled_from(("", "raw line", "2024-05-01T09:00:00Z")))
-        records.append(RawRecord(ordinal=ordinal, fields=fields, raw_text=raw_text))
-    return adapter, draw(alias_maps(SOURCE_KEYS)), records
+        lines.append(" ".join(f'{key}="{draw(st.sampled_from(RAW_VALUES))}"' for key in shape) + "\n")
+    return adapter, draw(alias_maps(SOURCE_KEYS)), "".join(lines)
 
 
 class TestCompiledNormalizeEqualsReference:
     @settings(max_examples=150, deadline=None)
     @given(case=normalize_cases())
     def test_plans_equal_per_record_lookups(self, case):
-        adapter, aliases, records = case
-        got = normalize_records(records, adapter, aliases, scenario_id="s", file_ordinal=3)
-        want = reference_normalize_records(records, adapter, aliases, scenario_id="s", file_ordinal=3)
+        adapter, aliases, text = case
+        got = read(text, adapter, aliases, scenario_id="s", file_ordinal=3)
+        want = reference_read(text, adapter, aliases, scenario_id="s", file_ordinal=3)
         assert got == want
         assert [list(e.extras) for e in got.events] == [list(e.extras) for e in want.events]
+
+
+# every line boundary of str.splitlines, "\r\n" included
+SEPARATORS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+READ_ADAPTERS = {
+    "syslog_line": replace(SYSLOG_ADAPTER, default_year=2023),
+    "kv_audit": KV_ADAPTER,
+    "eve_json": SourceAdapterSpec(
+        source="suricata", format="eve_json", field_map={"ts": "timestamp", "message": "alert.signature", "dst_port": "dest_port"}
+    ),
+    "csv_export": SourceAdapterSpec(
+        source="azure", format="csv_export", field_map={"ts": "TimeGenerated", "message": "Message", "raw": RAW_TEXT_KEY}
+    ),
+    # a one-column export whose timestamp is read from the row's raw text
+    "csv_raw_ts": SourceAdapterSpec(
+        source="azure_raw", format="csv_export", field_map={"ts": RAW_TEXT_KEY, "message": "When"}, default_year=2024
+    ),
+    "prenormalized": SourceAdapterSpec(source="replay", format="prenormalized"),
+}
+# per format: lines that parse, lines quarantined, lines rejected, and blank ones
+RAW_LINES = {
+    "syslog_line": (
+        "2024-05-01T09:00:00.000+00:00 h1 app[7]: ok",
+        "2024-05-01T09:00:01 h1 app: naive",
+        "Dec 31 23:59:59 h1 cron: late",
+        "Jan  1 00:00:01 h2 cron: early",
+        "Feb 29 10:00:00 h1 app: no such day",
+        "???",
+    ),
+    "kv_audit": (
+        'type=EXECVE ts=1714554000.000 host=h1 uid=dev01 pid=10 exe="/usr/bin/ls" cmd="ls -la"',
+        "ts=2024-05-01T09:00:00 msg=naive",
+        'msg="no clock" host=h1',
+        "ts=later msg=x",
+        "no pairs here",
+    ),
+    "eve_json": (
+        '{"timestamp": "2024-05-01T09:00:00.000+0000", "dest_port": 443, "alert": {"signature": "beacon", "rev": [1]}}',
+        '{"alert": {"signature": "no clock"}}',
+        '{"timestamp": "soon"}',
+        '"not an object"',
+        "{broken",
+    ),
+    "csv_export": (
+        "TimeGenerated,Message",
+        "2024-05-01T09:00:00.000+00:00,hello",
+        '2024-05-01T09:00:01.000+00:00,"quoted, comma"',
+        '2024-05-01T09:00:02.000+00:00,"spans',
+        'lines"',
+        "onlyonecell",
+        ",",
+        "2024-05-01T09:00:03.000+00:00,cut\rshort",  # csv rejects a bare CR inside an unquoted cell
+        "2024-05-01T09:00:04.000+00:00," + "x" * (csv.field_size_limit() + 1),  # and a cell over its size limit
+    ),
+    "csv_raw_ts": (
+        "When",
+        "2024-05-01T09:00:00.000+00:00",
+        "2024-05-01T09:00:01",
+        "May  1 13:22:00",
+        '"2024-05-01T09:00:02Z"',
+        "not a time",
+        "two,cells",
+    ),
+    "prenormalized": (
+        '{"ts": 1714554000000, "host": "h1", "text_blob": "x"}',
+        '{"event_id": "r1", "ts": 1}',
+        '{"ts": true}',
+        '{"ts": 2, "process": "oops"}',
+        '{"host": "h1"}',
+        "[1, 2]",
+        "not json",
+    ),
+}
+CSV_HEADERS = {"csv_export": b"TimeGenerated,Message\n", "csv_raw_ts": b"When\n"}
+# bytes that are not UTF-8, and blanks
+JUNK = (b"", b"", b"", b"\xff", b"\xc3", b"\xe2\x80", b"  ", b"\t")
+
+
+@st.composite
+def raw_files(draw):
+    """A format, the bytes of a raw file in it, a parse threshold and a file ordinal (1,000 overflows)."""
+    fmt = draw(st.sampled_from(sorted(RAW_LINES)))
+    line = st.tuples(st.sampled_from(("", " ", *RAW_LINES[fmt])), st.sampled_from(JUNK), st.sampled_from(SEPARATORS))
+    pieces = [text.encode() + junk + sep.encode() for text, junk, sep in draw(st.lists(line, max_size=16))]
+    if fmt in CSV_HEADERS and draw(st.booleans()):
+        pieces.insert(0, CSV_HEADERS[fmt])
+    threshold = draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    return fmt, b"".join(pieces), threshold, draw(st.sampled_from((0, 7, 1_000)))
+
+
+def read_outcome(read, source, adapter, **kwargs):
+    """The result of a read and the key order of its events' extras, or its error and message."""
+    try:
+        result = read(source, adapter, **kwargs)
+    except (EventIdError, FormatMismatchError) as exc:
+        return type(exc), str(exc)
+    return result, [list(e.extras) for e in result.events]
+
+
+# syslog lines around blank ones, each ended by one separator
+SEPARATED = ("2024-05-01T09:00:00.000+00:00 h1 app: one", "", "   ", "Dec 31 23:59:59 h1 cron: two", "???", "Jan  1 00:00:01 h2 cron: three")
+
+
+def separated(sep):
+    return "syslog_line", "".join(line + sep for line in SEPARATED).encode(), 0.5, 0
+
+
+class TestReadLinesEqualsTwoPhaseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=raw_files())
+    @example(case=separated("\n"))
+    @example(case=separated("\r\n"))
+    @example(case=separated("\r"))
+    @example(case=separated("\v"))
+    @example(case=separated("\f"))
+    @example(case=separated("\x1c"))
+    @example(case=separated("\x1d"))
+    @example(case=separated("\x1e"))
+    @example(case=separated("\x85"))
+    @example(case=separated("\u2028"))
+    @example(case=separated("\u2029"))
+    @example(case=("csv_export", b'TimeGenerated,Message\r\n2024-05-01T09:00:00.000+00:00,"two\r\nlines"\r\nonly\r\n', 0.5, 0))
+    @example(case=("csv_raw_ts", b"When\n2024-05-01T09:00:00.000+00:00\n2024-05-01T09:00:01\nnot a time\n", 0.5, 0))
+    def test_a_file_read_line_by_line_equals_its_text_parsed_then_normalized(self, case):
+        fmt, data, threshold, file_ordinal = case
+        adapter = replace(READ_ADAPTERS[fmt], parse_threshold=threshold)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "raw.log"
+            path.write_bytes(data)
+            kwargs = dict(scenario_id="s", file_ordinal=file_ordinal, origin=str(path))
+            with path.open(encoding="utf-8", errors="replace") as lines:
+                got = read_outcome(read_lines, lines, adapter, **kwargs)
+            want = read_outcome(reference_read, path.read_text(encoding="utf-8", errors="replace"), adapter, **kwargs)
+        assert got == want
+        # lines given in memory, as synth gives them, keep a bare CR
+        text = data.decode("utf-8", errors="replace")
+        got = read_outcome(read_lines, io.StringIO(text), adapter, file_ordinal=file_ordinal)
+        assert got == read_outcome(reference_read, text, adapter, file_ordinal=file_ordinal)
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_every_line_boundary_ends_a_line(self, tmp_path, sep):
+        _fmt, data, threshold, _ordinal = separated(sep)
+        (tmp_path / "syslog.log").write_bytes(data)
+        adapter = replace(READ_ADAPTERS["syslog_line"], parse_threshold=threshold)
+        with (tmp_path / "syslog.log").open(encoding="utf-8") as lines:
+            result = read_lines(lines, adapter)
+        assert [e.text_blob for e in result.events] == ["one", "two", "three"]
+        assert [e.event_id for e in result.events] == ["syslog:000:000000", "syslog:000:000001", "syslog:000:000003"]
+        assert result.rejected_lines == (5,)
 
 
 class TestBsdYearRollover:
@@ -339,7 +506,7 @@ class TestBsdYearRollover:
 
     def _timestamps(self, *stamps, adapter=ADAPTER):
         text = "".join(f"{stamp} h1 app: line {i}\n" for i, stamp in enumerate(stamps))
-        result = normalize_records(parse_text(text, adapter).records, adapter)
+        result = read(text, adapter)
         return [e.ts for e in result.events], result
 
     def test_new_year_rolls_forward_for_the_rest_of_the_file(self):
@@ -436,9 +603,7 @@ class TestScenarioIngestion:
             "host": "c2-box",
             "text_blob": "operator tasking issued",
         }
-        parsed = parse_text(json.dumps(record) + "\n", adapter)
-        result = normalize_records(parsed.records, adapter, aliases, scenario_id="s")
-        event = result.events[0]
+        event = read(json.dumps(record) + "\n", adapter, aliases, scenario_id="s").events[0]
         assert event.trust_origin == "attacker"  # record value wins over adapter default
         assert event.event_id == "replay:000:000000"
         assert event.text_blob == "operator tasking issued"
@@ -472,6 +637,20 @@ class TestScenarioIngestion:
             "replay.jsonl: 2 record(s) quarantined for source 'replay'; first at ordinal 2: "
             "bad canonical record: 'process' must be an object, got str"
         ]
+
+
+def test_ingest_holds_its_events_not_a_file(bulk_scenario_dir, adapters, aliases):
+    inputs = [path for path in bulk_scenario_dir.iterdir() if path.name != "ground_truth.json"]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = ingest_scenario(bulk_scenario_dir, adapters, aliases)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.report()["total_records"] > 3_000
+    # a file's text alone, or its records, would take more than the file
+    assert peak - held < max(path.stat().st_size for path in inputs), (peak, held)
 
 
 REAL_BUNDLE_DIR = os.environ.get("CHAINSCOPE_REAL_BUNDLE_DIR")

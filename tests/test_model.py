@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from chainscope import model
 from chainscope.errors import ConfigError, ParseError
 from chainscope.graph import build_event_graph
-from chainscope.ingest import IngestResult, RawRecord
+from chainscope.ingest import IngestResult
 from chainscope.model import (
     FieldAliasMap,
     NormalizedEvent,
@@ -539,9 +539,8 @@ def test_per_event_classes_hold_no_dict(default_rules):
     assert candidates and diagnostics and graph.edges
     # the graph's nodes are the tagged events themselves
     assert [id(node) for node in graph.nodes] == [id(event) for event in events]
-    record = RawRecord(ordinal=0, fields={}, raw_text="")
-    instances = [events[0], record, decisions[0], candidates[0], diagnostics[0], graph.edges[0]]
-    assert len({type(obj) for obj in instances}) == 6
+    instances = [events[0], decisions[0], candidates[0], diagnostics[0], graph.edges[0]]
+    assert len({type(obj) for obj in instances}) == 5
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
-from chainscope.errors import ScenarioError
+from chainscope import ingest, synth
+from chainscope.errors import EventIdError, ScenarioError
 from chainscope.ingest import ingest_scenario, merge_scenario
 from chainscope.model import events_to_jsonl
 from chainscope.synth import (
@@ -267,3 +269,46 @@ class TestOracleChains:
         ]
         with pytest.raises(ScenarioError):
             oracle_chains(events, decisions, window_ms=10, gap_threshold_ms=10)
+
+
+# --- the render -> read-back check -------------------------------------------
+
+
+def drafts_around(source, fields, count=20):
+    """count well-formed drafts of one source, then one with the given fields."""
+    drafts = [
+        synth.DraftEvent(ts=1714554000000 + i * 1000, source=source, label="benign", fields={"host": "h1", "message": f"ok {i}"})
+        for i in range(count)
+    ]
+    return [*drafts, synth.DraftEvent(ts=1714554000000 + count * 1000, source=source, label="benign", fields={"host": "h1", **fields})]
+
+
+@pytest.mark.parametrize(
+    "source, fields, error",
+    [
+        ("syslog", {"message": "one\u2028two"}, "1 rejected line(s) for syslog"),
+        ("auditd", {"message": "one\x1ctwo"}, "1 rejected line(s) for auditd"),
+        ("auth", {"message": "one\u2029two"}, "1 rejected line(s) for auth"),
+        # a CSV export is framed by csv, which ends a line only at CR or LF, and the renderer leaves a bare CR unquoted
+        ("azure_port", {"message": "one\rtwo"}, "1 rejected line(s) for azure_port"),
+    ],
+)
+def test_a_line_separator_in_a_field_fails_the_read_back(source, fields, error):
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"internal renderer error: {error}")):
+        synth._drafts_to_tables(drafts_around(source, fields), "s")
+
+
+def test_an_unbalanced_csv_quote_fails_the_read_back(monkeypatch):
+    # a renderer that forgets to quote: the cell's quote swallows the rows after it
+    monkeypatch.setattr(synth, "_csv_quote", lambda value: value)
+    drafts = drafts_around("azure_port", {"message": '"unbalanced'})
+    drafts.append(synth.DraftEvent(ts=1714555000000, source="azure_port", label="benign", fields={"host": "h1", "message": "after"}))
+    with pytest.raises(ScenarioError, match=r"^internal renderer error: "):
+        synth._drafts_to_tables(drafts, "s")
+
+
+def test_an_event_id_overflow_goes_before_a_rejected_line(monkeypatch):
+    # the read-back raises an overflow when it meets it, and counts rejected lines only after the read
+    monkeypatch.setattr(ingest, "MAX_RECORDS_PER_FILE", 5)
+    with pytest.raises(EventIdError, match=r"^synth:syslog: event id overflow"):
+        synth._drafts_to_tables(drafts_around("syslog", {"message": "one\u2028two"}), "s")
